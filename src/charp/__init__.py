@@ -19,11 +19,10 @@ from .fsing import (PairDivisor, fedder_f_pure, is_compatible,
                     multiplicity_containment, point_ideal, sigma, tau,
                     twist_identity)
 from .ideal import Ideal, buchberger, groebner, normal_form
-from .proj import (GradedSubspace, ProjScheme, TraceStep,
-                   degree_bound_pipeline, graded_piece, is_base_point_free,
-                   is_globally_generated, restriction_is_surjective,
-                   separates, space_from_polys, stable_sections,
-                   stable_sections_generate, trivial_pair)
+from .proj import (GradedSubspace, ProjScheme, degree_bound_pipeline,
+                   graded_piece, is_base_point_free, is_globally_generated,
+                   restriction_is_surjective, separates, space_from_polys,
+                   stable_sections, stable_sections_generate, trivial_pair)
 from .ring import GREVLEX, MultiPoly, PolyRing
 
 __version__ = "0.1.0"
@@ -37,7 +36,7 @@ __all__ = [
     "fedder_f_pure", "is_compatible", "is_sharply_f_pure",
     "is_strongly_f_regular", "multiplicity", "multiplicity_containment",
     "point_ideal", "sigma", "tau", "twist_identity", "Ideal", "buchberger",
-    "groebner", "normal_form", "GradedSubspace", "ProjScheme", "TraceStep",
+    "groebner", "normal_form", "GradedSubspace", "ProjScheme",
     "degree_bound_pipeline", "graded_piece", "is_base_point_free",
     "is_globally_generated", "restriction_is_surjective", "separates",
     "space_from_polys", "stable_sections", "stable_sections_generate",

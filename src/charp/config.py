@@ -16,10 +16,9 @@ class Caps:
     max_basis: int = 512          # generators tracked during basis completion
     chain_steps: int = 64         # iterations allowed in fixed-ideal chains
     saturation_steps: int = 64    # quotient iterations allowed in a saturation
-    image_levels: int = 8         # Frobenius levels tried for stable section images
+    image_levels: int = 8         # largest level at which a stable image may settle
     frobenius_block: int = 256    # largest p^e handled by basis expansion
     ext_degree: int = 3           # largest field extension used for point sampling
-    source_rows: int = 500_000    # spanning rows allowed per stable-image level
 
     def with_overrides(self, **kwargs: int) -> "Caps":
         unknown = set(kwargs) - set(self.__dataclass_fields__)

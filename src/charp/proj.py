@@ -4,27 +4,34 @@ stable images of iterated trace maps inside them.
 Everything happens on the affine cone: sections of O_X(m) for a
 projectively normal X = V(h_1, ..., h_r) in P^n are the degree-m piece
 of S/(h_1, ..., h_r).  The trace operator of the cone with multiplier
-prod h_i^(q-1) * f^a realizes the divisor pair on X, and its level-n
-image inside the degree-m piece is computed by iterating the level-one
-operator on a spanning set of the source piece.  The images descend as
-the level grows and stabilize; the stable row space is the canonical
-subsystem of the twist.
+prod h_i^(q-1) * f^a realizes the divisor pair on X.  Its level-n image
+inside the degree-m piece is the degree-m piece of J_n, the n-th term
+of the operator's descending chain J_0 = S, J_n = image(J_(n-1)) + I_X.
+The chain stops on the largest fixed ideal sigma once J_s = J_(s-1),
+an ideal equality that proves every later image equal, so the
+canonical subsystem of the twist is the degree-m piece of sigma (for
+the test-ideal variant, of tau, which the operator fixes).
 
 Degree bookkeeping for one level with multiplier u (homogeneous of
 degree du): a source form of degree D maps to degree
 (D + du - (q-1)*(n+1)) / q, so the source piece for target degree m at
-level n is D_n = q^n*m + (q^n-1)*(n+1) - du*(q^n-1)/(q-1).
+level n is D_n = q^n*m + (q^n-1)*(n+1) - du*(q^n-1)/(q-1).  Since
+du/(q-1) = deg(K_X + Delta) + n + 1, this is
+D_n = m + (q^n-1)*(m - deg(K_X + Delta)): negative source degrees occur
+only below the pair degree, and such levels are rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import combinations
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .cartier import CartierMap, apply_cartier, trace
+from .cartier import CartierMap, apply_cartier
 from .config import Caps, DEFAULT_CAPS
 from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
@@ -38,6 +45,20 @@ from .ring import MultiPoly, PolyRing, monomials_of_degree
 def trivial_pair(ring: PolyRing) -> PairDivisor:
     """The zero divisor, encoded as (1, 0, 1)."""
     return PairDivisor(ring.one(), 0, 1)
+
+
+def _leading_codim(ideal: Ideal) -> int:
+    """Codimension of a homogeneous ideal, read off its leading-term
+    ideal: the fewest variables that meet the support of every leading
+    monomial of the reduced basis (nvars + 1 for the unit ideal)."""
+    supports = [{i for i, a in enumerate(g.leading_exponent()) if a}
+                for g in ideal.groebner_basis]
+    nvars = ideal.ring.nvars
+    for k in range(nvars + 1):
+        for chosen in combinations(range(nvars), k):
+            if all(support.intersection(chosen) for support in supports):
+                return k
+    return nvars + 1
 
 
 @dataclass(frozen=True)
@@ -61,19 +82,26 @@ class ProjScheme:
 
     @classmethod
     def from_forms(cls, ring: PolyRing, forms: Iterable[MultiPoly]) -> "ProjScheme":
+        """The complete intersection of the forms.
+
+        r homogeneous forms with r <= n are a regular sequence exactly
+        when their ideal has codimension r; the cone they cut out is then
+        Cohen-Macaulay of dimension >= 1, so the ideal is saturated and
+        the adjunction bookkeeping (dimension, canonical twist) holds.
+        """
         scheme = cls(ring, tuple(forms))
-        ideal = scheme.ideal
-        saturated = ideal.saturate(Ideal.irrelevant(ring))
-        if saturated != ideal:
+        r = len(scheme.forms)
+        if r > scheme.n or _leading_codim(scheme.ideal) != r:
             raise DomainError(
-                "defining ideal is not saturated; pass a saturated model")
+                f"the {r} defining forms are not a regular sequence of "
+                f"length <= {scheme.n}; pass a complete intersection")
         return scheme
 
     @property
     def n(self) -> int:
         return self.ring.nvars - 1
 
-    @property
+    @cached_property
     def ideal(self) -> Ideal:
         return Ideal(self.ring, self.forms)
 
@@ -223,75 +251,34 @@ def graded_piece(scheme: ProjScheme, m: int) -> GradedSubspace:
 # -- stable trace images -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One level of the trace tower: an F_p-linear map from the source
-    graded piece to the target one; steps compose across levels."""
-
-    multiplier: MultiPoly  # level-one multiplier (adjunction included)
-    e: int                 # level-one Frobenius exponent
-    n: int                 # how many levels are composed
-    source_degree: int
-    target_degree: int
-
-
 @dataclass
 class StableImageResult:
     space: GradedSubspace
     level: int
-    steps: List[TraceStep] = field(default_factory=list)
-    source_rows: List[int] = field(default_factory=list)
+    fixed: Ideal  # the cone's fixed ideal whose degree-m piece is the space
 
 
-def _trace_step(u1: MultiPoly, e: int, n: int, m: int) -> TraceStep:
-    ring = u1.ring
-    q = ring.p ** e
-    big = q ** n
-    du = u1.degree()
-    if (du * (big - 1)) % (q - 1):
-        raise DomainError(
-            f"non-integral source twist at level {n}: multiplier degree "
-            f"{du} is not compatible with q = {q}")
-    twist = du * (big - 1) // (q - 1)  # du * (1 + q + ... + q^(n-1))
-    degree = big * m + (big - 1) * ring.nvars - twist
-    if degree < 0:
-        raise DomainError(
-            f"source twist degree {degree} is negative at level {n}")
-    return TraceStep(multiplier=u1, e=e, n=n, source_degree=degree,
-                     target_degree=m)
+def _check_level(scheme: ProjScheme, pair: PairDivisor, m: int, level: int,
+                 caps: Caps):
+    """Enforce the degree and cap contracts of an image stable at `level`:
+    every source twist up to that level is nonnegative, and the level is
+    within caps.image_levels."""
+    for n in range(1, min(level, caps.image_levels) + 1):
+        # D_n from the module docstring; q - 1 divides q^n - 1
+        degree = int(m + (pair.q ** n - 1) * (m - scheme.pair_degree(pair)))
+        if degree < 0:
+            raise DomainError(
+                f"source twist degree {degree} is negative at level {n}")
+    if level > caps.image_levels:
+        raise ResourceError("image_levels", caps.image_levels,
+                            f"trace images stabilize at level {level}")
 
 
-def _level_image(modulus: Ideal, u1: MultiPoly, e: int, n: int, m: int,
-                 source: Optional[Ideal], caps: Caps) -> Tuple[GradedSubspace, int]:
-    ring = u1.ring
-    step = _trace_step(u1, e, n, m)
-    D = step.source_degree
-    gb = modulus.groebner_basis
-    if source is None:
-        span = [ring.monomial(exps) for exps in _standard_monomials(modulus, D)]
-    else:
-        span = source.graded_generators_in_degree(D)
-    if len(span) > caps.source_rows:
-        raise ResourceError("source_rows", caps.source_rows,
-                            f"{len(span)} spanning rows at level {n}")
-    columns = _standard_monomials(modulus, m)
-    index = {exps: i for i, exps in enumerate(columns)}
-    rows = []
-    for s in span:
-        v = s
-        for _ in range(n):
-            v = trace(u1 * v, e, caps)
-            if gb and not v.is_zero:
-                v = normal_form(v, gb)
-            if v.is_zero:
-                break
-        if v.is_zero:
-            continue
-        vec = np.zeros(len(columns), dtype=np.int64)
-        for exps, c in v._terms.items():
-            vec[index[exps]] = c
-        rows.append(vec)
-    return _space_from_rows(ring, modulus, m, columns, rows), len(span)
+def _stable_level(chain: ChainResult) -> int:
+    """First image level >= 2 whose image provably equals the one before:
+    a descending chain with J_s = J_(s-1) has equal level-s and
+    level-(s-1) images in every degree."""
+    return max(chain.steps, 2)
 
 
 def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
@@ -313,35 +300,24 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
 def stable_sections(scheme: ProjScheme, pair: PairDivisor, m: int,
                     which: str = "sigma", c: Optional[MultiPoly] = None,
                     caps: Caps = DEFAULT_CAPS) -> StableImageResult:
-    """Stable image of the level-n trace maps inside the degree-m piece,
-    detected by row-space equality of consecutive levels.
+    """Stable image of the level-n trace maps inside the degree-m piece.
 
-    For which='tau' the source pieces are pre-intersected with the graded
-    test ideal of the cone pair.  The result does not depend on the level
-    used to present the pair.
+    The level-n image is the degree-m piece of the n-th term of the
+    cone operator's descending chain, so the stable image is the
+    degree-m piece of the fixed ideal: sigma for which='sigma', and for
+    which='tau' the test ideal, whose level-n images are all the same
+    because it is operator-fixed.  The reported level is the first
+    level >= 2 whose image provably equals the one before (2 for tau).
+    The result does not depend on the level used to present the pair.
     """
     if m < 0:
         raise DomainError(f"target degree must be >= 0, got {m}")
-    u1 = scheme.trace_multiplier(pair)
-    modulus = scheme.ideal
-    source = None
-    if which == "tau":
-        source = graded_fixed_ideal(scheme, pair, "tau", c, caps).ideal
-    elif which != "sigma":
-        raise DomainError(f"unknown subsystem kind {which!r}")
-    previous = None
-    source_rows: List[int] = []
-    steps: List[TraceStep] = []
-    for level in range(1, caps.image_levels + 1):
-        steps.append(_trace_step(u1, pair.e, level, m))
-        current, nrows = _level_image(modulus, u1, pair.e, level, m, source, caps)
-        source_rows.append(nrows)
-        if previous is not None and current == previous:
-            return StableImageResult(space=current, level=level, steps=steps,
-                                     source_rows=source_rows)
-        previous = current
-    raise ResourceError("image_levels", caps.image_levels,
-                        "trace images did not stabilize")
+    chain = graded_fixed_ideal(scheme, pair, which, c, caps)
+    level = _stable_level(chain) if which == "sigma" else 2
+    _check_level(scheme, pair, m, level, caps)
+    space = space_from_polys(scheme.ideal, m,
+                             chain.ideal.graded_generators_in_degree(m))
+    return StableImageResult(space=space, level=level, fixed=chain.ideal)
 
 
 # -- positional checks ---------------------------------------------------
@@ -511,9 +487,8 @@ def stable_sections_generate(scheme: ProjScheme, pair: PairDivisor, m: int,
     """Whether the stable subsystem alone generates the fixed-ideal twist:
     for a unit fixed ideal this is base-point-freeness of the subsystem,
     otherwise a saturation comparison restricted to the subsystem's lifts."""
-    fixed = graded_fixed_ideal(scheme, pair, which, c, caps).ideal
     result = stable_sections(scheme, pair, m, which, c, caps)
-    space = result.space
+    fixed, space = result.fixed, result.space
     ring = scheme.ring
     irrelevant = Ideal.irrelevant(ring)
     target = (fixed + scheme.ideal).saturate(irrelevant, caps)
@@ -656,6 +631,19 @@ def center_is_compatible(scheme: ProjScheme, pair: PairDivisor,
     return image.issubset(total)
 
 
+def center_stable_image(scheme: ProjScheme, pair: PairDivisor, center: Ideal,
+                        m: int, caps: Caps = DEFAULT_CAPS) -> GradedSubspace:
+    """Stable subsystem of the operator induced on the center: the
+    degree-m piece of the largest fixed ideal of the cone modulo
+    center + I_X."""
+    modulus = center + scheme.ideal
+    chain = descending_fixed_ideal(
+        CartierMap(pair.e, scheme.trace_multiplier(pair)), modulus, caps)
+    _check_level(scheme, pair, m, _stable_level(chain), caps)
+    return space_from_polys(modulus, m,
+                            chain.ideal.graded_generators_in_degree(m))
+
+
 def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,
                               center: Ideal, m: int,
                               caps: Caps = DEFAULT_CAPS) -> bool:
@@ -672,21 +660,7 @@ def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,
         raise PreconditionError(
             f"twist degree {m} does not dominate the pair degree "
             f"{scheme.pair_degree(pair)}")
-    u1 = scheme.trace_multiplier(pair)
     on_x = stable_sections(scheme, pair, m, "sigma", None, caps).space
-
-    center_modulus = center + scheme.ideal
-    previous = None
-    restricted = None
-    for level in range(1, caps.image_levels + 1):
-        current, _ = _level_image(center_modulus, u1, pair.e, level, m,
-                                  None, caps)
-        if previous is not None and current == previous:
-            restricted = current
-            break
-        previous = current
-    if restricted is None:
-        raise ResourceError("image_levels", caps.image_levels,
-                            "center images did not stabilize")
-    image = space_from_polys(center_modulus, m, on_x.polys())
+    restricted = center_stable_image(scheme, pair, center, m, caps)
+    image = space_from_polys(restricted.modulus, m, on_x.polys())
     return image == restricted

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from charp.cartier import trace
 from charp.config import Caps
 from charp.errors import DomainError, PreconditionError, ResourceError
 from charp.fsing import PairDivisor
-from charp.ideal import Ideal
-from charp.proj import (ProjScheme, center_is_compatible,
+from charp.ideal import Ideal, normal_form
+from charp.proj import (ProjScheme, _standard_monomials,
+                        center_is_compatible, center_stable_image,
                         degree_bound_pipeline, graded_fixed_ideal,
                         graded_piece, is_base_point_free,
                         is_globally_generated, projective_multiplicity,
@@ -59,6 +61,20 @@ def test_scheme_rejects_unsaturated_input():
     with pytest.raises(DomainError):
         ProjScheme.from_forms(ring, [ring.parse("x^2"), ring.parse("x*y"),
                                      ring.parse("x*z")])
+
+
+def test_scheme_rejects_non_complete_intersection():
+    # (xy, xz) = (x) meet (y, z) is saturated, but two forms cutting out
+    # a codimension-one scheme are no regular sequence, so the dimension
+    # and canonical twist read off the forms would be wrong
+    ring = PolyRing(("x", "y", "z"), 5)
+    with pytest.raises(DomainError):
+        ProjScheme.from_forms(ring, [ring.parse("x*y"), ring.parse("x*z")])
+    assert ProjScheme.from_forms(ring, [ring.parse("x^3+y^3+z^3")]).is_curve
+    space = PolyRing(("x", "y", "z", "w"), 5)
+    quartic = ProjScheme.from_forms(
+        space, [space.parse("x^2-y*w"), space.parse("y^2+z^2+w^2-x*z")])
+    assert quartic.is_curve
 
 
 def test_graded_piece_dimensions(P2, fermat7):
@@ -384,18 +400,124 @@ def test_degree_bound_random_admissible_instances():
         ran += 1
 
 
+# -- the level-enumeration oracle ----------------------------------------------
+#
+# The stable image computed the way the paper defines it: push a spanning
+# set of the level-n source piece through n trace steps and stop when two
+# consecutive degree-m images agree.  Production reads the image off the
+# cone's fixed ideal instead; the two routes share the graded-piece
+# helpers and, for tau, the test ideal whose pieces are the sources.
+
+
+def oracle_source_degree(u1, e, n, m):
+    """D_n = q^n*m + (q^n-1)*(n+1) - du*(1 + q + ... + q^(n-1))."""
+    q = u1.ring.p ** e
+    twist = u1.degree() * sum(q ** i for i in range(n))
+    return q ** n * m + (q ** n - 1) * u1.ring.nvars - twist
+
+
+def level_image(modulus, u1, e, n, m, source=None):
+    """Level-n trace image in degree m of the source piece: all standard
+    monomials of degree D_n, or the degree-D_n piece of `source`, which
+    modulo the modulus is spanned by its basis elements times standard
+    monomials."""
+    degree = oracle_source_degree(u1, e, n, m)
+    assert degree >= 0, f"negative source degree at level {n}"
+    gb = modulus.groebner_basis
+    if source is None:
+        factors = [(u1, degree)]
+    else:
+        factors = [(u1 * g, degree - g.degree())
+                   for g in source.groebner_basis if g.degree() <= degree]
+    images = []
+    for factor, rest in factors:
+        for exps in _standard_monomials(modulus, rest):
+            v = factor.mul_monomial(exps)  # u1 times the source element
+            for level in range(n):
+                v = trace(v if level == 0 else u1 * v, e)
+                if gb and not v.is_zero:
+                    v = normal_form(v, gb)
+                if v.is_zero:
+                    break
+            images.append(v)
+    return space_from_polys(modulus, m, images), degree
+
+
+def level_stable_image(modulus, u1, e, m, source=None, max_level=8):
+    """(image, level, source degrees) at the first level >= 2 whose image
+    equals the one before."""
+    previous, degrees = None, []
+    for level in range(1, max_level + 1):
+        current, degree = level_image(modulus, u1, e, level, m, source)
+        degrees.append(degree)
+        if current == previous:
+            return current, level, degrees
+        previous = current
+    raise AssertionError("level images did not stabilize")
+
+
+def oracle_stable_sections(scheme, pair, m, which="sigma", c=None):
+    source = None
+    if which == "tau":
+        source = graded_fixed_ideal(scheme, pair, "tau", c).ideal
+    return level_stable_image(scheme.ideal, scheme.trace_multiplier(pair),
+                              pair.e, m, source)
+
+
+def _oracle_schemes():
+    yield ProjScheme.projective_space(PolyRing(("x", "y"), 5))
+    yield ProjScheme.projective_space(PolyRing(("x", "y"), 7))
+    yield ProjScheme.projective_space(PolyRing(("x", "y", "z"), 5))
+    yield ProjScheme.projective_space(PolyRing(("x", "y", "z"), 7))
+    # (ordinary, supersingular) smooth plane cubics, by the Hasse invariant
+    for p, texts in ((5, ("y^2*z-x^3-x*z^2", "x^3+y^3+z^3")),
+                     (7, ("x^3+y^3+z^3", "y^2*z-x^3-x*z^2"))):
+        ring = PolyRing(("x", "y", "z"), p)
+        for text in texts:
+            yield ProjScheme.from_forms(ring, [ring.parse(text)])
+
+
+@pytest.mark.parametrize("scheme", list(_oracle_schemes()),
+                         ids=lambda s: f"p{s.ring.p}-" + (
+                             str(s.forms[0]) if s.forms else f"P{s.n}"))
+def test_stable_sections_match_level_oracle(scheme):
+    # the boundary pair (x, coefficient 1) separates tau from sigma in
+    # every degree; the trivial pair does not
+    ring = scheme.ring
+    for pair in (trivial_pair(ring), PairDivisor(ring.gen(0), ring.p - 1, 1)):
+        seed = pair.f * ring.gen(0)
+        for m in range(1, 5):
+            for which, c in (("sigma", None), ("tau", seed)):
+                result = stable_sections(scheme, pair, m, which, c)
+                oracle, _, _ = oracle_stable_sections(scheme, pair, m,
+                                                      which, c)
+                assert result.space == oracle, (pair.f, m, which)
+
+
+def test_restriction_centers_match_level_oracle():
+    # the C10 centers: the line z = 0 under (z, 4/4) and the point
+    # x = y = 0 under (xy, 4/4) in the plane over F_5
+    ring = PolyRing(("x", "y", "z"), 5)
+    plane = ProjScheme.projective_space(ring)
+    for text, center in (("z", I(ring, "z")), ("x*y", I(ring, "x", "y"))):
+        pair = PairDivisor(ring.parse(text), 4, 1)
+        u1 = plane.trace_multiplier(pair)
+        for m in range(1, 5):
+            oracle, _, _ = level_stable_image(center, u1, pair.e, m)
+            assert center_stable_image(plane, pair, center, m) == oracle
+
+
 def test_trace_tower_bookkeeping(P2):
     ring = P2.ring
     pair = PairDivisor(ring.parse("x*y*z"), 4, 1)
-    result = stable_sections(P2, pair, 3, "sigma")
-    assert len(result.steps) == result.level
+    space, level, degrees = oracle_stable_sections(P2, pair, 3, "sigma")
+    assert len(degrees) == level and space.degree == 3
     q = 5
     du = 12  # deg (xyz)^4
-    for step in result.steps:
-        big = q ** step.n
-        expected = big * 3 + (big - 1) * 3 - du * (big - 1) // (q - 1)
-        assert step.source_degree == expected
-        assert step.target_degree == 3
+    for n, degree in enumerate(degrees, start=1):
+        big = q ** n
+        assert degree == big * 3 + (big - 1) * 3 - du * (big - 1) // (q - 1)
+    assert space == stable_sections(P2, pair, 3, "sigma").space
 
 
 # -- restriction to centers -----------------------------------------------------------
