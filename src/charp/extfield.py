@@ -1,191 +1,288 @@
-"""Finite extensions F_{p^k} realized by adjoining a root.
+"""Finite extensions F_{p^k} as lookup tables, and projective points
+over them.
 
-The extension is F_p[t]/(mu) for a monic irreducible mu of degree k;
-elements are canonical residues, reusing the univariate polynomial
-kernel.  Only k <= 3 is needed for point sampling, where irreducibility
-is equivalent to having no roots in F_p.
+The extension is F_p[t]/(mu) for a monic irreducible mu of degree k,
+the first one in a fixed search order.  An element is the integer code
+c_0 + c_1*p + ... + c_(k-1)*p^(k-1) of its canonical residue
+c_0 + c_1*t + ... + c_(k-1)*t^(k-1), so the prime field is the codes
+0..p-1 and the codes enumerate the field in a fixed order.  Each field
+builds its tables once: the base-p digits of every code (addition is
+digit-wise mod p) and the log/antilog tables of a primitive element
+(multiplication adds logs mod p^k - 1).  The arithmetic works on numpy
+arrays of codes, so a form is evaluated at every point in one pass;
+`ExtElement` wraps a single code for scalar use.  Only k <= 3 is needed
+for point sampling, where irreducibility is equivalent to having no
+roots in F_p, and the tables are capped at p^k <= MAX_ORDER.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import product
+from typing import Iterator, List, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .ring import MultiPoly, PolyRing
 
+MAX_ORDER = 1 << 16   # largest p^k given tables; every prime field fits
+BLOCK_ROWS = 1 << 16  # points enumerated per array, to bound memory
 
-def _find_irreducible(ring: PolyRing, p: int, k: int) -> MultiPoly:
-    t = ring.gen(0)
+
+def _digits(code: int, p: int, k: int) -> List[int]:
+    out = []
+    for _ in range(k):
+        out.append(code % p)
+        code //= p
+    return out
+
+
+def _find_irreducible(p: int, k: int) -> List[int]:
+    """Low-order coefficients c_0..c_(k-1) of the first monic
+    t^k + c_(k-1)*t^(k-1) + ... + c_0 without roots in F_p, searched by
+    the code of its tail (for k = 1, the polynomial t)."""
     if k == 1:
-        return t
-    # degree 2 or 3: irreducible over F_p iff no roots in F_p
+        return [0]
     for tail in range(p ** k):
-        coeffs = []
-        rest = tail
-        for _ in range(k):
-            coeffs.append(rest % p)
-            rest //= p
-        poly = t ** k
-        for i, c in enumerate(coeffs):
-            if c:
-                poly = poly + ring.monomial((i,), c)
-        if all(poly.evaluate((v,)) != 0 for v in range(p)):
-            return poly
+        coeffs = _digits(tail, p, k)
+        if all((pow(v, k, p) + sum(c * pow(v, i, p) for i, c in enumerate(coeffs)))
+               % p for v in range(p)):
+            return coeffs
     raise DomainError(f"no irreducible polynomial of degree {k} found")  # unreachable
 
 
-@dataclass(frozen=True)
-class ExtElement:
-    """Residue in F_p[t]/(mu), stored as a reduced polynomial."""
-
-    field: "ExtField"
-    value: MultiPoly
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(self.field, self.value + other.value)
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(self.field, self.value - other.value)
-
-    def __neg__(self) -> "ExtElement":
-        return ExtElement(self.field, -self.value)
-
-    def __mul__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(self.field, self.field.reduce(self.value * other.value))
-
-    def __pow__(self, n: int) -> "ExtElement":
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value.is_zero
-
-    def inverse(self) -> "ExtElement":
-        return self.field.inverse(self)
-
-    def __hash__(self):
-        return hash((id(self.field), self.value))
-
-    def __eq__(self, other):
-        return isinstance(other, ExtElement) and self.value == other.value
-
-    def __str__(self):
-        return str(self.value)
+def _times_t(digits: List[int], modulus: List[int], p: int) -> List[int]:
+    """Residue of t * (residue) modulo t^k + modulus (low-order terms)."""
+    top = digits[-1]
+    shifted = [0] + digits[:-1]
+    return [(d - top * c) % p for d, c in zip(shifted, modulus)]
 
 
-def _divmod_univariate(f: MultiPoly, g: MultiPoly) -> tuple:
-    ring = f.ring
-    p = ring.p
-    lg = g.leading_exponent()
-    inv = pow(g.leading_coefficient(), -1, p)
-    quotient = ring.zero()
-    rem = f
-    while not rem.is_zero and rem.degree() >= g.degree():
-        lead = rem.leading_exponent()
-        mono = (lead[0] - lg[0],)
-        factor = (rem.coefficient(lead) * inv) % p
-        quotient = quotient + ring.monomial(mono, factor)
-        rem = rem - g.mul_monomial(mono, factor)
-    return quotient, rem
+def _mul_digits(a: List[int], b: List[int], modulus: List[int],
+                p: int) -> List[int]:
+    """Product of two residues, by Horner's rule in the digits of a."""
+    k = len(a)
+    out = [0] * k
+    for coeff in reversed(a):
+        out = _times_t(out, modulus, p)
+        out = [(x + coeff * y) % p for x, y in zip(out, b)]
+    return out
+
+
+def _log_tables(p: int, k: int, modulus: List[int]) -> tuple:
+    """(antilog, log) of the first primitive element in code order."""
+    order = p ** k
+    place = [p ** i for i in range(k)]
+    for g in range(1, order):
+        g_digits = _digits(g, p, k)
+        antilog = [1]
+        power = [1] + [0] * (k - 1)
+        while True:
+            power = _mul_digits(power, g_digits, modulus, p)
+            code = sum(d * w for d, w in zip(power, place))
+            if code == 1:
+                break
+            antilog.append(code)
+        if len(antilog) == order - 1:
+            exp = np.array(antilog, dtype=np.int64)
+            log = np.zeros(order, dtype=np.int64)
+            log[exp] = np.arange(order - 1, dtype=np.int64)
+            return exp, log
+    raise DomainError(f"F_{order} has no primitive element")  # unreachable
 
 
 class ExtField:
-    """F_{p^k} as residues modulo an irreducible of degree k."""
+    """F_{p^k} with its elements coded as integers in [0, p^k)."""
 
     def __init__(self, p: int, k: int):
         if k < 1:
             raise DomainError(f"extension degree must be >= 1, got {k}")
         if k > 3:
             raise DomainError("point sampling supports extension degree <= 3")
+        if p ** k > MAX_ORDER:
+            raise DomainError(
+                f"point sampling supports fields of order <= {MAX_ORDER}, "
+                f"got {p}^{k}")
         self.p = p
         self.k = k
-        self.ring = PolyRing(("t",), p)
-        self.modulus = _find_irreducible(self.ring, p, k)
-        self.zero = ExtElement(self, self.ring.zero())
-        self.one = ExtElement(self, self.ring.one())
+        self._mu = _find_irreducible(p, k)
+        self._place = np.array([p ** i for i in range(k)], dtype=np.int64)
+        codes = np.arange(self.order, dtype=np.int64)
+        self._digits = (codes[:, None] // self._place) % p
+        self._exp, self._log = _log_tables(p, k, self._mu)
+        self.zero = ExtElement(self, 0)
+        self.one = ExtElement(self, 1)
 
     @property
     def order(self) -> int:
         return self.p ** self.k
 
-    def reduce(self, poly: MultiPoly) -> MultiPoly:
-        if poly.degree() < self.k:
-            return poly
-        return _divmod_univariate(poly, self.modulus)[1]
+    @property
+    def modulus(self) -> MultiPoly:
+        """The irreducible mu, as a polynomial in t."""
+        ring = PolyRing(("t",), self.p)
+        terms = {(i,): c for i, c in enumerate(self._mu) if c}
+        terms[(self.k,)] = 1
+        return ring.poly(terms)
 
-    def from_int(self, n: int) -> ExtElement:
-        return ExtElement(self, self.ring.constant(n))
+    # -- arithmetic on arrays (or ints) of codes --------------------------
 
-    def element(self, coeffs: Sequence[int]) -> ExtElement:
-        poly = self.ring.zero()
-        for i, c in enumerate(coeffs):
-            if c % self.p:
-                poly = poly + self.ring.monomial((i,), c)
-        return ExtElement(self, poly)
+    def add(self, a, b):
+        return ((self._digits[a] + self._digits[b]) % self.p) @ self._place
 
-    def elements(self) -> Iterator[ExtElement]:
-        for code in range(self.order):
-            coeffs = []
-            rest = code
-            for _ in range(self.k):
-                coeffs.append(rest % self.p)
-                rest //= self.p
-            yield self.element(coeffs)
+    def neg(self, a):
+        return ((-self._digits[a]) % self.p) @ self._place
 
-    def inverse(self, a: ExtElement) -> ExtElement:
-        if a.is_zero:
+    def mul(self, a, b):
+        a = np.asarray(a)
+        b = np.asarray(b)
+        logs = (self._log[a] + self._log[b]) % (self.order - 1)
+        return np.where((a == 0) | (b == 0), 0, self._exp[logs])
+
+    def inv(self, a):
+        """Inverses of nonzero codes."""
+        a = np.asarray(a)
+        if (a == 0).any():
             raise DomainError("zero has no inverse")
-        # extended Euclid on (value, modulus)
-        r0, r1 = a.value, self.modulus
-        s0, s1 = self.ring.one(), self.ring.zero()
-        while not r1.is_zero:
-            q, rem = _divmod_univariate(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s0 - q * s1
-        # r0 = gcd is a nonzero constant
-        scale = pow(r0.constant_value(), -1, self.p)
-        return ExtElement(self, self.reduce(s0.scale(scale)))
+        return self._exp[(-self._log[a]) % (self.order - 1)]
+
+    def power(self, a, n: int):
+        if n < 0:
+            raise DomainError(f"negative exponent {n}")
+        a = np.asarray(a)
+        if n == 0:
+            return np.ones_like(a)
+        logs = (self._log[a] * n) % (self.order - 1)
+        return np.where(a == 0, 0, self._exp[logs])
+
+    def evaluate(self, f: MultiPoly, points: np.ndarray) -> np.ndarray:
+        """Values of f at every row of a (points x nvars) code array."""
+        points = np.asarray(points, dtype=np.int64)
+        if points.ndim != 2 or points.shape[1] != f.ring.nvars:
+            raise DomainError("wrong number of coordinates")
+        logs = self._log[points]
+        vanishing = points == 0
+        total = np.zeros((points.shape[0], self.k), dtype=np.int64)
+        for exps, c in f._terms.items():
+            used = [i for i, e in enumerate(exps) if e]
+            weights = np.array([exps[i] for i in used], dtype=np.int64)
+            term = (logs[:, used] @ weights + self._log[c]) % (self.order - 1)
+            value = np.where(vanishing[:, used].any(axis=1), 0, self._exp[term])
+            total += self._digits[value]
+        return (total % self.p) @ self._place
+
+    # -- elements -----------------------------------------------------------
+
+    def label(self, code: int) -> str:
+        """The residue of a code written as a polynomial in t, highest
+        degree first, as MultiPoly prints it."""
+        digits = _digits(int(code), self.p, self.k)
+        chunks = []
+        for i in reversed(range(self.k)):
+            c = digits[i]
+            power = "t" if i == 1 else f"t^{i}"
+            if c:
+                chunks.append(str(c) if i == 0 else
+                              power if c == 1 else f"{c}*{power}")
+        return " + ".join(chunks) or "0"
+
+    def from_int(self, n: int) -> "ExtElement":
+        return ExtElement(self, n % self.p)
+
+    def element(self, coeffs: Sequence[int]) -> "ExtElement":
+        """The residue sum(coeffs[i] * t^i), with at most k coefficients."""
+        if len(coeffs) > self.k:
+            raise DomainError(
+                f"F_{self.order} elements have at most {self.k} coefficients")
+        return ExtElement(self, sum((c % self.p) * self.p ** i
+                                    for i, c in enumerate(coeffs)))
+
+    def elements(self) -> Iterator["ExtElement"]:
+        for code in range(self.order):
+            yield ExtElement(self, code)
+
+    def inverse(self, a: "ExtElement") -> "ExtElement":
+        return ExtElement(self, int(self.inv(a.code)))
+
+
+@dataclass(frozen=True, eq=False)
+class ExtElement:
+    """One element of an ExtField, by its code."""
+
+    field: ExtField
+    code: int
+
+    def _wrap(self, code) -> "ExtElement":
+        return ExtElement(self.field, int(code))
+
+    def __add__(self, other: "ExtElement") -> "ExtElement":
+        return self._wrap(self.field.add(self.code, other.code))
+
+    def __sub__(self, other: "ExtElement") -> "ExtElement":
+        return self + (-other)
+
+    def __neg__(self) -> "ExtElement":
+        return self._wrap(self.field.neg(self.code))
+
+    def __mul__(self, other: "ExtElement") -> "ExtElement":
+        return self._wrap(self.field.mul(self.code, other.code))
+
+    def __pow__(self, n: int) -> "ExtElement":
+        return self._wrap(self.field.power(self.code, n))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.code == 0
+
+    def inverse(self) -> "ExtElement":
+        return self.field.inverse(self)
+
+    def __hash__(self):
+        return hash((self.field.order, self.code))
+
+    def __eq__(self, other):
+        return (isinstance(other, ExtElement)
+                and self.field.order == other.field.order
+                and self.code == other.code)
+
+    def __str__(self):
+        return self.field.label(self.code)
 
 
 def evaluate_poly(f: MultiPoly, coords: Sequence[ExtElement],
                   field: ExtField) -> ExtElement:
     """Evaluate a form at a point with extension-field coordinates."""
-    if len(coords) != f.ring.nvars:
-        raise DomainError("wrong number of coordinates")
-    total = field.zero
-    for exps, c in f._terms.items():
-        term = field.from_int(c)
-        for v, e in zip(coords, exps):
-            if e:
-                term = term * (v ** e)
-        total = total + term
-    return total
+    point = np.array([[v.code for v in coords]], dtype=np.int64)
+    return ExtElement(field, int(field.evaluate(f, point)[0]))
+
+
+def projective_point_blocks(field: ExtField,
+                            nvars: int) -> Iterator[np.ndarray]:
+    """Canonical representatives of the projective points, as
+    (points x nvars) code arrays of at most BLOCK_ROWS rows: first
+    nonzero coordinate equal to 1, grouped by that coordinate, later
+    coordinates in code order with the leftmost varying slowest."""
+    q = field.order
+    for pivot in range(nvars):
+        slots = nvars - pivot - 1
+        free = 0  # trailing coordinates enumerated inside one block
+        while free < slots and q ** (free + 1) <= BLOCK_ROWS:
+            free += 1
+        if free:
+            tails = np.indices((q,) * free, dtype=np.int64).reshape(free, -1).T
+        else:
+            tails = np.zeros((1, 0), dtype=np.int64)
+        for head in product(range(q), repeat=slots - free):
+            block = np.zeros((len(tails), nvars), dtype=np.int64)
+            block[:, pivot] = 1
+            block[:, pivot + 1:nvars - free] = head
+            block[:, nvars - free:] = tails
+            yield block
 
 
 def projective_points(field: ExtField, nvars: int) -> Iterator[tuple]:
-    """Canonical representatives of projective points: first nonzero
-    coordinate equal to 1, enumerated deterministically."""
-    all_elements = list(field.elements())
-    for pivot in range(nvars):
-        prefix = (field.zero,) * pivot + (field.one,)
-        tail_slots = nvars - pivot - 1
-
-        def rec(slots):
-            if slots == 0:
-                yield ()
-                return
-            for value in all_elements:
-                for rest in rec(slots - 1):
-                    yield (value,) + rest
-
-        for tail in rec(tail_slots):
-            yield prefix + tail
+    """The points of `projective_point_blocks`, as tuples of elements."""
+    for block in projective_point_blocks(field, nvars):
+        for row in block:
+            yield tuple(ExtElement(field, int(c)) for c in row)

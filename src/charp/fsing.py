@@ -68,7 +68,9 @@ class PairDivisor:
         return PairDivisor(self.f, self.a * (q ** n - 1) // (q - 1), self.e * n)
 
     def default_test_element(self) -> MultiPoly:
-        return self.f
+        """f^max(1, ceil(a/(q-1))): f itself while a <= q-1, and beyond
+        that a power of f deep enough to be a test element."""
+        return self.f ** max(1, -(-self.a // (self.q - 1)))
 
 
 @dataclass
@@ -157,7 +159,7 @@ def tau_chain(pair: PairDivisor, c: Optional[MultiPoly] = None,
 def tau(pair: PairDivisor, c: Optional[MultiPoly] = None,
         caps: Caps = DEFAULT_CAPS) -> Ideal:
     """Test ideal of the pair (smallest nonzero fixed ideal), computed
-    from the test element c (default: the pair's polynomial)."""
+    from the test element c (default: `default_test_element`)."""
     return tau_chain(pair, c, caps).ideal
 
 

@@ -63,3 +63,16 @@ def row_space_contains(outer_basis: np.ndarray, outer_pivots: tuple,
 
 def rank(matrix: np.ndarray, p: int) -> int:
     return rref(matrix, p)[0].shape[0]
+
+
+def null_space(matrix: np.ndarray, p: int) -> np.ndarray:
+    """Basis of {v : matrix @ v = 0} over F_p, one vector per row: the
+    vector of each free column of the RREF."""
+    reduced, pivots = rref(matrix, p)
+    cols = reduced.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, c in enumerate(free):
+        basis[i, c] = 1
+        basis[i, list(pivots)] = (-reduced[:, c]) % p
+    return basis

@@ -392,6 +392,18 @@ class MultiPoly:
                 out.pop(ne, None)
         return MultiPoly(self.ring, out)
 
+    def derivative(self, index: int) -> "MultiPoly":
+        """Formal partial derivative in the given variable."""
+        p = self.ring.p
+        out = {}
+        for exps, c in self._terms.items():
+            coeff = (c * exps[index]) % p
+            if coeff:
+                ne = list(exps)
+                ne[index] -= 1
+                out[tuple(ne)] = coeff
+        return MultiPoly(self.ring, out)
+
     # -- comparison / hashing / display --------------------------------
 
     def __eq__(self, other):

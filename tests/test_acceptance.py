@@ -204,8 +204,7 @@ def test_c07_plane_cubic_systems():
             curve = ProjScheme.from_forms(ring, [ring.parse(text)])
             # smoothness of the fixture: empty Jacobian locus
             h = curve.forms[0]
-            jac = Ideal(ring, [h] + [
-                _partial(h, i) for i in range(3)])
+            jac = Ideal(ring, [h] + [h.derivative(i) for i in range(3)])
             assert jac.saturate(Ideal.irrelevant(ring)).is_unit, text
             space = stable_sections(curve, trivial_pair(ring), 1).space
             free = is_base_point_free(space)
@@ -218,21 +217,6 @@ def test_c07_plane_cubic_systems():
     check_criterion(7, f"six plane cubics: canonical-plus-line subsystem "
                        f"is free and separating over p^2 points "
                        f"({elapsed:.1f}s)", ok)
-
-
-def _partial(f, index):
-    """Formal partial derivative (for the smoothness check)."""
-    ring = f.ring
-    terms = {}
-    for exps, c in f.iter_terms():
-        e = exps[index]
-        if e:
-            ne = list(exps)
-            ne[index] -= 1
-            coeff = (c * e) % ring.p
-            if coeff:
-                terms[tuple(ne)] = coeff
-    return ring.poly(terms)
 
 
 # -- C8: subsystem global generation at the dimension bound --------------------------

@@ -140,6 +140,19 @@ def test_cusp_threshold_structure_across_characteristics():
     assert tau(PairDivisor(cusp7, 5, 1)) == I(R7, "x", "y")
 
 
+def test_default_test_element_beyond_coefficient_one(R5x):
+    # tau(x^(a/4)) = (x^floor(a/4)) over F_5; for a > q-1 the default
+    # seed f^ceil(a/(q-1)) is needed: f alone stalls on (x) at a = 8 and
+    # is rejected at a = 9
+    x = R5x.gen(0)
+    for a in (8, 9):
+        pair = PairDivisor(x, a, 1)
+        assert pair.default_test_element() == x ** -(-a // 4)
+        assert tau(pair) == Ideal(R5x, (x ** (a // 4),))
+    for a in (0, 1, 4):
+        assert PairDivisor(x, a, 1).default_test_element() == x
+
+
 def test_tau_rejects_zero_seed(R5x):
     with pytest.raises(DomainError):
         tau(PairDivisor(R5x.gen(0), 4, 1), R5x.zero())

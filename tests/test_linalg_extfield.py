@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from charp import extfield
 from charp.errors import DomainError
 from charp.extfield import ExtField, evaluate_poly, projective_points
-from charp.linalg import in_row_space, rank, reduce_vector, rref
+from charp.linalg import in_row_space, null_space, rank, reduce_vector, rref
 from charp.ring import PolyRing
 
 
@@ -87,3 +88,81 @@ def test_evaluate_poly_over_extension():
     for coords in list(projective_points(field, 2))[:10]:
         direct = (coords[0] ** 2) + (field.from_int(2) * coords[1] ** 2)
         assert evaluate_poly(f, coords, field) == direct
+
+
+def _residue(poly, modulus):
+    """Remainder of a polynomial in t on division by the monic modulus."""
+    ring = poly.ring
+    k = modulus.degree()
+    while not poly.is_zero and poly.degree() >= k:
+        lead = poly.leading_exponent()
+        shift = (lead[0] - k,)
+        poly = poly - modulus.mul_monomial(shift, poly.coefficient(lead))
+    return poly
+
+
+def test_table_arithmetic_matches_polynomial_residues():
+    # the log/antilog and digit tables against arithmetic of residues in
+    # F_p[t]/(mu), and the printed element against the printed residue
+    for p, k in ((5, 2), (7, 2), (2, 3), (3, 3)):
+        field = ExtField(p, k)
+        ring = PolyRing(("t",), p)
+        mu = field.modulus
+        residues = []
+        for code in range(field.order):
+            digits = [(code // p ** i) % p for i in range(k)]
+            residues.append(ring.poly({(i,): c for i, c in enumerate(digits) if c}))
+        code_of = {r: code for code, r in enumerate(residues)}
+        elements = list(field.elements())
+        for a, ra in zip(elements, residues):
+            assert str(a) == str(ra)
+            assert (-a).code == code_of[-ra]
+            for b, rb in zip(elements, residues):
+                assert (a + b).code == code_of[ra + rb]
+                assert (a * b).code == code_of[_residue(ra * rb, mu)]
+        codes = np.arange(field.order)
+        products = field.mul(codes[:, None], codes[None, :])
+        for a, ra in zip(elements, residues):
+            want = [code_of[_residue(ra * rb, mu)] for rb in residues]
+            assert products[a.code].tolist() == want
+
+
+def test_element_rendering():
+    field = ExtField(5, 2)
+    assert str(field.element([2, 1])) == "t + 2"
+    assert str(field.element([0, 3])) == "3*t"
+    assert str(field.zero) == "0" and str(field.one) == "1"
+    cube = ExtField(3, 3)
+    assert str(cube.element([1, 0, 2])) == "2*t^2 + 1"
+    with pytest.raises(DomainError):
+        field.element([1, 2, 3])
+
+
+def test_point_blocks_keep_the_enumeration_order(monkeypatch):
+    field = ExtField(3, 2)
+    whole = [tuple(map(str, P)) for P in projective_points(field, 4)]
+    assert len(whole) == 9 ** 3 + 9 ** 2 + 9 + 1
+    monkeypatch.setattr(extfield, "BLOCK_ROWS", 10)
+    blocks = list(extfield.projective_point_blocks(field, 4))
+    assert max(len(b) for b in blocks) <= 10
+    assert [tuple(map(str, P)) for P in projective_points(field, 4)] == whole
+
+
+def test_field_order_cap():
+    with pytest.raises(DomainError):
+        ExtField(257, 2)
+    assert ExtField(65521, 1).order == 65521
+
+
+def test_null_space():
+    rng = random.Random(97)
+    for p in (2, 5, 7):
+        for _ in range(20):
+            rows = rng.randint(0, 4)
+            cols = rng.randint(1, 5)
+            m = np.array([[rng.randrange(p) for _ in range(cols)]
+                          for _ in range(rows)], dtype=np.int64).reshape(rows, cols)
+            kernel = null_space(m, p)
+            assert kernel.shape == (cols - rank(m, p), cols)
+            assert not ((m @ kernel.T) % p).any()
+            assert rank(kernel, p) == len(kernel)

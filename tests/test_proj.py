@@ -1,5 +1,6 @@
 """Graded pieces, stable trace images, and the positional theorems."""
 
+import itertools
 import random
 
 import pytest
@@ -108,6 +109,25 @@ def test_smooth_quadric_intersection_curve():
 
 
 # -- stable images -------------------------------------------------------------
+
+
+def test_tau_on_a_cone_refuses_a_unit_seed(fermat7):
+    # the cone of the ordinary Fermat cubic over F_7 is F-pure, so the
+    # chain from 1 stops on the unit ideal; tau is (x, y, z) there and
+    # its degree-0 piece is 0
+    ring = fermat7.ring
+    trivial = trivial_pair(ring)
+    with pytest.raises(DomainError, match="c = 1"):
+        stable_sections(fermat7, trivial, 0, "tau")
+    with pytest.raises(DomainError, match="c = 1"):
+        graded_fixed_ideal(fermat7, trivial, "tau", ring.one())
+    for seed in ("x", "x^2", "x*y*z"):
+        result = stable_sections(fermat7, trivial, 0, "tau", ring.parse(seed))
+        assert result.space.dim == 0
+        assert result.fixed == I(ring, "x", "y", "z")
+    # on the plane (no forms) the unit is a test element
+    plane = ProjScheme.projective_space(ring)
+    assert stable_sections(plane, trivial_pair(ring), 0, "tau").space.dim == 1
 
 
 def test_stable_sections_examples(P1, P2, fermat7):
@@ -257,6 +277,60 @@ def test_separates_detects_failure(P1):
     assert not report.ok
 
 
+def test_separates_failure_report_over_f25():
+    # the pencil (x, y) on the Fermat cubic over F_25 is the projection
+    # from [0:0:1]: the points on one line through it collide, and the
+    # line tangent at [1:4:0] passes through it.  Coordinates print as
+    # residues in t, in the enumeration order of the points.
+    ring = PolyRing(("x", "y", "z"), 5)
+    curve = ProjScheme.from_forms(ring, [ring.parse("x^3+y^3+z^3")])
+    pencil = space_from_polys(curve.ideal, 1, [ring.gen(0), ring.gen(1)])
+    report = separates(curve, pencil, 2)
+    assert (report.points_on_scheme, report.pairs_checked,
+            report.tangents_checked) == (36, 630, 6)
+    got = [" | ".join(", ".join(P) for P in f.points)
+           for f in report.failures]
+    assert [f.kind for f in report.failures] == ["pair"] * 33 + ["tangent"]
+    assert report.failures[-1].detail == (
+        "sections do not surject onto the doubled point")
+    assert got == [
+        "1, 0, 4 | 1, 0, t + 3",
+        "1, 0, 4 | 1, 0, 4*t + 3",
+        "1, 0, t + 3 | 1, 0, 4*t + 3",
+        "1, 1, 2 | 1, 1, 2*t + 4",
+        "1, 1, 2 | 1, 1, 3*t + 4",
+        "1, 1, 2*t + 4 | 1, 1, 3*t + 4",
+        "1, 2, 1 | 1, 2, t + 2",
+        "1, 2, 1 | 1, 2, 4*t + 2",
+        "1, 2, t + 2 | 1, 2, 4*t + 2",
+        "1, 3, 3 | 1, 3, 2*t + 1",
+        "1, 3, 3 | 1, 3, 3*t + 1",
+        "1, 3, 2*t + 1 | 1, 3, 3*t + 1",
+        "1, t + 2, 2 | 1, t + 2, 2*t + 4",
+        "1, t + 2, 2 | 1, t + 2, 3*t + 4",
+        "1, t + 2, 2*t + 4 | 1, t + 2, 3*t + 4",
+        "1, 2*t + 1, 3 | 1, 2*t + 1, 2*t + 1",
+        "1, 2*t + 1, 3 | 1, 2*t + 1, 3*t + 1",
+        "1, 2*t + 1, 2*t + 1 | 1, 2*t + 1, 3*t + 1",
+        "1, 2*t + 4, 1 | 1, 2*t + 4, t + 2",
+        "1, 2*t + 4, 1 | 1, 2*t + 4, 4*t + 2",
+        "1, 2*t + 4, t + 2 | 1, 2*t + 4, 4*t + 2",
+        "1, 3*t + 1, 3 | 1, 3*t + 1, 2*t + 1",
+        "1, 3*t + 1, 3 | 1, 3*t + 1, 3*t + 1",
+        "1, 3*t + 1, 2*t + 1 | 1, 3*t + 1, 3*t + 1",
+        "1, 3*t + 4, 1 | 1, 3*t + 4, t + 2",
+        "1, 3*t + 4, 1 | 1, 3*t + 4, 4*t + 2",
+        "1, 3*t + 4, t + 2 | 1, 3*t + 4, 4*t + 2",
+        "1, 4*t + 2, 2 | 1, 4*t + 2, 2*t + 4",
+        "1, 4*t + 2, 2 | 1, 4*t + 2, 3*t + 4",
+        "1, 4*t + 2, 2*t + 4 | 1, 4*t + 2, 3*t + 4",
+        "0, 1, 4 | 0, 1, t + 3",
+        "0, 1, 4 | 0, 1, 4*t + 3",
+        "0, 1, t + 3 | 0, 1, 4*t + 3",
+        "1, 4, 0",
+    ]
+
+
 def test_separates_requires_curve(P2):
     space = graded_piece(P2, 1)
     with pytest.raises(DomainError):
@@ -269,6 +343,89 @@ def test_separates_plane_cubic(fermat7):
         report = separates(fermat7, space, k)
         assert report.ok, [f.__dict__ for f in report.failures]
         assert report.tangents_checked == 9  # rational flexes of the Fermat cubic
+
+
+# -- separation against the saturation route ---------------------------------
+
+
+def _double_point_ideal(scheme, coords):
+    """Saturated ideal of the first-order neighbourhood of a rational
+    point on the scheme: (I_X + I_P^2) : (x_0, ..., x_n)^infinity."""
+    point = rational_point_ideal(scheme.ring, coords)
+    fat = scheme.ideal + point * point
+    return fat.saturate(Ideal.irrelevant(scheme.ring))
+
+
+def _rational_points(scheme):
+    """Rational points on the scheme in the canonical order: first
+    nonzero coordinate 1, later coordinates lexicographic."""
+    ring = scheme.ring
+    nvars = ring.nvars
+    for pivot in range(nvars):
+        for tail in itertools.product(range(ring.p), repeat=nvars - pivot - 1):
+            coords = (0,) * pivot + (1,) + tail
+            if not any(h.evaluate(coords) for h in scheme.forms):
+                yield coords
+
+
+def oracle_tangent_checks(scheme, space, double_points):
+    """Tangent failures of the saturation route, as (points, detail);
+    `double_points` caches each point's saturated double point."""
+    failures = []
+    for coords in _rational_points(scheme):
+        key = (scheme, coords)
+        if key not in double_points:
+            double_points[key] = _double_point_ideal(scheme, coords)
+        fat = double_points[key]
+        label = (tuple(map(str, coords)),)
+        target_dim = len(_standard_monomials(fat, space.degree))
+        if target_dim != 2:
+            failures.append(
+                (label, f"double-point piece has dimension {target_dim}"))
+        elif space_from_polys(fat, space.degree, space.polys()).dim != 2:
+            failures.append(
+                (label, "sections do not surject onto the doubled point"))
+    return failures
+
+
+def _tangent_grid():
+    """(scheme, degrees): smooth, nodal, cuspidal and triangle cubics and
+    the line over F_5 and F_7, and a smooth and a singular complete
+    intersection curve in P^3 over F_5."""
+    for p in (5, 7):
+        ring = PolyRing(("x", "y", "z"), p)
+        for text in ("x^3+y^3+z^3", "y^2*z-x^3-x^2*z", "y^2*z-x^3", "x*y*z"):
+            yield ProjScheme.from_forms(ring, [ring.parse(text)]), (0, 1, 2)
+        yield ProjScheme.projective_space(PolyRing(("x", "y"), p)), (0, 1, 2)
+    ring = PolyRing(("x", "y", "z", "w"), 5)
+    for forms in (("x^2-y*w", "y^2+z^2+w^2-x*z"), ("x*w-y*z", "y^2-x*z")):
+        yield ProjScheme.from_forms(ring, [ring.parse(h) for h in forms]), (1, 2)
+
+
+def test_tangent_checks_match_double_point_oracle():
+    # full, 2-dimensional and 1-dimensional subsystems in each degree
+    double_points = {}
+    checks = 0
+    details = set()
+    for scheme, degrees in _tangent_grid():
+        for m in degrees:
+            full = graded_piece(scheme, m).polys()
+            for span in (full, full[:2], full[:1]):
+                space = space_from_polys(scheme.ideal, m, span)
+                report = separates(scheme, space, 1)
+                got = [(f.points, f.detail) for f in report.failures
+                       if f.kind == "tangent"]
+                want = oracle_tangent_checks(scheme, space, double_points)
+                assert got == want, (scheme.forms, m, len(span))
+                assert report.tangents_checked == len(
+                    list(_rational_points(scheme)))
+                checks += report.tangents_checked
+                details.update(detail for _, detail in want)
+    assert checks > 900
+    # m = 0, the singular points, and thin subsystems all show up
+    assert details == {"double-point piece has dimension 1",
+                       "double-point piece has dimension 3",
+                       "sections do not surject onto the doubled point"}
 
 
 # -- global generation ------------------------------------------------------------

@@ -135,6 +135,20 @@ def test_dehomogenize():
     assert f.dehomogenize(2) == ring.parse("x^2 + y^3")
 
 
+def test_derivative():
+    ring = PolyRing(("x", "y", "z"), 5)
+    f = ring.parse("x^5*y + 3*x^2*z + y^3 + 2")
+    # the x^5 term dies in characteristic 5
+    assert f.derivative(0) == ring.parse("6*x*z")
+    assert f.derivative(1) == ring.parse("x^5 + 3*y^2")
+    assert f.derivative(2) == ring.parse("3*x^2")
+    assert ring.constant(4).derivative(1).is_zero
+    # Euler: sum x_i d_i h = deg(h) h for a form h
+    h = ring.parse("x^3 + y^3 + z^3")
+    euler = sum((ring.gen(i) * h.derivative(i) for i in range(3)), ring.zero())
+    assert euler == h.scale(3)
+
+
 def test_ring_mismatch_raises():
     a = PolyRing(("x",), 5).gen(0)
     b = PolyRing(("x",), 7).gen(0)
