@@ -4,7 +4,10 @@ The reduced basis is unique for the fixed grevlex order, so two Ideal
 values are equal exactly when they generate the same ideal.  Basis
 completion is plain Buchberger with the coprimality criterion and
 normal-pair selection; degree and basis-size caps turn blowups into
-ResourceErrors instead of hangs.
+ResourceErrors instead of hangs.  A homogeneous ideal is saturated by a
+variable in one completion, in grevlex with that variable last
+(Bayer–Stillman); other saturations and intersections eliminate one
+auxiliary variable.
 
 Ideals are immutable; the Gröbner basis is computed lazily and cached.
 A single completion runs on one thread, but independent computations on
@@ -19,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 from .config import Caps, DEFAULT_CAPS
 from .errors import (DomainError, InternalInvariantError, ResourceError,
                      RingMismatchError)
-from .ring import GREVLEX, BlockElimOrder, MultiPoly, PolyRing
+from .ring import GREVLEX, BlockElimOrder, ChartOrder, MultiPoly, PolyRing
 
 
 def _divides(a, b) -> bool:
@@ -126,8 +129,24 @@ def buchberger(generators: Iterable[MultiPoly], order=GREVLEX,
                                 "basis completion did not stay desk-scale")
         push_pairs(len(basis) - 1)
 
+    return _reduce(basis, order)
+
+
+def _check_input_degree(generators: Sequence[MultiPoly], caps: Caps):
+    """Refuse a generator above the degree cap.  A chart or elimination
+    may form no S-polynomial from a large input, so the completion's own
+    checks would let it through."""
+    top = max(map(MultiPoly.degree, generators), default=-1)
+    if top > caps.max_degree:
+        raise ResourceError("max_degree", caps.max_degree,
+                            f"generator of degree {top}")
+
+
+def _reduce(basis: list, order) -> tuple:
+    """The reduced basis of an ideal from any Gröbner basis of it in the
+    order, sorted as `buchberger` returns it; no S-pairs are needed."""
     # minimalize: drop elements whose leading monomial is divisible by another's
-    basis.sort(key=lambda g: order.key(g.leading_exponent(order)))
+    basis = sorted(basis, key=lambda g: order.key(g.leading_exponent(order)))
     minimal: list = []
     for g in basis:
         lm = g.leading_exponent(order)
@@ -225,6 +244,14 @@ class Ideal:
     def __hash__(self):
         return hash((self.ring, self.groebner_basis))
 
+    def _forms(self) -> Optional[tuple]:
+        """Homogeneous generators, or None when the ideal is not
+        homogeneous; the reduced basis of a homogeneous ideal is."""
+        for gens in (self.generators, self.groebner_basis):
+            if all(g.is_homogeneous() for g in gens):
+                return gens
+        return None
+
     def _check_ring(self, other: "Ideal"):
         if self.ring != other.ring:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
@@ -244,6 +271,27 @@ class Ideal:
 
     __rmul__ = __mul__
 
+    def _eliminate(self, build, caps: Caps) -> "Ideal":
+        """The ideal of k[x] left after eliminating an auxiliary variable
+        t: `build(t, lift)` lists generators in k[t, x], where
+        lift(f, k) is t^k * f.  The generators returned are the reduced
+        grevlex basis, read off the block-order basis in k[t, x]."""
+        aux = "t_elim"
+        while aux in self.ring.variables:
+            aux += "_"
+        ext_ring = PolyRing((aux,) + self.ring.variables, self.ring.p)
+
+        def lift(f: MultiPoly, t_shift: int = 0) -> MultiPoly:
+            return MultiPoly(ext_ring, {(t_shift,) + e: c
+                                        for e, c in f._terms.items()})
+
+        generators = build(ext_ring.gen(0), lift)
+        _check_input_degree(generators, caps)
+        gb = buchberger(generators, BlockElimOrder(1), caps)
+        kept = [MultiPoly(self.ring, {e[1:]: c for e, c in g._terms.items()})
+                for g in gb if all(e[0] == 0 for e in g._terms)]
+        return Ideal._from_groebner(self.ring, tuple(kept), caps)
+
     def intersect(self, other: "Ideal") -> "Ideal":
         """I ∩ J via elimination of an auxiliary variable t:
         (t·I + (1-t)·J) ∩ k[x]."""
@@ -254,27 +302,9 @@ class Ideal:
             return other
         if other.is_unit:
             return self
-        aux = "t_elim"
-        while aux in self.ring.variables:
-            aux += "_"
-        ext_ring = PolyRing((aux,) + self.ring.variables, self.ring.p)
-
-        def lift(f: MultiPoly, t_shift: int = 0) -> MultiPoly:
-            return MultiPoly(ext_ring, {(t_shift,) + e: c
-                                        for e, c in f._terms.items()})
-
-        t = ext_ring.gen(0)
-        one = ext_ring.one()
-        ext_gens = [lift(g, 1) for g in self.generators]
-        ext_gens += [(one - t) * lift(g) for g in other.generators]
-        order = BlockElimOrder(1)
-        gb = buchberger(ext_gens, order, self._caps)
-        kept = []
-        for g in gb:
-            if all(e[0] == 0 for e in g._terms):
-                kept.append(MultiPoly(self.ring, {e[1:]: c
-                                                  for e, c in g._terms.items()}))
-        return Ideal(self.ring, kept, self._caps)
+        return self._eliminate(
+            lambda t, lift: [lift(g, 1) for g in self.generators]
+            + [(1 - t) * lift(g) for g in other.generators], self._caps)
 
     def quotient(self, other: "Ideal") -> "Ideal":
         """(I : J) = {g : g·J ⊆ I}."""
@@ -291,17 +321,46 @@ class Ideal:
             result = part if result is None else result.intersect(part)
         return result if result is not None else Ideal.unit(self.ring)
 
-    def saturate(self, other: "Ideal", caps: Optional[Caps] = None) -> "Ideal":
-        """Stabilized union of (I : J^n); detected by equality of
-        consecutive reduced bases."""
+    def chart(self, i: int, caps: Optional[Caps] = None) -> "Ideal":
+        """(I : x_i^∞) of a homogeneous ideal, read off one Gröbner basis
+        (Bayer–Stillman): in the grevlex order with x_i last, dividing
+        each basis element by the largest power of x_i that divides it
+        gives a Gröbner basis of the quotient.
+
+        The generators returned are the reduced basis in that order,
+        which is canonical: two charts at the same i are equal ideals
+        exactly when their generator tuples are equal, and a chart is
+        the unit ideal exactly when its generators are (1,).
+        """
+        forms = self._forms()
+        if forms is None:
+            raise DomainError("chart of a non-homogeneous ideal")
         caps = caps or self._caps
-        current = self
-        for _ in range(caps.saturation_steps):
-            nxt = current.quotient(other)
-            if nxt == current:
-                return current
-            current = nxt
-        raise ResourceError("saturation_steps", caps.saturation_steps)
+        _check_input_degree(forms, caps)
+        order = ChartOrder(i)
+        divided = [_divide_out_variable(g, i)
+                   for g in buchberger(forms, order, caps)]
+        return Ideal(self.ring, _reduce(divided, order), caps)
+
+    def saturate(self, other: "Ideal", caps: Optional[Caps] = None) -> "Ideal":
+        """(I : J^∞), the intersection over g in the basis of J of
+        (I : g^∞).  Each factor is a chart when I is homogeneous and g
+        a variable, and otherwise one Rabinowitsch elimination
+        (I + (1 - t·g)) ∩ k[x]."""
+        self._check_ring(other)
+        caps = caps or self._caps
+        result = Ideal.unit(self.ring)
+        for g in other.groebner_basis:
+            exps = g.leading_exponent()
+            if (g.num_terms() == 1 and sum(exps) == 1
+                    and self._forms() is not None):
+                part = self.chart(exps.index(1), caps)
+            else:
+                part = self._eliminate(
+                    lambda t, lift: [lift(h) for h in self.generators]
+                    + [1 - t * lift(g)], caps)
+            result = result.intersect(part)
+        return result
 
     def bracket_power(self, e: int) -> "Ideal":
         """Ideal generated by g^(p^e) over the generators.
@@ -339,6 +398,15 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal{self}"
+
+
+def _divide_out_variable(f: MultiPoly, i: int) -> MultiPoly:
+    """f divided by the largest power of x_i that divides it."""
+    k = min(e[i] for e in f._terms)
+    if not k:
+        return f
+    return MultiPoly(f.ring, {e[:i] + (e[i] - k,) + e[i + 1:]: c
+                              for e, c in f._terms.items()})
 
 
 def _exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:

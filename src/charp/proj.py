@@ -331,14 +331,28 @@ def stable_sections(scheme: ProjScheme, pair: PairDivisor, m: int,
 # -- positional checks ---------------------------------------------------
 
 
+def _charts(ideal: Ideal, caps: Caps):
+    """The charts (I : x_i^inf) of a homogeneous ideal, one at a time,
+    each as its canonical generator tuple.  (I : x_i^inf) equals
+    (I^sat : x_i^inf) and I^sat is their intersection, so I^sat is the
+    unit ideal exactly when every chart is, and two ideals have the same
+    saturation exactly when all their charts agree."""
+    return (ideal.chart(i, caps).generators for i in range(ideal.ring.nvars))
+
+
+def _same_saturation(a: Ideal, b: Ideal, caps: Caps) -> bool:
+    return all(x == y for x, y in zip(_charts(a, caps), _charts(b, caps)))
+
+
 def is_base_point_free(space: GradedSubspace, caps: Caps = DEFAULT_CAPS) -> bool:
     """Whether the subspace has empty common zero locus on the scheme:
-    the saturation of (scheme ideal + lifts) must be the unit ideal."""
+    every chart of (scheme ideal + lifts) must be the unit ideal, that
+    is, its saturation by the irrelevant ideal is."""
     if space.dim == 0:
         raise DomainError("base-point check on the zero subspace")
-    ring = space.ring
-    total = Ideal(ring, space.polys()) + space.modulus
-    return total.saturate(Ideal.irrelevant(ring), caps).is_unit
+    one = (space.ring.one(),)
+    total = Ideal(space.ring, space.polys()) + space.modulus
+    return all(chart == one for chart in _charts(total, caps))
 
 
 @dataclass
@@ -492,31 +506,23 @@ def rational_point_ideal(ring: PolyRing, coords: Sequence[int]) -> Ideal:
 
 def is_globally_generated(ideal: Ideal, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
     """Whether the degree-m piece of a homogeneous ideal generates the
-    associated sheaf: saturations of (degree-m piece) and of the ideal
-    agree."""
-    ring = ideal.ring
-    irrelevant = Ideal.irrelevant(ring)
-    piece = Ideal(ring, ideal.graded_generators_in_degree(m))
-    return piece.saturate(irrelevant, caps) == ideal.saturate(irrelevant, caps)
+    associated sheaf: the piece and the ideal have the same saturation,
+    compared chart by chart."""
+    piece = Ideal(ideal.ring, ideal.graded_generators_in_degree(m))
+    return _same_saturation(piece, ideal, caps)
 
 
 def stable_sections_generate(scheme: ProjScheme, pair: PairDivisor, m: int,
                              which: str = "tau", c: Optional[MultiPoly] = None,
                              caps: Caps = DEFAULT_CAPS) -> bool:
     """Whether the stable subsystem alone generates the fixed-ideal twist:
-    for a unit fixed ideal this is base-point-freeness of the subsystem,
-    otherwise a saturation comparison restricted to the subsystem's lifts."""
+    the lifts of the subsystem plus the scheme ideal have the same
+    saturation as the fixed ideal plus the scheme ideal, compared chart
+    by chart.  For a unit fixed ideal this is base-point-freeness of the
+    subsystem, and a zero subsystem generates nothing."""
     result = stable_sections(scheme, pair, m, which, c, caps)
-    fixed, space = result.fixed, result.space
-    ring = scheme.ring
-    irrelevant = Ideal.irrelevant(ring)
-    target = (fixed + scheme.ideal).saturate(irrelevant, caps)
-    if target.is_unit:
-        if space.dim == 0:
-            return False
-        return is_base_point_free(space, caps)
-    generated = Ideal(ring, space.polys()) + scheme.ideal
-    return generated.saturate(irrelevant, caps) == target
+    generated = Ideal(scheme.ring, result.space.polys()) + scheme.ideal
+    return _same_saturation(generated, result.fixed + scheme.ideal, caps)
 
 
 # -- degree bound for points on hypersurfaces ------------------------------

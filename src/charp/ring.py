@@ -66,6 +66,21 @@ class BlockElimOrder:
         return (grevlex_key(head), grevlex_key(tail))
 
 
+class ChartOrder:
+    """Grevlex with variable `last` moved to the end: it is then the
+    cheapest variable, so it divides a homogeneous polynomial exactly
+    when it divides the leading monomial."""
+
+    name = "grevlex-last"
+
+    def __init__(self, last: int):
+        self.last = last
+
+    def key(self, exps: Exponents):
+        i = self.last
+        return grevlex_key(exps[:i] + exps[i + 1:] + exps[i:i + 1])
+
+
 GREVLEX = GrevlexOrder()
 
 

@@ -10,7 +10,7 @@ from charp.errors import DomainError, ResourceError, RingMismatchError
 from charp.ideal import Ideal, buchberger, groebner, normal_form
 from charp.ring import PolyRing
 
-from conftest import random_poly
+from conftest import random_homogeneous, random_poly
 
 
 def I(ring, *texts):
@@ -167,6 +167,93 @@ def test_saturation_properties(R5):
         other = Ideal(R5, [random_poly(rng, R5, nonzero=True)])
         assert ideal.saturate(Ideal.unit(R5)) == ideal
         assert ideal.issubset((ideal * other).saturate(other))
+
+
+# -- saturation against the quotient loop ------------------------------------
+
+
+def quotient_loop_saturate(ideal, other, steps=64):
+    """(I : J^inf) by the former production route, kept as the oracle:
+    quotients (I : J^n) for growing n until two consecutive reduced bases
+    agree, each quotient an intersection by elimination."""
+    current = ideal
+    for _ in range(steps):
+        nxt = current.quotient(other)
+        if nxt == current:
+            return current
+        current = nxt
+    raise AssertionError(f"quotients of {ideal} did not settle in {steps} rounds")
+
+
+def _random_homogeneous_ideal(rng, ring):
+    # monomial multipliers make x_i-torsion, so many saturations move
+    return Ideal(ring, [random_homogeneous(rng, ring, rng.randint(1, 3))
+                        * ring.monomial([rng.randint(0, 1)
+                                         for _ in range(ring.nvars)])
+                        for _ in range(rng.randint(1, 3))])
+
+
+def test_saturation_matches_quotient_loop_on_homogeneous_ideals():
+    # the irrelevant ideal and single variables: the chart route
+    rng = random.Random(47)
+    moved = 0
+    for p in (5, 7):
+        ring = PolyRing(("x", "y", "z"), p)
+        for _ in range(12):
+            ideal = _random_homogeneous_ideal(rng, ring)
+            for other in (Ideal.irrelevant(ring),
+                          Ideal(ring, [ring.gen(rng.randrange(3))])):
+                want = quotient_loop_saturate(ideal, other)
+                got = ideal.saturate(other)
+                assert got == want, (ideal, other)
+                assert got.groebner_basis == buchberger(got.generators)
+                moved += want != ideal
+    assert moved >= 10
+
+
+def test_saturation_matches_quotient_loop_on_inhomogeneous_ideals():
+    # I carries powers of J's first generator, so the Rabinowitsch
+    # elimination has torsion to remove
+    rng = random.Random(53)
+    moved = 0
+    for p in (5, 7):
+        ring = PolyRing(("x", "y"), p)
+        for _ in range(15):
+            js = [random_poly(rng, ring, max_degree=2, nonzero=True)
+                  for _ in range(rng.randint(1, 2))]
+            ideal = Ideal(ring, [random_poly(rng, ring, max_degree=2,
+                                             nonzero=True)
+                                 * js[0] ** rng.randint(0, 2)
+                                 for _ in range(2)])
+            other = Ideal(ring, js)
+            want = quotient_loop_saturate(ideal, other)
+            got = ideal.saturate(other)
+            assert got == want, (ideal, other)
+            # the elimination hands on its basis as the reduced one
+            assert got.groebner_basis == buchberger(got.generators)
+            moved += want != ideal
+    assert moved >= 5
+
+
+def test_chart_matches_saturation_by_the_variable():
+    rng = random.Random(59)
+    for p in (5, 7):
+        ring = PolyRing(("x", "y", "z"), p)
+        for _ in range(8):
+            ideal = _random_homogeneous_ideal(rng, ring)
+            for i in range(3):
+                want = quotient_loop_saturate(ideal, Ideal(ring, [ring.gen(i)]))
+                chart = ideal.chart(i)
+                assert chart == want, (ideal, i)
+                assert chart.is_unit == (chart.generators == (ring.one(),))
+
+
+def test_chart_needs_a_homogeneous_ideal(R5):
+    with pytest.raises(DomainError):
+        I(R5, "x^2+y").chart(0)
+    # homogeneous although its generators are not: (x, y^2)
+    assert I(R5, "x+y^2", "y^2").chart(0) == I(R5, "x", "y^2").chart(0)
+    assert I(R5, "x+y^2", "y^2").chart(1).is_unit
 
 
 # -- bracket powers -----------------------------------------------------------

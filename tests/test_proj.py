@@ -21,6 +21,7 @@ from charp.proj import (ProjScheme, _standard_monomials,
 from charp.ring import PolyRing
 
 from conftest import random_homogeneous
+from test_ideal import quotient_loop_saturate
 
 
 def I(ring, *texts):
@@ -457,6 +458,88 @@ def test_generation_fails_below_bound():
     assert not fixed.is_unit
     assert not stable_sections_generate(plane, pair, 2, "tau")
     assert stable_sections_generate(plane, pair, 4, "tau")
+
+
+# -- positional verdicts against the quotient-loop saturation ---------------------
+
+
+def _saturated(ideal):
+    return quotient_loop_saturate(ideal, Ideal.irrelevant(ideal.ring))
+
+
+def oracle_base_point_free(space):
+    total = Ideal(space.ring, space.polys()) + space.modulus
+    return _saturated(total).is_unit
+
+
+def oracle_globally_generated(ideal, m):
+    piece = Ideal(ideal.ring, ideal.graded_generators_in_degree(m))
+    return _saturated(piece) == _saturated(ideal)
+
+
+def oracle_stable_sections_generate(scheme, pair, m, which):
+    result = stable_sections(scheme, pair, m, which)
+    target = _saturated(result.fixed + scheme.ideal)
+    if target.is_unit:
+        return result.space.dim > 0 and oracle_base_point_free(result.space)
+    generated = Ideal(scheme.ring, result.space.polys()) + scheme.ideal
+    return _saturated(generated) == target
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except DomainError as exc:
+        return type(exc).__name__
+
+
+def test_positional_verdicts_match_quotient_loop_oracle():
+    # smooth, nodal and cuspidal cubics; the nodal and cuspidal ones pass
+    # through (0:0:1), so the pencil (x, y) at m = 1 has a base point there
+    verdicts = {"bpf": set(), "gg": set(), "ssg": set()}
+    for p in (5, 7):
+        ring = PolyRing(("x", "y", "z"), p)
+        pairs = ((trivial_pair(ring), "sigma"),
+                 (PairDivisor(ring.gen(0), 1, 1), "sigma"),
+                 (PairDivisor(ring.gen(0), 1, 1), "tau"),
+                 (PairDivisor(ring.parse("x^2"), p - 1, 1), "sigma"))
+        for text in ("x^3+y^3+z^3", "y^2*z-x^3-x^2*z", "y^2*z-x^3"):
+            scheme = ProjScheme.from_forms(ring, [ring.parse(text)])
+            for m in (1, 2, 3):
+                full = graded_piece(scheme, m).polys()
+                for span in (full, full[:2]):
+                    case = (p, text, m, len(span))
+                    space = space_from_polys(scheme.ideal, m, span)
+                    got = is_base_point_free(space)
+                    assert got == oracle_base_point_free(space), case
+                    verdicts["bpf"].add(got)
+                    lifted = Ideal(ring, span) + scheme.ideal
+                    got = is_globally_generated(lifted, m)
+                    assert got == oracle_globally_generated(lifted, m), case
+                    verdicts["gg"].add(got)
+                for pair, which in pairs:
+                    args = (scheme, pair, m, which)
+                    got = _outcome(stable_sections_generate, *args)
+                    want = _outcome(oracle_stable_sections_generate, *args)
+                    assert got == want, (p, text, m, which, pair.f)
+                    verdicts["ssg"].add(got)
+    assert all({True, False} <= seen for seen in verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("cap", ["max_basis", "max_degree"])
+def test_caps_bind_inside_the_positional_checks(cap):
+    ring = PolyRing(("x", "y", "z"), 5)
+    cubic = ProjScheme.from_forms(ring, [ring.parse("x^3+y^3+z^3")])
+    tight = Caps(**{cap: 1})
+    checks = (lambda: is_base_point_free(graded_piece(cubic, 1), tight),
+              lambda: is_globally_generated(I(ring, "x^2", "x*y", "y^2"), 2,
+                                            tight),
+              lambda: stable_sections_generate(cubic, trivial_pair(ring), 1,
+                                               "sigma", caps=tight))
+    for check in checks:
+        with pytest.raises(ResourceError) as err:
+            check()
+        assert err.value.cap_name == cap
 
 
 # -- degree bound pipeline -----------------------------------------------------------

@@ -132,6 +132,8 @@ def test_caps_parsing_and_validation():
     with pytest.raises(ScenarioError):
         parse_caps("nope=3")
     with pytest.raises(ScenarioError):
+        parse_caps("saturation_steps=3")
+    with pytest.raises(ScenarioError):
         parse_caps("degree=-1")
 
 
