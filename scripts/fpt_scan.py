@@ -10,7 +10,7 @@ Usage: python scripts/fpt_scan.py [poly] [primes...]
 import sys
 from fractions import Fraction
 
-from charp.fsing import PairDivisor, safe_test_element, tau
+from charp.fsing import PairDivisor, tau
 from charp.ring import PolyRing
 
 
@@ -21,7 +21,7 @@ def scan(poly_text: str, p: int) -> None:
     previous = None
     for a in range(0, p):
         pair = PairDivisor(f, a, 1)
-        ideal = tau(pair, safe_test_element(pair))
+        ideal = tau(pair)
         basis = ", ".join(str(g) for g in ideal.groebner_basis)
         marker = ""
         if previous is not None and ideal != previous:

@@ -9,7 +9,7 @@ scenario runner (scenario, cli).
 
 from .cartier import (CartierMap, FrobBasisExpansion, apply_cartier,
                       bracket_root, frob_expand, trace)
-from .config import Caps, DEFAULT_CAPS
+from .config import DEFAULT_CAPS, Caps, caps_scope, current_caps
 from .errors import (CharpError, DomainError, ParseError, PreconditionError,
                      ResourceError, RingMismatchError, ScenarioError,
                      TestElementError, TheoremViolationError,
@@ -29,7 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CartierMap", "FrobBasisExpansion", "apply_cartier", "bracket_root",
-    "frob_expand", "trace", "Caps", "DEFAULT_CAPS", "CharpError",
+    "frob_expand", "trace", "Caps", "DEFAULT_CAPS", "caps_scope",
+    "current_caps", "CharpError",
     "DomainError", "ParseError", "PreconditionError", "ResourceError",
     "RingMismatchError", "ScenarioError", "TestElementError",
     "TheoremViolationError", "UnsupportedInputError", "PairDivisor",

@@ -14,19 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .config import Caps, DEFAULT_CAPS
+from .config import current_caps
 from .errors import DomainError, ResourceError
 from .ideal import Ideal
 from .ring import MultiPoly, PolyRing
 
 
-def _check_level(ring: PolyRing, e: int, caps: Caps) -> int:
+def _check_level(ring: PolyRing, e: int) -> int:
     if e <= 0:
         raise DomainError(f"Frobenius level must be >= 1, got {e}")
     q = ring.p ** e
-    if q > caps.frobenius_block:
-        raise ResourceError("frobenius_block", caps.frobenius_block,
-                            f"p^e = {q}")
+    limit = current_caps().frobenius_block
+    if q > limit:
+        raise ResourceError("frobenius_block", limit, f"p^e = {q}")
     return q
 
 
@@ -52,10 +52,10 @@ class FrobBasisExpansion:
         return total
 
 
-def frob_expand(g: MultiPoly, e: int, caps: Caps = DEFAULT_CAPS) -> FrobBasisExpansion:
+def frob_expand(g: MultiPoly, e: int) -> FrobBasisExpansion:
     """Split every exponent a as q*u + b with b in [0, q); coefficients
     pass through unchanged because Frobenius fixes F_p."""
-    q = _check_level(g.ring, e, caps)
+    q = _check_level(g.ring, e)
     ring = g.ring
     buckets: Dict[tuple, dict] = {}
     for exps, c in g._terms.items():
@@ -71,14 +71,14 @@ def frob_expand(g: MultiPoly, e: int, caps: Caps = DEFAULT_CAPS) -> FrobBasisExp
     return FrobBasisExpansion(e=e, q=q, components=components)
 
 
-def trace(g: MultiPoly, e: int, caps: Caps = DEFAULT_CAPS) -> MultiPoly:
+def trace(g: MultiPoly, e: int) -> MultiPoly:
     """Projection onto the basis monomial x^(q-1, ..., q-1).
 
     Monomial rule: x^a maps to x^((a - (q-1)*1)/q) when every coordinate
     of a is congruent to q-1 mod q, and to 0 otherwise.  The operator is
     p^{-e}-linear and surjective.
     """
-    q = _check_level(g.ring, e, caps)
+    q = _check_level(g.ring, e)
     ring = g.ring
     top = q - 1
     out: Dict[tuple, int] = {}
@@ -93,7 +93,7 @@ def trace(g: MultiPoly, e: int, caps: Caps = DEFAULT_CAPS) -> MultiPoly:
     return MultiPoly(ring, out)
 
 
-def bracket_root(ideal: Ideal, e: int, caps: Caps = DEFAULT_CAPS) -> Ideal:
+def bracket_root(ideal: Ideal, e: int) -> Ideal:
     """Smallest ideal K with J ⊆ K^[q]: generated by all basis components
     of the generators.  Monotone in J."""
     if e <= 0:
@@ -101,7 +101,7 @@ def bracket_root(ideal: Ideal, e: int, caps: Caps = DEFAULT_CAPS) -> Ideal:
     gens = []
     seen = set()
     for g in ideal.generators:
-        expansion = frob_expand(g, e, caps)
+        expansion = frob_expand(g, e)
         for b in sorted(expansion.components):
             component = expansion.components[b].monic()
             if component not in seen:
@@ -139,11 +139,11 @@ class CartierMap:
         exponent = (self.q ** n - 1) // (self.q - 1)
         return CartierMap(self.e * n, self.multiplier ** exponent)
 
-    def __call__(self, g: MultiPoly, caps: Caps = DEFAULT_CAPS) -> MultiPoly:
-        return trace(self.multiplier * g, self.e, caps)
+    def __call__(self, g: MultiPoly) -> MultiPoly:
+        return trace(self.multiplier * g, self.e)
 
 
-def apply_cartier(cmap: CartierMap, ideal: Ideal, caps: Caps = DEFAULT_CAPS) -> Ideal:
+def apply_cartier(cmap: CartierMap, ideal: Ideal) -> Ideal:
     """Image ideal of the operator on J: bracket_root(multiplier * J).
 
     Monotone in J and additive over ideal sums.
@@ -153,4 +153,4 @@ def apply_cartier(cmap: CartierMap, ideal: Ideal, caps: Caps = DEFAULT_CAPS) -> 
     if ideal.ring != cmap.ring:
         raise DomainError("Cartier map and ideal live in different rings")
     scaled = Ideal(ideal.ring, [cmap.multiplier * g for g in ideal.generators])
-    return bracket_root(scaled, cmap.e, caps)
+    return bracket_root(scaled, cmap.e)

@@ -2,7 +2,6 @@
 
 Usage:
     charp run <file> [--report out.json] [--caps degree=64,steps=64]
-                     [--seed N]
     charp suite <name> [--report out.json] [--caps ...]
 
 Exit status is 0 exactly when every job succeeds and every verdict job
@@ -20,7 +19,7 @@ from typing import List, Optional
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CharpError, ScenarioError
-from .scenario import Scenario, execute, load_scenario, report_to_json
+from .scenario import execute, load_scenario, report_to_json
 
 SUITE_DIRS = {
     "paper-repro": "paper_repro",
@@ -83,7 +82,7 @@ def render_text(report: dict, timings: List[float]) -> str:
     lines = []
     header = report["scenario"]
     lines.append(f"ring F_{header['p']}[{', '.join(header['vars'])}], "
-                 f"order {header['order']}, seed {header['seed']}")
+                 f"order {header['order']}")
     for entry, elapsed in zip(report["jobs"], timings):
         mark = {True: "PASS", False: "FAIL", None: "ok"}[entry["pass"]]
         iters = (f", {entry['iterations']} iterations"
@@ -98,12 +97,8 @@ def render_text(report: dict, timings: List[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_file(path: str, caps: Caps, report_path: Optional[str],
-             seed: Optional[int]) -> int:
+def run_file(path: str, caps: Caps, report_path: Optional[str]) -> int:
     scenario = load_scenario(path)
-    if seed is not None:
-        scenario.seed = seed
-        scenario.header["seed"] = seed
     report, timings = execute(scenario, caps)
     sys.stdout.write(render_text(report, timings))
     if report_path:
@@ -159,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("file")
     run_p.add_argument("--report", help="write the machine-readable JSON here")
     run_p.add_argument("--caps", help="cap overrides, e.g. degree=64,steps=64")
-    run_p.add_argument("--seed", type=int, help="override the scenario seed")
 
     suite_p = sub.add_parser("suite", help="run a bundled scenario suite")
     suite_p.add_argument("name")
@@ -174,7 +168,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         caps = parse_caps(args.caps)
         if args.command == "run":
-            return run_file(args.file, caps, args.report, args.seed)
+            return run_file(args.file, caps, args.report)
         return run_suite(args.name, caps, args.report)
     except (ScenarioError, FileNotFoundError) as exc:
         sys.stderr.write(f"charp: {exc}\n")

@@ -1,13 +1,20 @@
 """Resource caps.
 
 Gröbner-type computations can blow up; the caps make them fail loudly
-with a ResourceError instead of hanging.  All engine entry points accept
-a Caps instance and default to DEFAULT_CAPS.
+with a ResourceError instead of hanging.  The caps in force live in one
+context variable: `scenario.execute` runs its jobs inside
+`caps_scope(caps)`, library callers may do the same, and every limit is
+read with `current_caps()` where it is enforced, so one setting binds
+in every completion, chain and check below it.  Outside any scope the
+caps are DEFAULT_CAPS.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -27,3 +34,21 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
+
+_CAPS: ContextVar[Caps] = ContextVar("charp_caps", default=DEFAULT_CAPS)
+
+
+def current_caps() -> Caps:
+    """The caps in force in the current context."""
+    return _CAPS.get()
+
+
+@contextmanager
+def caps_scope(caps: Caps) -> Iterator[Caps]:
+    """Run the body with `caps` in force; the previous caps come back on
+    exit, also when the body raises."""
+    token = _CAPS.set(caps)
+    try:
+        yield caps
+    finally:
+        _CAPS.reset(token)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cartier import CartierMap, apply_cartier
-from .config import Caps, DEFAULT_CAPS
+from .config import current_caps
 from .errors import (DomainError, InternalInvariantError, PreconditionError,
                      ResourceError, TestElementError, UnsupportedInputError)
 from .ideal import Ideal
@@ -79,38 +79,38 @@ class ChainResult:
     steps: int
 
 
-def _step_image(cmap: CartierMap, current: Ideal, modulus: Optional[Ideal],
-                caps: Caps) -> Ideal:
-    image = apply_cartier(cmap, current, caps)
+def _step_image(cmap: CartierMap, current: Ideal,
+                modulus: Optional[Ideal]) -> Ideal:
+    image = apply_cartier(cmap, current)
     if modulus is not None:
         image = image + modulus
     return image
 
 
-def descending_fixed_ideal(cmap: CartierMap, modulus: Optional[Ideal] = None,
-                           caps: Caps = DEFAULT_CAPS) -> ChainResult:
+def descending_fixed_ideal(cmap: CartierMap,
+                           modulus: Optional[Ideal] = None) -> ChainResult:
     """Largest operator-fixed ideal: iterate J -> image(J) from the unit
     ideal until two consecutive reduced bases agree.
 
     Each step must shrink or stall; growth signals a broken trace
     convention and raises InternalInvariantError.
     """
+    limit = current_caps().chain_steps
     current = Ideal.unit(cmap.ring)
-    for step in range(1, caps.chain_steps + 1):
-        nxt = _step_image(cmap, current, modulus, caps)
+    for step in range(1, limit + 1):
+        nxt = _step_image(cmap, current, modulus)
         if not nxt.issubset(current):
             raise InternalInvariantError(
                 "descending chain grew at step %d" % step)
         if nxt == current:
             return ChainResult(current, step)
         current = Ideal._from_groebner(cmap.ring, nxt.groebner_basis)
-    raise ResourceError("chain_steps", caps.chain_steps,
+    raise ResourceError("chain_steps", limit,
                         "descending fixed-ideal chain did not stabilize")
 
 
 def ascending_fixed_ideal(cmap: CartierMap, seed: MultiPoly,
-                          modulus: Optional[Ideal] = None,
-                          caps: Caps = DEFAULT_CAPS) -> ChainResult:
+                          modulus: Optional[Ideal] = None) -> ChainResult:
     """Smallest operator-fixed ideal containing the seed: iterate
     N -> N + image(N) until stable, then insist the result is genuinely
     fixed (image == result); failure means the seed was not a test
@@ -124,8 +124,9 @@ def ascending_fixed_ideal(cmap: CartierMap, seed: MultiPoly,
     current = Ideal(ring, (seed,))
     if modulus is not None:
         current = current + modulus
-    for step in range(1, caps.chain_steps + 1):
-        image = _step_image(cmap, current, modulus, caps)
+    limit = current_caps().chain_steps
+    for step in range(1, limit + 1):
+        image = _step_image(cmap, current, modulus)
         nxt = current + image
         if nxt == current:
             if image != current:
@@ -134,49 +135,40 @@ def ascending_fixed_ideal(cmap: CartierMap, seed: MultiPoly,
                     "the seed is not a test element for this pair")
             return ChainResult(current, step)
         current = Ideal._from_groebner(cmap.ring, nxt.groebner_basis)
-    raise ResourceError("chain_steps", caps.chain_steps,
+    raise ResourceError("chain_steps", limit,
                         "ascending fixed-ideal chain did not stabilize")
 
 
 # -- public operations on pairs ------------------------------------------
 
 
-def sigma_chain(pair: PairDivisor, caps: Caps = DEFAULT_CAPS) -> ChainResult:
-    return descending_fixed_ideal(pair.cartier_map(), None, caps)
+def sigma_chain(pair: PairDivisor) -> ChainResult:
+    return descending_fixed_ideal(pair.cartier_map())
 
 
-def sigma(pair: PairDivisor, caps: Caps = DEFAULT_CAPS) -> Ideal:
+def sigma(pair: PairDivisor) -> Ideal:
     """Non-F-pure ideal of the pair (largest fixed ideal)."""
-    return sigma_chain(pair, caps).ideal
+    return sigma_chain(pair).ideal
 
 
-def tau_chain(pair: PairDivisor, c: Optional[MultiPoly] = None,
-              caps: Caps = DEFAULT_CAPS) -> ChainResult:
+def tau_chain(pair: PairDivisor, c: Optional[MultiPoly] = None) -> ChainResult:
     seed = pair.default_test_element() if c is None else c
-    return ascending_fixed_ideal(pair.cartier_map(), seed, None, caps)
+    return ascending_fixed_ideal(pair.cartier_map(), seed)
 
 
-def tau(pair: PairDivisor, c: Optional[MultiPoly] = None,
-        caps: Caps = DEFAULT_CAPS) -> Ideal:
+def tau(pair: PairDivisor, c: Optional[MultiPoly] = None) -> Ideal:
     """Test ideal of the pair (smallest nonzero fixed ideal), computed
     from the test element c (default: `default_test_element`)."""
-    return tau_chain(pair, c, caps).ideal
+    return tau_chain(pair, c).ideal
 
 
-def safe_test_element(pair: PairDivisor) -> MultiPoly:
-    """f^ceil(a/(q-1)), always a valid test element for the pair."""
-    t = Fraction(pair.a, pair.q - 1)
-    k = -(-t.numerator // t.denominator)  # ceil
-    return pair.f ** k
+def is_sharply_f_pure(pair: PairDivisor) -> bool:
+    return sigma(pair).is_unit
 
 
-def is_sharply_f_pure(pair: PairDivisor, caps: Caps = DEFAULT_CAPS) -> bool:
-    return sigma(pair, caps).is_unit
-
-
-def is_strongly_f_regular(pair: PairDivisor, c: Optional[MultiPoly] = None,
-                          caps: Caps = DEFAULT_CAPS) -> bool:
-    return tau(pair, c, caps).is_unit
+def is_strongly_f_regular(pair: PairDivisor,
+                          c: Optional[MultiPoly] = None) -> bool:
+    return tau(pair, c).is_unit
 
 
 @dataclass
@@ -187,8 +179,7 @@ class TwistReport:
 
 
 def twist_identity(pair: PairDivisor, g: MultiPoly,
-                   c: Optional[MultiPoly] = None,
-                   caps: Caps = DEFAULT_CAPS) -> TwistReport:
+                   c: Optional[MultiPoly] = None) -> TwistReport:
     """Check tau(Delta + div(g)) == g * tau(Delta).
 
     The augmented pair is represented with the single polynomial
@@ -200,12 +191,12 @@ def twist_identity(pair: PairDivisor, g: MultiPoly,
     base_c = pair.default_test_element() if c is None else c
     q = pair.q
     augmented = PairDivisor(pair.multiplier() * g ** (q - 1), 1, pair.e)
-    lhs = tau(augmented, g * base_c, caps)
-    rhs = Ideal(pair.ring, (g,)) * tau(pair, base_c, caps)
+    lhs = tau(augmented, g * base_c)
+    rhs = Ideal(pair.ring, (g,)) * tau(pair, base_c)
     return TwistReport(holds=(lhs == rhs), shifted=lhs, expected=rhs)
 
 
-def fedder_f_pure(ideal: Ideal, maximal: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
+def fedder_f_pure(ideal: Ideal, maximal: Ideal) -> bool:
     """Fedder's criterion at a rational point: the quotient ring S/I is
     F-pure at m exactly when (I^[p] : I) is not inside m^[p].
 
@@ -218,12 +209,11 @@ def fedder_f_pure(ideal: Ideal, maximal: Ideal, caps: Caps = DEFAULT_CAPS) -> bo
     return not colon.issubset(maximal.bracket_power(1))
 
 
-def is_compatible(center: Ideal, pair: PairDivisor,
-                  caps: Caps = DEFAULT_CAPS) -> bool:
+def is_compatible(center: Ideal, pair: PairDivisor) -> bool:
     """Whether the operator of the pair maps the center's ideal into
     itself; a compatible center along which the pair is generically
     sharply F-pure is an F-pure-center candidate."""
-    image = apply_cartier(pair.cartier_map(), center, caps)
+    image = apply_cartier(pair.cartier_map(), center)
     return image.issubset(center)
 
 
@@ -285,22 +275,23 @@ class ContainmentReport:
 
 def multiplicity_containment(pair: PairDivisor, point: Sequence,
                              l: Optional[int] = None,
-                             c: Optional[MultiPoly] = None,
-                             caps: Caps = DEFAULT_CAPS) -> ContainmentReport:
+                             c: Optional[MultiPoly] = None) -> ContainmentReport:
     """If the divisor has multiplicity >= l at a point of codimension l,
     its test ideal must land inside the point's prime ideal.  The verdict
-    is expected True on every admissible input; False is a bug detector.
+    is expected True on every admissible input (l >= 1, by default the
+    codimension); False is a bug detector.
     """
     coords = _validate_point(pair.ring, point)
     codim = sum(1 for v in coords if v is not None)
     threshold = codim if l is None else l
+    if threshold < 1:
+        raise DomainError(f"multiplicity threshold must be >= 1, got {l}")
     mult = Fraction(pair.a, pair.q - 1) * multiplicity(pair.f, coords)
     if mult < threshold:
         raise PreconditionError(
             f"divisor multiplicity {mult} at {coords} is below the "
             f"threshold {threshold}")
-    seed = safe_test_element(pair) if c is None else c
-    t = tau(pair, seed, caps)
+    t = tau(pair, c)
     q_point = point_ideal(pair.ring, coords)
     return ContainmentReport(point=coords, codim=codim, threshold=threshold,
                              pair_multiplicity=mult, test_ideal=t,

@@ -10,8 +10,8 @@ variable in one completion, in grevlex with that variable last
 auxiliary variable.
 
 Ideals are immutable; the Gröbner basis is computed lazily and cached.
-A single completion runs on one thread, but independent computations on
-shared values are safe to run concurrently.
+The degree and basis caps are the ones in force in the current context
+(`config.current_caps`), read where each completion starts.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from .config import Caps, DEFAULT_CAPS
+from .config import current_caps
 from .errors import (DomainError, InternalInvariantError, ResourceError,
                      RingMismatchError)
-from .ring import GREVLEX, BlockElimOrder, ChartOrder, MultiPoly, PolyRing
+from .ring import (GREVLEX, BlockElimOrder, ChartOrder, MultiPoly, PolyRing,
+                   monomials_of_degree)
 
 
 def _divides(a, b) -> bool:
@@ -69,8 +70,7 @@ def _s_poly(f: MultiPoly, g: MultiPoly, order=GREVLEX) -> MultiPoly:
     return f.mul_monomial(_exp_sub(lcm, lf)) - g.mul_monomial(_exp_sub(lcm, lg))
 
 
-def buchberger(generators: Iterable[MultiPoly], order=GREVLEX,
-               caps: Caps = DEFAULT_CAPS) -> tuple:
+def buchberger(generators: Iterable[MultiPoly], order=GREVLEX) -> tuple:
     """Reduced Gröbner basis of the given generators.
 
     Returns a tuple of monic polynomials sorted with the largest leading
@@ -82,6 +82,7 @@ def buchberger(generators: Iterable[MultiPoly], order=GREVLEX,
     if not raw:
         return ()
 
+    caps = current_caps()
     pairs: list = []
     counter = 0
     basis: list = []
@@ -132,14 +133,14 @@ def buchberger(generators: Iterable[MultiPoly], order=GREVLEX,
     return _reduce(basis, order)
 
 
-def _check_input_degree(generators: Sequence[MultiPoly], caps: Caps):
+def _check_input_degree(generators: Sequence[MultiPoly]):
     """Refuse a generator above the degree cap.  A chart or elimination
     may form no S-polynomial from a large input, so the completion's own
     checks would let it through."""
     top = max(map(MultiPoly.degree, generators), default=-1)
-    if top > caps.max_degree:
-        raise ResourceError("max_degree", caps.max_degree,
-                            f"generator of degree {top}")
+    limit = current_caps().max_degree
+    if top > limit:
+        raise ResourceError("max_degree", limit, f"generator of degree {top}")
 
 
 def _reduce(basis: list, order) -> tuple:
@@ -166,10 +167,9 @@ def _reduce(basis: list, order) -> tuple:
 class Ideal:
     """Finitely generated ideal of a PolyRing."""
 
-    __slots__ = ("ring", "generators", "_gb", "_caps")
+    __slots__ = ("ring", "generators", "_gb")
 
-    def __init__(self, ring: PolyRing, generators: Iterable[MultiPoly] = (),
-                 caps: Caps = DEFAULT_CAPS):
+    def __init__(self, ring: PolyRing, generators: Iterable[MultiPoly] = ()):
         gens = []
         for g in generators:
             if isinstance(g, int):
@@ -181,13 +181,11 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb: Optional[tuple] = None
-        self._caps = caps
 
     @classmethod
-    def _from_groebner(cls, ring: PolyRing, basis: tuple,
-                       caps: Caps = DEFAULT_CAPS) -> "Ideal":
+    def _from_groebner(cls, ring: PolyRing, basis: tuple) -> "Ideal":
         """Wrap an already-reduced basis without recomputing it."""
-        ideal = cls(ring, basis, caps)
+        ideal = cls(ring, basis)
         ideal._gb = tuple(basis)
         return ideal
 
@@ -207,7 +205,7 @@ class Ideal:
     @property
     def groebner_basis(self) -> tuple:
         if self._gb is None:
-            self._gb = buchberger(self.generators, GREVLEX, self._caps)
+            self._gb = buchberger(self.generators)
         return self._gb
 
     # -- predicates ------------------------------------------------------
@@ -260,18 +258,18 @@ class Ideal:
 
     def __add__(self, other: "Ideal") -> "Ideal":
         self._check_ring(other)
-        return Ideal(self.ring, self.generators + other.generators, self._caps)
+        return Ideal(self.ring, self.generators + other.generators)
 
     def __mul__(self, other) -> "Ideal":
         if isinstance(other, MultiPoly):
-            other = Ideal(self.ring, (other,), self._caps)
+            other = Ideal(self.ring, (other,))
         self._check_ring(other)
         gens = [f * g for f in self.generators for g in other.generators]
-        return Ideal(self.ring, gens, self._caps)
+        return Ideal(self.ring, gens)
 
     __rmul__ = __mul__
 
-    def _eliminate(self, build, caps: Caps) -> "Ideal":
+    def _eliminate(self, build) -> "Ideal":
         """The ideal of k[x] left after eliminating an auxiliary variable
         t: `build(t, lift)` lists generators in k[t, x], where
         lift(f, k) is t^k * f.  The generators returned are the reduced
@@ -286,11 +284,11 @@ class Ideal:
                                         for e, c in f._terms.items()})
 
         generators = build(ext_ring.gen(0), lift)
-        _check_input_degree(generators, caps)
-        gb = buchberger(generators, BlockElimOrder(1), caps)
+        _check_input_degree(generators)
+        gb = buchberger(generators, BlockElimOrder(1))
         kept = [MultiPoly(self.ring, {e[1:]: c for e, c in g._terms.items()})
                 for g in gb if all(e[0] == 0 for e in g._terms)]
-        return Ideal._from_groebner(self.ring, tuple(kept), caps)
+        return Ideal._from_groebner(self.ring, tuple(kept))
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """I ∩ J via elimination of an auxiliary variable t:
@@ -304,7 +302,7 @@ class Ideal:
             return self
         return self._eliminate(
             lambda t, lift: [lift(g, 1) for g in self.generators]
-            + [(1 - t) * lift(g) for g in other.generators], self._caps)
+            + [(1 - t) * lift(g) for g in other.generators])
 
     def quotient(self, other: "Ideal") -> "Ideal":
         """(I : J) = {g : g·J ⊆ I}."""
@@ -315,13 +313,12 @@ class Ideal:
             return self
         result: Optional[Ideal] = None
         for g in other.groebner_basis:
-            meet = self.intersect(Ideal(self.ring, (g,), self._caps))
-            part = Ideal(self.ring, [_exact_div(h, g) for h in meet.generators],
-                         self._caps)
+            meet = self.intersect(Ideal(self.ring, (g,)))
+            part = Ideal(self.ring, [_exact_div(h, g) for h in meet.generators])
             result = part if result is None else result.intersect(part)
         return result if result is not None else Ideal.unit(self.ring)
 
-    def chart(self, i: int, caps: Optional[Caps] = None) -> "Ideal":
+    def chart(self, i: int) -> "Ideal":
         """(I : x_i^∞) of a homogeneous ideal, read off one Gröbner basis
         (Bayer–Stillman): in the grevlex order with x_i last, dividing
         each basis element by the largest power of x_i that divides it
@@ -335,30 +332,27 @@ class Ideal:
         forms = self._forms()
         if forms is None:
             raise DomainError("chart of a non-homogeneous ideal")
-        caps = caps or self._caps
-        _check_input_degree(forms, caps)
+        _check_input_degree(forms)
         order = ChartOrder(i)
-        divided = [_divide_out_variable(g, i)
-                   for g in buchberger(forms, order, caps)]
-        return Ideal(self.ring, _reduce(divided, order), caps)
+        divided = [_divide_out_variable(g, i) for g in buchberger(forms, order)]
+        return Ideal(self.ring, _reduce(divided, order))
 
-    def saturate(self, other: "Ideal", caps: Optional[Caps] = None) -> "Ideal":
+    def saturate(self, other: "Ideal") -> "Ideal":
         """(I : J^∞), the intersection over g in the basis of J of
         (I : g^∞).  Each factor is a chart when I is homogeneous and g
         a variable, and otherwise one Rabinowitsch elimination
         (I + (1 - t·g)) ∩ k[x]."""
         self._check_ring(other)
-        caps = caps or self._caps
         result = Ideal.unit(self.ring)
         for g in other.groebner_basis:
             exps = g.leading_exponent()
             if (g.num_terms() == 1 and sum(exps) == 1
                     and self._forms() is not None):
-                part = self.chart(exps.index(1), caps)
+                part = self.chart(exps.index(1))
             else:
                 part = self._eliminate(
                     lambda t, lift: [lift(h) for h in self.generators]
-                    + [1 - t * lift(g)], caps)
+                    + [1 - t * lift(g)])
             result = result.intersect(part)
         return result
 
@@ -373,13 +367,23 @@ class Ideal:
         if e == 0:
             return self
         q = self.ring.p ** e
-        return Ideal(self.ring, [g.frobenius_power(q) for g in self.generators],
-                     self._caps)
+        return Ideal(self.ring, [g.frobenius_power(q) for g in self.generators])
 
-    def graded_generators_in_degree(self, m: int) -> list:
-        """Spanning set of the degree-m piece: monomial multiples of the
-        reduced basis (homogeneous ideals only)."""
-        from .ring import monomials_of_degree
+    def standard_monomials(self, m: int) -> tuple:
+        """Degree-m monomials outside the leading-term ideal,
+        grevlex-descending."""
+        lts = [g.leading_exponent() for g in self.groebner_basis]
+        return tuple(exps for exps in monomials_of_degree(self.ring.nvars, m)
+                     if not any(_divides(lt, exps) for lt in lts))
+
+    def graded_generators_in_degree(self, m: int, modulus: "Ideal") -> list:
+        """Spanning set of the degree-m piece modulo a homogeneous
+        modulus (pass the zero ideal for the piece itself): each element
+        g of the reduced basis (homogeneous ideals only) times the
+        degree-(m - deg g) standard monomials of the modulus.  Any other
+        monomial x^a adds nothing, since x^a - NF(x^a) lies in the
+        modulus and NF(x^a) is a combination of standard monomials."""
+        multipliers: dict = {}
         out = []
         for g in self.groebner_basis:
             d = g.degree()
@@ -387,8 +391,9 @@ class Ideal:
                 continue
             if not g.is_homogeneous():
                 raise DomainError("graded piece of a non-homogeneous ideal")
-            for exps in monomials_of_degree(self.ring.nvars, m - d):
-                out.append(g.mul_monomial(exps))
+            if d not in multipliers:
+                multipliers[d] = modulus.standard_monomials(m - d)
+            out.extend(g.mul_monomial(exps) for exps in multipliers[d])
         return out
 
     def __str__(self):

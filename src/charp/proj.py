@@ -32,14 +32,14 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from .cartier import CartierMap, apply_cartier
-from .config import Caps, DEFAULT_CAPS
+from .config import current_caps
 from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
 from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
-                    descending_fixed_ideal, multiplicity, safe_test_element)
+                    descending_fixed_ideal, multiplicity)
 from .ideal import Ideal, normal_form
 from .linalg import in_row_space, null_space, rank, rref
-from .ring import MultiPoly, PolyRing, monomials_of_degree
+from .ring import MultiPoly, PolyRing
 
 
 def trivial_pair(ring: PolyRing) -> PairDivisor:
@@ -192,17 +192,6 @@ class GradedSubspace:
                 and bool((self.matrix == other.matrix).all()))
 
 
-def _standard_monomials(modulus: Ideal, m: int) -> tuple:
-    """Degree-m monomials outside the leading-term ideal of the modulus,
-    grevlex-descending."""
-    lts = [g.leading_exponent() for g in modulus.groebner_basis]
-    out = []
-    for exps in monomials_of_degree(modulus.ring.nvars, m):
-        if not any(all(a >= b for a, b in zip(exps, lt)) for lt in lts):
-            out.append(exps)
-    return tuple(out)
-
-
 def _space_from_rows(ring: PolyRing, modulus: Ideal, m: int,
                      columns: tuple, rows: List[np.ndarray]) -> GradedSubspace:
     if rows:
@@ -218,7 +207,7 @@ def space_from_polys(modulus: Ideal, m: int,
                      polys: Iterable[MultiPoly]) -> GradedSubspace:
     """Row space spanned by the canonical representatives of the polys."""
     ring = modulus.ring
-    columns = _standard_monomials(modulus, m)
+    columns = modulus.standard_monomials(m)
     probe = GradedSubspace(ring=ring, modulus=modulus, degree=m,
                            columns=columns,
                            matrix=np.zeros((0, len(columns)), dtype=np.int64),
@@ -241,7 +230,7 @@ def graded_piece(scheme: ProjScheme, m: int) -> GradedSubspace:
     if m < 0:
         raise DomainError(f"graded pieces need m >= 0, got {m}")
     modulus = scheme.ideal
-    columns = _standard_monomials(modulus, m)
+    columns = modulus.standard_monomials(m)
     mat = np.eye(len(columns), dtype=np.int64)
     return GradedSubspace(ring=scheme.ring, modulus=modulus, degree=m,
                           columns=columns, matrix=mat,
@@ -258,19 +247,19 @@ class StableImageResult:
     fixed: Ideal  # the cone's fixed ideal whose degree-m piece is the space
 
 
-def _check_level(scheme: ProjScheme, pair: PairDivisor, m: int, level: int,
-                 caps: Caps):
+def _check_level(scheme: ProjScheme, pair: PairDivisor, m: int, level: int):
     """Enforce the degree and cap contracts of an image stable at `level`:
     every source twist up to that level is nonnegative, and the level is
-    within caps.image_levels."""
-    for n in range(1, min(level, caps.image_levels) + 1):
+    within the image_levels cap."""
+    limit = current_caps().image_levels
+    for n in range(1, min(level, limit) + 1):
         # D_n from the module docstring; q - 1 divides q^n - 1
         degree = int(m + (pair.q ** n - 1) * (m - scheme.pair_degree(pair)))
         if degree < 0:
             raise DomainError(
                 f"source twist degree {degree} is negative at level {n}")
-    if level > caps.image_levels:
-        raise ResourceError("image_levels", caps.image_levels,
+    if level > limit:
+        raise ResourceError("image_levels", limit,
                             f"trace images stabilize at level {level}")
 
 
@@ -282,8 +271,7 @@ def _stable_level(chain: ChainResult) -> int:
 
 
 def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
-                       c: Optional[MultiPoly] = None,
-                       caps: Caps = DEFAULT_CAPS) -> ChainResult:
+                       c: Optional[MultiPoly] = None) -> ChainResult:
     """Largest ('sigma') or smallest ('tau') operator-fixed homogeneous
     ideal of the cone pair, adjunction factors included.  The tau chain
     starts from c, by default the pair's test element; a unit seed is
@@ -292,7 +280,7 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
     cmap = CartierMap(pair.e, u1)
     modulus = scheme.ideal if scheme.forms else None
     if which == "sigma":
-        return descending_fixed_ideal(cmap, modulus, caps)
+        return descending_fixed_ideal(cmap, modulus)
     if which == "tau":
         seed = pair.default_test_element() if c is None else c
         if (seed.is_constant and not seed.is_zero
@@ -301,13 +289,13 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
                 f"test element c = {seed} is a unit: its chain cannot "
                 "leave the unit ideal, and the cone of a form of degree "
                 ">= 2 is singular at its vertex; pass a nonconstant c")
-        return ascending_fixed_ideal(cmap, seed, modulus, caps)
+        return ascending_fixed_ideal(cmap, seed, modulus)
     raise DomainError(f"unknown fixed-ideal kind {which!r}")
 
 
 def stable_sections(scheme: ProjScheme, pair: PairDivisor, m: int,
-                    which: str = "sigma", c: Optional[MultiPoly] = None,
-                    caps: Caps = DEFAULT_CAPS) -> StableImageResult:
+                    which: str = "sigma",
+                    c: Optional[MultiPoly] = None) -> StableImageResult:
     """Stable image of the level-n trace maps inside the degree-m piece.
 
     The level-n image is the degree-m piece of the n-th term of the
@@ -320,31 +308,32 @@ def stable_sections(scheme: ProjScheme, pair: PairDivisor, m: int,
     """
     if m < 0:
         raise DomainError(f"target degree must be >= 0, got {m}")
-    chain = graded_fixed_ideal(scheme, pair, which, c, caps)
+    chain = graded_fixed_ideal(scheme, pair, which, c)
     level = _stable_level(chain) if which == "sigma" else 2
-    _check_level(scheme, pair, m, level, caps)
-    space = space_from_polys(scheme.ideal, m,
-                             chain.ideal.graded_generators_in_degree(m))
+    _check_level(scheme, pair, m, level)
+    space = space_from_polys(
+        scheme.ideal, m,
+        chain.ideal.graded_generators_in_degree(m, scheme.ideal))
     return StableImageResult(space=space, level=level, fixed=chain.ideal)
 
 
 # -- positional checks ---------------------------------------------------
 
 
-def _charts(ideal: Ideal, caps: Caps):
+def _charts(ideal: Ideal):
     """The charts (I : x_i^inf) of a homogeneous ideal, one at a time,
     each as its canonical generator tuple.  (I : x_i^inf) equals
     (I^sat : x_i^inf) and I^sat is their intersection, so I^sat is the
     unit ideal exactly when every chart is, and two ideals have the same
     saturation exactly when all their charts agree."""
-    return (ideal.chart(i, caps).generators for i in range(ideal.ring.nvars))
+    return (ideal.chart(i).generators for i in range(ideal.ring.nvars))
 
 
-def _same_saturation(a: Ideal, b: Ideal, caps: Caps) -> bool:
-    return all(x == y for x, y in zip(_charts(a, caps), _charts(b, caps)))
+def _same_saturation(a: Ideal, b: Ideal) -> bool:
+    return all(x == y for x, y in zip(_charts(a), _charts(b)))
 
 
-def is_base_point_free(space: GradedSubspace, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_base_point_free(space: GradedSubspace) -> bool:
     """Whether the subspace has empty common zero locus on the scheme:
     every chart of (scheme ideal + lifts) must be the unit ideal, that
     is, its saturation by the irrelevant ideal is."""
@@ -352,7 +341,7 @@ def is_base_point_free(space: GradedSubspace, caps: Caps = DEFAULT_CAPS) -> bool
         raise DomainError("base-point check on the zero subspace")
     one = (space.ring.one(),)
     total = Ideal(space.ring, space.polys()) + space.modulus
-    return all(chart == one for chart in _charts(total, caps))
+    return all(chart == one for chart in _charts(total))
 
 
 @dataclass
@@ -392,8 +381,8 @@ def _derivatives_at(field: "ExtField", polys: Sequence[MultiPoly],
     return out
 
 
-def separates(scheme: ProjScheme, space: GradedSubspace, ext_degree: int = 1,
-              caps: Caps = DEFAULT_CAPS) -> SeparationReport:
+def separates(scheme: ProjScheme, space: GradedSubspace,
+              ext_degree: int = 1) -> SeparationReport:
     """Point and tangent separation of the linear system on a curve.
 
     Pairs of distinct points are sampled over F_{p^k} for the requested
@@ -413,9 +402,9 @@ def separates(scheme: ProjScheme, space: GradedSubspace, ext_degree: int = 1,
 
     if not scheme.is_curve:
         raise DomainError("separation checks are defined for curves only")
-    if ext_degree < 1 or ext_degree > caps.ext_degree:
-        raise DomainError(
-            f"extension degree must be in [1, {caps.ext_degree}]")
+    limit = current_caps().ext_degree
+    if ext_degree < 1 or ext_degree > limit:
+        raise DomainError(f"extension degree must be in [1, {limit}]")
     if space.dim == 0:
         raise DomainError("separation check on the zero subspace")
 
@@ -504,25 +493,26 @@ def rational_point_ideal(ring: PolyRing, coords: Sequence[int]) -> Ideal:
 # -- global generation ----------------------------------------------------
 
 
-def is_globally_generated(ideal: Ideal, m: int, caps: Caps = DEFAULT_CAPS) -> bool:
+def is_globally_generated(ideal: Ideal, m: int) -> bool:
     """Whether the degree-m piece of a homogeneous ideal generates the
     associated sheaf: the piece and the ideal have the same saturation,
     compared chart by chart."""
-    piece = Ideal(ideal.ring, ideal.graded_generators_in_degree(m))
-    return _same_saturation(piece, ideal, caps)
+    piece = Ideal(ideal.ring, ideal.graded_generators_in_degree(
+        m, Ideal.zero(ideal.ring)))
+    return _same_saturation(piece, ideal)
 
 
 def stable_sections_generate(scheme: ProjScheme, pair: PairDivisor, m: int,
-                             which: str = "tau", c: Optional[MultiPoly] = None,
-                             caps: Caps = DEFAULT_CAPS) -> bool:
+                             which: str = "tau",
+                             c: Optional[MultiPoly] = None) -> bool:
     """Whether the stable subsystem alone generates the fixed-ideal twist:
     the lifts of the subsystem plus the scheme ideal have the same
     saturation as the fixed ideal plus the scheme ideal, compared chart
     by chart.  For a unit fixed ideal this is base-point-freeness of the
     subsystem, and a zero subsystem generates nothing."""
-    result = stable_sections(scheme, pair, m, which, c, caps)
+    result = stable_sections(scheme, pair, m, which, c)
     generated = Ideal(scheme.ring, result.space.polys()) + scheme.ideal
-    return _same_saturation(generated, result.fixed + scheme.ideal, caps)
+    return _same_saturation(generated, result.fixed + scheme.ideal)
 
 
 # -- degree bound for points on hypersurfaces ------------------------------
@@ -560,8 +550,7 @@ class DegreeBoundReport:
 
 def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
                           form: MultiPoly, mult_threshold: int,
-                          codim_bound: int,
-                          caps: Caps = DEFAULT_CAPS) -> DegreeBoundReport:
+                          codim_bound: int) -> DegreeBoundReport:
     """Produce a low-degree hypersurface through a finite point set.
 
     Given a degree-d form with multiplicity >= l at every point of S and
@@ -595,7 +584,7 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
     t = Fraction(codim_bound, mult_threshold)
     pair = None
     max_level = 1
-    while p ** (max_level + 1) <= caps.frobenius_block:
+    while p ** (max_level + 1) <= current_caps().frobenius_block:
         max_level += 1
     for E in range(1, max_level + 1):
         denom = p ** E - 1
@@ -614,7 +603,7 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
         pair = PairDivisor(form, best[1], best[2])
 
     tau_ideal = ascending_fixed_ideal(pair.cartier_map(),
-                                      safe_test_element(pair), None, caps).ideal
+                                      pair.default_test_element()).ideal
 
     points_ideal = None
     for P in points:
@@ -627,11 +616,12 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
             "failed on admissible input")
 
     delta = (d * codim_bound) // mult_threshold
-    saturated = tau_ideal.saturate(Ideal.irrelevant(ring), caps)
+    saturated = tau_ideal.saturate(Ideal.irrelevant(ring))
+    zero = Ideal.zero(ring)
     witness = None
     for mdeg in range(delta + 1):
-        piece = space_from_polys(Ideal.zero(ring), mdeg,
-                                 saturated.graded_generators_in_degree(mdeg))
+        piece = space_from_polys(
+            zero, mdeg, saturated.graded_generators_in_degree(mdeg, zero))
         if piece.dim > 0:
             witness = piece.polys()[0]
             break
@@ -648,30 +638,29 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
 
 
 def center_is_compatible(scheme: ProjScheme, pair: PairDivisor,
-                         center: Ideal, caps: Caps = DEFAULT_CAPS) -> bool:
+                         center: Ideal) -> bool:
     """Compatibility of a center's cone ideal with the scheme's operator."""
     u1 = scheme.trace_multiplier(pair)
     total = center + scheme.ideal
-    image = apply_cartier(CartierMap(pair.e, u1), total, caps) + scheme.ideal
+    image = apply_cartier(CartierMap(pair.e, u1), total) + scheme.ideal
     return image.issubset(total)
 
 
 def center_stable_image(scheme: ProjScheme, pair: PairDivisor, center: Ideal,
-                        m: int, caps: Caps = DEFAULT_CAPS) -> GradedSubspace:
+                        m: int) -> GradedSubspace:
     """Stable subsystem of the operator induced on the center: the
     degree-m piece of the largest fixed ideal of the cone modulo
     center + I_X."""
     modulus = center + scheme.ideal
     chain = descending_fixed_ideal(
-        CartierMap(pair.e, scheme.trace_multiplier(pair)), modulus, caps)
-    _check_level(scheme, pair, m, _stable_level(chain), caps)
-    return space_from_polys(modulus, m,
-                            chain.ideal.graded_generators_in_degree(m))
+        CartierMap(pair.e, scheme.trace_multiplier(pair)), modulus)
+    _check_level(scheme, pair, m, _stable_level(chain))
+    return space_from_polys(
+        modulus, m, chain.ideal.graded_generators_in_degree(m, modulus))
 
 
 def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,
-                              center: Ideal, m: int,
-                              caps: Caps = DEFAULT_CAPS) -> bool:
+                              center: Ideal, m: int) -> bool:
     """Whether the stable subsystem on X restricts onto the stable
     subsystem of the induced operator on a compatible center.
 
@@ -684,13 +673,13 @@ def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,
     subsystem on X.  It verifies compatibility and the chain, not a
     surjectivity that could fail.
     """
-    if not center_is_compatible(scheme, pair, center, caps):
+    if not center_is_compatible(scheme, pair, center):
         raise PreconditionError("the center is not compatible with the pair")
     if m - scheme.pair_degree(pair) <= 0:
         raise PreconditionError(
             f"twist degree {m} does not dominate the pair degree "
             f"{scheme.pair_degree(pair)}")
-    on_x = stable_sections(scheme, pair, m, "sigma", None, caps).space
-    restricted = center_stable_image(scheme, pair, center, m, caps)
+    on_x = stable_sections(scheme, pair, m, "sigma").space
+    restricted = center_stable_image(scheme, pair, center, m)
     image = space_from_polys(restricted.modulus, m, on_x.polys())
     return image == restricted

@@ -19,17 +19,19 @@ Job schema by op:
 Any job may carry "expect": a JSON fragment that must match the result
 (recursive subset for objects, equality for leaves).  Ops that verify a
 theorem (mult, thm46, restrict) pass exactly when the theorem holds.
+A missing or malformed field fails its job with a ScenarioError naming
+the field; the other jobs still run.  Top-level keys other than the ring
+header and the job list are ignored.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Optional
 
-from .config import Caps, DEFAULT_CAPS
+from .config import Caps, DEFAULT_CAPS, caps_scope
 from .errors import CharpError, ScenarioError
 from .fsing import (PairDivisor, is_compatible, is_sharply_f_pure,
                     is_strongly_f_regular, multiplicity_containment,
@@ -47,8 +49,6 @@ REPORT_FORMAT = "charp-report-v1"
 @dataclass
 class Scenario:
     ring: PolyRing
-    seed: int
-    parallel: bool
     jobs: List[dict]
     header: Dict[str, Any] = field(default_factory=dict)
 
@@ -79,10 +79,8 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
              f"{source}: only the grevlex order is supported, got {order!r}")
     try:
         ring = PolyRing(tuple(data["vars"]), int(data["p"]))
-    except CharpError as exc:
+    except (CharpError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{source}: {exc}") from None
-    seed = int(data.get("seed", 0))
-    parallel = bool(data.get("parallel", False))
     jobs = data.get("jobs", [])
     _require(isinstance(jobs, list), f"{source}: 'jobs' must be a list")
     for i, job in enumerate(jobs):
@@ -90,35 +88,63 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
                  f"{source}: job {i} must be an object with an 'op'")
         _require(job["op"] in JOB_REGISTRY,
                  f"{source}: job {i} has unknown op {job['op']!r}")
-    header = {"p": ring.p, "vars": list(ring.variables), "order": "grevlex",
-              "seed": seed, "parallel": parallel}
-    return Scenario(ring=ring, seed=seed, parallel=parallel, jobs=jobs,
-                    header=header)
+    header = {"p": ring.p, "vars": list(ring.variables), "order": "grevlex"}
+    return Scenario(ring=ring, jobs=jobs, header=header)
 
 
 # -- job helpers -----------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _field(spec: dict, key: str, convert: Optional[Callable] = None,
+           default: Any = _REQUIRED, where: str = "job"):
+    """spec[key], passed through convert when given.  A missing field
+    without a default, or a value convert rejects, raises ScenarioError
+    naming the field."""
+    if key not in spec:
+        _require(default is not _REQUIRED, f"{where} needs the field {key!r}")
+        return default
+    value = spec[key]
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"{where} field {key!r} has the malformed value {value!r}") from None
+
 
 def _parse_pair(ring: PolyRing, spec: dict) -> PairDivisor:
-    _require(isinstance(spec, dict) and {"f", "a", "e"} <= set(spec),
-             "pair needs fields f, a, e")
-    return PairDivisor(ring.parse(spec["f"]), int(spec["a"]), int(spec["e"]))
+    _require(isinstance(spec, dict), "pair must be an object with f, a, e")
+    return PairDivisor(_field(spec, "f", ring.parse, where="pair"),
+                       _field(spec, "a", int, where="pair"),
+                       _field(spec, "e", int, where="pair"))
 
 
-def _parse_ideal(ring: PolyRing, gens: list) -> Ideal:
-    _require(isinstance(gens, list), "ideal must be a list of polynomials")
-    return Ideal(ring, [ring.parse(g) for g in gens])
+def _polys(ring: PolyRing, spec: dict, key: str, default: Any = _REQUIRED,
+           where: str = "job") -> list:
+    """The polynomials listed in spec[key]."""
+    texts = _field(spec, key, default=default, where=where)
+    _require(isinstance(texts, list),
+             f"{where} field {key!r} must be a list of polynomials")
+    return [ring.parse(t) for t in texts]
 
 
 def _parse_scheme(ring: PolyRing, spec: dict) -> ProjScheme:
-    _require(isinstance(spec, dict) and "n" in spec,
-             "scheme needs the ambient dimension 'n'")
-    n = int(spec["n"])
+    _require(isinstance(spec, dict), "scheme must be an object")
+    n = _field(spec, "n", int, where="scheme")
     _require(n + 1 == ring.nvars,
              f"scheme n={n} needs {n + 1} variables, header declares "
              f"{ring.nvars}")
-    forms = [ring.parse(h) for h in spec.get("hypersurfaces", [])]
-    return ProjScheme.from_forms(ring, forms)
+    return ProjScheme.from_forms(
+        ring, _polys(ring, spec, "hypersurfaces", [], "scheme"))
+
+
+def _job_scheme(ring: PolyRing, job: dict) -> ProjScheme:
+    """The job's scheme, by default the whole projective space."""
+    return _parse_scheme(ring, _field(job, "scheme",
+                                      default={"n": ring.nvars - 1}))
 
 
 def _pair_or_trivial(ring: PolyRing, job: dict) -> PairDivisor:
@@ -139,7 +165,7 @@ def _echo_pair(pair: PairDivisor) -> dict:
     return {"f": str(pair.f), "a": pair.a, "e": pair.e}
 
 
-def _point_tuple(ring: PolyRing, raw: list) -> tuple:
+def _point_tuple(raw: list) -> tuple:
     _require(isinstance(raw, list), "point must be a list of coordinates")
     out = []
     for v in raw:
@@ -152,27 +178,26 @@ def _point_tuple(ring: PolyRing, raw: list) -> tuple:
     return tuple(out)
 
 
-def _subsystem_space(ring: PolyRing, job: dict, caps: Caps):
+def _subsystem_space(ring: PolyRing, job: dict):
     """Shared input handling for bpf/separates: an explicit span of
     forms, or the stable subsystem of a pair."""
-    scheme_spec = job.get("scheme", {"n": ring.nvars - 1})
-    scheme = _parse_scheme(ring, scheme_spec)
+    scheme = _job_scheme(ring, job)
     echo_scheme = {"n": scheme.n,
                    "hypersurfaces": [str(h) for h in scheme.forms]}
+    m = _field(job, "m", int)
     if "forms" in job:
-        m = int(job["m"])
-        polys = [ring.parse(s) for s in job["forms"]]
+        polys = _polys(ring, job, "forms")
         space = space_from_polys(scheme.ideal, m, polys)
         info = {"scheme": echo_scheme, "m": m, "source": "forms",
                 "forms": [str(f) for f in polys]}
     else:
         pair = _pair_or_trivial(ring, job)
         which = job.get("which", "sigma")
-        c = ring.parse(job["c"]) if "c" in job else None
-        result = stable_sections(scheme, pair, int(job["m"]), which, c, caps)
+        c = _field(job, "c", ring.parse, None)
+        result = stable_sections(scheme, pair, m, which, c)
         space = result.space
         info = {"scheme": echo_scheme, "pair": _echo_pair(pair),
-                "m": int(job["m"]), "which": which, "level": result.level,
+                "m": m, "which": which, "level": result.level,
                 "source": "stable-image"}
     return scheme, space, info
 
@@ -180,63 +205,63 @@ def _subsystem_space(ring: PolyRing, job: dict, caps: Caps):
 # -- job runners ------------------------------------------------------------
 
 
-def _run_sigma(ring, job, caps):
-    pair = _parse_pair(ring, job["pair"])
-    chain = sigma_chain(pair, caps)
+def _run_sigma(ring, job):
+    pair = _parse_pair(ring, _field(job, "pair"))
+    chain = sigma_chain(pair)
     return ({"pair": _echo_pair(pair)},
             {"generators": _ideal_json(chain.ideal)}, chain.steps, None)
 
 
-def _run_tau(ring, job, caps):
-    pair = _parse_pair(ring, job["pair"])
-    c = ring.parse(job["c"]) if "c" in job else None
-    chain = tau_chain(pair, c, caps)
+def _run_tau(ring, job):
+    pair = _parse_pair(ring, _field(job, "pair"))
+    c = _field(job, "c", ring.parse, None)
+    chain = tau_chain(pair, c)
     inputs = {"pair": _echo_pair(pair)}
     if c is not None:
         inputs["c"] = str(c)
     return (inputs, {"generators": _ideal_json(chain.ideal)}, chain.steps, None)
 
 
-def _run_fpure(ring, job, caps):
-    pair = _parse_pair(ring, job["pair"])
-    verdict = is_sharply_f_pure(pair, caps)
+def _run_fpure(ring, job):
+    pair = _parse_pair(ring, _field(job, "pair"))
+    verdict = is_sharply_f_pure(pair)
     return ({"pair": _echo_pair(pair)}, {"verdict": verdict}, None, None)
 
 
-def _run_sfr(ring, job, caps):
-    pair = _parse_pair(ring, job["pair"])
-    c = ring.parse(job["c"]) if "c" in job else None
-    verdict = is_strongly_f_regular(pair, c, caps)
+def _run_sfr(ring, job):
+    pair = _parse_pair(ring, _field(job, "pair"))
+    c = _field(job, "c", ring.parse, None)
+    verdict = is_strongly_f_regular(pair, c)
     return ({"pair": _echo_pair(pair)}, {"verdict": verdict}, None, None)
 
 
-def _run_compatible(ring, job, caps):
-    pair = _parse_pair(ring, job["pair"])
-    center = _parse_ideal(ring, job["I_Z"])
-    verdict = is_compatible(center, pair, caps)
+def _run_compatible(ring, job):
+    pair = _parse_pair(ring, _field(job, "pair"))
+    center = Ideal(ring, _polys(ring, job, "I_Z"))
+    verdict = is_compatible(center, pair)
     return ({"pair": _echo_pair(pair), "I_Z": [str(g) for g in center.generators]},
             {"verdict": verdict}, None, None)
 
 
-def _run_mult(ring, job, caps):
-    pair = _parse_pair(ring, job["pair"])
-    point = _point_tuple(ring, job["point"])
-    l = int(job["l"]) if "l" in job else None
-    report = multiplicity_containment(pair, point, l, None, caps)
+def _run_mult(ring, job):
+    pair = _parse_pair(ring, _field(job, "pair"))
+    point = _point_tuple(_field(job, "point"))
+    l = _field(job, "l", int, None)
+    report = multiplicity_containment(pair, point, l)
     result = {"multiplicity": str(report.pair_multiplicity),
               "codim": report.codim, "threshold": report.threshold,
               "verdict": report.holds}
-    return ({"pair": _echo_pair(pair), "point": list(job["point"])},
+    return ({"pair": _echo_pair(pair), "point": list(point)},
             result, None, report.holds)
 
 
-def _run_s0(ring, job, caps):
-    scheme = _parse_scheme(ring, job["scheme"])
+def _run_s0(ring, job):
+    scheme = _parse_scheme(ring, _field(job, "scheme"))
     pair = _pair_or_trivial(ring, job)
     which = job.get("which", "sigma")
-    c = ring.parse(job["c"]) if "c" in job else None
-    m = int(job["m"])
-    result = stable_sections(scheme, pair, m, which, c, caps)
+    c = _field(job, "c", ring.parse, None)
+    m = _field(job, "m", int)
+    result = stable_sections(scheme, pair, m, which, c)
     full = graded_piece(scheme, m)
     out = _space_json(result.space)
     out.update({"level": result.level, "full_dim": full.dim,
@@ -245,17 +270,17 @@ def _run_s0(ring, job, caps):
             result.level, None)
 
 
-def _run_bpf(ring, job, caps):
-    scheme, space, info = _subsystem_space(ring, job, caps)
-    verdict = is_base_point_free(space, caps)
+def _run_bpf(ring, job):
+    scheme, space, info = _subsystem_space(ring, job)
+    verdict = is_base_point_free(space)
     out = {"verdict": verdict, "dim": space.dim}
     return (info, out, info.get("level"), None)
 
 
-def _run_separates(ring, job, caps):
-    scheme, space, info = _subsystem_space(ring, job, caps)
-    k = int(job.get("ext_degree", 1))
-    report = separates(scheme, space, k, caps)
+def _run_separates(ring, job):
+    scheme, space, info = _subsystem_space(ring, job)
+    k = _field(job, "ext_degree", int, 1)
+    report = separates(scheme, space, k)
     out = {"verdict": report.ok, "points": report.points_on_scheme,
            "pairs": report.pairs_checked, "tangents": report.tangents_checked,
            "failures": [{"kind": f.kind, "points": list(f.points),
@@ -266,47 +291,50 @@ def _run_separates(ring, job, caps):
     return (inputs, out, info.get("level"), None)
 
 
-def _run_gg(ring, job, caps):
-    m = int(job["m"])
+def _run_gg(ring, job):
+    m = _field(job, "m", int)
     if "ideal" in job:
-        ideal = _parse_ideal(ring, job["ideal"])
-        verdict = is_globally_generated(ideal, m, caps)
+        ideal = Ideal(ring, _polys(ring, job, "ideal"))
+        verdict = is_globally_generated(ideal, m)
         return ({"ideal": [str(g) for g in ideal.generators], "m": m},
                 {"verdict": verdict}, None, None)
-    scheme = _parse_scheme(ring, job.get("scheme", {"n": ring.nvars - 1}))
+    scheme = _job_scheme(ring, job)
     pair = _pair_or_trivial(ring, job)
     which = job.get("which", "tau")
-    c = ring.parse(job["c"]) if "c" in job else None
-    verdict = stable_sections_generate(scheme, pair, m, which, c, caps)
+    c = _field(job, "c", ring.parse, None)
+    verdict = stable_sections_generate(scheme, pair, m, which, c)
     return ({"pair": _echo_pair(pair), "m": m, "which": which},
             {"verdict": verdict}, None, None)
 
 
-def _run_thm46(ring, job, caps):
-    scheme = _parse_scheme(ring, job.get("scheme", {"n": ring.nvars - 1}))
-    points = [tuple(int(v) for v in P) for P in job["points"]]
-    form = ring.parse(job["A"])
-    if "d" in job and int(job["d"]) != form.degree():
+def _run_thm46(ring, job):
+    _job_scheme(ring, job)  # validated only: the bound lives on P^n
+    points = _field(job, "points",
+                    lambda raw: [tuple(int(v) for v in P) for P in raw])
+    form = _field(job, "A", ring.parse)
+    d = _field(job, "d", int, None)
+    if d is not None and d != form.degree():
         raise ScenarioError(
             f"declared degree {job['d']} but A has degree {form.degree()}")
-    report = degree_bound_pipeline(ring, points, form, int(job["l"]),
-                                   int(job["e"]), caps)
+    l = _field(job, "l", int)
+    e = _field(job, "e", int)
+    report = degree_bound_pipeline(ring, points, form, l, e)
     result = {"delta": report.delta, "witness": str(report.witness),
               "witness_degree": report.witness_degree,
               "tau": _ideal_json(report.test_ideal),
               "multiplicities": report.multiplicities,
               "verdict": report.ok}
     inputs = {"points": [list(P) for P in points], "A": str(form),
-              "l": int(job["l"]), "e": int(job["e"]), "d": form.degree()}
+              "l": l, "e": e, "d": form.degree()}
     return (inputs, result, None, report.ok)
 
 
-def _run_restrict(ring, job, caps):
-    scheme = _parse_scheme(ring, job.get("scheme", {"n": ring.nvars - 1}))
-    pair = _parse_pair(ring, job["pair"])
-    center = _parse_ideal(ring, job["I_Z"])
-    m = int(job["m"])
-    verdict = restriction_is_surjective(scheme, pair, center, m, caps)
+def _run_restrict(ring, job):
+    scheme = _job_scheme(ring, job)
+    pair = _parse_pair(ring, _field(job, "pair"))
+    center = Ideal(ring, _polys(ring, job, "I_Z"))
+    m = _field(job, "m", int)
+    verdict = restriction_is_surjective(scheme, pair, center, m)
     return ({"pair": _echo_pair(pair), "I_Z": [str(g) for g in center.generators],
              "m": m}, {"verdict": verdict}, None, verdict)
 
@@ -339,13 +367,13 @@ def _expect_matches(expect, actual) -> bool:
     return expect == actual
 
 
-def _run_job(ring: PolyRing, index: int, job: dict, caps: Caps) -> tuple:
+def _run_job(ring: PolyRing, index: int, job: dict) -> tuple:
     """Returns (report_entry, elapsed_seconds)."""
     start = time.monotonic()
     entry: Dict[str, Any] = {"index": index, "op": job["op"]}
     try:
         inputs, result, iterations, theorem_pass = JOB_REGISTRY[job["op"]](
-            ring, job, caps)
+            ring, job)
         entry["inputs"] = inputs
         entry["status"] = "ok"
         entry["result"] = result
@@ -368,20 +396,18 @@ def _run_job(ring: PolyRing, index: int, job: dict, caps: Caps) -> tuple:
 
 
 def execute(scenario: Scenario, caps: Caps = DEFAULT_CAPS) -> tuple:
-    """Run all jobs; returns (machine report dict, timings list).
+    """Run all jobs in file order under the given caps; returns
+    (machine report dict, timings list).
 
-    The machine report is fully deterministic; per-job wall times are
-    returned separately for the human-readable rendering.
+    This is the one engine entry that takes caps: the jobs run inside
+    `caps_scope(caps)`, and the caps in force before come back when it
+    returns or raises.  The machine report is fully deterministic;
+    per-job wall times are returned separately for the human-readable
+    rendering.
     """
-    indexed = list(enumerate(scenario.jobs))
-    if scenario.parallel and len(indexed) > 1:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(
-                lambda item: _run_job(scenario.ring, item[0], item[1], caps),
-                indexed))
-    else:
-        outcomes = [_run_job(scenario.ring, i, job, caps)
-                    for i, job in indexed]
+    with caps_scope(caps):
+        outcomes = [_run_job(scenario.ring, i, job)
+                    for i, job in enumerate(scenario.jobs)]
     entries = [entry for entry, _ in outcomes]
     timings = [elapsed for _, elapsed in outcomes]
     errors = sum(1 for e in entries if e["status"] == "error")

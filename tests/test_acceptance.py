@@ -11,7 +11,7 @@ import time
 import pytest
 
 from charp.cartier import CartierMap, apply_cartier, bracket_root, trace
-from charp.config import Caps
+from charp.config import Caps, caps_scope
 from charp.fsing import (PairDivisor, fedder_f_pure, multiplicity_containment,
                          sigma, tau, twist_identity)
 from charp.ideal import Ideal
@@ -92,12 +92,12 @@ def test_c03_cusp_boundary_two_ways():
 
     # brute force: stable sum of the single-shot level-n root images of
     # f^(5*(7^n-1)/6) * c, n <= 3 (needs a wide frobenius block)
-    wide = Caps(frobenius_block=512)
     total = Ideal(ring, [cusp])
     partials = [total]
     for n in (1, 2, 3):
         exponent = 5 * (7 ** n - 1) // 6
-        image = bracket_root(Ideal(ring, [cusp ** exponent * cusp]), n, wide)
+        with caps_scope(Caps(frobenius_block=512)):
+            image = bracket_root(Ideal(ring, [cusp ** exponent * cusp]), n)
         total = total + image
         partials.append(total)
     stable = partials[2] == partials[3]

@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from charp.cartier import apply_cartier, bracket_root
-from charp.config import Caps
+from charp.config import Caps, caps_scope
 from charp.errors import (DomainError, PreconditionError, ResourceError,
                           TestElementError)
 from charp.fsing import (PairDivisor, ascending_fixed_ideal, fedder_f_pure,
                          is_compatible, is_sharply_f_pure,
                          is_strongly_f_regular, multiplicity,
-                         multiplicity_containment, point_ideal,
-                         safe_test_element, sigma, tau, twist_identity)
+                         multiplicity_containment, point_ideal, sigma, tau,
+                         twist_identity)
 from charp.ideal import Ideal
 from charp.ring import PolyRing
 
@@ -91,7 +91,8 @@ def test_sigma_unit_iff_surjective_on_unit(R7xy):
 def test_sigma_step_cap():
     ring = PolyRing(("x",), 5)
     with pytest.raises(ResourceError):
-        sigma(PairDivisor(ring.gen(0), 5, 1), Caps(chain_steps=1))
+        with caps_scope(Caps(chain_steps=1)):
+            sigma(PairDivisor(ring.gen(0), 5, 1))
 
 
 # -- the test ideal --------------------------------------------------------------
@@ -107,7 +108,6 @@ def test_tau_examples(R5x, R7xy):
 def test_tau_brute_force_oracle(R7xy):
     # independent route: stable sum of single-shot level-n root images;
     # level 3 at p=7 needs a frobenius block above the default cap
-    wide = Caps(frobenius_block=512)
     cusp = R7xy.parse("x^2+y^3")
     pair = PairDivisor(cusp, 5, 1)
     c = Ideal(R7xy, [cusp])
@@ -115,9 +115,9 @@ def test_tau_brute_force_oracle(R7xy):
     images = []
     for n in (1, 2, 3):
         exponent = 5 * (7 ** n - 1) // 6
-        level_image = bracket_root(
-            Ideal(R7xy, [cusp ** exponent * g for g in c.generators]), n,
-            wide)
+        with caps_scope(Caps(frobenius_block=512)):
+            level_image = bracket_root(
+                Ideal(R7xy, [cusp ** exponent * g for g in c.generators]), n)
         images.append(level_image)
         total = total + level_image
     assert images[1] + images[0] + c == total  # level 3 added nothing
@@ -164,7 +164,7 @@ def test_tau_flags_bad_test_element(R5x):
     pair = PairDivisor(R5x.gen(0), 10, 1)
     with pytest.raises(TestElementError):
         tau(pair, R5x.gen(0))
-    assert tau(pair, safe_test_element(pair)) == I(R5x, "x^2")
+    assert tau(pair, pair.default_test_element()) == I(R5x, "x^2")
 
 
 def test_tau_is_least_fixed_ideal_containing_seed(R7xy):
@@ -357,6 +357,16 @@ def test_containment_precondition():
     pair = PairDivisor(ring.gen(0), 4, 1)  # multiplicity 1 at origin
     with pytest.raises(PreconditionError):
         multiplicity_containment(pair, (0, 0), 2)
+
+
+def test_containment_rejects_a_threshold_below_one():
+    # l = 0 is not admissible: at a = 0 every multiplicity clears it, and
+    # the trivial pair's test ideal (1) escapes every point ideal
+    ring = PolyRing(("x", "y", "z"), 5)
+    for a, l in ((0, 0), (4, 0), (4, -1)):
+        with pytest.raises(DomainError):
+            multiplicity_containment(PairDivisor(ring.gen(0), a, 1),
+                                     (0, None, None), l)
 
 
 def test_point_ideal_shapes():

@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy as sp
 
-from charp.config import Caps
+from charp.config import Caps, caps_scope
 from charp.errors import DomainError, ResourceError, RingMismatchError
 from charp.ideal import Ideal, buchberger, groebner, normal_form
 from charp.ring import PolyRing
@@ -345,8 +345,6 @@ def test_normal_form_is_canonical(R5):
 
 def test_degree_cap_fires():
     ring = PolyRing(("x", "y"), 5)
-    tight = Caps(max_degree=3)
-    with pytest.raises(ResourceError) as err:
-        buchberger([ring.parse("x^4 + y"), ring.parse("x*y^4 + x")],
-                   caps=tight)
+    with caps_scope(Caps(max_degree=3)), pytest.raises(ResourceError) as err:
+        buchberger([ring.parse("x^4 + y"), ring.parse("x*y^4 + x")])
     assert "max_degree" in str(err.value)

@@ -6,12 +6,11 @@ import random
 import pytest
 
 from charp.cartier import trace
-from charp.config import Caps
+from charp.config import DEFAULT_CAPS, Caps, caps_scope, current_caps
 from charp.errors import DomainError, PreconditionError, ResourceError
-from charp.fsing import PairDivisor
+from charp.fsing import PairDivisor, sigma_chain
 from charp.ideal import Ideal, normal_form
-from charp.proj import (ProjScheme, _standard_monomials,
-                        center_is_compatible, center_stable_image,
+from charp.proj import (ProjScheme, center_is_compatible, center_stable_image,
                         degree_bound_pipeline, graded_fixed_ideal,
                         graded_piece, is_base_point_free,
                         is_globally_generated, projective_multiplicity,
@@ -172,8 +171,9 @@ def test_stable_image_matches_graded_fixed_ideal_oracle():
             m = rng.randint(0, 3)
             space = stable_sections(scheme, pair, m, "sigma").space
             fixed = graded_fixed_ideal(scheme, pair, "sigma").ideal
+            zero = Ideal.zero(ring)
             oracle = space_from_polys(
-                Ideal.zero(ring), m, fixed.graded_generators_in_degree(m))
+                zero, m, fixed.graded_generators_in_degree(m, zero))
             assert space.matrix.shape == oracle.matrix.shape
             assert (space.matrix == oracle.matrix).all()
 
@@ -183,8 +183,9 @@ def test_stable_image_tau_matches_tau_piece(fermat7):
     pair = PairDivisor(ring.parse("x"), 6, 1)
     space = stable_sections(fermat7, pair, 2, "tau").space
     fixed = graded_fixed_ideal(fermat7, pair, "tau").ideal
-    oracle = space_from_polys(fermat7.ideal, 2,
-                              fixed.graded_generators_in_degree(2))
+    oracle = space_from_polys(
+        fermat7.ideal, 2,
+        fixed.graded_generators_in_degree(2, Ideal.zero(ring)))
     assert space == oracle
 
 
@@ -236,9 +237,8 @@ def test_stable_sections_errors(P1):
     inhomogeneous = PairDivisor(P1.ring.parse("x^2 + y"), 1, 1)
     with pytest.raises(DomainError):
         stable_sections(P1, inhomogeneous, 1)
-    with pytest.raises(ResourceError):
-        stable_sections(P1, trivial_pair(P1.ring), 2,
-                        caps=Caps(image_levels=1))
+    with caps_scope(Caps(image_levels=1)), pytest.raises(ResourceError):
+        stable_sections(P1, trivial_pair(P1.ring), 2)
 
 
 def test_negative_twist_rejected(P1):
@@ -379,7 +379,7 @@ def oracle_tangent_checks(scheme, space, double_points):
             double_points[key] = _double_point_ideal(scheme, coords)
         fat = double_points[key]
         label = (tuple(map(str, coords)),)
-        target_dim = len(_standard_monomials(fat, space.degree))
+        target_dim = len(fat.standard_monomials(space.degree))
         if target_dim != 2:
             failures.append(
                 (label, f"double-point piece has dimension {target_dim}"))
@@ -473,7 +473,8 @@ def oracle_base_point_free(space):
 
 
 def oracle_globally_generated(ideal, m):
-    piece = Ideal(ideal.ring, ideal.graded_generators_in_degree(m))
+    piece = Ideal(ideal.ring, ideal.graded_generators_in_degree(
+        m, Ideal.zero(ideal.ring)))
     return _saturated(piece) == _saturated(ideal)
 
 
@@ -530,16 +531,32 @@ def test_positional_verdicts_match_quotient_loop_oracle():
 def test_caps_bind_inside_the_positional_checks(cap):
     ring = PolyRing(("x", "y", "z"), 5)
     cubic = ProjScheme.from_forms(ring, [ring.parse("x^3+y^3+z^3")])
-    tight = Caps(**{cap: 1})
-    checks = (lambda: is_base_point_free(graded_piece(cubic, 1), tight),
-              lambda: is_globally_generated(I(ring, "x^2", "x*y", "y^2"), 2,
-                                            tight),
+    checks = (lambda: is_base_point_free(graded_piece(cubic, 1)),
+              lambda: is_globally_generated(I(ring, "x^2", "x*y", "y^2"), 2),
               lambda: stable_sections_generate(cubic, trivial_pair(ring), 1,
-                                               "sigma", caps=tight))
+                                               "sigma"))
     for check in checks:
-        with pytest.raises(ResourceError) as err:
+        with caps_scope(Caps(**{cap: 1})), pytest.raises(ResourceError) as err:
             check()
         assert err.value.cap_name == cap
+
+
+def test_caps_bind_inside_the_chains():
+    # the fixed-ideal chains build their ideals under the caps in force:
+    # each answer here needs a basis of more than one element
+    plane = PolyRing(("x", "y", "z"), 5)
+    cubic = ProjScheme.from_forms(plane, [plane.parse("x^3+y^3+z^3")])
+    affine = PolyRing(("x", "y"), 5)
+    checks = (lambda: stable_sections(cubic, trivial_pair(plane), 1),
+              lambda: sigma_chain(PairDivisor(affine.parse("x^2+y^3"), 4, 1)),
+              lambda: stable_sections_generate(cubic, trivial_pair(plane), 1,
+                                               "sigma"))
+    for check in checks:
+        with caps_scope(Caps(max_basis=1)), pytest.raises(ResourceError) as err:
+            check()
+        assert err.value.cap_name == "max_basis"
+        assert current_caps() is DEFAULT_CAPS
+    assert stable_sections(cubic, trivial_pair(plane), 1).space.dim == 3
 
 
 # -- degree bound pipeline -----------------------------------------------------------
@@ -671,7 +688,7 @@ def level_image(modulus, u1, e, n, m, source=None):
                    for g in source.groebner_basis if g.degree() <= degree]
     images = []
     for factor, rest in factors:
-        for exps in _standard_monomials(modulus, rest):
+        for exps in modulus.standard_monomials(rest):
             v = factor.mul_monomial(exps)  # u1 times the source element
             for level in range(n):
                 v = trace(v if level == 0 else u1 * v, e)

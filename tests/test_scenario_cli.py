@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from charp import scenario as scenario_module
 from charp.cli import main, parse_caps
+from charp.config import DEFAULT_CAPS, Caps, current_caps
 from charp.errors import ScenarioError
 from charp.scenario import (execute, load_scenario, parse_scenario,
                             report_to_json)
@@ -55,18 +57,50 @@ def test_reports_are_byte_identical(tmp_path):
     assert report_to_json(first) == report_to_json(second)
 
 
-def test_parallel_keeps_file_order(tmp_path):
-    payload = dict(BASIC)
-    payload["parallel"] = True
-    payload["jobs"] = BASIC["jobs"] * 3
-    scenario = load_scenario(write_scenario(tmp_path, payload))
-    report, _ = execute(scenario)
+def test_parallel_key_is_ignored(tmp_path):
+    # "parallel" and "seed" are no longer options: like any unknown
+    # top-level key they change nothing, not even the report header
+    payload = dict(BASIC, jobs=BASIC["jobs"] * 3)
+    flagged = dict(payload, parallel=True, seed=7)
+    report, _ = execute(load_scenario(write_scenario(tmp_path, flagged)))
     assert [e["index"] for e in report["jobs"]] == list(range(6))
-    sequential = dict(payload)
-    sequential["parallel"] = False
-    report2, _ = execute(load_scenario(write_scenario(tmp_path, sequential,
-                                                      "seq.json")))
-    assert json.dumps(report["jobs"]) == json.dumps(report2["jobs"])
+    plain, _ = execute(load_scenario(write_scenario(tmp_path, payload,
+                                                    "plain.json")))
+    assert report_to_json(report) == report_to_json(plain)
+
+
+def test_execute_restores_the_caps(tmp_path, monkeypatch):
+    payload = {"p": 5, "vars": ["x"],
+               "jobs": [{"op": "sigma", "pair": {"f": "x", "a": 5, "e": 1}}]}
+    scenario = load_scenario(write_scenario(tmp_path, payload))
+    report, _ = execute(scenario, Caps(chain_steps=1))
+    assert report["jobs"][0]["error"]["type"] == "ResourceError"
+    assert current_caps() is DEFAULT_CAPS
+
+    def crash(ring, job):
+        assert current_caps() == Caps(chain_steps=1)
+        raise RuntimeError("job crashed")
+
+    monkeypatch.setitem(scenario_module.JOB_REGISTRY, "sigma", crash)
+    with pytest.raises(RuntimeError):
+        execute(scenario, Caps(chain_steps=1))
+    assert current_caps() is DEFAULT_CAPS
+
+
+def test_malformed_job_fields_fail_only_their_job(tmp_path):
+    payload = {"p": 5, "vars": ["x", "y", "z"],
+               "jobs": [{"op": "s0", "scheme": {"n": 2}},
+                        {"op": "sigma", "pair": {"f": "x", "a": "z", "e": 1}},
+                        {"op": "bpf", "m": 1, "forms": "xy"},
+                        {"op": "s0", "scheme": {"n": 2}, "m": 1}]}
+    report, _ = execute(load_scenario(write_scenario(tmp_path, payload)))
+    missing, malformed, not_a_list, fine = report["jobs"]
+    for entry, name in ((missing, "'m'"), (malformed, "'a'"),
+                        (not_a_list, "'forms'")):
+        assert entry["status"] == "error"
+        assert entry["error"]["type"] == "ScenarioError"
+        assert name in entry["error"]["message"]
+    assert fine["status"] == "ok" and fine["result"]["dim"] == 3
 
 
 def test_empty_job_list_exits_zero(tmp_path, capsys):
@@ -108,6 +142,8 @@ def test_header_validation():
     with pytest.raises(ScenarioError):
         parse_scenario({"p": 6, "vars": ["x"], "jobs": []})
     with pytest.raises(ScenarioError):
+        parse_scenario({"p": "five", "vars": ["x"], "jobs": []})
+    with pytest.raises(ScenarioError):
         parse_scenario({"p": 5, "vars": ["x"], "order": "lex", "jobs": []})
     with pytest.raises(ScenarioError):
         parse_scenario({"p": 5, "vars": ["x"],
@@ -144,6 +180,18 @@ def test_caps_flow_into_jobs(tmp_path, capsys):
     assert main(["run", path, "--caps", "steps=1"]) == 1
     out = capsys.readouterr().out
     assert "ResourceError" in out and "chain_steps=1" in out
+
+
+def test_basis_cap_binds_inside_a_stable_image_job(tmp_path, capsys):
+    payload = {"p": 5, "vars": ["x", "y", "z"],
+               "jobs": [{"op": "s0", "m": 1,
+                         "scheme": {"n": 2, "hypersurfaces": ["x^3+y^3+z^3"]}}]}
+    path = write_scenario(tmp_path, payload)
+    assert main(["run", path, "--caps", "basis=1"]) == 1
+    out = capsys.readouterr().out
+    assert "ResourceError" in out and "max_basis=1" in out
+    assert main(["run", path]) == 0
+    assert "dim 3" in capsys.readouterr().out
 
 
 def test_unknown_suite_exits_two(capsys):
