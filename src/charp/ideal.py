@@ -9,6 +9,17 @@ variable in one completion, in grevlex with that variable last
 (Bayer–Stillman); other saturations and intersections eliminate one
 auxiliary variable.
 
+Reduction (`normal_form`, exact division) is heap division on packed
+monomial keys (Monagan–Pearce): the polynomial being reduced is one
+mutable accumulator from key to coefficient, its leading term is popped
+from a heap of keys, and subtracting a multiple of a divisor adds one
+integer to each of the divisor's cached keys.  Divisibility by a leading
+monomial is one subtraction and one mask.  The digit width starts at 16
+bits and doubles, restarting the division, before any key would reach
+the width's degree limit, so no exponent can overflow a digit.  Leading
+exponents are cached on the polynomials, and a normal form comes with
+its own, so the completion never rescans terms to find one.
+
 Ideals are immutable; the Gröbner basis is computed lazily and cached.
 The degree and basis caps are the ones in force in the current context
 (`config.current_caps`), read where each completion starts.
@@ -16,7 +27,8 @@ The degree and basis caps are the ones in force in the current context
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Iterable, Optional, Sequence
 
 from .config import current_caps
@@ -27,40 +39,136 @@ from .ring import (GREVLEX, BlockElimOrder, ChartOrder, MultiPoly, PolyRing,
 
 
 def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+class _Widen(Exception):
+    """A key would reach the packing's degree limit at this width."""
+
+
+_MIN_WIDTH = 16
+
+
+def _divisor(g: MultiPoly, packing):
+    """g as a divisor under the packing, memoised on g, or None when its
+    degree reaches the packing's limit: (keys descending, coefficients,
+    lead fields, lead excess, inverse of the leading coefficient).  The
+    lead fields are `packing.direct` of the leading key; the excess is by
+    how much g's degree exceeds its leading monomial's (0 in a graded
+    order), so a multiple x^m·g stays below the limit when deg(x^m) plus
+    the lead's degree plus the excess does."""
+    memo = g._packed
+    if memo is None:
+        memo = g._packed = {}
+    entry = memo.get(packing)
+    if entry is None:
+        degree = g.degree()
+        entry = False
+        if degree < packing.limit:
+            pack = packing.pack
+            items = sorted(((pack(e), c) for e, c in g._terms.items()),
+                           reverse=True)
+            keys = tuple(k for k, _ in items)
+            coeffs = tuple(c for _, c in items)
+            fields, lead_degree = packing.direct(keys[0])
+            entry = (keys, coeffs, fields, degree - lead_degree,
+                     pow(coeffs[0], -1, g.ring.p))
+        memo[packing] = entry
+    return entry or None
+
+
+def _divide(f: MultiPoly, divisors: Sequence[MultiPoly], packing,
+            quotient: Optional[list]):
+    """Heap division of f by the divisors (Monagan–Pearce): one mutable
+    accumulator from packed key to coefficient, and a heap of its keys
+    from which the leading term is popped.  Subtracting c·x^m·g adds the
+    key of x^m to each of g's cached keys.  A key cancelled and formed
+    again is pushed twice; the copy popped second finds no coefficient.
+
+    Returns the remainder's keys and coefficients, largest first; the
+    steps (key of x^m, c) go to `quotient` when it is a list.  Raises
+    _Widen before any key would reach the packing's limit: the degree
+    of the input and of each divisor is checked before it is packed, and
+    each step's product before it is formed."""
+    p = f.ring.p
+    limit, guard, direct = packing.limit, packing.guard, packing.direct
+    reducers = [_divisor(g, packing) for g in divisors]
+    if None in reducers or f.degree() >= limit:
+        raise _Widen
+    pack = packing.pack
+    acc = {pack(e): c for e, c in f._terms.items()}
+    heap = [-k for k in acc]
+    heapify(heap)
+    out_keys, out_coeffs = [], []
+    while heap:
+        key = -heappop(heap)
+        c = acc.get(key)
+        if c is None:
+            continue
+        fields, degree = direct(key)
+        for g_keys, g_coeffs, lead_fields, excess, lc_inv in reducers:
+            # the lead divides when no field borrows into its guard bit
+            if (fields - lead_fields) & guard:
+                continue
+            if degree + excess >= limit:
+                raise _Widen
+            shift = key - g_keys[0]
+            factor = c * lc_inv % p
+            if quotient is not None:
+                quotient.append((shift, factor))
+            factor = p - factor
+            # the lead cancels the popped term, which is still in acc
+            for g_key, g_c in zip(g_keys, g_coeffs):
+                k = g_key + shift
+                old = acc.get(k)
+                if old is None:
+                    acc[k] = factor * g_c % p
+                    heappush(heap, -k)
+                else:
+                    s = (old + factor * g_c) % p
+                    if s:
+                        acc[k] = s
+                    else:
+                        del acc[k]
+            break
+        else:
+            del acc[key]
+            out_keys.append(key)
+            out_coeffs.append(c)
+    return out_keys, out_coeffs
+
+
+def _packed_division(f: MultiPoly, divisors: Sequence[MultiPoly], order,
+                     quotient: Optional[list] = None):
+    """`_divide` at the narrowest width from 16 bits up, doubling, at
+    which every key stays below the limit; returns the packing too."""
+    width = _MIN_WIDTH
+    while True:
+        packing = order.packing(f.ring.nvars, width)
+        if quotient is not None:
+            quotient.clear()
+        try:
+            return (packing,) + _divide(f, divisors, packing, quotient)
+        except _Widen:
+            width *= 2
 
 
 def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], order=GREVLEX) -> MultiPoly:
     """Fully reduce f against the basis: no term of the result is
-    divisible by any basis leading monomial."""
-    reducers = [(g.leading_exponent(order),
-                 pow(g.leading_coefficient(order), -1, g.ring.p), g)
-                for g in basis if not g.is_zero]
-    if not reducers:
+    divisible by any basis leading monomial.  The result comes with its
+    leading exponent in the order cached."""
+    divisors = [g for g in basis if not g.is_zero]
+    if not divisors or f.is_zero:
         return f
-    ring = f.ring
-    remainder = ring.zero()
-    work = f
-    while not work.is_zero:
-        lead = work.leading_exponent(order)
-        coeff = work.coefficient(lead)
-        for lm, lc_inv, g in reducers:
-            if _divides(lm, lead):
-                factor = (coeff * lc_inv) % ring.p
-                work = work - g.mul_monomial(_exp_sub(lead, lm), factor)
-                break
-        else:
-            remainder = remainder + ring.monomial(lead, coeff)
-            work = work - ring.monomial(lead, coeff)
-    return remainder
+    return MultiPoly.from_packed(f.ring, *_packed_division(f, divisors, order))
 
 
 def _s_poly(f: MultiPoly, g: MultiPoly, order=GREVLEX) -> MultiPoly:
@@ -90,12 +198,15 @@ def buchberger(generators: Iterable[MultiPoly], order=GREVLEX) -> tuple:
     def push_pairs(new_index: int):
         nonlocal counter
         lm_new = basis[new_index].leading_exponent(order)
+        monomial = basis[new_index].num_terms() == 1
         for i in range(new_index):
+            if monomial and basis[i].num_terms() == 1:
+                continue  # two monic monomials: the S-polynomial is zero
             lm_i = basis[i].leading_exponent(order)
             lcm = _exp_lcm(lm_i, lm_new)
-            if lcm == tuple(a + b for a, b in zip(lm_i, lm_new)):
+            if lcm == tuple(map(add, lm_i, lm_new)):
                 continue  # coprime leading monomials: S-poly reduces to zero
-            heapq.heappush(pairs, (order.key(lcm), counter, i, new_index))
+            heappush(pairs, (order.key(lcm), counter, i, new_index))
             counter += 1
 
     # feed the input through the reducer so redundant generators
@@ -111,7 +222,7 @@ def buchberger(generators: Iterable[MultiPoly], order=GREVLEX) -> tuple:
         push_pairs(len(basis) - 1)
 
     while pairs:
-        _, _, i, j = heapq.heappop(pairs)
+        _, _, i, j = heappop(pairs)
         s = _s_poly(basis[i], basis[j], order)
         if s.is_zero:
             continue
@@ -153,15 +264,14 @@ def _reduce(basis: list, order) -> tuple:
         lm = g.leading_exponent(order)
         if not any(_divides(h.leading_exponent(order), lm) for h in minimal):
             minimal.append(g)
-    # inter-reduce tails (leading monomials are stable under this pass)
-    reduced_basis = []
+    # inter-reduce tails; leading monomials are stable under this pass,
+    # and a monomial is its lead, which no other minimal lead divides
     for k, g in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1:]
-        reduced_basis.append(normal_form(g, others, order).monic(order))
-        minimal[k] = reduced_basis[k]
-    reduced_basis.sort(key=lambda g: order.key(g.leading_exponent(order)),
-                       reverse=True)
-    return tuple(reduced_basis)
+        if g.num_terms() > 1:
+            g = normal_form(g, minimal[:k] + minimal[k + 1:], order)
+        minimal[k] = g.monic(order)
+    # the leads are distinct and ascending
+    return tuple(reversed(minimal))
 
 
 class Ideal:
@@ -418,20 +528,13 @@ def _exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Quotient f/g when g divides f exactly (used on I ∩ (g) generators)."""
     if g.is_zero:
         raise DomainError("division by the zero polynomial")
-    ring = f.ring
-    lg = g.leading_exponent()
-    lc_inv = pow(g.leading_coefficient(), -1, ring.p)
-    quotient = ring.zero()
-    work = f
-    while not work.is_zero:
-        lead = work.leading_exponent()
-        if not _divides(lg, lead):
-            raise InternalInvariantError(f"{g} does not divide {f} exactly")
-        factor = (work.coefficient(lead) * lc_inv) % ring.p
-        mono = _exp_sub(lead, lg)
-        quotient = quotient + ring.monomial(mono, factor)
-        work = work - g.mul_monomial(mono, factor)
-    return quotient
+    steps: list = []
+    packing, rest, _ = _packed_division(f, [g], GREVLEX, steps)
+    if rest:
+        raise InternalInvariantError(f"{g} does not divide {f} exactly")
+    # the steps' monomials strictly descend, like the popped leads
+    return MultiPoly.from_packed(f.ring, packing, [k for k, _ in steps],
+                                 [c for _, c in steps])
 
 
 def groebner(ideal: Ideal) -> tuple:

@@ -402,9 +402,11 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
 
     if not scheme.is_curve:
         raise DomainError("separation checks are defined for curves only")
+    if ext_degree < 1:
+        raise DomainError(f"extension degree must be >= 1, got {ext_degree}")
     limit = current_caps().ext_degree
-    if ext_degree < 1 or ext_degree > limit:
-        raise DomainError(f"extension degree must be in [1, {limit}]")
+    if ext_degree > limit:
+        raise ResourceError("ext_degree", limit, f"extension degree {ext_degree}")
     if space.dim == 0:
         raise DomainError("separation check on the zero subspace")
 

@@ -7,14 +7,26 @@ monomial order used for every canonical computation is graded reverse
 lexicographic (grevlex); internal eliminations may use block orders but
 all published bases are grevlex-reduced.
 
+Each order (`GrevlexOrder`, `ChartOrder`, `BlockElimOrder`) is a list of
+blocks of variables compared by grevlex, and has a `Packing` per digit
+width: an integer key per monomial whose integer order is the monomial
+order and which adds under multiplication (Monagan–Pearce, packed
+exponent vectors).  A key is exact only while the total degree stays
+below the packing's limit, so nothing packs a monomial without checking
+that first; the Gröbner kernel in `ideal.py` widens the digits instead.
+
 Values are immutable after construction and safe to share across
-threads.
+threads.  A polynomial memoises its leading exponent per order, and the
+division kernel its packed terms per packing, on first use.  Both are
+functions of the terms alone and never enter equality or hashing; two
+threads that fill the same slot at once store equal values.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add, neg
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, ParseError, RingMismatchError
@@ -39,20 +51,128 @@ def is_prime(n: int) -> bool:
 
 def grevlex_key(exps: Exponents):
     """Sort key: larger key means larger monomial in grevlex."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
-class GrevlexOrder:
+class Packing:
+    """Packed integer keys of one monomial order at one digit width.
+
+    The order compares blocks of variables one after the other, each by
+    grevlex.  A block (v_0, ..., v_(k-1)) contributes the digits
+    s_(k-1), ..., s_0, most significant first, where s_j = e_(v_0) + ...
+    + e_(v_j): s_(k-1) is the block degree, and a larger s_(j-1) at equal
+    s_j means a smaller e_(v_j), which is how grevlex breaks ties.  The
+    key is these digits in base B = 2^width, so comparing keys as
+    integers compares monomials in the order.  Every digit is linear in
+    the exponents and at most the total degree, so while the total
+    degree stays below `limit` = B/2:
+
+      * pack(a) + pack(b) = pack(a + b): multiplying by a monomial adds
+        its key;
+      * the key is exact, and `direct` recovers the exponents field by
+        field, each field with a spare top bit, so a monomial a divides
+        b exactly when (direct(b) - direct(a)) & guard == 0 (no field
+        borrows).
+
+    Keys are only ever formed below the limit: the kernel in `ideal.py`
+    checks the degree before it packs and widens the digits otherwise.
+    """
+
+    def __init__(self, tag: str, blocks: tuple, width: int):
+        self.tag = tag
+        self.width = width
+        self.limit = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        self._blocks = [(block, block[::-1]) for block in blocks]
+        nvars = sum(map(len, blocks))
+        self.guard = sum(self.limit << (width * i) for i in range(nvars))
+        # blocks come most significant first, each on k digits from its
+        # offset up; `_tops` is the bit just above each block's top digit
+        # (its degree), `_fields` where `direct` puts each variable
+        self._tops = []
+        self._fields = []
+        offset = nvars
+        for block in blocks:
+            offset -= len(block)
+            self._tops.append(width * (offset + len(block)))
+            self._fields.extend((v, width * (offset + i))
+                                for i, v in enumerate(block))
+
+    def pack(self, exps: Exponents) -> int:
+        w, key = self.width, 0
+        for block, backwards in self._blocks:
+            s = sum(map(exps.__getitem__, block))
+            for i in backwards:
+                key = (key << w) | s
+                s -= exps[i]
+        return key
+
+    def direct(self, key: int):
+        """(exponents packed one field per variable, total degree).
+
+        Per block, (B - 1) * (its digits) = d * B^k - (its fields) for
+        the block degree d, so the fields are a few integer operations
+        away from the key."""
+        w, mask = self.width, self.mask
+        top_digits = 0
+        degree = 0
+        for top in self._tops:
+            d = (key >> (top - w)) & mask
+            degree += d
+            top_digits += d << top
+        return top_digits - (key << w) + key, degree
+
+    def unpack(self, key: int) -> Exponents:
+        fields, _ = self.direct(key)
+        mask = self.mask
+        exps = [0] * len(self._fields)
+        for v, shift in self._fields:
+            exps[v] = (fields >> shift) & mask
+        return tuple(exps)
+
+
+_PACKINGS: dict = {}  # (order tag, nvars, width) -> Packing; a handful per ring
+
+
+class MonomialOrder:
+    """A monomial order given by blocks of variables, compared first to
+    last, each by grevlex.  `key` is the reference sort key, `tag` names
+    the order in the leading-term and packing caches."""
+
+    name = ""
+    tag = ""
+
+    def key(self, exps: Exponents):
+        raise NotImplementedError
+
+    def blocks(self, nvars: int) -> tuple:
+        raise NotImplementedError
+
+    def packing(self, nvars: int, width: int) -> Packing:
+        """The packing at this digit width, built once per order tag,
+        number of variables and width."""
+        slot = (self.tag, nvars, width)
+        found = _PACKINGS.get(slot)
+        if found is None:
+            blocks = tuple(b for b in self.blocks(nvars) if b)
+            found = _PACKINGS.setdefault(slot, Packing(self.tag, blocks, width))
+        return found
+
+
+class GrevlexOrder(MonomialOrder):
     """Graded reverse lexicographic order (the package-wide default)."""
 
-    name = "grevlex"
+    name = tag = "grevlex"
 
     @staticmethod
     def key(exps: Exponents):
         return grevlex_key(exps)
 
+    def blocks(self, nvars: int) -> tuple:
+        return (tuple(range(nvars)),)
 
-class BlockElimOrder:
+
+class BlockElimOrder(MonomialOrder):
     """Eliminates the first `nblock` variables: any monomial involving
     them beats any monomial that does not; grevlex within each block."""
 
@@ -60,13 +180,17 @@ class BlockElimOrder:
 
     def __init__(self, nblock: int):
         self.nblock = nblock
+        self.tag = f"block-elim:{nblock}"
 
     def key(self, exps: Exponents):
         head, tail = exps[: self.nblock], exps[self.nblock:]
         return (grevlex_key(head), grevlex_key(tail))
 
+    def blocks(self, nvars: int) -> tuple:
+        return (tuple(range(self.nblock)), tuple(range(self.nblock, nvars)))
 
-class ChartOrder:
+
+class ChartOrder(MonomialOrder):
     """Grevlex with variable `last` moved to the end: it is then the
     cheapest variable, so it divides a homogeneous polynomial exactly
     when it divides the leading monomial."""
@@ -75,10 +199,15 @@ class ChartOrder:
 
     def __init__(self, last: int):
         self.last = last
+        self.tag = f"grevlex-last:{last}"
 
     def key(self, exps: Exponents):
         i = self.last
         return grevlex_key(exps[:i] + exps[i + 1:] + exps[i:i + 1])
+
+    def blocks(self, nvars: int) -> tuple:
+        i = self.last
+        return (tuple(v for v in range(nvars) if v != i) + (i,),)
 
 
 GREVLEX = GrevlexOrder()
@@ -160,14 +289,19 @@ class PolyRing:
 class MultiPoly:
     """Immutable sparse polynomial: dict from exponent tuples to residues.
 
-    No zero coefficients are stored; arithmetic is exact.
+    No zero coefficients are stored; arithmetic is exact.  The leading
+    exponent per order, and the division kernel in `ideal.py` its packed
+    terms per `Packing`, are memoised on first use; they depend only on
+    the terms, so they never enter equality or hashing.
     """
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_lead", "_packed")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self._terms = terms
+        self._lead = None     # order tag -> leading exponent
+        self._packed = None   # Packing -> divisor record, see ideal._divisor
 
     # -- basic queries -------------------------------------------------
 
@@ -187,11 +321,10 @@ class MultiPoly:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._terms))
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self._terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self._terms))) <= 1
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -205,12 +338,31 @@ class MultiPoly:
         return self._terms.get(tuple(exps), 0)
 
     def leading_exponent(self, order=GREVLEX) -> Exponents:
+        leads = self._lead
+        if leads is None:
+            leads = self._lead = {}
+        else:
+            lead = leads.get(order.tag)
+            if lead is not None:
+                return lead
         if not self._terms:
             raise DomainError("zero polynomial has no leading term")
-        return max(self._terms, key=order.key)
+        lead = leads[order.tag] = max(self._terms, key=order.key)
+        return lead
 
     def leading_coefficient(self, order=GREVLEX) -> int:
         return self._terms[self.leading_exponent(order)]
+
+    @classmethod
+    def from_packed(cls, ring: PolyRing, packing: Packing,
+                    keys: Sequence[int], coeffs: Sequence[int]) -> "MultiPoly":
+        """The polynomial with these packed terms, keys descending; its
+        leading exponent in the packing's order comes cached."""
+        exps = [packing.unpack(k) for k in keys]
+        poly = cls(ring, dict(zip(exps, coeffs)))
+        if exps:
+            poly._lead = {packing.tag: exps[0]}
+        return poly
 
     def monic(self, order=GREVLEX) -> "MultiPoly":
         if not self._terms:
@@ -274,7 +426,11 @@ class MultiPoly:
         if c == 1:
             return self
         p = self.ring.p
-        return MultiPoly(self.ring, {e: (k * c) % p for e, k in self._terms.items()})
+        scaled = MultiPoly(self.ring, {e: (k * c) % p for e, k in self._terms.items()})
+        if self._lead is None:
+            self._lead = {}
+        scaled._lead = self._lead  # same terms, same leading exponents
+        return scaled
 
     def mul_monomial(self, exps: Exponents, coeff: int = 1) -> "MultiPoly":
         p = self.ring.p
@@ -283,10 +439,7 @@ class MultiPoly:
             return self.ring.zero()
         out = {}
         for e, c in self._terms.items():
-            ne = tuple(a + b for a, b in zip(e, exps))
-            nc = (c * coeff) % p
-            if nc:
-                out[ne] = nc
+            out[tuple(map(add, e, exps))] = (c * coeff) % p
         return MultiPoly(self.ring, out)
 
     def __mul__(self, other):
@@ -303,7 +456,7 @@ class MultiPoly:
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                ne = tuple(x + y for x, y in zip(ea, eb))
+                ne = tuple(map(add, ea, eb))
                 s = (out.get(ne, 0) + ca * cb) % p
                 if s:
                     out[ne] = s

@@ -1,5 +1,7 @@
 """Gröbner engine and ideal operations, cross-checked against sympy."""
 
+import heapq
+import itertools
 import random
 
 import pytest
@@ -7,8 +9,9 @@ import sympy as sp
 
 from charp.config import Caps, caps_scope
 from charp.errors import DomainError, ResourceError, RingMismatchError
-from charp.ideal import Ideal, buchberger, groebner, normal_form
-from charp.ring import PolyRing
+from charp.ideal import (Ideal, _divisor, _exact_div, buchberger, groebner,
+                         normal_form)
+from charp.ring import GREVLEX, BlockElimOrder, ChartOrder, PolyRing
 
 from conftest import random_homogeneous, random_poly
 
@@ -348,3 +351,177 @@ def test_degree_cap_fires():
     with caps_scope(Caps(max_degree=3)), pytest.raises(ResourceError) as err:
         buchberger([ring.parse("x^4 + y"), ring.parse("x*y^4 + x")])
     assert "max_degree" in str(err.value)
+
+
+# -- the packed heap kernel against the dict-copy kernel ----------------------
+#
+# The former production kernel, kept as the oracle: every step rescans the
+# terms for the leading one under the order's tuple key and copies the
+# whole dict, and no cache is read.
+
+
+def _oracle_lead(f, order):
+    return max(f._terms, key=order.key)
+
+
+def oracle_normal_form(f, basis, order):
+    ring = f.ring
+    reducers = [(_oracle_lead(g, order),
+                 pow(g._terms[_oracle_lead(g, order)], -1, ring.p), g)
+                for g in basis if not g.is_zero]
+    remainder = ring.zero()
+    work = f
+    while not work.is_zero:
+        lead = _oracle_lead(work, order)
+        coeff = work.coefficient(lead)
+        for lm, lc_inv, g in reducers:
+            if all(x <= y for x, y in zip(lm, lead)):
+                shift = tuple(y - x for x, y in zip(lm, lead))
+                work = work - ring.poly({tuple(a + b for a, b in zip(e, shift)):
+                                         c * coeff * lc_inv
+                                         for e, c in g._terms.items()})
+                break
+        else:
+            remainder = remainder + ring.monomial(lead, coeff)
+            work = work - ring.monomial(lead, coeff)
+    return remainder
+
+
+def _oracle_monic(f, order):
+    return f.scale(pow(f._terms[_oracle_lead(f, order)], -1, f.ring.p))
+
+
+def oracle_buchberger(generators, order):
+    """The former `buchberger` and `_reduce`: normal pair selection on
+    tuple keys, the coprimality criterion, then minimalize and
+    inter-reduce, all through the dict-copy normal form."""
+    raw = sorted((g for g in generators if not g.is_zero),
+                 key=lambda g: order.key(_oracle_lead(g, order)))
+    basis, pairs, counter = [], [], itertools.count()
+
+    def push_pairs(new):
+        lm_new = _oracle_lead(basis[new], order)
+        for i in range(new):
+            lm_i = _oracle_lead(basis[i], order)
+            lcm = tuple(map(max, lm_i, lm_new))
+            if lcm != tuple(a + b for a, b in zip(lm_i, lm_new)):
+                heapq.heappush(pairs, (order.key(lcm), next(counter), i, new))
+
+    for g in raw:
+        g = oracle_normal_form(g, basis, order)
+        if not g.is_zero:
+            basis.append(_oracle_monic(g, order))
+            push_pairs(len(basis) - 1)
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        f, g = basis[i], basis[j]
+        lf, lg = _oracle_lead(f, order), _oracle_lead(g, order)
+        lcm = tuple(map(max, lf, lg))
+        s = (f.mul_monomial(tuple(a - b for a, b in zip(lcm, lf)))
+             - g.mul_monomial(tuple(a - b for a, b in zip(lcm, lg))))
+        s = oracle_normal_form(s, basis, order)
+        if not s.is_zero:
+            basis.append(_oracle_monic(s, order))
+            push_pairs(len(basis) - 1)
+    basis.sort(key=lambda g: order.key(_oracle_lead(g, order)))
+    minimal = []
+    for g in basis:
+        lm = _oracle_lead(g, order)
+        if not any(all(x <= y for x, y in zip(_oracle_lead(h, order), lm))
+                   for h in minimal):
+            minimal.append(g)
+    for k, g in enumerate(minimal):
+        minimal[k] = _oracle_monic(
+            oracle_normal_form(g, minimal[:k] + minimal[k + 1:], order), order)
+    return tuple(sorted(minimal, key=lambda g: order.key(_oracle_lead(g, order)),
+                        reverse=True))
+
+
+def _same(a, b):
+    """Byte-equal polynomials: the same terms in the same rendering."""
+    return a == b and str(a) == str(b) and a._terms == b._terms
+
+
+def _kernel_cases(seed):
+    rng = random.Random(seed)
+    for p in (2, 3, 5, 7, 11, 13):
+        for nvars in (2, 3, 4):
+            ring = PolyRing(("x", "y", "z", "w")[:nvars], p)
+            for order in ([GREVLEX, BlockElimOrder(1)]
+                          + [ChartOrder(i) for i in range(nvars)]):
+                yield rng, ring, order
+
+
+def test_normal_forms_match_the_dict_copy_oracle():
+    # arbitrary divisor lists, not only Gröbner bases: both kernels take
+    # the first divisor whose lead divides the current leading term
+    for rng, ring, order in _kernel_cases(61):
+        for _ in range(3):
+            divisors = [random_poly(rng, ring, max_degree=3, max_terms=3)
+                        for _ in range(rng.randint(1, 3))]
+            f = random_poly(rng, ring, max_degree=5, max_terms=6)
+            got = normal_form(f, divisors, order)
+            want = oracle_normal_form(f, divisors, order)
+            assert _same(got, want), (order.name, f, divisors)
+            if not got.is_zero:
+                assert got.leading_exponent(order) == _oracle_lead(got, order)
+
+
+def test_reduced_bases_match_the_tuple_key_oracle():
+    # random inputs are often the unit ideal; forms never are
+    for rng, ring, order in _kernel_cases(67):
+        for gens in ([random_poly(rng, ring, max_degree=3, max_terms=3)
+                      for _ in range(rng.randint(1, 3))],
+                     [random_homogeneous(rng, ring, rng.randint(2, 3))
+                      for _ in range(rng.randint(2, 3))]):
+            got = buchberger(gens, order)
+            want = oracle_buchberger([g for g in gens if not g.is_zero], order)
+            assert len(got) == len(want), (order.name, gens)
+            assert all(map(_same, got, want)), (order.name, gens)
+            for f in (random_poly(rng, ring, max_degree=4, max_terms=5)
+                      for _ in range(2)):
+                assert _same(normal_form(f, got, order),
+                             oracle_normal_form(f, want, order))
+
+
+def test_kernel_widens_past_any_digit_width():
+    # x^(2^20) needs 32-bit digits and x^(2^40) 64-bit ones
+    ring = PolyRing(("x", "y", "z"), 7)
+    for top in (1 << 20, 1 << 40):
+        f = ring.monomial((top, 1, 0)) + ring.monomial((3, 0, top))
+        divisors = [ring.monomial((top - 2, 0, 0)) - ring.monomial((0, 0, top - 1)),
+                    ring.parse("x*y - z^2")]
+        for order in (GREVLEX, BlockElimOrder(1), ChartOrder(0)):
+            assert _same(normal_form(f, divisors, order),
+                         oracle_normal_form(f, divisors, order)), (order.name, top)
+    # a divisor that does not fit a width is refused at that width
+    wide = ring.monomial((1 << 20, 0, 0)) + ring.gen(1)
+    assert _divisor(wide, GREVLEX.packing(3, 16)) is None
+    assert _divisor(wide, GREVLEX.packing(3, 32)) is not None
+    # only the input is wide
+    f = ring.monomial((1 << 20, 1, 0))
+    assert _same(normal_form(f, [ring.parse("y - z")]),
+                 ring.monomial((1 << 20, 0, 1)))
+    # outside a graded order a reduction climbs past the width it began in
+    t = ring.gen(0)
+    assert _same(normal_form(t ** 3, [t - ring.monomial((0, 30000, 0))],
+                             BlockElimOrder(1)),
+                 ring.monomial((0, 90000, 0)))
+    # a Frobenius power of a degree-40 form over F_2 (degree 10240)
+    R2 = PolyRing(("x", "y", "z"), 2)
+    form = R2.parse("x^40 + x^13*y^20*z^7 + x^2*y*z^37 + y^40")
+    big = form.frobenius_power(256)
+    divisors = [R2.monomial((256, 0, 0)) - R2.monomial((0, 1, 255))]
+    assert _same(normal_form(big, divisors), oracle_normal_form(big, divisors, GREVLEX))
+
+
+def test_exact_division_matches_multiplication():
+    rng = random.Random(71)
+    for p in (2, 5, 13):
+        ring = PolyRing(("x", "y", "z"), p)
+        for _ in range(20):
+            g = random_poly(rng, ring, max_degree=3, nonzero=True)
+            h = random_poly(rng, ring, max_degree=3)
+            assert _same(_exact_div(g * h, g), h)
+    big = ring.monomial((1 << 20, 0, 0)) + ring.gen(1)
+    assert _same(_exact_div(big * big, big), big)

@@ -338,6 +338,20 @@ def test_separates_requires_curve(P2):
         separates(P2, space, 1)
 
 
+def test_separates_extension_degree_cap(P1):
+    # above the cap is a ResourceError naming it; below 1 is out of domain
+    space = graded_piece(P1, 1)
+    with caps_scope(Caps(ext_degree=1)):
+        assert separates(P1, space, 1).ok
+        with pytest.raises(ResourceError) as err:
+            separates(P1, space, 2)
+    assert err.value.cap_name == "ext_degree" and err.value.cap_value == 1
+    assert separates(P1, space, 2).ok
+    for k in (0, -1):
+        with pytest.raises(DomainError):
+            separates(P1, space, k)
+
+
 def test_separates_plane_cubic(fermat7):
     space = stable_sections(fermat7, trivial_pair(fermat7.ring), 1).space
     for k in (1, 2):

@@ -194,6 +194,21 @@ def test_basis_cap_binds_inside_a_stable_image_job(tmp_path, capsys):
     assert "dim 3" in capsys.readouterr().out
 
 
+def test_extension_degree_cap_fails_a_separation_job(tmp_path, capsys):
+    payload = {"p": 5, "vars": ["x", "y", "z"],
+               "jobs": [{"op": "separates", "m": 1, "ext_degree": 2,
+                         "scheme": {"n": 2, "hypersurfaces": ["x^3+y^3+z^3"]}}]}
+    path = write_scenario(tmp_path, payload)
+    report_path = tmp_path / "report.json"
+    assert main(["run", path, "--caps", "ext_degree=1",
+                 "--report", str(report_path)]) == 1
+    assert "ResourceError" in capsys.readouterr().out
+    error = json.loads(report_path.read_text())["jobs"][0]["error"]
+    assert error["type"] == "ResourceError"
+    assert "ext_degree=1" in error["message"]
+    assert main(["run", path]) == 0
+
+
 def test_unknown_suite_exits_two(capsys):
     assert main(["suite", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err
