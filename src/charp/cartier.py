@@ -38,9 +38,6 @@ class FrobBasisExpansion:
     q: int
     components: Dict[tuple, MultiPoly]
 
-    def component(self, b: tuple) -> MultiPoly:
-        return self.components.get(tuple(b))
-
     def reassemble(self) -> MultiPoly:
         """Recompute the expanded polynomial; identity check for tests."""
         ring = next(iter(self.components.values())).ring if self.components else None

@@ -9,22 +9,19 @@ c_0 + c_1*t + ... + c_(k-1)*t^(k-1), so the prime field is the codes
 builds its tables once: the base-p digits of every code (addition is
 digit-wise mod p) and the log/antilog tables of a primitive element
 (multiplication adds logs mod p^k - 1).  The arithmetic works on numpy
-arrays of codes, so a form is evaluated at every point in one pass;
-`ExtElement` wraps a single code for scalar use.  Only k <= 3 is needed
-for point sampling, where irreducibility is equivalent to having no
-roots in F_p, and the tables are capped at p^k <= MAX_ORDER.
+arrays of codes, so a form is evaluated at every point in one pass.
+The tables are capped at p^k <= MAX_ORDER.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 import numpy as np
 
 from .errors import DomainError
-from .ring import MultiPoly, PolyRing
+from .ring import MultiPoly
 
 MAX_ORDER = 1 << 16   # largest p^k given tables; every prime field fits
 BLOCK_ROWS = 1 << 16  # points enumerated per array, to bound memory
@@ -38,17 +35,27 @@ def _digits(code: int, p: int, k: int) -> List[int]:
     return out
 
 
+def _divides(g: List[int], f: List[int], p: int) -> bool:
+    """Whether the monic g divides f (coefficients, lowest degree first)."""
+    rest = list(f)
+    d = len(g) - 1
+    for top in range(len(rest) - 1, d - 1, -1):
+        c = rest[top]
+        for i, gi in enumerate(g):
+            rest[top - d + i] = (rest[top - d + i] - c * gi) % p
+    return not any(rest)
+
+
 def _find_irreducible(p: int, k: int) -> List[int]:
     """Low-order coefficients c_0..c_(k-1) of the first monic
-    t^k + c_(k-1)*t^(k-1) + ... + c_0 without roots in F_p, searched by
-    the code of its tail (for k = 1, the polynomial t)."""
-    if k == 1:
-        return [0]
+    mu = t^k + c_(k-1)*t^(k-1) + ... + c_0, searched by the code of its
+    tail, with no monic factor of degree <= k/2 (found by trial
+    division; for k <= 3 this says mu has no root in F_p)."""
     for tail in range(p ** k):
-        coeffs = _digits(tail, p, k)
-        if all((pow(v, k, p) + sum(c * pow(v, i, p) for i, c in enumerate(coeffs)))
-               % p for v in range(p)):
-            return coeffs
+        mu = _digits(tail, p, k) + [1]
+        if not any(_divides(_digits(g, p, d) + [1], mu, p)
+                   for d in range(1, k // 2 + 1) for g in range(p ** d)):
+            return mu[:-1]
     raise DomainError(f"no irreducible polynomial of degree {k} found")  # unreachable
 
 
@@ -98,41 +105,22 @@ class ExtField:
     def __init__(self, p: int, k: int):
         if k < 1:
             raise DomainError(f"extension degree must be >= 1, got {k}")
-        if k > 3:
-            raise DomainError("point sampling supports extension degree <= 3")
         if p ** k > MAX_ORDER:
             raise DomainError(
                 f"point sampling supports fields of order <= {MAX_ORDER}, "
                 f"got {p}^{k}")
         self.p = p
         self.k = k
-        self._mu = _find_irreducible(p, k)
         self._place = np.array([p ** i for i in range(k)], dtype=np.int64)
         codes = np.arange(self.order, dtype=np.int64)
         self._digits = (codes[:, None] // self._place) % p
-        self._exp, self._log = _log_tables(p, k, self._mu)
-        self.zero = ExtElement(self, 0)
-        self.one = ExtElement(self, 1)
+        self._exp, self._log = _log_tables(p, k, _find_irreducible(p, k))
 
     @property
     def order(self) -> int:
         return self.p ** self.k
 
-    @property
-    def modulus(self) -> MultiPoly:
-        """The irreducible mu, as a polynomial in t."""
-        ring = PolyRing(("t",), self.p)
-        terms = {(i,): c for i, c in enumerate(self._mu) if c}
-        terms[(self.k,)] = 1
-        return ring.poly(terms)
-
-    # -- arithmetic on arrays (or ints) of codes --------------------------
-
-    def add(self, a, b):
-        return ((self._digits[a] + self._digits[b]) % self.p) @ self._place
-
-    def neg(self, a):
-        return ((-self._digits[a]) % self.p) @ self._place
+    # -- arithmetic on arrays of codes -------------------------------------
 
     def mul(self, a, b):
         a = np.asarray(a)
@@ -146,15 +134,6 @@ class ExtField:
         if (a == 0).any():
             raise DomainError("zero has no inverse")
         return self._exp[(-self._log[a]) % (self.order - 1)]
-
-    def power(self, a, n: int):
-        if n < 0:
-            raise DomainError(f"negative exponent {n}")
-        a = np.asarray(a)
-        if n == 0:
-            return np.ones_like(a)
-        logs = (self._log[a] * n) % (self.order - 1)
-        return np.where(a == 0, 0, self._exp[logs])
 
     def evaluate(self, f: MultiPoly, points: np.ndarray) -> np.ndarray:
         """Values of f at every row of a (points x nvars) code array."""
@@ -172,8 +151,6 @@ class ExtField:
             total += self._digits[value]
         return (total % self.p) @ self._place
 
-    # -- elements -----------------------------------------------------------
-
     def label(self, code: int) -> str:
         """The residue of a code written as a polynomial in t, highest
         degree first, as MultiPoly prints it."""
@@ -186,75 +163,6 @@ class ExtField:
                 chunks.append(str(c) if i == 0 else
                               power if c == 1 else f"{c}*{power}")
         return " + ".join(chunks) or "0"
-
-    def from_int(self, n: int) -> "ExtElement":
-        return ExtElement(self, n % self.p)
-
-    def element(self, coeffs: Sequence[int]) -> "ExtElement":
-        """The residue sum(coeffs[i] * t^i), with at most k coefficients."""
-        if len(coeffs) > self.k:
-            raise DomainError(
-                f"F_{self.order} elements have at most {self.k} coefficients")
-        return ExtElement(self, sum((c % self.p) * self.p ** i
-                                    for i, c in enumerate(coeffs)))
-
-    def elements(self) -> Iterator["ExtElement"]:
-        for code in range(self.order):
-            yield ExtElement(self, code)
-
-    def inverse(self, a: "ExtElement") -> "ExtElement":
-        return ExtElement(self, int(self.inv(a.code)))
-
-
-@dataclass(frozen=True, eq=False)
-class ExtElement:
-    """One element of an ExtField, by its code."""
-
-    field: ExtField
-    code: int
-
-    def _wrap(self, code) -> "ExtElement":
-        return ExtElement(self.field, int(code))
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        return self._wrap(self.field.add(self.code, other.code))
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ExtElement":
-        return self._wrap(self.field.neg(self.code))
-
-    def __mul__(self, other: "ExtElement") -> "ExtElement":
-        return self._wrap(self.field.mul(self.code, other.code))
-
-    def __pow__(self, n: int) -> "ExtElement":
-        return self._wrap(self.field.power(self.code, n))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    def inverse(self) -> "ExtElement":
-        return self.field.inverse(self)
-
-    def __hash__(self):
-        return hash((self.field.order, self.code))
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtElement)
-                and self.field.order == other.field.order
-                and self.code == other.code)
-
-    def __str__(self):
-        return self.field.label(self.code)
-
-
-def evaluate_poly(f: MultiPoly, coords: Sequence[ExtElement],
-                  field: ExtField) -> ExtElement:
-    """Evaluate a form at a point with extension-field coordinates."""
-    point = np.array([[v.code for v in coords]], dtype=np.int64)
-    return ExtElement(field, int(field.evaluate(f, point)[0]))
 
 
 def projective_point_blocks(field: ExtField,
@@ -279,10 +187,3 @@ def projective_point_blocks(field: ExtField,
             block[:, pivot + 1:nvars - free] = head
             block[:, nvars - free:] = tails
             yield block
-
-
-def projective_points(field: ExtField, nvars: int) -> Iterator[tuple]:
-    """The points of `projective_point_blocks`, as tuples of elements."""
-    for block in projective_point_blocks(field, nvars):
-        for row in block:
-            yield tuple(ExtElement(field, int(c)) for c in row)

@@ -55,12 +55,6 @@ def in_row_space(vec: np.ndarray, basis: np.ndarray, pivots: tuple, p: int) -> b
     return not reduce_vector(vec, basis, pivots, p).any()
 
 
-def row_space_contains(outer_basis: np.ndarray, outer_pivots: tuple,
-                       inner_basis: np.ndarray, p: int) -> bool:
-    return all(in_row_space(row, outer_basis, outer_pivots, p)
-               for row in inner_basis)
-
-
 def rank(matrix: np.ndarray, p: int) -> int:
     return rref(matrix, p)[0].shape[0]
 

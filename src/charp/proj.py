@@ -36,7 +36,7 @@ from .config import current_caps
 from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
 from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
-                    descending_fixed_ideal, multiplicity)
+                    descending_fixed_ideal, multiplicity, tau)
 from .ideal import Ideal, normal_form
 from .linalg import in_row_space, null_space, rank, rref
 from .ring import MultiPoly, PolyRing
@@ -161,21 +161,10 @@ class GradedSubspace:
             out.append(MultiPoly(self.ring, terms))
         return out
 
-    def vectorize(self, f: MultiPoly) -> np.ndarray:
-        """Coefficient vector of the canonical representative of f."""
-        reduced = normal_form(f, self.modulus.groebner_basis)
-        index = {exps: i for i, exps in enumerate(self.columns)}
-        vec = np.zeros(len(self.columns), dtype=np.int64)
-        for exps, c in reduced._terms.items():
-            if exps not in index:
-                raise DomainError(
-                    f"{f} does not reduce into degree {self.degree}")
-            vec[index[exps]] = c
-        return vec
-
     def contains(self, f: MultiPoly) -> bool:
-        return in_row_space(self.vectorize(f), self.matrix, self.pivots,
-                            self.ring.p)
+        index = {exps: i for i, exps in enumerate(self.columns)}
+        vec = _vectorize(f, self.modulus, self.degree, index)
+        return in_row_space(vec, self.matrix, self.pivots, self.ring.p)
 
     def is_subspace_of(self, other: "GradedSubspace") -> bool:
         if self.columns != other.columns:
@@ -190,6 +179,18 @@ class GradedSubspace:
                 and self.columns == other.columns
                 and self.matrix.shape == other.matrix.shape
                 and bool((self.matrix == other.matrix).all()))
+
+
+def _vectorize(f: MultiPoly, modulus: Ideal, m: int, index: dict) -> np.ndarray:
+    """Coefficient vector of the canonical representative of f over the
+    columns of `index`."""
+    reduced = normal_form(f, modulus.groebner_basis)
+    vec = np.zeros(len(index), dtype=np.int64)
+    for exps, c in reduced._terms.items():
+        if exps not in index:
+            raise DomainError(f"{f} does not reduce into degree {m}")
+        vec[index[exps]] = c
+    return vec
 
 
 def _space_from_rows(ring: PolyRing, modulus: Ideal, m: int,
@@ -208,17 +209,14 @@ def space_from_polys(modulus: Ideal, m: int,
     """Row space spanned by the canonical representatives of the polys."""
     ring = modulus.ring
     columns = modulus.standard_monomials(m)
-    probe = GradedSubspace(ring=ring, modulus=modulus, degree=m,
-                           columns=columns,
-                           matrix=np.zeros((0, len(columns)), dtype=np.int64),
-                           pivots=())
+    index = {exps: i for i, exps in enumerate(columns)}
     rows = []
     for f in polys:
         if f.is_zero:
             continue
         if f.degree() != m or not f.is_homogeneous():
             raise DomainError(f"{f} is not homogeneous of degree {m}")
-        vec = probe.vectorize(f)
+        vec = _vectorize(f, modulus, m, index)
         if vec.any():
             rows.append(vec)
     return _space_from_rows(ring, modulus, m, columns, rows)
@@ -584,28 +582,22 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
             ", ".join(f"{pt} (mult {mv})" for pt, mv in offenders))
 
     t = Fraction(codim_bound, mult_threshold)
-    pair = None
     max_level = 1
     while p ** (max_level + 1) <= current_caps().frobenius_block:
         max_level += 1
+    # round the coefficient up to a/(p^E - 1); the containment only
+    # improves.  The error is never negative and ties keep the first E,
+    # so the first level that writes t exactly wins when there is one.
+    best = None
     for E in range(1, max_level + 1):
         denom = p ** E - 1
-        if (denom * t.numerator) % t.denominator == 0:
-            pair = PairDivisor(form, denom * t.numerator // t.denominator, E)
-            break
-    if pair is None:
-        # round the coefficient up; the containment only improves
-        best = None
-        for E in range(1, max_level + 1):
-            denom = p ** E - 1
-            a = -(-t.numerator * denom // t.denominator)  # ceil
-            err = Fraction(a, denom) - t
-            if best is None or err < best[0]:
-                best = (err, a, E)
-        pair = PairDivisor(form, best[1], best[2])
+        a = -(-t.numerator * denom // t.denominator)  # ceil
+        err = Fraction(a, denom) - t
+        if best is None or err < best[0]:
+            best = (err, a, E)
+    pair = PairDivisor(form, best[1], best[2])
 
-    tau_ideal = ascending_fixed_ideal(pair.cartier_map(),
-                                      pair.default_test_element()).ideal
+    tau_ideal = tau(pair)
 
     points_ideal = None
     for P in points:

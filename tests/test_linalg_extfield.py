@@ -1,13 +1,14 @@
 """Row reduction over F_p and the adjoined-root field extensions."""
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
 from charp import extfield
 from charp.errors import DomainError
-from charp.extfield import ExtField, evaluate_poly, projective_points
+from charp.extfield import ExtField, projective_point_blocks
 from charp.linalg import in_row_space, null_space, rank, reduce_vector, rref
 from charp.ring import PolyRing
 
@@ -45,54 +46,8 @@ def test_residual_vector_is_reduced():
         assert residual[c] == 0
 
 
-def test_extension_field_arithmetic():
-    for p, k in ((5, 2), (7, 2), (2, 3), (3, 3)):
-        field = ExtField(p, k)
-        elements = list(field.elements())
-        assert len(elements) == p ** k
-        nonzero = [a for a in elements if not a.is_zero]
-        for a in nonzero[:20]:
-            assert (a * a.inverse()) == field.one
-            assert (a ** (p ** k - 1)) == field.one
-        with pytest.raises(DomainError):
-            field.zero.inverse()
-
-
-def test_extension_degree_bounds():
-    with pytest.raises(DomainError):
-        ExtField(5, 0)
-    with pytest.raises(DomainError):
-        ExtField(5, 4)
-
-
-def test_modulus_irreducible():
-    for p, k in ((2, 2), (3, 2), (5, 3)):
-        field = ExtField(p, k)
-        mu = field.modulus
-        assert mu.degree() == k
-        assert all(mu.evaluate((v,)) != 0 for v in range(p))
-
-
-def test_projective_point_counts():
-    field = ExtField(5, 1)
-    assert len(list(projective_points(field, 2))) == 6       # P^1(F_5)
-    assert len(list(projective_points(field, 3))) == 31      # P^2(F_5)
-    ext = ExtField(5, 2)
-    assert len(list(projective_points(ext, 2))) == 26        # P^1(F_25)
-
-
-def test_evaluate_poly_over_extension():
-    ring = PolyRing(("x", "y"), 5)
-    f = ring.parse("x^2 + 2*y^2")
-    field = ExtField(5, 2)
-    for coords in list(projective_points(field, 2))[:10]:
-        direct = (coords[0] ** 2) + (field.from_int(2) * coords[1] ** 2)
-        assert evaluate_poly(f, coords, field) == direct
-
-
 def _residue(poly, modulus):
     """Remainder of a polynomial in t on division by the monic modulus."""
-    ring = poly.ring
     k = modulus.degree()
     while not poly.is_zero and poly.degree() >= k:
         lead = poly.leading_exponent()
@@ -101,51 +56,149 @@ def _residue(poly, modulus):
     return poly
 
 
+def _digits(code, p, k):
+    return [(code // p ** i) % p for i in range(k)]
+
+
+def _poly(ring, coeffs):
+    """The polynomial in t with these coefficients, lowest degree first."""
+    return ring.poly({(i,): c for i, c in enumerate(coeffs) if c})
+
+
+def _residue_field(p, k):
+    """Oracle for ExtField(p, k): the residue in F_p[t]/(mu) of every
+    code, the code of every residue, and mu itself."""
+    ring = PolyRing(("t",), p)
+    mu = _poly(ring, extfield._find_irreducible(p, k) + [1])
+    residues = [_poly(ring, _digits(code, p, k)) for code in range(p ** k)]
+    code_of = {r: code for code, r in enumerate(residues)}
+    return residues, code_of, mu
+
+
+def _root_test_search(p, k):
+    """The search before trial division: the first tail, in code order,
+    whose monic polynomial has no root in F_p (irreducible for k <= 3)."""
+    for tail in range(p ** k):
+        coeffs = _digits(tail, p, k)
+        if all((pow(v, k, p) + sum(c * pow(v, i, p) for i, c in enumerate(coeffs)))
+               % p for v in range(p)):
+            return coeffs
+
+
+def _primes_up_to(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+FIELDS = ((5, 2), (7, 2), (2, 3), (3, 3), (2, 4), (3, 4))
+
+
+def test_extension_field_arithmetic():
+    # inverses through the array API; zero has none
+    for p, k in FIELDS:
+        field = ExtField(p, k)
+        nonzero = np.arange(1, field.order)
+        assert (field.mul(nonzero, field.inv(nonzero)) == 1).all()
+        with pytest.raises(DomainError):
+            field.inv(np.array([1, 0]))
+
+
+def test_extension_degree_bounds():
+    # k is limited only by the table size p^k <= MAX_ORDER
+    with pytest.raises(DomainError):
+        ExtField(5, 0)
+    with pytest.raises(DomainError):
+        ExtField(2, 17)
+    with pytest.raises(DomainError):
+        ExtField(3, 11)
+    assert ExtField(5, 4).order == 625
+    assert ExtField(2, 8).order == 256
+
+
+def test_modulus_irreducible():
+    # trial division by factors of degree <= k/2 picks the same mu as the
+    # root test wherever that test decides irreducibility (k <= 3)
+    for k in (2, 3):
+        for p in _primes_up_to(int(extfield.MAX_ORDER ** (1 / k)) + 1):
+            if p ** k <= extfield.MAX_ORDER:
+                assert extfield._find_irreducible(p, k) == _root_test_search(p, k), (p, k)
+    # for larger k: the first tail whose polynomial is no product of two
+    # monic polynomials of positive degree
+    for p, k in ((2, 4), (3, 4), (5, 4), (2, 5), (2, 6)):
+        ring = PolyRing(("t",), p)
+
+        def monic(tail, d):
+            return _poly(ring, _digits(tail, p, d) + [1])
+        reducible = {monic(f, d) * monic(g, k - d) for d in range(1, k // 2 + 1)
+                     for f in range(p ** d) for g in range(p ** (k - d))}
+        first = next(tail for tail in range(p ** k)
+                     if monic(tail, k) not in reducible)
+        assert extfield._find_irreducible(p, k) == _digits(first, p, k), (p, k)
+
+
+def test_projective_point_counts():
+    def count(field, nvars):
+        return sum(len(b) for b in projective_point_blocks(field, nvars))
+    assert count(ExtField(5, 1), 2) == 6           # P^1(F_5)
+    assert count(ExtField(5, 1), 3) == 31          # P^2(F_5)
+    assert count(ExtField(5, 2), 2) == 26          # P^1(F_25)
+    assert count(ExtField(2, 4), 3) == 16 ** 2 + 16 + 1
+
+
+def test_evaluate_forms_over_extension():
+    # powers and prime-field coefficients of a form against residues
+    ring = PolyRing(("x", "y"), 5)
+    f = ring.parse("x^2 + 2*y^3")
+    field = ExtField(5, 2)
+    residues, code_of, mu = _residue_field(5, 2)
+    points = np.concatenate(list(projective_point_blocks(field, 2)))
+    values = field.evaluate(f, points)
+    for (x, y), value in zip(points.tolist(), values.tolist()):
+        rx, ry = residues[x], residues[y]
+        assert value == code_of[_residue(rx * rx + (ry * ry * ry).scale(2), mu)]
+
+
 def test_table_arithmetic_matches_polynomial_residues():
     # the log/antilog and digit tables against arithmetic of residues in
-    # F_p[t]/(mu), and the printed element against the printed residue
-    for p, k in ((5, 2), (7, 2), (2, 3), (3, 3)):
+    # F_p[t]/(mu), through evaluation on every pair of codes, and the
+    # printed element against the printed residue
+    for p, k in FIELDS:
         field = ExtField(p, k)
-        ring = PolyRing(("t",), p)
-        mu = field.modulus
-        residues = []
-        for code in range(field.order):
-            digits = [(code // p ** i) % p for i in range(k)]
-            residues.append(ring.poly({(i,): c for i, c in enumerate(digits) if c}))
-        code_of = {r: code for code, r in enumerate(residues)}
-        elements = list(field.elements())
-        for a, ra in zip(elements, residues):
-            assert str(a) == str(ra)
-            assert (-a).code == code_of[-ra]
-            for b, rb in zip(elements, residues):
-                assert (a + b).code == code_of[ra + rb]
-                assert (a * b).code == code_of[_residue(ra * rb, mu)]
+        residues, code_of, mu = _residue_field(p, k)
+        ring = PolyRing(("x", "y"), p)
         codes = np.arange(field.order)
-        products = field.mul(codes[:, None], codes[None, :])
-        for a, ra in zip(elements, residues):
-            want = [code_of[_residue(ra * rb, mu)] for rb in residues]
-            assert products[a.code].tolist() == want
+        pairs = np.stack(np.meshgrid(codes, codes, indexing="ij"), -1).reshape(-1, 2)
+        sums = field.evaluate(ring.parse("x + y"), pairs)
+        products = field.evaluate(ring.parse("x*y"), pairs)
+        negatives = field.evaluate(ring.parse("-x"), pairs)
+        for (a, b), s, m, n in zip(pairs.tolist(), sums.tolist(),
+                                   products.tolist(), negatives.tolist()):
+            assert s == code_of[residues[a] + residues[b]]
+            assert m == code_of[_residue(residues[a] * residues[b], mu)]
+            assert n == code_of[-residues[a]]
+        assert [field.label(c) for c in codes] == [str(r) for r in residues]
 
 
 def test_element_rendering():
     field = ExtField(5, 2)
-    assert str(field.element([2, 1])) == "t + 2"
-    assert str(field.element([0, 3])) == "3*t"
-    assert str(field.zero) == "0" and str(field.one) == "1"
-    cube = ExtField(3, 3)
-    assert str(cube.element([1, 0, 2])) == "2*t^2 + 1"
-    with pytest.raises(DomainError):
-        field.element([1, 2, 3])
+    assert field.label(2 + 1 * 5) == "t + 2"
+    assert field.label(3 * 5) == "3*t"
+    assert field.label(0) == "0" and field.label(1) == "1"
+    assert ExtField(3, 3).label(1 + 2 * 9) == "2*t^2 + 1"
+    assert ExtField(2, 4).label(1 + 2 + 8) == "t^3 + t + 1"
 
 
 def test_point_blocks_keep_the_enumeration_order(monkeypatch):
+    # first nonzero coordinate 1, grouped by it, later coordinates in code
+    # order with the leftmost varying slowest, however the blocks are cut
     field = ExtField(3, 2)
-    whole = [tuple(map(str, P)) for P in projective_points(field, 4)]
-    assert len(whole) == 9 ** 3 + 9 ** 2 + 9 + 1
+    want = [(0,) * pivot + (1,) + tail for pivot in range(4)
+            for tail in product(range(9), repeat=3 - pivot)]
+    whole = np.concatenate(list(projective_point_blocks(field, 4)))
+    assert [tuple(row) for row in whole.tolist()] == want
     monkeypatch.setattr(extfield, "BLOCK_ROWS", 10)
-    blocks = list(extfield.projective_point_blocks(field, 4))
+    blocks = list(projective_point_blocks(field, 4))
     assert max(len(b) for b in blocks) <= 10
-    assert [tuple(map(str, P)) for P in projective_points(field, 4)] == whole
+    assert (np.concatenate(blocks) == whole).all()
 
 
 def test_field_order_cap():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -620,6 +621,39 @@ def test_degree_bound_precondition():
         degree_bound_pipeline(ring, [(1, 1, 1)], ring.parse("(x*y*z)^2"),
                               4, 2)
     assert "(1, 1, 1)" in str(err.value)
+
+
+def _two_loop_pair(t, p, max_level):
+    """(a, E) as chosen before the single rounding loop: the first E with
+    t = a/(p^E - 1) exactly, else the E whose rounded-up a/(p^E - 1) is
+    closest to t, the first on ties."""
+    for E in range(1, max_level + 1):
+        denom = p ** E - 1
+        if (denom * t.numerator) % t.denominator == 0:
+            return denom * t.numerator // t.denominator, E
+    best = None
+    for E in range(1, max_level + 1):
+        denom = p ** E - 1
+        a = -(-t.numerator * denom // t.denominator)
+        err = Fraction(a, denom) - t
+        if best is None or err < best[0]:
+            best = (err, a, E)
+    return best[1], best[2]
+
+
+def test_degree_bound_pair_matches_two_loop_selection():
+    # t = e/l on a grid with exact thresholds (1, 2/3 over F_7 at E = 1,
+    # 1/3 over F_2 at E = 2) and non-exact ones (1/2 over F_2, 1/3 over
+    # F_3, 1/5 over F_5 at every level)
+    for p in (2, 3, 5, 7, 11, 13):
+        ring = PolyRing(("x", "y"), p)
+        max_level = max(E for E in range(1, 9)
+                        if p ** E <= DEFAULT_CAPS.frobenius_block)
+        for l in range(1, 9):
+            for e in range(1, 7):
+                report = degree_bound_pipeline(ring, [(0, 1)], ring.gen(0) ** l, l, e)
+                assert ((report.pair.a, report.pair.e)
+                        == _two_loop_pair(Fraction(e, l), p, max_level)), (p, e, l)
 
 
 def _line_through(ring, P, Q):

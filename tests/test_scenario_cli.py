@@ -209,6 +209,37 @@ def test_extension_degree_cap_fails_a_separation_job(tmp_path, capsys):
     assert main(["run", path]) == 0
 
 
+def _f16_mul(a, b):
+    """Product in F_16 = F_2[t]/(t^4 + t + 1), elements as 4-bit masks."""
+    out = 0
+    for i in range(4):
+        if b >> i & 1:
+            out ^= a << i
+    for i in (6, 5, 4):
+        if out >> i & 1:
+            out ^= 0b10011 << (i - 4)
+    return out
+
+
+def test_separation_job_over_f16_counts_every_point(tmp_path, capsys):
+    # the Fermat cubic over F_2 sampled over F_(2^4), once the cap allows it
+    payload = {"p": 2, "vars": ["x", "y", "z"],
+               "jobs": [{"op": "separates", "m": 1, "ext_degree": 4,
+                         "scheme": {"n": 2, "hypersurfaces": ["x^3+y^3+z^3"]}}]}
+    path = write_scenario(tmp_path, payload)
+    report_path = tmp_path / "report.json"
+    assert main(["run", path, "--caps", "ext_degree=4",
+                 "--report", str(report_path)]) == 0
+    result = json.loads(report_path.read_text())["jobs"][0]["result"]
+    cube = [_f16_mul(v, _f16_mul(v, v)) for v in range(16)]
+    affine = sum(1 for x in range(16) for y in range(16) for z in range(16)
+                 if (x, y, z) != (0, 0, 0) and cube[x] ^ cube[y] ^ cube[z] == 0)
+    assert result["verdict"] is True
+    assert result["points"] == affine // 15 == 9
+    assert main(["run", path]) == 1  # above the default cap
+    capsys.readouterr()
+
+
 def test_unknown_suite_exits_two(capsys):
     assert main(["suite", "nope"]) == 2
     assert "unknown suite" in capsys.readouterr().err
@@ -240,6 +271,18 @@ def test_golden_report(tmp_path):
     scenario = load_scenario(str(golden_scenario))
     report, _ = execute(scenario)
     assert report_to_json(report) == golden_report.read_text()
+
+
+@pytest.mark.parametrize("suite, golden", [
+    ("paper-repro", "paper_repro_report.json"),
+    ("smoke", "smoke_report.json"),
+])
+def test_suite_report_matches_golden(suite, golden, tmp_path, capsys):
+    """The aggregated report of each bundled suite matches the checked-in
+    golden file byte for byte."""
+    report_path = tmp_path / "report.json"
+    assert main(["suite", suite, "--report", str(report_path)]) == 0
+    assert report_path.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_scheme_header_mismatch(tmp_path):
