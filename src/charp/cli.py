@@ -30,7 +30,6 @@ _CAP_ALIASES = {
     "degree": "max_degree",
     "steps": "chain_steps",
     "basis": "max_basis",
-    "levels": "image_levels",
 }
 
 

@@ -22,7 +22,6 @@ class Caps:
     max_degree: int = 64          # total degree allowed during basis completion
     max_basis: int = 512          # generators tracked during basis completion
     chain_steps: int = 64         # iterations allowed in fixed-ideal chains
-    image_levels: int = 8         # largest level at which a stable image may settle
     frobenius_block: int = 256    # largest p^e handled by basis expansion
     ext_degree: int = 3           # largest field extension used for point sampling
 

@@ -59,38 +59,31 @@ def _find_irreducible(p: int, k: int) -> List[int]:
     raise DomainError(f"no irreducible polynomial of degree {k} found")  # unreachable
 
 
-def _times_t(digits: List[int], modulus: List[int], p: int) -> List[int]:
-    """Residue of t * (residue) modulo t^k + modulus (low-order terms)."""
-    top = digits[-1]
-    shifted = [0] + digits[:-1]
-    return [(d - top * c) % p for d, c in zip(shifted, modulus)]
+def _log_tables(p: int, k: int, modulus: List[int],
+                digits: np.ndarray, place: np.ndarray) -> tuple:
+    """(antilog, log) of the first primitive element in code order.
 
-
-def _mul_digits(a: List[int], b: List[int], modulus: List[int],
-                p: int) -> List[int]:
-    """Product of two residues, by Horner's rule in the digits of a."""
-    k = len(a)
-    out = [0] * k
-    for coeff in reversed(a):
-        out = _times_t(out, modulus, p)
-        out = [(x + coeff * y) % p for x, y in zip(out, b)]
-    return out
-
-
-def _log_tables(p: int, k: int, modulus: List[int]) -> tuple:
-    """(antilog, log) of the first primitive element in code order."""
+    `digits` holds the base-p digits of every code.  Shifting them up and
+    folding the top one back with the modulus gives the code of t * c for
+    every code c, and composing that map the codes of t^i * c.  A
+    candidate g = sum g_i t^i then multiplies every code at once as
+    sum g_i * (t^i * c), and the powers of g are the orbit of 1."""
     order = p ** k
-    place = [p ** i for i in range(k)]
+    shifted = np.concatenate(
+        [np.zeros((order, 1), dtype=np.int64), digits[:, :-1]], axis=1)
+    times_t = ((shifted - digits[:, -1:] * modulus) % p) @ place
+    tower = [np.arange(order)]
+    for _ in range(k - 1):
+        tower.append(times_t[tower[-1]])
     for g in range(1, order):
-        g_digits = _digits(g, p, k)
+        times_g = (sum(int(gi) * digits[t] for gi, t in zip(digits[g], tower))
+                   % p) @ place
+        step = times_g.tolist()
         antilog = [1]
-        power = [1] + [0] * (k - 1)
-        while True:
-            power = _mul_digits(power, g_digits, modulus, p)
-            code = sum(d * w for d, w in zip(power, place))
-            if code == 1:
-                break
-            antilog.append(code)
+        power = step[1]
+        while power != 1 and len(antilog) < order:
+            antilog.append(power)
+            power = step[power]
         if len(antilog) == order - 1:
             exp = np.array(antilog, dtype=np.int64)
             log = np.zeros(order, dtype=np.int64)
@@ -114,7 +107,8 @@ class ExtField:
         self._place = np.array([p ** i for i in range(k)], dtype=np.int64)
         codes = np.arange(self.order, dtype=np.int64)
         self._digits = (codes[:, None] // self._place) % p
-        self._exp, self._log = _log_tables(p, k, _find_irreducible(p, k))
+        self._exp, self._log = _log_tables(p, k, _find_irreducible(p, k),
+                                           self._digits, self._place)
 
     @property
     def order(self) -> int:

@@ -8,9 +8,10 @@ ideal is the stabilized ascending chain from a test element.  Both land
 on operator-fixed ideals and the fixedness is re-checked at the end of
 every run.
 
-An optional modulus ideal supports quotient ambients: for a cone
-S/(h_1, ..., h_r) the operator multiplier picks up the adjunction factor
-prod h_i^(q-1) and every chain step adds the modulus back in.
+Every chain runs modulo an ideal, and every step adds it back in: on
+affine space that is the zero ideal, and for a cone S/(h_1, ..., h_r)
+it is (h_1, ..., h_r), whose operator multiplier picks up the adjunction
+factor prod h_i^(q-1).
 """
 
 from __future__ import annotations
@@ -79,18 +80,10 @@ class ChainResult:
     steps: int
 
 
-def _step_image(cmap: CartierMap, current: Ideal,
-                modulus: Optional[Ideal]) -> Ideal:
-    image = apply_cartier(cmap, current)
-    if modulus is not None:
-        image = image + modulus
-    return image
-
-
-def descending_fixed_ideal(cmap: CartierMap,
-                           modulus: Optional[Ideal] = None) -> ChainResult:
-    """Largest operator-fixed ideal: iterate J -> image(J) from the unit
-    ideal until two consecutive reduced bases agree.
+def descending_fixed_ideal(cmap: CartierMap, modulus: Ideal) -> ChainResult:
+    """Largest operator-fixed ideal containing the modulus: iterate
+    J -> image(J) + modulus from the unit ideal until two consecutive
+    reduced bases agree.
 
     Each step must shrink or stall; growth signals a broken trace
     convention and raises InternalInvariantError.
@@ -98,7 +91,7 @@ def descending_fixed_ideal(cmap: CartierMap,
     limit = current_caps().chain_steps
     current = Ideal.unit(cmap.ring)
     for step in range(1, limit + 1):
-        nxt = _step_image(cmap, current, modulus)
+        nxt = apply_cartier(cmap, current) + modulus
         if not nxt.issubset(current):
             raise InternalInvariantError(
                 "descending chain grew at step %d" % step)
@@ -110,23 +103,21 @@ def descending_fixed_ideal(cmap: CartierMap,
 
 
 def ascending_fixed_ideal(cmap: CartierMap, seed: MultiPoly,
-                          modulus: Optional[Ideal] = None) -> ChainResult:
-    """Smallest operator-fixed ideal containing the seed: iterate
-    N -> N + image(N) until stable, then insist the result is genuinely
-    fixed (image == result); failure means the seed was not a test
-    element and raises TestElementError.
+                          modulus: Ideal) -> ChainResult:
+    """Smallest operator-fixed ideal containing the seed and the modulus:
+    iterate N -> N + image(N) + modulus until stable, then insist the
+    result is genuinely fixed (image == result); failure means the seed
+    was not a test element and raises TestElementError.
     """
     ring = cmap.ring
     if seed.is_zero:
         raise DomainError("test element must be nonzero")
-    if modulus is not None and modulus.contains(seed):
+    if modulus.contains(seed):
         raise DomainError("test element vanishes on the ambient quotient")
-    current = Ideal(ring, (seed,))
-    if modulus is not None:
-        current = current + modulus
+    current = Ideal(ring, (seed,)) + modulus
     limit = current_caps().chain_steps
     for step in range(1, limit + 1):
-        image = _step_image(cmap, current, modulus)
+        image = apply_cartier(cmap, current) + modulus
         nxt = current + image
         if nxt == current:
             if image != current:
@@ -143,7 +134,7 @@ def ascending_fixed_ideal(cmap: CartierMap, seed: MultiPoly,
 
 
 def sigma_chain(pair: PairDivisor) -> ChainResult:
-    return descending_fixed_ideal(pair.cartier_map())
+    return descending_fixed_ideal(pair.cartier_map(), Ideal.zero(pair.ring))
 
 
 def sigma(pair: PairDivisor) -> Ideal:
@@ -153,7 +144,8 @@ def sigma(pair: PairDivisor) -> Ideal:
 
 def tau_chain(pair: PairDivisor, c: Optional[MultiPoly] = None) -> ChainResult:
     seed = pair.default_test_element() if c is None else c
-    return ascending_fixed_ideal(pair.cartier_map(), seed)
+    return ascending_fixed_ideal(pair.cartier_map(), seed,
+                                 Ideal.zero(pair.ring))
 
 
 def tau(pair: PairDivisor, c: Optional[MultiPoly] = None) -> Ideal:

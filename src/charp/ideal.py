@@ -367,7 +367,12 @@ class Ideal:
     # -- constructions ----------------------------------------------------
 
     def __add__(self, other: "Ideal") -> "Ideal":
+        """The sum; a side without generators returns the other side."""
         self._check_ring(other)
+        if not other.generators:
+            return self
+        if not self.generators:
+            return other
         return Ideal(self.ring, self.generators + other.generators)
 
     def __mul__(self, other) -> "Ideal":

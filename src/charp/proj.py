@@ -32,7 +32,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from .cartier import CartierMap, apply_cartier
-from .config import current_caps
+from .config import DEFAULT_CAPS, current_caps
 from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
 from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
@@ -118,8 +118,9 @@ class ProjScheme:
     def is_curve(self) -> bool:
         return self.dimension == 1
 
-    def trace_multiplier(self, pair: PairDivisor) -> MultiPoly:
-        """Level-one multiplier on the cone: adjunction factor times f^a."""
+    def cartier_map(self, pair: PairDivisor) -> CartierMap:
+        """The pair's operator on the cone: level e, multiplier the
+        adjunction factor prod h^(q-1) times f^a."""
         if pair.ring != self.ring:
             raise DomainError("pair lives in a different ring than the scheme")
         if not pair.f.is_homogeneous():
@@ -128,7 +129,7 @@ class ProjScheme:
         q = pair.q
         for h in self.forms:
             u = u * h ** (q - 1)
-        return u
+        return CartierMap(pair.e, u)
 
     def pair_degree(self, pair: PairDivisor) -> Fraction:
         """Degree of the twist K_X + Delta."""
@@ -193,17 +194,6 @@ def _vectorize(f: MultiPoly, modulus: Ideal, m: int, index: dict) -> np.ndarray:
     return vec
 
 
-def _space_from_rows(ring: PolyRing, modulus: Ideal, m: int,
-                     columns: tuple, rows: List[np.ndarray]) -> GradedSubspace:
-    if rows:
-        mat, piv = rref(np.array(rows, dtype=np.int64), ring.p)
-    else:
-        mat = np.zeros((0, len(columns)), dtype=np.int64)
-        piv = ()
-    return GradedSubspace(ring=ring, modulus=modulus, degree=m,
-                          columns=columns, matrix=mat, pivots=piv)
-
-
 def space_from_polys(modulus: Ideal, m: int,
                      polys: Iterable[MultiPoly]) -> GradedSubspace:
     """Row space spanned by the canonical representatives of the polys."""
@@ -219,7 +209,13 @@ def space_from_polys(modulus: Ideal, m: int,
         vec = _vectorize(f, modulus, m, index)
         if vec.any():
             rows.append(vec)
-    return _space_from_rows(ring, modulus, m, columns, rows)
+    if rows:
+        mat, piv = rref(np.array(rows, dtype=np.int64), ring.p)
+    else:
+        mat = np.zeros((0, len(columns)), dtype=np.int64)
+        piv = ()
+    return GradedSubspace(ring=ring, modulus=modulus, degree=m,
+                          columns=columns, matrix=mat, pivots=piv)
 
 
 def graded_piece(scheme: ProjScheme, m: int) -> GradedSubspace:
@@ -245,20 +241,19 @@ class StableImageResult:
     fixed: Ideal  # the cone's fixed ideal whose degree-m piece is the space
 
 
-def _check_level(scheme: ProjScheme, pair: PairDivisor, m: int, level: int):
-    """Enforce the degree and cap contracts of an image stable at `level`:
-    every source twist up to that level is nonnegative, and the level is
-    within the image_levels cap."""
-    limit = current_caps().image_levels
-    for n in range(1, min(level, limit) + 1):
+def _stable_piece(scheme: ProjScheme, pair: PairDivisor, m: int,
+                  level: int, fixed: Ideal, modulus: Ideal) -> GradedSubspace:
+    """The degree-m piece modulo `modulus` of a fixed ideal whose trace
+    images are stable at `level`, once every source twist up to that
+    level is checked to be nonnegative."""
+    for n in range(1, level + 1):
         # D_n from the module docstring; q - 1 divides q^n - 1
         degree = int(m + (pair.q ** n - 1) * (m - scheme.pair_degree(pair)))
         if degree < 0:
             raise DomainError(
                 f"source twist degree {degree} is negative at level {n}")
-    if level > limit:
-        raise ResourceError("image_levels", limit,
-                            f"trace images stabilize at level {level}")
+    return space_from_polys(
+        modulus, m, fixed.graded_generators_in_degree(m, modulus))
 
 
 def _stable_level(chain: ChainResult) -> int:
@@ -274,11 +269,9 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
     ideal of the cone pair, adjunction factors included.  The tau chain
     starts from c, by default the pair's test element; a unit seed is
     refused on a cone singular at its vertex."""
-    u1 = scheme.trace_multiplier(pair)
-    cmap = CartierMap(pair.e, u1)
-    modulus = scheme.ideal if scheme.forms else None
+    cmap = scheme.cartier_map(pair)
     if which == "sigma":
-        return descending_fixed_ideal(cmap, modulus)
+        return descending_fixed_ideal(cmap, scheme.ideal)
     if which == "tau":
         seed = pair.default_test_element() if c is None else c
         if (seed.is_constant and not seed.is_zero
@@ -287,7 +280,7 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
                 f"test element c = {seed} is a unit: its chain cannot "
                 "leave the unit ideal, and the cone of a form of degree "
                 ">= 2 is singular at its vertex; pass a nonconstant c")
-        return ascending_fixed_ideal(cmap, seed, modulus)
+        return ascending_fixed_ideal(cmap, seed, scheme.ideal)
     raise DomainError(f"unknown fixed-ideal kind {which!r}")
 
 
@@ -308,10 +301,7 @@ def stable_sections(scheme: ProjScheme, pair: PairDivisor, m: int,
         raise DomainError(f"target degree must be >= 0, got {m}")
     chain = graded_fixed_ideal(scheme, pair, which, c)
     level = _stable_level(chain) if which == "sigma" else 2
-    _check_level(scheme, pair, m, level)
-    space = space_from_polys(
-        scheme.ideal, m,
-        chain.ideal.graded_generators_in_degree(m, scheme.ideal))
+    space = _stable_piece(scheme, pair, m, level, chain.ideal, scheme.ideal)
     return StableImageResult(space=space, level=level, fixed=chain.ideal)
 
 
@@ -507,12 +497,12 @@ def stable_sections_generate(scheme: ProjScheme, pair: PairDivisor, m: int,
                              c: Optional[MultiPoly] = None) -> bool:
     """Whether the stable subsystem alone generates the fixed-ideal twist:
     the lifts of the subsystem plus the scheme ideal have the same
-    saturation as the fixed ideal plus the scheme ideal, compared chart
-    by chart.  For a unit fixed ideal this is base-point-freeness of the
-    subsystem, and a zero subsystem generates nothing."""
+    saturation as the fixed ideal (it contains the scheme ideal), compared
+    chart by chart.  For a unit fixed ideal this is base-point-freeness of
+    the subsystem, and a zero subsystem generates nothing."""
     result = stable_sections(scheme, pair, m, which, c)
     generated = Ideal(scheme.ring, result.space.polys()) + scheme.ideal
-    return _same_saturation(generated, result.fixed + scheme.ideal)
+    return _same_saturation(generated, result.fixed)
 
 
 # -- degree bound for points on hypersurfaces ------------------------------
@@ -540,7 +530,6 @@ class DegreeBoundReport:
     witness_degree: int
     pair: PairDivisor
     test_ideal: Ideal
-    points_ideal: Ideal
     multiplicities: List[int]
 
     @property
@@ -583,11 +572,13 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
 
     t = Fraction(codim_bound, mult_threshold)
     max_level = 1
-    while p ** (max_level + 1) <= current_caps().frobenius_block:
+    while p ** (max_level + 1) <= DEFAULT_CAPS.frobenius_block:
         max_level += 1
     # round the coefficient up to a/(p^E - 1); the containment only
     # improves.  The error is never negative and ties keep the first E,
     # so the first level that writes t exactly wins when there is one.
+    # The levels searched are fixed, so a lower frobenius_block cap makes
+    # the test ideal below fail loudly instead of changing the pair.
     best = None
     for E in range(1, max_level + 1):
         denom = p ** E - 1
@@ -598,13 +589,10 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
     pair = PairDivisor(form, best[1], best[2])
 
     tau_ideal = tau(pair)
-
-    points_ideal = None
-    for P in points:
-        ip = rational_point_ideal(ring, P)
-        points_ideal = ip if points_ideal is None else points_ideal.intersect(ip)
-
-    if not tau_ideal.issubset(points_ideal):
+    # tau lies in the ideal of the point set exactly when it lies in
+    # the ideal of every point
+    if not all(tau_ideal.issubset(rational_point_ideal(ring, P))
+               for P in points):
         raise TheoremViolationError(
             "test ideal escapes the point ideal; multiplicity containment "
             "failed on admissible input")
@@ -624,8 +612,7 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
             f"no section of the test ideal in degree <= {delta}")
     return DegreeBoundReport(delta=delta, witness=witness,
                              witness_degree=witness.degree(), pair=pair,
-                             test_ideal=tau_ideal, points_ideal=points_ideal,
-                             multiplicities=mults)
+                             test_ideal=tau_ideal, multiplicities=mults)
 
 
 # -- restriction to compatible centers -------------------------------------
@@ -634,10 +621,8 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
 def center_is_compatible(scheme: ProjScheme, pair: PairDivisor,
                          center: Ideal) -> bool:
     """Compatibility of a center's cone ideal with the scheme's operator."""
-    u1 = scheme.trace_multiplier(pair)
     total = center + scheme.ideal
-    image = apply_cartier(CartierMap(pair.e, u1), total) + scheme.ideal
-    return image.issubset(total)
+    return apply_cartier(scheme.cartier_map(pair), total).issubset(total)
 
 
 def center_stable_image(scheme: ProjScheme, pair: PairDivisor, center: Ideal,
@@ -646,11 +631,9 @@ def center_stable_image(scheme: ProjScheme, pair: PairDivisor, center: Ideal,
     degree-m piece of the largest fixed ideal of the cone modulo
     center + I_X."""
     modulus = center + scheme.ideal
-    chain = descending_fixed_ideal(
-        CartierMap(pair.e, scheme.trace_multiplier(pair)), modulus)
-    _check_level(scheme, pair, m, _stable_level(chain))
-    return space_from_polys(
-        modulus, m, chain.ideal.graded_generators_in_degree(m, modulus))
+    chain = descending_fixed_ideal(scheme.cartier_map(pair), modulus)
+    return _stable_piece(scheme, pair, m, _stable_level(chain), chain.ideal,
+                         modulus)
 
 
 def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,

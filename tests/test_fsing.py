@@ -179,7 +179,7 @@ def test_tau_is_least_fixed_ideal_containing_seed(R7xy):
         seed = f
         ideal = tau(pair, seed)
         extra = random_poly(rng, R7xy, max_degree=2, nonzero=True)
-        bigger = ascending_fixed_ideal(cmap, seed, None).ideal
+        bigger = ascending_fixed_ideal(cmap, seed, Ideal.zero(R7xy)).ideal
         enlarged = Ideal(R7xy, (seed, extra))
         # close the enlarged seed up to a fixed ideal
         current = enlarged

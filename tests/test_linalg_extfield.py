@@ -135,6 +135,55 @@ def test_modulus_irreducible():
         assert extfield._find_irreducible(p, k) == _digits(first, p, k), (p, k)
 
 
+def _times_t(digits, modulus, p):
+    """Residue of t * (residue) modulo t^k + modulus (low-order terms)."""
+    top = digits[-1]
+    shifted = [0] + digits[:-1]
+    return [(d - top * c) % p for d, c in zip(shifted, modulus)]
+
+
+def _mul_digits(a, b, modulus, p):
+    """Product of two residues, by Horner's rule in the digits of a."""
+    out = [0] * len(a)
+    for coeff in reversed(a):
+        out = _times_t(out, modulus, p)
+        out = [(x + coeff * y) % p for x, y in zip(out, b)]
+    return out
+
+
+def _digit_walk_tables(p, k):
+    """Oracle for the log tables: (antilog, log) of the first primitive
+    element in code order, walking its powers one digit-list product at
+    a time."""
+    modulus = extfield._find_irreducible(p, k)
+    order = p ** k
+    for g in range(1, order):
+        antilog, power = [1], _digits(1, p, k)
+        while True:
+            power = _mul_digits(power, _digits(g, p, k), modulus, p)
+            code = sum(d * p ** i for i, d in enumerate(power))
+            if code == 1:
+                break
+            antilog.append(code)
+        if len(antilog) == order - 1:
+            log = [0] * order
+            for i, code in enumerate(antilog):
+                log[code] = i
+            return antilog, log
+
+
+def test_log_tables_match_the_digit_walk():
+    # every field of order <= 2^12 with k >= 2, and prime fields up to 101
+    fields = [(p, k) for p in _primes_up_to(64) for k in range(2, 13)
+              if p ** k <= 1 << 12]
+    fields += [(p, 1) for p in _primes_up_to(101)]
+    for p, k in fields:
+        field = ExtField(p, k)
+        antilog, log = _digit_walk_tables(p, k)
+        assert field._exp.tolist() == antilog, (p, k)
+        assert field._log.tolist() == log, (p, k)
+
+
 def test_projective_point_counts():
     def count(field, nvars):
         return sum(len(b) for b in projective_point_blocks(field, nvars))

@@ -131,6 +131,16 @@ def test_tau_on_a_cone_refuses_a_unit_seed(fermat7):
     assert stable_sections(plane, trivial_pair(ring), 0, "tau").space.dim == 1
 
 
+def test_tau_chain_adds_the_scheme_ideal_to_each_image():
+    # over F_5 the image of this chain's ideal misses the Fermat cubic,
+    # so the fixedness test holds only modulo the scheme ideal
+    ring = PolyRing(("x", "y", "z"), 5)
+    cubic = ProjScheme.from_forms(ring, [ring.parse("x^3+y^3+z^3")])
+    chain = graded_fixed_ideal(cubic, PairDivisor(ring.gen(0), 5, 1), "tau",
+                               ring.parse("x^2*y*z"))
+    assert chain.ideal == I(ring, "y^3+z^3", "x^2", "x*y", "x*z")
+
+
 def test_stable_sections_examples(P1, P2, fermat7):
     assert stable_sections(P1, trivial_pair(P1.ring), 2).space.dim == 3
     assert stable_sections(P2, trivial_pair(P2.ring), 0).space.dim == 1
@@ -238,8 +248,6 @@ def test_stable_sections_errors(P1):
     inhomogeneous = PairDivisor(P1.ring.parse("x^2 + y"), 1, 1)
     with pytest.raises(DomainError):
         stable_sections(P1, inhomogeneous, 1)
-    with caps_scope(Caps(image_levels=1)), pytest.raises(ResourceError):
-        stable_sections(P1, trivial_pair(P1.ring), 2)
 
 
 def test_negative_twist_rejected(P1):
@@ -594,7 +602,8 @@ def test_degree_bound_three_points():
     assert report.delta == 3
     assert report.witness == ring.parse("x*y*z")
     assert report.witness_degree <= report.delta
-    assert report.test_ideal.issubset(report.points_ideal)
+    for P in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        assert report.test_ideal.issubset(rational_point_ideal(ring, P))
 
 
 def test_degree_bound_single_point_line():
@@ -656,6 +665,20 @@ def test_degree_bound_pair_matches_two_loop_selection():
                         == _two_loop_pair(Fraction(e, l), p, max_level)), (p, e, l)
 
 
+def test_degree_bound_rounding_ignores_the_cap_in_force():
+    # over F_3 the coefficient e/l = 1/4 is 2/(3^2 - 1) exactly.  A
+    # frobenius_block cap below 9 must fail the job loudly, not round 1/4
+    # up to 1/2 at level 1 and report a false theorem violation
+    ring = PolyRing(("x", "y", "z"), 3)
+    args = (ring, [(0, 0, 1)], ring.parse("x^4*y^4"), 4, 1)
+    report = degree_bound_pipeline(*args)
+    assert (report.pair.a, report.pair.e) == (2, 2)
+    assert report.delta == 2 and report.witness == ring.parse("x*y")
+    with caps_scope(Caps(frobenius_block=8)), pytest.raises(ResourceError) as err:
+        degree_bound_pipeline(*args)
+    assert err.value.cap_name == "frobenius_block" and err.value.cap_value == 8
+
+
 def _line_through(ring, P, Q):
     # coefficients of the line through two plane points: cross product
     p = ring.p
@@ -701,7 +724,8 @@ def test_degree_bound_random_admissible_instances():
         assert report.delta == (A.degree() * 2) // threshold
         assert report.witness_degree <= report.delta
         assert all(report.witness.evaluate(P) == 0 for P in pts)
-        assert report.test_ideal.issubset(report.points_ideal)
+        assert all(report.test_ideal.issubset(rational_point_ideal(ring, P))
+                   for P in pts)
         ran += 1
 
 
@@ -765,7 +789,7 @@ def oracle_stable_sections(scheme, pair, m, which="sigma", c=None):
     source = None
     if which == "tau":
         source = graded_fixed_ideal(scheme, pair, "tau", c).ideal
-    return level_stable_image(scheme.ideal, scheme.trace_multiplier(pair),
+    return level_stable_image(scheme.ideal, scheme.cartier_map(pair).multiplier,
                               pair.e, m, source)
 
 
@@ -806,7 +830,7 @@ def test_restriction_centers_match_level_oracle():
     plane = ProjScheme.projective_space(ring)
     for text, center in (("z", I(ring, "z")), ("x*y", I(ring, "x", "y"))):
         pair = PairDivisor(ring.parse(text), 4, 1)
-        u1 = plane.trace_multiplier(pair)
+        u1 = plane.cartier_map(pair).multiplier
         for m in range(1, 5):
             oracle, _, _ = level_stable_image(center, u1, pair.e, m)
             assert center_stable_image(plane, pair, center, m) == oracle

@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from charp import scenario as scenario_module
-from charp.cli import main, parse_caps
+from charp.cli import SUITE_DIRS, main, parse_caps, suite_scenarios
 from charp.config import DEFAULT_CAPS, Caps, current_caps
 from charp.errors import ScenarioError
 from charp.scenario import (execute, load_scenario, parse_scenario,
@@ -171,6 +172,50 @@ def test_caps_parsing_and_validation():
         parse_caps("saturation_steps=3")
     with pytest.raises(ScenarioError):
         parse_caps("degree=-1")
+    # the stable-image level cap is gone: its chains are bounded by steps
+    for retired in ("levels=2", "image_levels=2"):
+        with pytest.raises(ScenarioError):
+            parse_caps(retired)
+
+
+# the thm46 job whose coefficient rounding once read the frobenius_block
+# cap in force: under frobenius_block=8 it reported a false theorem
+# violation instead of failing on the cap
+THM46_F3 = {"p": 3, "vars": ["x", "y", "z"],
+            "jobs": [{"op": "thm46", "points": [[0, 0, 1]], "A": "x^4*y^4",
+                      "l": 4, "e": 1}]}
+
+
+def test_lower_caps_fail_loudly_or_change_nothing():
+    """Every cap set to each of 1, 2, 4, 8, 16 below its default: each
+    job of the bundled suites and of THM46_F3 reports exactly what it
+    reports under the defaults, or fails with a ResourceError naming
+    that cap."""
+    scenarios = [parse_scenario(THM46_F3)]
+    for suite in SUITE_DIRS:
+        for _, entry in suite_scenarios(suite):
+            with resources.as_file(entry) as concrete:
+                scenarios.append(load_scenario(str(concrete)))
+    defaults = [execute(scenario)[0]["jobs"] for scenario in scenarios]
+    assert all(job["status"] == "ok" for jobs in defaults for job in jobs)
+    settings = [(name, value) for name in Caps.__dataclass_fields__
+                for value in (1, 2, 4, 8, 16)
+                if value < getattr(DEFAULT_CAPS, name)]
+    assert len(settings) == 22
+    fired = set()
+    for name, value in settings:
+        caps = DEFAULT_CAPS.with_overrides(**{name: value})
+        for scenario, want in zip(scenarios, defaults):
+            for got, default in zip(execute(scenario, caps)[0]["jobs"], want):
+                if got == default:
+                    continue
+                error = got["error"] or {}
+                assert (error.get("type") == "ResourceError" and
+                        f"resource cap {name}={value} " in error["message"]), (
+                    name, value, got)
+                fired.add(name)
+    # each cap fires on some job at some value, so each one is exercised
+    assert fired == set(Caps.__dataclass_fields__)
 
 
 def test_caps_flow_into_jobs(tmp_path, capsys):
