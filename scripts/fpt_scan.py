@@ -3,13 +3,15 @@
 where the pair stops being strongly F-regular and what the test ideal
 jumps to.  A small staircase experiment over several small primes.
 
-Usage: python scripts/fpt_scan.py [poly] [primes...]
-  poly defaults to the cuspidal cubic x^2+y^3.
+Usage: python scripts/fpt_scan.py [-h|--help] [poly] [primes...]
+  poly defaults to the cuspidal cubic x^2+y^3 and the primes to
+  5 7 11 13.  A bad polynomial or prime prints its error and exits 2.
 """
 
 import sys
 from fractions import Fraction
 
+from charp.errors import CharpError
 from charp.fsing import PairDivisor, tau
 from charp.ring import PolyRing
 
@@ -31,12 +33,26 @@ def scan(poly_text: str, p: int) -> None:
     print()
 
 
+def fail(exc: Exception) -> int:
+    print(f"fpt_scan: {exc}", file=sys.stderr)
+    return 2
+
+
 def main() -> int:
     args = sys.argv[1:]
+    if args[:1] in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        return 0
     poly_text = args[0] if args else "x^2+y^3"
-    primes = [int(v) for v in args[1:]] or [5, 7, 11, 13]
-    for p in primes:
-        scan(poly_text, p)
+    try:
+        primes = [int(v) for v in args[1:]] or [5, 7, 11, 13]
+    except ValueError as exc:
+        return fail(exc)
+    try:
+        for p in primes:
+            scan(poly_text, p)
+    except CharpError as exc:
+        return fail(exc)
     return 0
 
 

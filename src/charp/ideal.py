@@ -7,7 +7,8 @@ normal-pair selection; degree and basis-size caps turn blowups into
 ResourceErrors instead of hangs.  A homogeneous ideal is saturated by a
 variable in one completion, in grevlex with that variable last
 (Bayer–Stillman); other saturations and intersections eliminate one
-auxiliary variable.
+auxiliary variable.  The Hilbert series of a homogeneous ideal is read
+off the leading monomials of its basis by pivot recursion (Bigatti).
 
 Reduction (`normal_form`, exact division) is heap division on packed
 monomial keys (Monagan–Pearce): the polynomial being reduced is one
@@ -245,9 +246,9 @@ def buchberger(generators: Iterable[MultiPoly], order=GREVLEX) -> tuple:
 
 
 def _check_input_degree(generators: Sequence[MultiPoly]):
-    """Refuse a generator above the degree cap.  A chart or elimination
-    may form no S-polynomial from a large input, so the completion's own
-    checks would let it through."""
+    """Refuse a generator above the degree cap.  A chart, an elimination
+    or a Hilbert series may form no S-polynomial from a large input, so
+    the completion's own checks would let it through."""
     top = max(map(MultiPoly.degree, generators), default=-1)
     limit = current_caps().max_degree
     if top > limit:
@@ -272,6 +273,61 @@ def _reduce(basis: list, order) -> tuple:
         minimal[k] = g.monic(order)
     # the leads are distinct and ascending
     return tuple(reversed(minimal))
+
+
+def _minimal_monomials(monomials) -> list:
+    """The minimal generators among exponent vectors."""
+    minimal: list = []
+    for a in sorted(set(monomials), key=sum):
+        if not any(_divides(b, a) for b in minimal):
+            minimal.append(a)
+    return minimal
+
+
+def monomial_hilbert_numerator(monomials, nvars: int) -> list:
+    """Coefficients, constant term first and trailing zeros dropped, of
+    N(t) with HS(S/M) = N(t)/(1-t)^nvars for the monomial ideal M the
+    exponent vectors generate: [1] for none, [] for the unit ideal.
+
+    Pivot recursion (Bayer–Stillman; Bigatti): the exact sequence
+    0 -> S/(M : x_j^k)(-k) -> S/M -> S/(M + (x_j^k)) -> 0 gives
+    N(M) = N(M + (x_j^k)) + t^k·N(M : x_j^k).  Pairwise coprime
+    generators are a regular sequence, so there N is the product of
+    (1 - t^deg).  The pivot variable x_j lies in the most generators and
+    k is the lower median of its exponents there: at least two
+    generators fold into x_j^k on one side, at least half of them lose
+    x_j on the other, so both sides shrink by about half in x_j."""
+    out: list = []
+    stack = [(_minimal_monomials(monomials), 0)]
+    while stack:
+        gens, shift = stack.pop()
+        counts = [sum(1 for a in gens if a[j]) for j in range(nvars)]
+        j = max(range(nvars), key=counts.__getitem__)
+        if counts[j] < 2:
+            factor = [1]
+            for a in gens:
+                d = sum(a)
+                factor = factor + [0] * d  # times (1 - t^d)
+                for i in range(len(factor) - d - 1, -1, -1):
+                    factor[i + d] -= factor[i]
+            out.extend([0] * (shift + len(factor) - len(out)))
+            for i, c in enumerate(factor):
+                out[shift + i] += c
+            continue
+        k = sorted(a[j] for a in gens if a[j])[(counts[j] - 1) // 2]
+        stack.append(([a for a in gens if a[j] < k]
+                      + [(0,) * j + (k,) + (0,) * (nvars - j - 1)], shift))
+        # generators that keep x_j lose the same x_j^k, so they stay
+        # minimal among themselves; only those that lose x_j need a pass
+        low = _minimal_monomials(a[:j] + (0,) + a[j + 1:]
+                                 for a in gens if a[j] <= k)
+        high = [b for b in (a[:j] + (a[j] - k,) + a[j + 1:]
+                            for a in gens if a[j] > k)
+                if not any(_divides(c, b) for c in low)]
+        stack.append((low + high, shift + k))
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 class Ideal:
@@ -354,10 +410,12 @@ class Ideal:
 
     def _forms(self) -> Optional[tuple]:
         """Homogeneous generators, or None when the ideal is not
-        homogeneous; the reduced basis of a homogeneous ideal is."""
-        for gens in (self.generators, self.groebner_basis):
-            if all(g.is_homogeneous() for g in gens):
-                return gens
+        homogeneous; the reduced basis of a homogeneous ideal is, and it
+        is completed only when the generators are not."""
+        if all(g.is_homogeneous() for g in self.generators):
+            return self.generators
+        if all(g.is_homogeneous() for g in self.groebner_basis):
+            return self.groebner_basis
         return None
 
     def _check_ring(self, other: "Ideal"):
@@ -490,6 +548,20 @@ class Ideal:
         lts = [g.leading_exponent() for g in self.groebner_basis]
         return tuple(exps for exps in monomials_of_degree(self.ring.nvars, m)
                      if not any(_divides(lt, exps) for lt in lts))
+
+    def hilbert_numerator(self) -> list:
+        """N(t) with HS(S/I) = N(t)/(1-t)^nvars for a homogeneous ideal,
+        as `monomial_hilbert_numerator` lists it, read off the leading
+        monomials of the reduced basis (S/I and S/in(I) share their
+        Hilbert function).  As for a chart, homogeneous generators above
+        the degree cap are refused before their basis is completed."""
+        forms = self._forms()
+        if forms is None:
+            raise DomainError("Hilbert series of a non-homogeneous ideal")
+        _check_input_degree(forms)
+        return monomial_hilbert_numerator(
+            (g.leading_exponent() for g in self.groebner_basis),
+            self.ring.nvars)
 
     def graded_generators_in_degree(self, m: int, modulus: "Ideal") -> list:
         """Spanning set of the degree-m piece modulo a homogeneous

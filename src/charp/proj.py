@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations, zip_longest
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -308,28 +308,36 @@ def stable_sections(scheme: ProjScheme, pair: PairDivisor, m: int,
 # -- positional checks ---------------------------------------------------
 
 
-def _charts(ideal: Ideal):
-    """The charts (I : x_i^inf) of a homogeneous ideal, one at a time,
-    each as its canonical generator tuple.  (I : x_i^inf) equals
-    (I^sat : x_i^inf) and I^sat is their intersection, so I^sat is the
-    unit ideal exactly when every chart is, and two ideals have the same
-    saturation exactly when all their charts agree."""
-    return (ideal.chart(i).generators for i in range(ideal.ring.nvars))
+def _same_saturation(small: Ideal, big: Ideal) -> bool:
+    """Whether homogeneous ideals small ⊆ big have the same saturation by
+    the irrelevant ideal.  Given the containment this holds exactly when
+    big/small has finite length, that is, when its Hilbert series
+    (N_small(t) - N_big(t))/(1-t)^nvars is a polynomial (Macaulay;
+    Bayer–Stillman).  A polynomial P is divisible by 1 - t when P(1) = 0,
+    and then P/(1 - t) has the partial sums of P as coefficients.
 
-
-def _same_saturation(a: Ideal, b: Ideal) -> bool:
-    return all(x == y for x, y in zip(_charts(a), _charts(b)))
+    The big ideal goes first: every caller has its basis at hand (the
+    user ideal's, the fixed ideal's or the unit ideal's), so both degree
+    checks run before the one new basis, the small one's."""
+    big_numerator = big.hilbert_numerator()
+    gap = [a - b for a, b in zip_longest(small.hilbert_numerator(),
+                                         big_numerator, fillvalue=0)]
+    for _ in range(small.ring.nvars):
+        if sum(gap):
+            return False
+        gap = list(accumulate(gap))[:-1]
+    return True
 
 
 def is_base_point_free(space: GradedSubspace) -> bool:
     """Whether the subspace has empty common zero locus on the scheme:
-    every chart of (scheme ideal + lifts) must be the unit ideal, that
-    is, its saturation by the irrelevant ideal is."""
+    the lifts of the subspace plus the scheme ideal saturate to the unit
+    ideal, which contains them, that is, they cut out a finite-length
+    quotient (Hilbert numerator divisible by (1-t)^(n+1))."""
     if space.dim == 0:
         raise DomainError("base-point check on the zero subspace")
-    one = (space.ring.one(),)
     total = Ideal(space.ring, space.polys()) + space.modulus
-    return all(chart == one for chart in _charts(total))
+    return _same_saturation(total, Ideal.unit(space.ring))
 
 
 @dataclass
@@ -485,8 +493,11 @@ def rational_point_ideal(ring: PolyRing, coords: Sequence[int]) -> Ideal:
 
 def is_globally_generated(ideal: Ideal, m: int) -> bool:
     """Whether the degree-m piece of a homogeneous ideal generates the
-    associated sheaf: the piece and the ideal have the same saturation,
-    compared chart by chart."""
+    associated sheaf: the ideal generated by the piece, which lies in
+    the ideal, has the same saturation, decided by the Hilbert series
+    of the quotient of the two."""
+    if m < 0:
+        raise DomainError(f"target degree must be >= 0, got {m}")
     piece = Ideal(ideal.ring, ideal.graded_generators_in_degree(
         m, Ideal.zero(ideal.ring)))
     return _same_saturation(piece, ideal)
@@ -496,10 +507,11 @@ def stable_sections_generate(scheme: ProjScheme, pair: PairDivisor, m: int,
                              which: str = "tau",
                              c: Optional[MultiPoly] = None) -> bool:
     """Whether the stable subsystem alone generates the fixed-ideal twist:
-    the lifts of the subsystem plus the scheme ideal have the same
-    saturation as the fixed ideal (it contains the scheme ideal), compared
-    chart by chart.  For a unit fixed ideal this is base-point-freeness of
-    the subsystem, and a zero subsystem generates nothing."""
+    the lifts of the subsystem plus the scheme ideal, which lie in the
+    fixed ideal (it contains the scheme ideal), have the same saturation
+    as the fixed ideal, decided by the Hilbert series of the quotient of
+    the two.  For a unit fixed ideal this is base-point-freeness of the
+    subsystem, and a zero subsystem generates nothing."""
     result = stable_sections(scheme, pair, m, which, c)
     generated = Ideal(scheme.ring, result.space.polys()) + scheme.ideal
     return _same_saturation(generated, result.fixed)

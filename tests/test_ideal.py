@@ -2,15 +2,17 @@
 
 import heapq
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 import sympy as sp
 
 from charp.config import Caps, caps_scope
 from charp.errors import DomainError, ResourceError, RingMismatchError
 from charp.ideal import (Ideal, _divisor, _exact_div, buchberger, groebner,
-                         normal_form)
+                         monomial_hilbert_numerator, normal_form)
 from charp.ring import GREVLEX, BlockElimOrder, ChartOrder, PolyRing
 
 from conftest import random_homogeneous, random_poly
@@ -257,6 +259,79 @@ def test_chart_needs_a_homogeneous_ideal(R5):
     # homogeneous although its generators are not: (x, y^2)
     assert I(R5, "x+y^2", "y^2").chart(0) == I(R5, "x", "y^2").chart(0)
     assert I(R5, "x+y^2", "y^2").chart(1).is_unit
+
+
+# -- Hilbert numerators of monomial ideals ------------------------------------
+
+
+def _series_coefficient(numerator, nvars, d):
+    """Coefficient of t^d in N(t)/(1-t)^nvars."""
+    return sum(c * math.comb(d - i + nvars - 1, nvars - 1)
+               for i, c in enumerate(numerator) if i <= d)
+
+
+def _counts_outside(gens, nvars, top):
+    """Number of monomials of each degree <= top that no generator
+    divides, by listing every exponent vector of degree <= top."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(nvars):
+        room = top - rows.sum(axis=1)
+        rows = np.column_stack([np.repeat(rows, room + 1, axis=0),
+                                np.concatenate([np.arange(r + 1) for r in room])])
+    divisors = np.array(gens, dtype=np.int64).reshape(-1, nvars)
+    divided = (rows[:, None, :] >= divisors[None, :, :]).all(axis=2).any(axis=1)
+    return np.bincount(rows.sum(axis=1)[~divided], minlength=top + 1)
+
+
+def test_hilbert_numerator_counts_standard_monomials():
+    rng = random.Random(61)
+    cases = [((), 2), (((0, 0, 0),), 3), (((0, 0, 0), (1, 2, 0)), 3),
+             (((3, 0), (0, 2)), 2), (((2, 0, 0), (0, 2, 0), (0, 0, 2)), 3),
+             (((0, 0, 0, 5),), 4), (((1, 1, 0), (1, 1, 0)), 3)]
+    for _ in range(150):
+        nvars = rng.randint(2, 4)
+        cases.append((tuple(tuple(rng.randint(0, 4) for _ in range(nvars))
+                            for _ in range(rng.randint(1, 7))), nvars))
+    for gens, nvars in cases:
+        numerator = monomial_hilbert_numerator(gens, nvars)
+        assert not numerator or numerator[-1], numerator
+        top = 3 * max((sum(g) for g in gens), default=2)
+        counts = _counts_outside(gens, nvars, top)
+        for d in range(top + 1):
+            assert _series_coefficient(numerator, nvars, d) == counts[d], \
+                (gens, d)
+    assert monomial_hilbert_numerator((), 3) == [1]
+    assert monomial_hilbert_numerator([(0, 0, 0), (1, 0, 0)], 3) == []
+
+
+def test_hilbert_numerator_at_the_size_of_the_caps():
+    # all 455 monomials of degree 12 in 4 variables: S/M has every
+    # monomial of degree < 12 and nothing above
+    gens = [tuple(chosen.count(i) for i in range(4)) for chosen in
+            itertools.combinations_with_replacement(range(4), 12)]
+    numerator = monomial_hilbert_numerator(gens, 4)
+    for d in range(40):
+        want = math.comb(d + 3, 3) if d < 12 else 0
+        assert _series_coefficient(numerator, 4, d) == want, d
+
+
+def test_ideal_hilbert_numerator_is_the_hilbert_function(R5):
+    rng = random.Random(67)
+    for p in (2, 5):
+        ring = PolyRing(("x", "y", "z"), p)
+        for _ in range(6):
+            ideal = _random_homogeneous_ideal(rng, ring)
+            numerator = ideal.hilbert_numerator()
+            for d in range(8):
+                assert (_series_coefficient(numerator, 3, d)
+                        == len(ideal.standard_monomials(d))), (ideal, d)
+    with pytest.raises(DomainError):
+        I(R5, "x^2+y").hilbert_numerator()
+    # homogeneous although its generators are not: (x, y^2)
+    assert I(R5, "x+y^2", "y^2").hilbert_numerator() == [1, -1, -1, 1]
+    with caps_scope(Caps(max_degree=2)), pytest.raises(ResourceError) as err:
+        I(R5, "x^3", "y").hilbert_numerator()
+    assert err.value.cap_name == "max_degree"
 
 
 # -- bracket powers -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Graded pieces, stable trace images, and the positional theorems."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -11,9 +12,9 @@ from charp.config import DEFAULT_CAPS, Caps, caps_scope, current_caps
 from charp.errors import DomainError, PreconditionError, ResourceError
 from charp.fsing import PairDivisor, sigma_chain
 from charp.ideal import Ideal, normal_form
-from charp.proj import (ProjScheme, center_is_compatible, center_stable_image,
-                        degree_bound_pipeline, graded_fixed_ideal,
-                        graded_piece, is_base_point_free,
+from charp.proj import (ProjScheme, _same_saturation, center_is_compatible,
+                        center_stable_image, degree_bound_pipeline,
+                        graded_fixed_ideal, graded_piece, is_base_point_free,
                         is_globally_generated, projective_multiplicity,
                         rational_point_ideal, restriction_is_surjective,
                         separates, space_from_polys, stable_sections,
@@ -21,7 +22,7 @@ from charp.proj import (ProjScheme, center_is_compatible, center_stable_image,
 from charp.ring import PolyRing
 
 from conftest import random_homogeneous
-from test_ideal import quotient_loop_saturate
+from test_ideal import _random_homogeneous_ideal, quotient_loop_saturate
 
 
 def I(ring, *texts):
@@ -562,6 +563,72 @@ def test_caps_bind_inside_the_positional_checks(cap):
         with caps_scope(Caps(**{cap: 1})), pytest.raises(ResourceError) as err:
             check()
         assert err.value.cap_name == cap
+
+
+def _random_ideal_pair(rng, ring):
+    """Random homogeneous J ⊆ I: I's generators carry monomial factors
+    (x_i-torsion), and J multiplies them by every variable (same
+    saturation), by random forms of degree 0 or 1, or some of them by
+    one variable."""
+    big = _random_homogeneous_ideal(rng, ring)
+    gens = big.generators
+    kind = rng.randrange(3)
+    if kind == 0:
+        small = [g * x for g in gens for x in ring.gens()]
+    elif kind == 1:
+        small = [g * random_homogeneous(rng, ring, rng.randint(0, 1))
+                 for g in gens]
+    else:
+        small = [g if rng.randrange(2) else g * ring.gen(rng.randrange(
+            ring.nvars)) for g in gens]
+    return Ideal(ring, small), big
+
+
+def test_saturation_verdicts_match_quotient_loop_on_random_grids():
+    rng = random.Random(71)
+    seen = collections.Counter()
+    for names in (("x", "y", "z"), ("x", "y", "z", "w")):
+        for p in (2, 3, 5, 7):
+            ring = PolyRing(names, p)
+            for _ in range(10):
+                small, big = _random_ideal_pair(rng, ring)
+                got = _same_saturation(small, big)
+                assert got == (_saturated(small) == _saturated(big)), \
+                    (small, big)
+                seen["same", got] += 1
+                m = rng.randint(1, 4)
+                got = is_globally_generated(big, m)
+                assert got == oracle_globally_generated(big, m), (big, m)
+                seen["gg", got] += 1
+                d = rng.randint(1, 2)
+                forms = [random_homogeneous(rng, ring, d, 4) for _ in
+                         range(rng.randint(ring.nvars - 1, ring.nvars + 2))]
+                space = space_from_polys(Ideal.zero(ring), d, forms)
+                got = is_base_point_free(space)
+                assert got == oracle_base_point_free(space), forms
+                seen["bpf", got] += 1
+    assert all(seen[check, verdict] >= 20 for check in ("same", "gg", "bpf")
+               for verdict in (True, False)), seen
+
+
+def test_saturation_verdicts_on_unsaturated_inputs(P2):
+    ring = P2.ring
+    # x·(x, y, z) and (x) agree off the vertex; x·(x, y) has an embedded
+    # point at (0:0:1)
+    assert _same_saturation(I(ring, "x^2", "x*y", "x*z"), I(ring, "x"))
+    assert not _same_saturation(I(ring, "x^2", "x*y"), I(ring, "x"))
+    assert is_globally_generated(I(ring, "x^2", "x*y", "x*z"), 2)
+    assert is_globally_generated(I(ring, "x"), 3)
+    assert not is_globally_generated(I(ring, "x^2", "x*y", "y^3"), 2)
+    assert _same_saturation(I(ring, "x^2", "y^2", "z^2"), Ideal.unit(ring))
+    assert not _same_saturation(Ideal.zero(ring), I(ring, "x"))
+    # a non-homogeneous ideal is refused whether or not its basis reaches
+    # the degree asked for
+    for m in (1, 2):
+        with pytest.raises(DomainError):
+            is_globally_generated(I(ring, "x^2+y"), m)
+    with pytest.raises(DomainError, match="target degree must be >= 0"):
+        is_globally_generated(I(ring, "x"), -1)
 
 
 def test_caps_bind_inside_the_chains():

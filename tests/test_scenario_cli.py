@@ -308,6 +308,44 @@ def test_console_entry_point(tmp_path):
     assert "OK" in proc.stdout
 
 
+def test_gg_refuses_a_negative_twist(tmp_path):
+    # the ideal form of gg refuses m < 0 in the words of its pair form
+    # and of bpf, also for the zero ideal
+    payload = {"p": 5, "vars": ["x", "y", "z"],
+               "jobs": [{"op": "gg", "ideal": ["x", "y"], "m": -1},
+                        {"op": "gg", "ideal": ["0"], "m": -1},
+                        {"op": "gg", "scheme": {"n": 2}, "m": -1},
+                        {"op": "bpf", "scheme": {"n": 2}, "m": -1},
+                        {"op": "gg", "ideal": ["x", "y"], "m": 0}]}
+    report, _ = execute(load_scenario(write_scenario(tmp_path, payload)))
+    *refused, fine = report["jobs"]
+    for entry in refused:
+        assert entry["status"] == "error"
+        assert entry["error"] == {"type": "DomainError", "message":
+                                  "target degree must be >= 0, got -1"}
+    assert fine["status"] == "ok" and fine["result"]["verdict"] is False
+
+
+def test_fpt_scan_script_help_and_errors():
+    script = Path(__file__).parent.parent / "scripts" / "fpt_scan.py"
+
+    def run(*args):
+        return subprocess.run([sys.executable, str(script), *args],
+                              capture_output=True, text=True)
+
+    for flag in ("-h", "--help"):
+        proc = run(flag)
+        assert proc.returncode == 0 and "Usage:" in proc.stdout
+    for args, message in ((("x^2+y^3", "4"), "characteristic must be a prime"),
+                          (("x^2+w", "5"), "unknown variable 'w'"),
+                          (("x^2", "five"), "'five'")):
+        proc = run(*args)
+        assert proc.returncode == 2, args
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+    proc = run("x^2+y^3", "5")
+    assert proc.returncode == 0 and "jump" in proc.stdout
+
+
 def test_golden_report(tmp_path):
     """The machine report for a frozen scenario matches the checked-in
     golden file byte for byte."""
