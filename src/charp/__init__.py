@@ -23,7 +23,7 @@ from .proj import (GradedSubspace, ProjScheme, degree_bound_pipeline,
                    graded_piece, is_base_point_free, is_globally_generated,
                    restriction_is_surjective, separates, space_from_polys,
                    stable_sections, stable_sections_generate, trivial_pair)
-from .ring import GREVLEX, MultiPoly, PolyRing
+from .ring import MultiPoly, PolyRing
 
 __version__ = "0.1.0"
 
@@ -41,5 +41,5 @@ __all__ = [
     "degree_bound_pipeline", "graded_piece", "is_base_point_free",
     "is_globally_generated", "restriction_is_surjective", "separates",
     "space_from_polys", "stable_sections", "stable_sections_generate",
-    "trivial_pair", "GREVLEX", "MultiPoly", "PolyRing",
+    "trivial_pair", "MultiPoly", "PolyRing",
 ]

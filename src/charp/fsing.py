@@ -189,16 +189,22 @@ def twist_identity(pair: PairDivisor, g: MultiPoly,
 
 
 def fedder_f_pure(ideal: Ideal, maximal: Ideal) -> bool:
-    """Fedder's criterion at a rational point: the quotient ring S/I is
-    F-pure at m exactly when (I^[p] : I) is not inside m^[p].
-
-    For a hypersurface I = (h) this is the classical test
-    h^(p-1) not in m^[p].
+    """Fedder's criterion at a rational point for a hypersurface: the
+    quotient ring S/I is F-pure at m exactly when (I^[p] : I) is not
+    inside m^[p] (Fedder, "F-purity and rational singularity", Trans.
+    AMS 278 (1983)).  For I = (h) the colon is (h^p : h) = (h^(p-1)),
+    so the test is h^(p-1) not in m^[p].  An ideal whose reduced basis
+    is not one element is refused.
     """
     if not ideal.issubset(maximal):
         raise DomainError("Fedder test needs I contained in the maximal ideal")
-    colon = ideal.bracket_power(1).quotient(ideal)
-    return not colon.issubset(maximal.bracket_power(1))
+    basis = ideal.groebner_basis
+    if len(basis) != 1:
+        raise UnsupportedInputError(
+            f"Fedder test needs a principal ideal, got a basis of "
+            f"{len(basis)} elements")
+    h = basis[0]
+    return not maximal.bracket_power(1).contains(h ** (ideal.ring.p - 1))
 
 
 def is_compatible(center: Ideal, pair: PairDivisor) -> bool:

@@ -5,21 +5,22 @@ values are equal exactly when they generate the same ideal.  Basis
 completion is plain Buchberger with the coprimality criterion and
 normal-pair selection; degree and basis-size caps turn blowups into
 ResourceErrors instead of hangs.  A homogeneous ideal is saturated by a
-variable in one completion, in grevlex with that variable last
-(Bayer–Stillman); other saturations and intersections eliminate one
-auxiliary variable.  The Hilbert series of a homogeneous ideal is read
+variable in one completion, in grevlex after moving that variable last
+(Bayer–Stillman).  The Hilbert series of a homogeneous ideal is read
 off the leading monomials of its basis by pivot recursion (Bigatti).
 
-Reduction (`normal_form`, exact division) is heap division on packed
-monomial keys (Monagan–Pearce): the polynomial being reduced is one
-mutable accumulator from key to coefficient, its leading term is popped
-from a heap of keys, and subtracting a multiple of a divisor adds one
-integer to each of the divisor's cached keys.  Divisibility by a leading
+Reduction (`normal_form`) is heap division on packed monomial keys
+(Monagan–Pearce): the polynomial being reduced is one mutable
+accumulator from key to coefficient, its leading term is popped from a
+heap of keys, and subtracting a multiple of a divisor adds one integer
+to each of the divisor's cached keys.  Divisibility by a leading
 monomial is one subtraction and one mask.  The digit width starts at 16
-bits and doubles, restarting the division, before any key would reach
-the width's degree limit, so no exponent can overflow a digit.  Leading
-exponents are cached on the polynomials, and a normal form comes with
-its own, so the completion never rescans terms to find one.
+bits and doubles, restarting the division, until the input and every
+divisor are below the width's degree limit; grevlex is graded, so no
+term formed later exceeds the degree of the term it cancels, and no
+exponent can overflow a digit.  Leading exponents are cached on the
+polynomials, and a normal form comes with its own, so the completion
+never rescans terms to find one.
 
 Ideals are immutable; the Gröbner basis is computed lazily and cached.
 The degree and basis caps are the ones in force in the current context
@@ -33,9 +34,8 @@ from operator import add, le, sub
 from typing import Iterable, Optional, Sequence
 
 from .config import current_caps
-from .errors import (DomainError, InternalInvariantError, ResourceError,
-                     RingMismatchError)
-from .ring import (GREVLEX, BlockElimOrder, ChartOrder, MultiPoly, PolyRing,
+from .errors import DomainError, ResourceError, RingMismatchError
+from .ring import (MultiPoly, PolyRing, grevlex_key, grevlex_packing,
                    monomials_of_degree)
 
 
@@ -52,7 +52,7 @@ def _exp_lcm(a, b):
 
 
 class _Widen(Exception):
-    """A key would reach the packing's degree limit at this width."""
+    """The input or a divisor reaches the packing's degree limit."""
 
 
 _MIN_WIDTH = 16
@@ -61,48 +61,41 @@ _MIN_WIDTH = 16
 def _divisor(g: MultiPoly, packing):
     """g as a divisor under the packing, memoised on g, or None when its
     degree reaches the packing's limit: (keys descending, coefficients,
-    lead fields, lead excess, inverse of the leading coefficient).  The
-    lead fields are `packing.direct` of the leading key; the excess is by
-    how much g's degree exceeds its leading monomial's (0 in a graded
-    order), so a multiple x^m·g stays below the limit when deg(x^m) plus
-    the lead's degree plus the excess does."""
+    lead fields, inverse of the leading coefficient).  The lead fields
+    are `packing.direct` of the leading key."""
     memo = g._packed
     if memo is None:
         memo = g._packed = {}
     entry = memo.get(packing)
     if entry is None:
-        degree = g.degree()
         entry = False
-        if degree < packing.limit:
+        if g.degree() < packing.limit:
             pack = packing.pack
             items = sorted(((pack(e), c) for e, c in g._terms.items()),
                            reverse=True)
             keys = tuple(k for k, _ in items)
             coeffs = tuple(c for _, c in items)
-            fields, lead_degree = packing.direct(keys[0])
-            entry = (keys, coeffs, fields, degree - lead_degree,
+            entry = (keys, coeffs, packing.direct(keys[0])[0],
                      pow(coeffs[0], -1, g.ring.p))
         memo[packing] = entry
     return entry or None
 
 
-def _divide(f: MultiPoly, divisors: Sequence[MultiPoly], packing,
-            quotient: Optional[list]):
+def _divide(f: MultiPoly, divisors: Sequence[MultiPoly], packing):
     """Heap division of f by the divisors (Monagan–Pearce): one mutable
     accumulator from packed key to coefficient, and a heap of its keys
     from which the leading term is popped.  Subtracting c·x^m·g adds the
     key of x^m to each of g's cached keys.  A key cancelled and formed
     again is pushed twice; the copy popped second finds no coefficient.
 
-    Returns the remainder's keys and coefficients, largest first; the
-    steps (key of x^m, c) go to `quotient` when it is a list.  Raises
-    _Widen before any key would reach the packing's limit: the degree
-    of the input and of each divisor is checked before it is packed, and
-    each step's product before it is formed."""
+    Returns the remainder's keys and coefficients, largest first.
+    Raises _Widen when the input or a divisor reaches the packing's
+    limit.  Nothing later can: every term of x^m·g has degree at most
+    that of its lead, the popped term, since grevlex is graded."""
     p = f.ring.p
-    limit, guard, direct = packing.limit, packing.guard, packing.direct
+    guard, direct = packing.guard, packing.direct
     reducers = [_divisor(g, packing) for g in divisors]
-    if None in reducers or f.degree() >= limit:
+    if None in reducers or f.degree() >= packing.limit:
         raise _Widen
     pack = packing.pack
     acc = {pack(e): c for e, c in f._terms.items()}
@@ -114,18 +107,13 @@ def _divide(f: MultiPoly, divisors: Sequence[MultiPoly], packing,
         c = acc.get(key)
         if c is None:
             continue
-        fields, degree = direct(key)
-        for g_keys, g_coeffs, lead_fields, excess, lc_inv in reducers:
+        fields = direct(key)[0]
+        for g_keys, g_coeffs, lead_fields, lc_inv in reducers:
             # the lead divides when no field borrows into its guard bit
             if (fields - lead_fields) & guard:
                 continue
-            if degree + excess >= limit:
-                raise _Widen
             shift = key - g_keys[0]
-            factor = c * lc_inv % p
-            if quotient is not None:
-                quotient.append((shift, factor))
-            factor = p - factor
+            factor = p - c * lc_inv % p
             # the lead cancels the popped term, which is still in acc
             for g_key, g_c in zip(g_keys, g_coeffs):
                 k = g_key + shift
@@ -147,47 +135,43 @@ def _divide(f: MultiPoly, divisors: Sequence[MultiPoly], packing,
     return out_keys, out_coeffs
 
 
-def _packed_division(f: MultiPoly, divisors: Sequence[MultiPoly], order,
-                     quotient: Optional[list] = None):
-    """`_divide` at the narrowest width from 16 bits up, doubling, at
-    which every key stays below the limit; returns the packing too."""
+def normal_form(f: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
+    """Fully reduce f against the basis: no term of the result is
+    divisible by any basis leading monomial.  `_divide` runs at the
+    narrowest width from 16 bits up, doubling, that holds the input and
+    the divisors.  The result comes with its leading exponent cached."""
+    divisors = [g for g in basis if not g.is_zero]
+    if not divisors or f.is_zero:
+        return f
     width = _MIN_WIDTH
     while True:
-        packing = order.packing(f.ring.nvars, width)
-        if quotient is not None:
-            quotient.clear()
+        packing = grevlex_packing(f.ring.nvars, width)
         try:
-            return (packing,) + _divide(f, divisors, packing, quotient)
+            return MultiPoly.from_packed(f.ring, packing,
+                                         *_divide(f, divisors, packing))
         except _Widen:
             width *= 2
 
 
-def normal_form(f: MultiPoly, basis: Sequence[MultiPoly], order=GREVLEX) -> MultiPoly:
-    """Fully reduce f against the basis: no term of the result is
-    divisible by any basis leading monomial.  The result comes with its
-    leading exponent in the order cached."""
-    divisors = [g for g in basis if not g.is_zero]
-    if not divisors or f.is_zero:
-        return f
-    return MultiPoly.from_packed(f.ring, *_packed_division(f, divisors, order))
+def _lead_key(g: MultiPoly):
+    return grevlex_key(g.leading_exponent())
 
 
-def _s_poly(f: MultiPoly, g: MultiPoly, order=GREVLEX) -> MultiPoly:
+def _s_poly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """S-polynomial of two monic polynomials."""
-    lf, lg = f.leading_exponent(order), g.leading_exponent(order)
+    lf, lg = f.leading_exponent(), g.leading_exponent()
     lcm = _exp_lcm(lf, lg)
     return f.mul_monomial(_exp_sub(lcm, lf)) - g.mul_monomial(_exp_sub(lcm, lg))
 
 
-def buchberger(generators: Iterable[MultiPoly], order=GREVLEX) -> tuple:
+def buchberger(generators: Iterable[MultiPoly]) -> tuple:
     """Reduced Gröbner basis of the given generators.
 
     Returns a tuple of monic polynomials sorted with the largest leading
-    monomial first; the tuple is canonical for the order, so equal ideals
-    yield equal tuples.
+    monomial first; the tuple is canonical, so equal ideals yield equal
+    tuples.
     """
-    raw = sorted((g for g in generators if not g.is_zero),
-                 key=lambda g: order.key(g.leading_exponent(order)))
+    raw = sorted((g for g in generators if not g.is_zero), key=_lead_key)
     if not raw:
         return ()
 
@@ -198,25 +182,25 @@ def buchberger(generators: Iterable[MultiPoly], order=GREVLEX) -> tuple:
 
     def push_pairs(new_index: int):
         nonlocal counter
-        lm_new = basis[new_index].leading_exponent(order)
+        lm_new = basis[new_index].leading_exponent()
         monomial = basis[new_index].num_terms() == 1
         for i in range(new_index):
             if monomial and basis[i].num_terms() == 1:
                 continue  # two monic monomials: the S-polynomial is zero
-            lm_i = basis[i].leading_exponent(order)
+            lm_i = basis[i].leading_exponent()
             lcm = _exp_lcm(lm_i, lm_new)
             if lcm == tuple(map(add, lm_i, lm_new)):
                 continue  # coprime leading monomials: S-poly reduces to zero
-            heappush(pairs, (order.key(lcm), counter, i, new_index))
+            heappush(pairs, (grevlex_key(lcm), counter, i, new_index))
             counter += 1
 
     # feed the input through the reducer so redundant generators
     # (frequent in bracket-root images) never enter the pair queue
     for g in raw:
-        reduced = normal_form(g, basis, order) if basis else g
+        reduced = normal_form(g, basis) if basis else g
         if reduced.is_zero:
             continue
-        basis.append(reduced.monic(order))
+        basis.append(reduced.monic())
         if len(basis) > caps.max_basis:
             raise ResourceError("max_basis", caps.max_basis,
                                 "too many pairwise-irreducible generators")
@@ -224,53 +208,53 @@ def buchberger(generators: Iterable[MultiPoly], order=GREVLEX) -> tuple:
 
     while pairs:
         _, _, i, j = heappop(pairs)
-        s = _s_poly(basis[i], basis[j], order)
+        s = _s_poly(basis[i], basis[j])
         if s.is_zero:
             continue
         if s.degree() > caps.max_degree:
             raise ResourceError("max_degree", caps.max_degree,
                                 f"S-polynomial of degree {s.degree()}")
-        reduced = normal_form(s, basis, order)
+        reduced = normal_form(s, basis)
         if reduced.is_zero:
             continue
         if reduced.degree() > caps.max_degree:
             raise ResourceError("max_degree", caps.max_degree,
                                 f"basis element of degree {reduced.degree()}")
-        basis.append(reduced.monic(order))
+        basis.append(reduced.monic())
         if len(basis) > caps.max_basis:
             raise ResourceError("max_basis", caps.max_basis,
                                 "basis completion did not stay desk-scale")
         push_pairs(len(basis) - 1)
 
-    return _reduce(basis, order)
+    return _reduce(basis)
 
 
 def _check_input_degree(generators: Sequence[MultiPoly]):
-    """Refuse a generator above the degree cap.  A chart, an elimination
-    or a Hilbert series may form no S-polynomial from a large input, so
-    the completion's own checks would let it through."""
+    """Refuse a generator above the degree cap.  A chart or a Hilbert
+    series may form no S-polynomial from a large input, so the
+    completion's own checks would let it through."""
     top = max(map(MultiPoly.degree, generators), default=-1)
     limit = current_caps().max_degree
     if top > limit:
         raise ResourceError("max_degree", limit, f"generator of degree {top}")
 
 
-def _reduce(basis: list, order) -> tuple:
-    """The reduced basis of an ideal from any Gröbner basis of it in the
-    order, sorted as `buchberger` returns it; no S-pairs are needed."""
+def _reduce(basis: list) -> tuple:
+    """The reduced basis of an ideal from any Gröbner basis of it,
+    sorted as `buchberger` returns it; no S-pairs are needed."""
     # minimalize: drop elements whose leading monomial is divisible by another's
-    basis = sorted(basis, key=lambda g: order.key(g.leading_exponent(order)))
+    basis = sorted(basis, key=_lead_key)
     minimal: list = []
     for g in basis:
-        lm = g.leading_exponent(order)
-        if not any(_divides(h.leading_exponent(order), lm) for h in minimal):
+        lm = g.leading_exponent()
+        if not any(_divides(h.leading_exponent(), lm) for h in minimal):
             minimal.append(g)
     # inter-reduce tails; leading monomials are stable under this pass,
     # and a monomial is its lead, which no other minimal lead divides
     for k, g in enumerate(minimal):
         if g.num_terms() > 1:
-            g = normal_form(g, minimal[:k] + minimal[k + 1:], order)
-        minimal[k] = g.monic(order)
+            g = normal_form(g, minimal[:k] + minimal[k + 1:])
+        minimal[k] = g.monic()
     # the leads are distinct and ascending
     return tuple(reversed(minimal))
 
@@ -442,92 +426,30 @@ class Ideal:
 
     __rmul__ = __mul__
 
-    def _eliminate(self, build) -> "Ideal":
-        """The ideal of k[x] left after eliminating an auxiliary variable
-        t: `build(t, lift)` lists generators in k[t, x], where
-        lift(f, k) is t^k * f.  The generators returned are the reduced
-        grevlex basis, read off the block-order basis in k[t, x]."""
-        aux = "t_elim"
-        while aux in self.ring.variables:
-            aux += "_"
-        ext_ring = PolyRing((aux,) + self.ring.variables, self.ring.p)
-
-        def lift(f: MultiPoly, t_shift: int = 0) -> MultiPoly:
-            return MultiPoly(ext_ring, {(t_shift,) + e: c
-                                        for e, c in f._terms.items()})
-
-        generators = build(ext_ring.gen(0), lift)
-        _check_input_degree(generators)
-        gb = buchberger(generators, BlockElimOrder(1))
-        kept = [MultiPoly(self.ring, {e[1:]: c for e, c in g._terms.items()})
-                for g in gb if all(e[0] == 0 for e in g._terms)]
-        return Ideal._from_groebner(self.ring, tuple(kept))
-
-    def intersect(self, other: "Ideal") -> "Ideal":
-        """I ∩ J via elimination of an auxiliary variable t:
-        (t·I + (1-t)·J) ∩ k[x]."""
-        self._check_ring(other)
-        if self.is_zero or other.is_zero:
-            return Ideal.zero(self.ring)
-        if self.is_unit:
-            return other
-        if other.is_unit:
-            return self
-        return self._eliminate(
-            lambda t, lift: [lift(g, 1) for g in self.generators]
-            + [(1 - t) * lift(g) for g in other.generators])
-
-    def quotient(self, other: "Ideal") -> "Ideal":
-        """(I : J) = {g : g·J ⊆ I}."""
-        self._check_ring(other)
-        if other.is_zero:
-            return Ideal.unit(self.ring)
-        if other.is_unit:
-            return self
-        result: Optional[Ideal] = None
-        for g in other.groebner_basis:
-            meet = self.intersect(Ideal(self.ring, (g,)))
-            part = Ideal(self.ring, [_exact_div(h, g) for h in meet.generators])
-            result = part if result is None else result.intersect(part)
-        return result if result is not None else Ideal.unit(self.ring)
-
     def chart(self, i: int) -> "Ideal":
         """(I : x_i^∞) of a homogeneous ideal, read off one Gröbner basis
-        (Bayer–Stillman): in the grevlex order with x_i last, dividing
-        each basis element by the largest power of x_i that divides it
-        gives a Gröbner basis of the quotient.
+        (Bayer–Stillman): move x_i last, so that grevlex makes it the
+        cheapest variable and it divides a form exactly when it divides
+        the leading monomial; then dividing each basis element by the
+        largest power of x_i that divides it gives a Gröbner basis of
+        the quotient.
 
-        The generators returned are the reduced basis in that order,
-        which is canonical: two charts at the same i are equal ideals
-        exactly when their generator tuples are equal, and a chart is
-        the unit ideal exactly when its generators are (1,).
+        The generators returned are its reduced basis with x_i last,
+        moved back, which is canonical: two charts at the same i are
+        equal ideals exactly when their generator tuples are equal, and
+        a chart is the unit ideal exactly when its generators are (1,).
         """
         forms = self._forms()
         if forms is None:
             raise DomainError("chart of a non-homogeneous ideal")
         _check_input_degree(forms)
-        order = ChartOrder(i)
-        divided = [_divide_out_variable(g, i) for g in buchberger(forms, order)]
-        return Ideal(self.ring, _reduce(divided, order))
-
-    def saturate(self, other: "Ideal") -> "Ideal":
-        """(I : J^∞), the intersection over g in the basis of J of
-        (I : g^∞).  Each factor is a chart when I is homogeneous and g
-        a variable, and otherwise one Rabinowitsch elimination
-        (I + (1 - t·g)) ∩ k[x]."""
-        self._check_ring(other)
-        result = Ideal.unit(self.ring)
-        for g in other.groebner_basis:
-            exps = g.leading_exponent()
-            if (g.num_terms() == 1 and sum(exps) == 1
-                    and self._forms() is not None):
-                part = self.chart(exps.index(1))
-            else:
-                part = self._eliminate(
-                    lambda t, lift: [lift(h) for h in self.generators]
-                    + [1 - t * lift(g)])
-            result = result.intersect(part)
-        return result
+        names = self.ring.variables
+        last = PolyRing(names[:i] + names[i + 1:] + names[i:i + 1],
+                        self.ring.p)
+        moved = [_move_variable(g, last, i, len(names) - 1) for g in forms]
+        divided = [_divide_out_last(g) for g in buchberger(moved)]
+        return Ideal(self.ring, [_move_variable(g, self.ring, len(names) - 1, i)
+                                 for g in _reduce(divided)])
 
     def bracket_power(self, e: int) -> "Ideal":
         """Ideal generated by g^(p^e) over the generators.
@@ -592,26 +514,24 @@ class Ideal:
         return f"Ideal{self}"
 
 
-def _divide_out_variable(f: MultiPoly, i: int) -> MultiPoly:
-    """f divided by the largest power of x_i that divides it."""
-    k = min(e[i] for e in f._terms)
+def _move_variable(f: MultiPoly, ring: PolyRing, source: int,
+                   target: int) -> MultiPoly:
+    """f in the ring whose variables are f's with the one at `source`
+    moved to `target`."""
+    out = {}
+    for e, c in f._terms.items():
+        rest = e[:source] + e[source + 1:]
+        out[rest[:target] + e[source:source + 1] + rest[target:]] = c
+    return MultiPoly(ring, out)
+
+
+def _divide_out_last(f: MultiPoly) -> MultiPoly:
+    """f divided by the largest power of the last variable dividing it."""
+    k = min(e[-1] for e in f._terms)
     if not k:
         return f
-    return MultiPoly(f.ring, {e[:i] + (e[i] - k,) + e[i + 1:]: c
+    return MultiPoly(f.ring, {e[:-1] + (e[-1] - k,): c
                               for e, c in f._terms.items()})
-
-
-def _exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Quotient f/g when g divides f exactly (used on I ∩ (g) generators)."""
-    if g.is_zero:
-        raise DomainError("division by the zero polynomial")
-    steps: list = []
-    packing, rest, _ = _packed_division(f, [g], GREVLEX, steps)
-    if rest:
-        raise InternalInvariantError(f"{g} does not divide {f} exactly")
-    # the steps' monomials strictly descend, like the popped leads
-    return MultiPoly.from_packed(f.ring, packing, [k for k, _ in steps],
-                                 [c for _, c in steps])
 
 
 def groebner(ideal: Ideal) -> tuple:

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, zip_longest
-from typing import Iterable, List, Optional, Sequence
+from operator import add
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
                     descending_fixed_ideal, multiplicity, tau)
 from .ideal import Ideal, normal_form
 from .linalg import in_row_space, null_space, rank, rref
-from .ring import MultiPoly, PolyRing
+from .ring import MultiPoly, PolyRing, monomials_of_degree
 
 
 def trivial_pair(ring: PolyRing) -> PairDivisor:
@@ -549,6 +550,48 @@ class DegreeBoundReport:
         return self.witness_degree <= self.delta
 
 
+def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
+    """The degree-d pieces, d = 0, 1, ..., top, of the saturation
+    (I : (x_0, ..., x_n)^∞) of a homogeneous ideal, as subspaces of the
+    polynomial ring's pieces.
+
+    The saturation is the intersection of the charts (I : x_i^∞), each
+    one grevlex basis (`Ideal.chart`), and so is each of its pieces.  A
+    chart's piece is spanned by its generators times the monomials of
+    the complementary degree, and two pieces meet in the rows x·A for
+    which x·A + y·B = 0 (`linalg.null_space`).  Below the largest of
+    the charts' lowest generator degrees some chart's piece is 0, and
+    so is the saturation's.  The charts are computed on the first
+    piece asked for."""
+    ring, p = ideal.ring, ideal.ring.p
+    charts = [ideal.chart(i).generators for i in range(ring.nvars)]
+    start = max(min(map(MultiPoly.degree, gens), default=top + 1)
+                for gens in charts)
+    for d in range(top + 1):
+        columns = tuple(monomials_of_degree(ring.nvars, d))
+        meet = np.zeros((0, len(columns)), dtype=np.int64), ()
+        if d >= start:
+            index = {exps: k for k, exps in enumerate(columns)}
+            for i, gens in enumerate(charts):
+                rows = []
+                for g in gens:
+                    for shift in monomials_of_degree(ring.nvars,
+                                                     d - g.degree()):
+                        row = np.zeros(len(columns), dtype=np.int64)
+                        for exps, c in g._terms.items():
+                            row[index[tuple(map(add, exps, shift))]] = c
+                        rows.append(row)
+                piece = rref(np.array(rows), p)
+                if i:
+                    kernel = null_space(np.vstack([meet[0], piece[0]]).T, p)
+                    piece = rref(kernel[:, :len(meet[0])] @ meet[0] % p, p)
+                meet = piece
+                if not len(meet[0]):
+                    break
+        yield GradedSubspace(ring=ring, modulus=Ideal.zero(ring), degree=d,
+                             columns=columns, matrix=meet[0], pivots=meet[1])
+
+
 def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
                           form: MultiPoly, mult_threshold: int,
                           codim_bound: int) -> DegreeBoundReport:
@@ -610,12 +653,8 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
             "failed on admissible input")
 
     delta = (d * codim_bound) // mult_threshold
-    saturated = tau_ideal.saturate(Ideal.irrelevant(ring))
-    zero = Ideal.zero(ring)
     witness = None
-    for mdeg in range(delta + 1):
-        piece = space_from_polys(
-            zero, mdeg, saturated.graded_generators_in_degree(mdeg, zero))
+    for piece in _saturated_pieces(tau_ideal, delta):
         if piece.dim > 0:
             witness = piece.polys()[0]
             break

@@ -3,29 +3,28 @@
 Coefficients are canonical integer residues in [0, p); exponent vectors
 are tuples of non-negative ints, one slot per declared variable.  The
 ring descriptor fixes the variable names and the characteristic.  The
-monomial order used for every canonical computation is graded reverse
-lexicographic (grevlex); internal eliminations may use block orders but
-all published bases are grevlex-reduced.
+one monomial order is graded reverse lexicographic (grevlex); a
+computation that needs another variable last permutes the variables.
 
-Each order (`GrevlexOrder`, `ChartOrder`, `BlockElimOrder`) is a list of
-blocks of variables compared by grevlex, and has a `Packing` per digit
-width: an integer key per monomial whose integer order is the monomial
-order and which adds under multiplication (Monagan–Pearce, packed
-exponent vectors).  A key is exact only while the total degree stays
-below the packing's limit, so nothing packs a monomial without checking
-that first; the Gröbner kernel in `ideal.py` widens the digits instead.
+A `Packing` turns a monomial into an integer key whose integer order is
+grevlex and which adds under multiplication (Monagan–Pearce, packed
+exponent vectors), one per number of variables and digit width.  A key
+is exact only while the total degree stays below the packing's limit,
+so nothing packs a monomial without checking that first; the Gröbner
+kernel in `ideal.py` widens the digits instead.
 
 Values are immutable after construction and safe to share across
-threads.  A polynomial memoises its leading exponent per order, and the
-division kernel its packed terms per packing, on first use.  Both are
-functions of the terms alone and never enter equality or hashing; two
-threads that fill the same slot at once store equal values.
+threads.  A polynomial memoises its leading exponent, and the division
+kernel its packed terms per packing, on first use.  Both are functions
+of the terms alone and never enter equality or hashing; two threads
+that fill the same slot at once store equal values.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from operator import add, neg
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -55,17 +54,15 @@ def grevlex_key(exps: Exponents):
 
 
 class Packing:
-    """Packed integer keys of one monomial order at one digit width.
+    """Packed integer keys of grevlex monomials at one digit width.
 
-    The order compares blocks of variables one after the other, each by
-    grevlex.  A block (v_0, ..., v_(k-1)) contributes the digits
-    s_(k-1), ..., s_0, most significant first, where s_j = e_(v_0) + ...
-    + e_(v_j): s_(k-1) is the block degree, and a larger s_(j-1) at equal
-    s_j means a smaller e_(v_j), which is how grevlex breaks ties.  The
-    key is these digits in base B = 2^width, so comparing keys as
-    integers compares monomials in the order.  Every digit is linear in
-    the exponents and at most the total degree, so while the total
-    degree stays below `limit` = B/2:
+    Exponents (e_0, ..., e_(n-1)) give the digits s_(n-1), ..., s_0,
+    most significant first, where s_j = e_0 + ... + e_j: s_(n-1) is the
+    degree, and a larger s_(j-1) at equal s_j means a smaller e_j, which
+    is how grevlex breaks ties.  The key is these digits in base
+    B = 2^width, so comparing keys as integers compares monomials in
+    grevlex.  Every digit is linear in the exponents and at most the
+    degree, so while the degree stays below `limit` = B/2:
 
       * pack(a) + pack(b) = pack(a + b): multiplying by a monomial adds
         its key;
@@ -78,139 +75,41 @@ class Packing:
     checks the degree before it packs and widens the digits otherwise.
     """
 
-    def __init__(self, tag: str, blocks: tuple, width: int):
-        self.tag = tag
+    def __init__(self, nvars: int, width: int):
         self.width = width
         self.limit = 1 << (width - 1)
         self.mask = (1 << width) - 1
-        self._blocks = [(block, block[::-1]) for block in blocks]
-        nvars = sum(map(len, blocks))
         self.guard = sum(self.limit << (width * i) for i in range(nvars))
-        # blocks come most significant first, each on k digits from its
-        # offset up; `_tops` is the bit just above each block's top digit
-        # (its degree), `_fields` where `direct` puts each variable
-        self._tops = []
-        self._fields = []
-        offset = nvars
-        for block in blocks:
-            offset -= len(block)
-            self._tops.append(width * (offset + len(block)))
-            self._fields.extend((v, width * (offset + i))
-                                for i, v in enumerate(block))
+        self._top = width * nvars           # just above the degree digit
+        self._degree_shift = self._top - width
+        self._nvars = nvars
 
     def pack(self, exps: Exponents) -> int:
-        w, key = self.width, 0
-        for block, backwards in self._blocks:
-            s = sum(map(exps.__getitem__, block))
-            for i in backwards:
-                key = (key << w) | s
-                s -= exps[i]
+        w, key, s = self.width, 0, sum(exps)
+        for e in reversed(exps):
+            key = (key << w) | s
+            s -= e
         return key
 
     def direct(self, key: int):
-        """(exponents packed one field per variable, total degree).
+        """(exponents packed one field per variable, degree).
 
-        Per block, (B - 1) * (its digits) = d * B^k - (its fields) for
-        the block degree d, so the fields are a few integer operations
-        away from the key."""
-        w, mask = self.width, self.mask
-        top_digits = 0
-        degree = 0
-        for top in self._tops:
-            d = (key >> (top - w)) & mask
-            degree += d
-            top_digits += d << top
-        return top_digits - (key << w) + key, degree
+        (B - 1) * (the digits) = d * B^n - (the fields) for the degree d,
+        so the fields are a few integer operations away from the key."""
+        degree = key >> self._degree_shift
+        return (degree << self._top) - (key << self.width) + key, degree
 
     def unpack(self, key: int) -> Exponents:
         fields, _ = self.direct(key)
-        mask = self.mask
-        exps = [0] * len(self._fields)
-        for v, shift in self._fields:
-            exps[v] = (fields >> shift) & mask
-        return tuple(exps)
+        w, mask = self.width, self.mask
+        return tuple((fields >> (w * v)) & mask for v in range(self._nvars))
 
 
-_PACKINGS: dict = {}  # (order tag, nvars, width) -> Packing; a handful per ring
-
-
-class MonomialOrder:
-    """A monomial order given by blocks of variables, compared first to
-    last, each by grevlex.  `key` is the reference sort key, `tag` names
-    the order in the leading-term and packing caches."""
-
-    name = ""
-    tag = ""
-
-    def key(self, exps: Exponents):
-        raise NotImplementedError
-
-    def blocks(self, nvars: int) -> tuple:
-        raise NotImplementedError
-
-    def packing(self, nvars: int, width: int) -> Packing:
-        """The packing at this digit width, built once per order tag,
-        number of variables and width."""
-        slot = (self.tag, nvars, width)
-        found = _PACKINGS.get(slot)
-        if found is None:
-            blocks = tuple(b for b in self.blocks(nvars) if b)
-            found = _PACKINGS.setdefault(slot, Packing(self.tag, blocks, width))
-        return found
-
-
-class GrevlexOrder(MonomialOrder):
-    """Graded reverse lexicographic order (the package-wide default)."""
-
-    name = tag = "grevlex"
-
-    @staticmethod
-    def key(exps: Exponents):
-        return grevlex_key(exps)
-
-    def blocks(self, nvars: int) -> tuple:
-        return (tuple(range(nvars)),)
-
-
-class BlockElimOrder(MonomialOrder):
-    """Eliminates the first `nblock` variables: any monomial involving
-    them beats any monomial that does not; grevlex within each block."""
-
-    name = "block-elim"
-
-    def __init__(self, nblock: int):
-        self.nblock = nblock
-        self.tag = f"block-elim:{nblock}"
-
-    def key(self, exps: Exponents):
-        head, tail = exps[: self.nblock], exps[self.nblock:]
-        return (grevlex_key(head), grevlex_key(tail))
-
-    def blocks(self, nvars: int) -> tuple:
-        return (tuple(range(self.nblock)), tuple(range(self.nblock, nvars)))
-
-
-class ChartOrder(MonomialOrder):
-    """Grevlex with variable `last` moved to the end: it is then the
-    cheapest variable, so it divides a homogeneous polynomial exactly
-    when it divides the leading monomial."""
-
-    name = "grevlex-last"
-
-    def __init__(self, last: int):
-        self.last = last
-        self.tag = f"grevlex-last:{last}"
-
-    def key(self, exps: Exponents):
-        i = self.last
-        return grevlex_key(exps[:i] + exps[i + 1:] + exps[i:i + 1])
-
-    def blocks(self, nvars: int) -> tuple:
-        i = self.last
-        return (tuple(v for v in range(nvars) if v != i) + (i,),)
-
-
-GREVLEX = GrevlexOrder()
+@cache
+def grevlex_packing(nvars: int, width: int) -> Packing:
+    """The packing of monomials in nvars variables at this digit width,
+    built once per pair."""
+    return Packing(nvars, width)
 
 
 @dataclass(frozen=True)
@@ -290,9 +189,9 @@ class MultiPoly:
     """Immutable sparse polynomial: dict from exponent tuples to residues.
 
     No zero coefficients are stored; arithmetic is exact.  The leading
-    exponent per order, and the division kernel in `ideal.py` its packed
-    terms per `Packing`, are memoised on first use; they depend only on
-    the terms, so they never enter equality or hashing.
+    exponent, and the division kernel in `ideal.py` its packed terms per
+    `Packing`, are memoised on first use; they depend only on the terms,
+    so they never enter equality or hashing.
     """
 
     __slots__ = ("ring", "_terms", "_lead", "_packed")
@@ -300,7 +199,7 @@ class MultiPoly:
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self._terms = terms
-        self._lead = None     # order tag -> leading exponent
+        self._lead = None     # leading exponent
         self._packed = None   # Packing -> divisor record, see ideal._divisor
 
     # -- basic queries -------------------------------------------------
@@ -337,37 +236,32 @@ class MultiPoly:
     def coefficient(self, exps: Exponents) -> int:
         return self._terms.get(tuple(exps), 0)
 
-    def leading_exponent(self, order=GREVLEX) -> Exponents:
-        leads = self._lead
-        if leads is None:
-            leads = self._lead = {}
-        else:
-            lead = leads.get(order.tag)
-            if lead is not None:
-                return lead
-        if not self._terms:
-            raise DomainError("zero polynomial has no leading term")
-        lead = leads[order.tag] = max(self._terms, key=order.key)
+    def leading_exponent(self) -> Exponents:
+        lead = self._lead
+        if lead is None:
+            if not self._terms:
+                raise DomainError("zero polynomial has no leading term")
+            lead = self._lead = max(self._terms, key=grevlex_key)
         return lead
 
-    def leading_coefficient(self, order=GREVLEX) -> int:
-        return self._terms[self.leading_exponent(order)]
+    def leading_coefficient(self) -> int:
+        return self._terms[self.leading_exponent()]
 
     @classmethod
     def from_packed(cls, ring: PolyRing, packing: Packing,
                     keys: Sequence[int], coeffs: Sequence[int]) -> "MultiPoly":
         """The polynomial with these packed terms, keys descending; its
-        leading exponent in the packing's order comes cached."""
+        leading exponent comes cached."""
         exps = [packing.unpack(k) for k in keys]
         poly = cls(ring, dict(zip(exps, coeffs)))
         if exps:
-            poly._lead = {packing.tag: exps[0]}
+            poly._lead = exps[0]
         return poly
 
-    def monic(self, order=GREVLEX) -> "MultiPoly":
+    def monic(self) -> "MultiPoly":
         if not self._terms:
             return self
-        lc = self.leading_coefficient(order)
+        lc = self.leading_coefficient()
         if lc == 1:
             return self
         inv = pow(lc, -1, self.ring.p)
@@ -427,9 +321,7 @@ class MultiPoly:
             return self
         p = self.ring.p
         scaled = MultiPoly(self.ring, {e: (k * c) % p for e, k in self._terms.items()})
-        if self._lead is None:
-            self._lead = {}
-        scaled._lead = self._lead  # same terms, same leading exponents
+        scaled._lead = self._lead  # same terms, same leading exponent
         return scaled
 
     def mul_monomial(self, exps: Exponents, coeff: int = 1) -> "MultiPoly":

@@ -9,7 +9,7 @@ import pytest
 from charp.cartier import apply_cartier, bracket_root
 from charp.config import Caps, caps_scope
 from charp.errors import (DomainError, PreconditionError, ResourceError,
-                          TestElementError)
+                          TestElementError, UnsupportedInputError)
 from charp.fsing import (PairDivisor, ascending_fixed_ideal, fedder_f_pure,
                          is_compatible, is_sharply_f_pure,
                          is_strongly_f_regular, multiplicity,
@@ -19,6 +19,7 @@ from charp.ideal import Ideal
 from charp.ring import PolyRing
 
 from conftest import random_poly
+from test_ideal import oracle_quotient
 
 
 def I(ring, *texts):
@@ -274,9 +275,24 @@ def test_fedder_requires_containment():
         fedder_f_pure(I(ring, "x+1"), Ideal.irrelevant(ring))
 
 
+def test_fedder_takes_principal_ideals_only():
+    ring = PolyRing(("x", "y"), 5)
+    m = Ideal.irrelevant(ring)
+    with pytest.raises(UnsupportedInputError):
+        fedder_f_pure(I(ring, "x", "y"), m)
+    with pytest.raises(UnsupportedInputError):
+        fedder_f_pure(Ideal.zero(ring), m)
+    # redundant generators of a principal ideal: its reduced basis is (h)
+    for h in ("x^2+y^3", "x*y"):
+        redundant = I(ring, h, f"x*({h})", f"(x+y^2)*({h})")
+        assert fedder_f_pure(redundant, m) == fedder_f_pure(I(ring, h), m)
+    assert fedder_f_pure(I(ring, "x*y", "x^2*y"), m)
+    assert not fedder_f_pure(I(ring, "x^2+y^3", "2*x^2+2*y^3"), m)
+
+
 def test_fedder_hypersurface_shortcut_agrees():
-    # (h^[p] : h) = (h^(p-1)), so the general formula must match the
-    # classical h^(p-1) membership test
+    # Fedder's colon (h^[p] : h) from the elimination oracle against the
+    # verdict of the hypersurface route
     rng = random.Random(241)
     for p in (2, 3, 5):
         ring = PolyRing(("x", "y"), p)
@@ -286,8 +302,9 @@ def test_fedder_hypersurface_shortcut_agrees():
             h = random_poly(rng, ring, max_degree=3, nonzero=True)
             if not m.contains(h):
                 continue
-            direct = not mp.contains(h ** (p - 1))
-            assert fedder_f_pure(Ideal(ring, [h]), m) == direct
+            ideal = Ideal(ring, [h])
+            colon = oracle_quotient(ideal.bracket_power(1), ideal)
+            assert fedder_f_pure(ideal, m) == (not colon.issubset(mp))
 
 
 def test_fedder_agrees_with_localized_purity():

@@ -10,10 +10,10 @@ import pytest
 import sympy as sp
 
 from charp.config import Caps, caps_scope
-from charp.errors import DomainError, ResourceError, RingMismatchError
-from charp.ideal import (Ideal, _divisor, _exact_div, buchberger, groebner,
+from charp.errors import DomainError, ResourceError
+from charp.ideal import (Ideal, _divisor, buchberger, groebner,
                          monomial_hilbert_numerator, normal_form)
-from charp.ring import GREVLEX, BlockElimOrder, ChartOrder, PolyRing
+from charp.ring import PolyRing, grevlex_key, grevlex_packing
 
 from conftest import random_homogeneous, random_poly
 
@@ -126,13 +126,85 @@ def test_reduced_basis_matches_sympy_three_vars():
             _sympy_reduced_gb(ring, gens)
 
 
-# -- quotient ----------------------------------------------------------------
+# -- the elimination oracle ----------------------------------------------------
+#
+# The former production routes for intersections, quotients and
+# saturations, kept as the oracle: each eliminates one auxiliary variable
+# t on the dict-copy kernel below (`oracle_buchberger`), in the block
+# order that compares t's degree first and breaks ties by grevlex.
+
+
+def _elimination_key(exps):
+    return (exps[0], grevlex_key(exps[1:]))
+
+
+def oracle_eliminate(ring, build):
+    """The ideal of k[x] left after eliminating t: `build(t, lift)`
+    lists generators in k[t, x], where lift(f, k) is t^k * f.  Its
+    generators are the t-free part of the block-order basis, which is
+    the reduced grevlex basis."""
+    aux = "t_elim"
+    while aux in ring.variables:
+        aux += "_"
+    ext = PolyRing((aux,) + ring.variables, ring.p)
+
+    def lift(f, t_shift=0):
+        return ext.poly({(t_shift,) + e: c for e, c in f._terms.items()})
+
+    basis = oracle_buchberger(build(ext.gen(0), lift), _elimination_key)
+    return Ideal(ring, [ring.poly({e[1:]: c for e, c in g._terms.items()})
+                        for g in basis if all(e[0] == 0 for e in g._terms)])
+
+
+def oracle_intersect(a, b):
+    """I ∩ J = (t·I + (1-t)·J) ∩ k[x]."""
+    return oracle_eliminate(a.ring, lambda t, lift: (
+        [lift(g, 1) for g in a.generators]
+        + [(1 - t) * lift(g) for g in b.generators]))
+
+
+def _oracle_exact_div(f, g):
+    """f/g by long division, asserting that g divides f."""
+    ring = f.ring
+    lead_g = _oracle_lead(g, grevlex_key)
+    inv = pow(g.coefficient(lead_g), -1, ring.p)
+    quotient, rest = ring.zero(), f
+    while not rest.is_zero:
+        lead = _oracle_lead(rest, grevlex_key)
+        shift = tuple(a - b for a, b in zip(lead, lead_g))
+        assert min(shift) >= 0, f"{g} does not divide {f}"
+        step = ring.monomial(shift, rest.coefficient(lead) * inv)
+        quotient, rest = quotient + step, rest - step * g
+    return quotient
+
+
+def oracle_quotient(ideal, other):
+    """(I : J), the intersection over the generators g of J of
+    (I ∩ (g))/g; the unit ideal when J has none."""
+    result = None
+    for g in other.generators:
+        meet = oracle_intersect(ideal, Ideal(ideal.ring, [g]))
+        part = Ideal(ideal.ring, [_oracle_exact_div(h, g)
+                                  for h in meet.generators])
+        result = part if result is None else oracle_intersect(result, part)
+    return Ideal.unit(ideal.ring) if result is None else result
+
+
+def oracle_saturate(ideal, other):
+    """(I : J^∞), the intersection over the generators g of J of the
+    Rabinowitsch eliminations (I + (1 - t·g)) ∩ k[x]."""
+    result = None
+    for g in other.generators:
+        part = oracle_eliminate(ideal.ring, lambda t, lift: (
+            [lift(h) for h in ideal.generators] + [1 - t * lift(g)]))
+        result = part if result is None else oracle_intersect(result, part)
+    return Ideal.unit(ideal.ring) if result is None else result
 
 
 def test_quotient_examples(R5):
-    assert I(R5, "x^2").quotient(I(R5, "x")) == I(R5, "x")
-    assert I(R5, "x*y").quotient(I(R5, "x")) == I(R5, "y")
-    assert I(R5, "x^2", "x*y").quotient(I(R5, "x", "y")) == I(R5, "x")
+    assert oracle_quotient(I(R5, "x^2"), I(R5, "x")) == I(R5, "x")
+    assert oracle_quotient(I(R5, "x*y"), I(R5, "x")) == I(R5, "y")
+    assert oracle_quotient(I(R5, "x^2", "x*y"), I(R5, "x", "y")) == I(R5, "x")
 
 
 def test_quotient_contains_ideal_and_unit_rule(R5):
@@ -141,27 +213,21 @@ def test_quotient_contains_ideal_and_unit_rule(R5):
         ideal = Ideal(R5, [random_poly(rng, R5, nonzero=True)
                            for _ in range(2)])
         other = Ideal(R5, [random_poly(rng, R5, nonzero=True)])
-        quot = ideal.quotient(other)
+        quot = oracle_quotient(ideal, other)
         assert ideal.issubset(quot)
         # (I : (1)) = I
-        assert ideal.quotient(Ideal.unit(R5)) == ideal
+        assert oracle_quotient(ideal, Ideal.unit(R5)) == ideal
         # (I : J) * J is inside I
         assert (quot * other).issubset(ideal)
-
-
-def test_quotient_ring_mismatch(R5):
-    other = PolyRing(("x", "y"), 7)
-    with pytest.raises(RingMismatchError):
-        I(R5, "x").quotient(Ideal(other, [other.gen(0)]))
 
 
 # -- saturation ---------------------------------------------------------------
 
 
 def test_saturation_examples(R5):
-    assert I(R5, "x^2*y").saturate(I(R5, "y")) == I(R5, "x^2")
-    assert I(R5, "x").saturate(I(R5, "x")).is_unit
-    assert I(R5, "x^2", "x*y").saturate(I(R5, "x", "y")) == I(R5, "x")
+    assert oracle_saturate(I(R5, "x^2*y"), I(R5, "y")) == I(R5, "x^2")
+    assert oracle_saturate(I(R5, "x"), I(R5, "x")).is_unit
+    assert oracle_saturate(I(R5, "x^2", "x*y"), I(R5, "x", "y")) == I(R5, "x")
 
 
 def test_saturation_properties(R5):
@@ -170,20 +236,20 @@ def test_saturation_properties(R5):
         ideal = Ideal(R5, [random_poly(rng, R5, nonzero=True)
                            for _ in range(2)])
         other = Ideal(R5, [random_poly(rng, R5, nonzero=True)])
-        assert ideal.saturate(Ideal.unit(R5)) == ideal
-        assert ideal.issubset((ideal * other).saturate(other))
+        assert oracle_saturate(ideal, Ideal.unit(R5)) == ideal
+        assert ideal.issubset(oracle_saturate(ideal * other, other))
 
 
 # -- saturation against the quotient loop ------------------------------------
 
 
 def quotient_loop_saturate(ideal, other, steps=64):
-    """(I : J^inf) by the former production route, kept as the oracle:
-    quotients (I : J^n) for growing n until two consecutive reduced bases
-    agree, each quotient an intersection by elimination."""
+    """(I : J^inf) by quotients (I : J^n) for growing n until two
+    consecutive reduced bases agree, each quotient by the elimination
+    oracle."""
     current = ideal
     for _ in range(steps):
-        nxt = current.quotient(other)
+        nxt = oracle_quotient(current, other)
         if nxt == current:
             return current
         current = nxt
@@ -199,20 +265,26 @@ def _random_homogeneous_ideal(rng, ring):
 
 
 def test_saturation_matches_quotient_loop_on_homogeneous_ideals():
-    # the irrelevant ideal and single variables: the chart route
+    # a single variable: one chart; the irrelevant ideal: the charts'
+    # intersection, which the elimination oracle forms
     rng = random.Random(47)
     moved = 0
     for p in (5, 7):
         ring = PolyRing(("x", "y", "z"), p)
         for _ in range(12):
             ideal = _random_homogeneous_ideal(rng, ring)
-            for other in (Ideal.irrelevant(ring),
-                          Ideal(ring, [ring.gen(rng.randrange(3))])):
+            charts = [ideal.chart(i) for i in range(3)]
+            meet = charts[0]
+            for chart in charts[1:]:
+                meet = oracle_intersect(meet, chart)
+            i = rng.randrange(3)
+            for other, got in ((Ideal.irrelevant(ring), meet),
+                               (Ideal(ring, [ring.gen(i)]), charts[i])):
                 want = quotient_loop_saturate(ideal, other)
-                got = ideal.saturate(other)
                 assert got == want, (ideal, other)
-                assert got.groebner_basis == buchberger(got.generators)
                 moved += want != ideal
+            # the elimination hands on the reduced grevlex basis
+            assert meet.generators == buchberger(meet.generators)
     assert moved >= 10
 
 
@@ -232,10 +304,10 @@ def test_saturation_matches_quotient_loop_on_inhomogeneous_ideals():
                                  for _ in range(2)])
             other = Ideal(ring, js)
             want = quotient_loop_saturate(ideal, other)
-            got = ideal.saturate(other)
+            got = oracle_saturate(ideal, other)
             assert got == want, (ideal, other)
-            # the elimination hands on its basis as the reduced one
-            assert got.groebner_basis == buchberger(got.generators)
+            # the elimination hands on the reduced grevlex basis
+            assert got.generators == buchberger(got.generators)
             moved += want != ideal
     assert moved >= 5
 
@@ -373,8 +445,8 @@ def test_bracket_power_of_intersection_on_monomial_ideals():
     for _ in range(50):
         a = _random_monomial_ideal(rng, ring)
         b = _random_monomial_ideal(rng, ring)
-        meet_power = a.intersect(b).bracket_power(1)
-        power_meet = a.bracket_power(1).intersect(b.bracket_power(1))
+        meet_power = oracle_intersect(a, b).bracket_power(1)
+        power_meet = oracle_intersect(a.bracket_power(1), b.bracket_power(1))
         assert meet_power.issubset(power_meet)
         assert meet_power == power_meet
         # oracle: monomial intersections are componentwise max of exponents
@@ -431,23 +503,26 @@ def test_degree_cap_fires():
 # -- the packed heap kernel against the dict-copy kernel ----------------------
 #
 # The former production kernel, kept as the oracle: every step rescans the
-# terms for the leading one under the order's tuple key and copies the
-# whole dict, and no cache is read.
+# terms for the leading one under a tuple sort key (grevlex, or the
+# elimination oracle's block key) and copies the whole dict, and no cache
+# is read.
 
 
-def _oracle_lead(f, order):
-    return max(f._terms, key=order.key)
+def _oracle_lead(f, key):
+    return max(f._terms, key=key)
 
 
-def oracle_normal_form(f, basis, order):
+def oracle_normal_form(f, basis, key=grevlex_key):
     ring = f.ring
-    reducers = [(_oracle_lead(g, order),
-                 pow(g._terms[_oracle_lead(g, order)], -1, ring.p), g)
-                for g in basis if not g.is_zero]
+    reducers = []
+    for g in basis:
+        if not g.is_zero:
+            lead = _oracle_lead(g, key)
+            reducers.append((lead, pow(g._terms[lead], -1, ring.p), g))
     remainder = ring.zero()
     work = f
     while not work.is_zero:
-        lead = _oracle_lead(work, order)
+        lead = _oracle_lead(work, key)
         coeff = work.coefficient(lead)
         for lm, lc_inv, g in reducers:
             if all(x <= y for x, y in zip(lm, lead)):
@@ -462,53 +537,53 @@ def oracle_normal_form(f, basis, order):
     return remainder
 
 
-def _oracle_monic(f, order):
-    return f.scale(pow(f._terms[_oracle_lead(f, order)], -1, f.ring.p))
+def _oracle_monic(f, key):
+    return f.scale(pow(f._terms[_oracle_lead(f, key)], -1, f.ring.p))
 
 
-def oracle_buchberger(generators, order):
+def oracle_buchberger(generators, key=grevlex_key):
     """The former `buchberger` and `_reduce`: normal pair selection on
     tuple keys, the coprimality criterion, then minimalize and
     inter-reduce, all through the dict-copy normal form."""
     raw = sorted((g for g in generators if not g.is_zero),
-                 key=lambda g: order.key(_oracle_lead(g, order)))
+                 key=lambda g: key(_oracle_lead(g, key)))
     basis, pairs, counter = [], [], itertools.count()
 
     def push_pairs(new):
-        lm_new = _oracle_lead(basis[new], order)
+        lm_new = _oracle_lead(basis[new], key)
         for i in range(new):
-            lm_i = _oracle_lead(basis[i], order)
+            lm_i = _oracle_lead(basis[i], key)
             lcm = tuple(map(max, lm_i, lm_new))
             if lcm != tuple(a + b for a, b in zip(lm_i, lm_new)):
-                heapq.heappush(pairs, (order.key(lcm), next(counter), i, new))
+                heapq.heappush(pairs, (key(lcm), next(counter), i, new))
 
     for g in raw:
-        g = oracle_normal_form(g, basis, order)
+        g = oracle_normal_form(g, basis, key)
         if not g.is_zero:
-            basis.append(_oracle_monic(g, order))
+            basis.append(_oracle_monic(g, key))
             push_pairs(len(basis) - 1)
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
         f, g = basis[i], basis[j]
-        lf, lg = _oracle_lead(f, order), _oracle_lead(g, order)
+        lf, lg = _oracle_lead(f, key), _oracle_lead(g, key)
         lcm = tuple(map(max, lf, lg))
         s = (f.mul_monomial(tuple(a - b for a, b in zip(lcm, lf)))
              - g.mul_monomial(tuple(a - b for a, b in zip(lcm, lg))))
-        s = oracle_normal_form(s, basis, order)
+        s = oracle_normal_form(s, basis, key)
         if not s.is_zero:
-            basis.append(_oracle_monic(s, order))
+            basis.append(_oracle_monic(s, key))
             push_pairs(len(basis) - 1)
-    basis.sort(key=lambda g: order.key(_oracle_lead(g, order)))
+    basis.sort(key=lambda g: key(_oracle_lead(g, key)))
     minimal = []
     for g in basis:
-        lm = _oracle_lead(g, order)
-        if not any(all(x <= y for x, y in zip(_oracle_lead(h, order), lm))
+        lm = _oracle_lead(g, key)
+        if not any(all(x <= y for x, y in zip(_oracle_lead(h, key), lm))
                    for h in minimal):
             minimal.append(g)
     for k, g in enumerate(minimal):
         minimal[k] = _oracle_monic(
-            oracle_normal_form(g, minimal[:k] + minimal[k + 1:], order), order)
-    return tuple(sorted(minimal, key=lambda g: order.key(_oracle_lead(g, order)),
+            oracle_normal_form(g, minimal[:k] + minimal[k + 1:], key), key)
+    return tuple(sorted(minimal, key=lambda g: key(_oracle_lead(g, key)),
                         reverse=True))
 
 
@@ -518,45 +593,44 @@ def _same(a, b):
 
 
 def _kernel_cases(seed):
+    # nvars + 2 draws per ring
     rng = random.Random(seed)
     for p in (2, 3, 5, 7, 11, 13):
         for nvars in (2, 3, 4):
             ring = PolyRing(("x", "y", "z", "w")[:nvars], p)
-            for order in ([GREVLEX, BlockElimOrder(1)]
-                          + [ChartOrder(i) for i in range(nvars)]):
-                yield rng, ring, order
+            for _ in range(nvars + 2):
+                yield rng, ring
 
 
 def test_normal_forms_match_the_dict_copy_oracle():
     # arbitrary divisor lists, not only Gröbner bases: both kernels take
     # the first divisor whose lead divides the current leading term
-    for rng, ring, order in _kernel_cases(61):
+    for rng, ring in _kernel_cases(61):
         for _ in range(3):
             divisors = [random_poly(rng, ring, max_degree=3, max_terms=3)
                         for _ in range(rng.randint(1, 3))]
             f = random_poly(rng, ring, max_degree=5, max_terms=6)
-            got = normal_form(f, divisors, order)
-            want = oracle_normal_form(f, divisors, order)
-            assert _same(got, want), (order.name, f, divisors)
+            got = normal_form(f, divisors)
+            want = oracle_normal_form(f, divisors)
+            assert _same(got, want), (f, divisors)
             if not got.is_zero:
-                assert got.leading_exponent(order) == _oracle_lead(got, order)
+                assert got.leading_exponent() == _oracle_lead(got, grevlex_key)
 
 
 def test_reduced_bases_match_the_tuple_key_oracle():
     # random inputs are often the unit ideal; forms never are
-    for rng, ring, order in _kernel_cases(67):
+    for rng, ring in _kernel_cases(67):
         for gens in ([random_poly(rng, ring, max_degree=3, max_terms=3)
                       for _ in range(rng.randint(1, 3))],
                      [random_homogeneous(rng, ring, rng.randint(2, 3))
                       for _ in range(rng.randint(2, 3))]):
-            got = buchberger(gens, order)
-            want = oracle_buchberger([g for g in gens if not g.is_zero], order)
-            assert len(got) == len(want), (order.name, gens)
-            assert all(map(_same, got, want)), (order.name, gens)
+            got = buchberger(gens)
+            want = oracle_buchberger([g for g in gens if not g.is_zero])
+            assert len(got) == len(want), gens
+            assert all(map(_same, got, want)), gens
             for f in (random_poly(rng, ring, max_degree=4, max_terms=5)
                       for _ in range(2)):
-                assert _same(normal_form(f, got, order),
-                             oracle_normal_form(f, want, order))
+                assert _same(normal_form(f, got), oracle_normal_form(f, want))
 
 
 def test_kernel_widens_past_any_digit_width():
@@ -566,37 +640,19 @@ def test_kernel_widens_past_any_digit_width():
         f = ring.monomial((top, 1, 0)) + ring.monomial((3, 0, top))
         divisors = [ring.monomial((top - 2, 0, 0)) - ring.monomial((0, 0, top - 1)),
                     ring.parse("x*y - z^2")]
-        for order in (GREVLEX, BlockElimOrder(1), ChartOrder(0)):
-            assert _same(normal_form(f, divisors, order),
-                         oracle_normal_form(f, divisors, order)), (order.name, top)
+        assert _same(normal_form(f, divisors),
+                     oracle_normal_form(f, divisors)), top
     # a divisor that does not fit a width is refused at that width
     wide = ring.monomial((1 << 20, 0, 0)) + ring.gen(1)
-    assert _divisor(wide, GREVLEX.packing(3, 16)) is None
-    assert _divisor(wide, GREVLEX.packing(3, 32)) is not None
+    assert _divisor(wide, grevlex_packing(3, 16)) is None
+    assert _divisor(wide, grevlex_packing(3, 32)) is not None
     # only the input is wide
     f = ring.monomial((1 << 20, 1, 0))
     assert _same(normal_form(f, [ring.parse("y - z")]),
                  ring.monomial((1 << 20, 0, 1)))
-    # outside a graded order a reduction climbs past the width it began in
-    t = ring.gen(0)
-    assert _same(normal_form(t ** 3, [t - ring.monomial((0, 30000, 0))],
-                             BlockElimOrder(1)),
-                 ring.monomial((0, 90000, 0)))
     # a Frobenius power of a degree-40 form over F_2 (degree 10240)
     R2 = PolyRing(("x", "y", "z"), 2)
     form = R2.parse("x^40 + x^13*y^20*z^7 + x^2*y*z^37 + y^40")
     big = form.frobenius_power(256)
     divisors = [R2.monomial((256, 0, 0)) - R2.monomial((0, 1, 255))]
-    assert _same(normal_form(big, divisors), oracle_normal_form(big, divisors, GREVLEX))
-
-
-def test_exact_division_matches_multiplication():
-    rng = random.Random(71)
-    for p in (2, 5, 13):
-        ring = PolyRing(("x", "y", "z"), p)
-        for _ in range(20):
-            g = random_poly(rng, ring, max_degree=3, nonzero=True)
-            h = random_poly(rng, ring, max_degree=3)
-            assert _same(_exact_div(g * h, g), h)
-    big = ring.monomial((1 << 20, 0, 0)) + ring.gen(1)
-    assert _same(_exact_div(big * big, big), big)
+    assert _same(normal_form(big, divisors), oracle_normal_form(big, divisors))

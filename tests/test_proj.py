@@ -12,7 +12,8 @@ from charp.config import DEFAULT_CAPS, Caps, caps_scope, current_caps
 from charp.errors import DomainError, PreconditionError, ResourceError
 from charp.fsing import PairDivisor, sigma_chain
 from charp.ideal import Ideal, normal_form
-from charp.proj import (ProjScheme, _same_saturation, center_is_compatible,
+from charp.proj import (ProjScheme, _same_saturation, _saturated_pieces,
+                        center_is_compatible,
                         center_stable_image, degree_bound_pipeline,
                         graded_fixed_ideal, graded_piece, is_base_point_free,
                         is_globally_generated, projective_multiplicity,
@@ -22,7 +23,8 @@ from charp.proj import (ProjScheme, _same_saturation, center_is_compatible,
 from charp.ring import PolyRing
 
 from conftest import random_homogeneous
-from test_ideal import _random_homogeneous_ideal, quotient_loop_saturate
+from test_ideal import (_random_homogeneous_ideal, oracle_saturate,
+                        quotient_loop_saturate)
 
 
 def I(ring, *texts):
@@ -378,7 +380,7 @@ def _double_point_ideal(scheme, coords):
     point on the scheme: (I_X + I_P^2) : (x_0, ..., x_n)^infinity."""
     point = rational_point_ideal(scheme.ring, coords)
     fat = scheme.ideal + point * point
-    return fat.saturate(Ideal.irrelevant(scheme.ring))
+    return oracle_saturate(fat, Ideal.irrelevant(scheme.ring))
 
 
 def _rational_points(scheme):
@@ -659,6 +661,45 @@ def test_projective_multiplicity():
         assert projective_multiplicity(A, P) == 4
     assert projective_multiplicity(ring.parse("x"), (0, 1, 1)) == 1
     assert projective_multiplicity(ring.parse("x"), (1, 1, 1)) == 0
+
+
+def test_saturated_pieces_match_the_elimination_oracle():
+    # the degree-d pieces of (I : (x_0..x_n)^inf), byte for byte, against
+    # the pieces of the oracle's saturation.  The random ideals carry
+    # monomial factors, and each is also multiplied by m = (x_0..x_n),
+    # which leaves the saturation as it is and is never saturated
+    rng = random.Random(73)
+    unsaturated = nonzero_at_start = 0
+    for names in (("x", "y", "z"), ("x", "y", "z", "w")):
+        for p in (2, 3, 5, 7):
+            ring = PolyRing(names, p)
+            zero, irrelevant = Ideal.zero(ring), Ideal.irrelevant(ring)
+            for _ in range(8):
+                ideal = _random_homogeneous_ideal(rng, ring)
+                want = oracle_saturate(ideal, irrelevant)
+                expected = [space_from_polys(
+                    zero, d, want.graded_generators_in_degree(d, zero))
+                    for d in range(6)]
+                for case in (ideal, ideal * irrelevant):
+                    unsaturated += case != want
+                    got = list(_saturated_pieces(case, 5))
+                    assert len(got) == len(expected), case
+                    for piece, wanted in zip(got, expected):
+                        assert piece.degree == wanted.degree, case
+                        assert piece.columns == wanted.columns, case
+                        assert piece.pivots == wanted.pivots, case
+                        assert (piece.matrix.tobytes()
+                                == wanted.matrix.tobytes()), case
+                        assert list(map(str, piece.polys())) == \
+                            list(map(str, wanted.polys()))
+                    # the first nonzero piece sits at the charts' start
+                    first = next((piece.degree for piece in got if piece.dim),
+                                 None)
+                    start = max(min(g.degree() for g in case.chart(i).generators)
+                                for i in range(ring.nvars))
+                    nonzero_at_start += first == start
+    assert unsaturated >= 64 and nonzero_at_start >= 40, \
+        (unsaturated, nonzero_at_start)
 
 
 def test_degree_bound_three_points():

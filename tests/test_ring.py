@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charp.errors import DomainError, ParseError, RingMismatchError
-from charp.ring import (GREVLEX, BlockElimOrder, ChartOrder, PolyRing,
-                        grevlex_key, monomials_of_degree)
+from charp.ring import (PolyRing, grevlex_key, grevlex_packing,
+                        monomials_of_degree)
 
 from charp.ideal import normal_form
 
@@ -169,10 +169,6 @@ def test_canonical_string(R57):
 # -- packed keys and the leading-term cache ----------------------------------
 
 
-def _orders(nvars):
-    return [GREVLEX, BlockElimOrder(1)] + [ChartOrder(i) for i in range(nvars)]
-
-
 def _width_for(degree):
     width = 16
     while degree >= 1 << (width - 1):
@@ -193,51 +189,48 @@ def test_packed_keys_follow_the_reference_order(top):
         exps = {_random_exponents(rng, nvars, top) for _ in range(60)}
         exps |= {(top,) + (0,) * (nvars - 1), (0,) * (nvars - 1) + (top,)}
         width = _width_for(max(map(sum, exps)))
-        for order in _orders(nvars):
-            packing = order.packing(nvars, width)
-            by_key = sorted(exps, key=order.key)
-            assert sorted(exps, key=packing.pack) == by_key, (order.name, nvars)
-            for a in exps:
-                assert packing.unpack(packing.pack(a)) == a
-                fields, degree = packing.direct(packing.pack(a))
-                assert degree == sum(a)
-            for a, b in zip(by_key, by_key[1:] + by_key[:1]):
-                ka, kb = packing.pack(a), packing.pack(b)
-                divides = all(x <= y for x, y in zip(a, b))
-                assert (not (packing.direct(kb)[0]
-                             - packing.direct(ka)[0]) & packing.guard) == divides
-                total = tuple(x + y for x, y in zip(a, b))
-                if sum(total) < packing.limit:
-                    assert ka + kb == packing.pack(total)
+        packing = grevlex_packing(nvars, width)
+        by_key = sorted(exps, key=grevlex_key)
+        assert sorted(exps, key=packing.pack) == by_key, nvars
+        for a in exps:
+            assert packing.unpack(packing.pack(a)) == a
+            fields, degree = packing.direct(packing.pack(a))
+            assert degree == sum(a)
+        for a, b in zip(by_key, by_key[1:] + by_key[:1]):
+            ka, kb = packing.pack(a), packing.pack(b)
+            divides = all(x <= y for x, y in zip(a, b))
+            assert (not (packing.direct(kb)[0]
+                         - packing.direct(ka)[0]) & packing.guard) == divides
+            total = tuple(x + y for x, y in zip(a, b))
+            if sum(total) < packing.limit:
+                assert ka + kb == packing.pack(total)
 
 
 def test_packed_keys_order_a_frobenius_power():
     # a Frobenius power of a degree-40 form: degree 10240 fits 16 bits
     R2 = PolyRing(("x", "y", "z"), 2)
     g = R2.parse("x^40 + x^13*y^20*z^7 + y*z^39").frobenius_power(256)
-    packing = GREVLEX.packing(3, 16)
+    packing = grevlex_packing(3, 16)
     assert g.degree() < packing.limit
     assert sorted(g._terms, key=packing.pack, reverse=True) == \
         [e for e, _ in g.iter_terms()]
 
 
-def test_leading_term_cache_answers_per_order():
+def test_leading_term_cache_answers_grevlex():
     ring = PolyRing(("x", "y", "z"), 7)
     f = ring.parse("x*z + y^2 + 3*x^2")
-    chart = ChartOrder(0)
-    asked = [(GREVLEX, (2, 0, 0)), (chart, (0, 2, 0)), (GREVLEX, (2, 0, 0)),
-             (ChartOrder(0), (0, 2, 0)), (BlockElimOrder(1), (2, 0, 0)),
-             (ChartOrder(2), (2, 0, 0))]
     for _ in range(3):
-        for order, want in asked:
-            assert f.leading_exponent(order) == want, order.name
-            assert f.leading_coefficient(order) == f.coefficient(want)
-    # a scaled copy shares the support, so it shares the answers
-    g = f.scale(2).monic(ChartOrder(0))
-    assert g.leading_coefficient(ChartOrder(0)) == 1
-    assert g.leading_exponent(GREVLEX) == (2, 0, 0)
-    assert g.leading_exponent(ChartOrder(1)) == max(g._terms,
-                                                    key=ChartOrder(1).key)
+        assert f.leading_exponent() == (2, 0, 0)
+        assert f.leading_coefficient() == 3
+    assert f._lead == (2, 0, 0)
+    # a scaled copy shares the support, so it shares the answer
+    g = f.scale(2).monic()
+    assert g._lead == (2, 0, 0) and g.leading_coefficient() == 1
+    # a normal form comes with its leading exponent cached
+    h = normal_form(ring.parse("x^3 + y^2*z + z^3"), [ring.parse("x^2 - y*z")])
+    assert h._lead == max(h._terms, key=grevlex_key) == (1, 1, 1)
+    with pytest.raises(DomainError):
+        ring.zero().leading_exponent()
 
 
 def test_caches_never_enter_equality_or_hashing():
@@ -247,11 +240,10 @@ def test_caches_never_enter_equality_or_hashing():
         f = random_poly(rng, ring, nonzero=True)
         fresh = ring.poly(dict(f._terms))
         before = hash(f)
-        for order in _orders(3):
-            f.leading_exponent(order)
-            normal_form(ring.gen(0) * f, [f], order)  # f as a divisor
+        f.leading_exponent()
+        normal_form(ring.gen(0) * f, [f])  # f as a divisor
         assert f._lead and f._packed
         assert f == fresh and hash(f) == hash(fresh) == before
         assert str(f) == str(fresh)
         assert {f: 1}[fresh] == 1
-        assert f.monic(ChartOrder(1)) == fresh.monic(ChartOrder(1))
+        assert f.monic() == fresh.monic()
