@@ -2,11 +2,12 @@
 
 For q = p^e the monomials x^b with 0 <= b_i < q form a free basis of
 S = F_p[x] over its subring of q-th powers, so every g has a unique
-expansion g = sum_b g_b^q * x^b.  The trace operator projects onto the
-top basis slot b = (q-1, ..., q-1); this normalization is fixed once and
-for all, which is harmless because images of ideals are insensitive to
-unit factors.  Composites follow the rule
-Tr^e(f * -) iterated n times = Tr^(ne)(f^(1+q+...+q^(n-1)) * -).
+expansion g = sum_b g_b^q * x^b.  `frob_expand` is the one place that
+splits exponents by q: bracket roots take every component, and the
+trace operator reads the top slot b = (q-1, ..., q-1); this
+normalization is fixed once and for all, which is harmless because
+images of ideals are insensitive to unit factors.  Composites follow
+the rule Tr^e(f * -) iterated n times = Tr^(ne)(f^(1+q+...+q^(n-1)) * -).
 """
 
 from __future__ import annotations
@@ -30,64 +31,30 @@ def _check_level(ring: PolyRing, e: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class FrobBasisExpansion:
-    """Unique expansion g = sum_b components[b]^q * x^b, 0 <= b_i < q."""
-
-    e: int
-    q: int
-    components: Dict[tuple, MultiPoly]
-
-    def reassemble(self) -> MultiPoly:
-        """Recompute the expanded polynomial; identity check for tests."""
-        ring = next(iter(self.components.values())).ring if self.components else None
-        if ring is None:
-            raise DomainError("empty expansion has no ring")
-        total = ring.zero()
-        for b, g_b in self.components.items():
-            total = total + g_b.frobenius_power(self.q).mul_monomial(b)
-        return total
-
-
-def frob_expand(g: MultiPoly, e: int) -> FrobBasisExpansion:
-    """Split every exponent a as q*u + b with b in [0, q); coefficients
-    pass through unchanged because Frobenius fixes F_p."""
+def frob_expand(g: MultiPoly, e: int) -> Dict[tuple, MultiPoly]:
+    """The components {b: g_b} of g = sum_b g_b^q * x^b, 0 <= b_i < q,
+    nonzero ones only and in ascending order of b: every exponent a
+    splits as q*u + b, and coefficients pass through unchanged because
+    Frobenius fixes F_p.  The split is a bijection, so no two terms of g
+    land on the same term of a component."""
     q = _check_level(g.ring, e)
-    ring = g.ring
     buckets: Dict[tuple, dict] = {}
     for exps, c in g._terms.items():
         b = tuple(a % q for a in exps)
-        u = tuple(a // q for a in exps)
-        bucket = buckets.setdefault(b, {})
-        bucket[u] = (bucket.get(u, 0) + c) % ring.p
-    components = {}
-    for b in sorted(buckets):
-        poly = MultiPoly(ring, {u: c for u, c in buckets[b].items() if c})
-        if not poly.is_zero:
-            components[b] = poly
-    return FrobBasisExpansion(e=e, q=q, components=components)
+        buckets.setdefault(b, {})[tuple(a // q for a in exps)] = c
+    return {b: MultiPoly(g.ring, buckets[b]) for b in sorted(buckets)}
 
 
 def trace(g: MultiPoly, e: int) -> MultiPoly:
-    """Projection onto the basis monomial x^(q-1, ..., q-1).
+    """The component of the top basis monomial x^(q-1, ..., q-1).
 
     Monomial rule: x^a maps to x^((a - (q-1)*1)/q) when every coordinate
     of a is congruent to q-1 mod q, and to 0 otherwise.  The operator is
     p^{-e}-linear and surjective.
     """
-    q = _check_level(g.ring, e)
     ring = g.ring
-    top = q - 1
-    out: Dict[tuple, int] = {}
-    for exps, c in g._terms.items():
-        if all(a % q == top for a in exps):
-            u = tuple((a - top) // q for a in exps)
-            s = (out.get(u, 0) + c) % ring.p
-            if s:
-                out[u] = s
-            else:
-                out.pop(u, None)
-    return MultiPoly(ring, out)
+    components = frob_expand(g, e)
+    return components.get((ring.p ** e - 1,) * ring.nvars, ring.zero())
 
 
 def bracket_root(ideal: Ideal, e: int) -> Ideal:
@@ -98,9 +65,8 @@ def bracket_root(ideal: Ideal, e: int) -> Ideal:
     gens = []
     seen = set()
     for g in ideal.generators:
-        expansion = frob_expand(g, e)
-        for b in sorted(expansion.components):
-            component = expansion.components[b].monic()
+        for component in frob_expand(g, e).values():
+            component = component.monic()
             if component not in seen:
                 seen.add(component)
                 gens.append(component)
@@ -145,8 +111,6 @@ def apply_cartier(cmap: CartierMap, ideal: Ideal) -> Ideal:
 
     Monotone in J and additive over ideal sums.
     """
-    if cmap.multiplier.is_zero:
-        raise DomainError("Cartier map multiplier must be nonzero")
     if ideal.ring != cmap.ring:
         raise DomainError("Cartier map and ideal live in different rings")
     scaled = Ideal(ideal.ring, [cmap.multiplier * g for g in ideal.generators])

@@ -41,20 +41,6 @@ def rref(matrix: np.ndarray, p: int) -> tuple:
     return m[:r].copy(), tuple(pivots)
 
 
-def reduce_vector(vec: np.ndarray, basis: np.ndarray, pivots: tuple, p: int) -> np.ndarray:
-    """Residue of vec modulo the row space of an RREF basis."""
-    v = np.array(vec, dtype=np.int64) % p
-    for row, c in zip(basis, pivots):
-        coeff = int(v[c])
-        if coeff:
-            v = (v - coeff * row) % p
-    return v
-
-
-def in_row_space(vec: np.ndarray, basis: np.ndarray, pivots: tuple, p: int) -> bool:
-    return not reduce_vector(vec, basis, pivots, p).any()
-
-
 def rank(matrix: np.ndarray, p: int) -> int:
     return rref(matrix, p)[0].shape[0]
 

@@ -12,6 +12,14 @@ an ideal equality that proves every later image equal, so the
 canonical subsystem of the twist is the degree-m piece of sigma (for
 the test-ideal variant, of tau, which the operator fixes).
 
+Each question about X is answered on the cone, by one route.  Forms
+define a complete intersection when their Hilbert series is that of a
+regular sequence of the same degrees.  Away from the vertex the cone is
+locally X × A^1, so a rational point P of P^n is read at any
+representative: a form's multiplicity at P is its multiplicity there,
+and a homogeneous ideal lies in the ideal of P when its homogeneous
+reduced basis vanishes there.
+
 Degree bookkeeping for one level with multiplier u (homogeneous of
 degree du): a source form of degree D maps to degree
 (D + du - (q-1)*(n+1)) / q, so the source piece for target degree m at
@@ -26,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, zip_longest
+from itertools import accumulate, zip_longest
 from operator import add
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -38,28 +46,14 @@ from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
 from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
                     descending_fixed_ideal, multiplicity, tau)
-from .ideal import Ideal, normal_form
-from .linalg import in_row_space, null_space, rank, rref
+from .ideal import Ideal, monomial_hilbert_numerator, normal_form
+from .linalg import null_space, rank, rref
 from .ring import MultiPoly, PolyRing, monomials_of_degree
 
 
 def trivial_pair(ring: PolyRing) -> PairDivisor:
     """The zero divisor, encoded as (1, 0, 1)."""
     return PairDivisor(ring.one(), 0, 1)
-
-
-def _leading_codim(ideal: Ideal) -> int:
-    """Codimension of a homogeneous ideal, read off its leading-term
-    ideal: the fewest variables that meet the support of every leading
-    monomial of the reduced basis (nvars + 1 for the unit ideal)."""
-    supports = [{i for i, a in enumerate(g.leading_exponent()) if a}
-                for g in ideal.groebner_basis]
-    nvars = ideal.ring.nvars
-    for k in range(nvars + 1):
-        for chosen in combinations(range(nvars), k):
-            if all(support.intersection(chosen) for support in supports):
-                return k
-    return nvars + 1
 
 
 @dataclass(frozen=True)
@@ -85,14 +79,24 @@ class ProjScheme:
     def from_forms(cls, ring: PolyRing, forms: Iterable[MultiPoly]) -> "ProjScheme":
         """The complete intersection of the forms.
 
-        r homogeneous forms with r <= n are a regular sequence exactly
-        when their ideal has codimension r; the cone they cut out is then
-        Cohen-Macaulay of dimension >= 1, so the ideal is saturated and
-        the adjunction bookkeeping (dimension, canonical twist) holds.
+        r forms of positive degrees d_1, ..., d_r with r <= n are a
+        regular sequence exactly when their ideal has the Hilbert series
+        prod (1 - t^d_i) / (1-t)^(n+1) (Stanley), that of the model
+        complete intersection (x_0^d_1, ..., x_(r-1)^d_r); the cone they
+        cut out is then Cohen-Macaulay of dimension >= 1, so the ideal is
+        saturated and the adjunction bookkeeping (dimension, canonical
+        twist) holds.  Constant forms are refused first: their unit
+        ideal would pass the series test.
         """
         scheme = cls(ring, tuple(forms))
+        if any(h.is_constant for h in scheme.forms):
+            raise DomainError("defining forms must have positive degree")
         r = len(scheme.forms)
-        if r > scheme.n or _leading_codim(scheme.ideal) != r:
+        model = [(0,) * i + (h.degree(),) + (0,) * (ring.nvars - i - 1)
+                 for i, h in enumerate(scheme.forms)]
+        # the empty sequence is regular: P^n needs no series
+        if r > scheme.n or (r and scheme.ideal.hilbert_numerator()
+                            != monomial_hilbert_numerator(model, ring.nvars)):
             raise DomainError(
                 f"the {r} defining forms are not a regular sequence of "
                 f"length <= {scheme.n}; pass a complete intersection")
@@ -162,17 +166,6 @@ class GradedSubspace:
             terms = {exps: int(c) for exps, c in zip(self.columns, row) if c}
             out.append(MultiPoly(self.ring, terms))
         return out
-
-    def contains(self, f: MultiPoly) -> bool:
-        index = {exps: i for i, exps in enumerate(self.columns)}
-        vec = _vectorize(f, self.modulus, self.degree, index)
-        return in_row_space(vec, self.matrix, self.pivots, self.ring.p)
-
-    def is_subspace_of(self, other: "GradedSubspace") -> bool:
-        if self.columns != other.columns:
-            raise DomainError("subspaces graded differently")
-        return all(in_row_space(row, other.matrix, other.pivots, self.ring.p)
-                   for row in self.matrix)
 
     def __eq__(self, other):
         if not isinstance(other, GradedSubspace):
@@ -475,20 +468,6 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
                             failures=failures)
 
 
-def rational_point_ideal(ring: PolyRing, coords: Sequence[int]) -> Ideal:
-    """Homogeneous ideal of a rational projective point."""
-    coords = [c % ring.p for c in coords]
-    if len(coords) != ring.nvars or not any(coords):
-        raise DomainError(f"bad projective point {coords}")
-    gens = []
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            g = ring.gen(i).scale(coords[j]) - ring.gen(j).scale(coords[i])
-            if not g.is_zero:
-                gens.append(g)
-    return Ideal(ring, gens)
-
-
 # -- global generation ----------------------------------------------------
 
 
@@ -522,18 +501,16 @@ def stable_sections_generate(scheme: ProjScheme, pair: PairDivisor, m: int,
 
 
 def projective_multiplicity(form: MultiPoly, point: Sequence[int]) -> int:
-    """Multiplicity of a hypersurface at a rational projective point."""
+    """Multiplicity of a hypersurface at a rational projective point: the
+    form's multiplicity at any representative, since away from the
+    vertex the cone A^(n+1) is locally P^n × A^1."""
     ring = form.ring
-    p = ring.p
-    coords = [c % p for c in point]
-    if len(coords) != ring.nvars or not any(coords):
+    if (len(point) != ring.nvars
+            or not all(isinstance(c, int) and not isinstance(c, bool)
+                       for c in point)
+            or not any(c % ring.p for c in point)):
         raise DomainError(f"bad projective point {point}")
-    pivot = max(i for i, c in enumerate(coords) if c)
-    scale = pow(coords[pivot], -1, p)
-    chart = form.dehomogenize(pivot)
-    local = [None if i == pivot else (c * scale) % p
-             for i, c in enumerate(coords)]
-    return multiplicity(chart, local)
+    return multiplicity(form, point)
 
 
 @dataclass
@@ -644,10 +621,10 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
     pair = PairDivisor(form, best[1], best[2])
 
     tau_ideal = tau(pair)
-    # tau lies in the ideal of the point set exactly when it lies in
-    # the ideal of every point
-    if not all(tau_ideal.issubset(rational_point_ideal(ring, P))
-               for P in points):
+    # tau lies in the ideal of the point set exactly when it lies in the
+    # ideal of every point, and a homogeneous ideal lies in the ideal of
+    # a projective point when its homogeneous reduced basis vanishes there
+    if any(g.evaluate(P) for g in tau_ideal.groebner_basis for P in points):
         raise TheoremViolationError(
             "test ideal escapes the point ideal; multiplicity containment "
             "failed on admissible input")

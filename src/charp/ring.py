@@ -439,19 +439,6 @@ class MultiPoly:
             result = result + term
         return result
 
-    def dehomogenize(self, index: int) -> "MultiPoly":
-        """Substitute 1 for the given variable (chart of a cone)."""
-        p = self.ring.p
-        out = {}
-        for exps, c in self._terms.items():
-            ne = tuple(0 if i == index else a for i, a in enumerate(exps))
-            s = (out.get(ne, 0) + c) % p
-            if s:
-                out[ne] = s
-            else:
-                out.pop(ne, None)
-        return MultiPoly(self.ring, out)
-
     def derivative(self, index: int) -> "MultiPoly":
         """Formal partial derivative in the given variable."""
         p = self.ring.p

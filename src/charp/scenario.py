@@ -13,15 +13,18 @@ Job schema by op:
   bpf | separates              {"scheme", ("forms" | s0 arguments),
                                 ["ext_degree"]}
   gg                           {"scheme", "m", ("ideal" | "pair"+["which"])}
-  thm46                        {"scheme", "points", "A", "l", "e"}
+  thm46                        {["scheme"], "points", "A", "l", "e", ["d"]}
   restrict                     {"scheme", "pair", "I_Z", "m"}
 
 Any job may carry "expect": a JSON fragment that must match the result
 (recursive subset for objects, equality for leaves).  Ops that verify a
 theorem (mult, thm46, restrict) pass exactly when the theorem holds.
 A missing or malformed field fails its job with a ScenarioError naming
-the field; the other jobs still run.  Top-level keys other than the ring
-header and the job list are ignored.
+the field; the other jobs still run.  Integer fields (p, a, e, n, m, l,
+d, ext_degree and point coordinates) take JSON integers only: a bool,
+float or string is refused, never truncated.  thm46 works on P^n only,
+so its scheme, when given, must have no hypersurfaces.  Top-level keys
+other than the ring header and the job list are ignored.
 """
 
 from __future__ import annotations
@@ -77,8 +80,9 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     order = data.get("order", "grevlex")
     _require(order == "grevlex",
              f"{source}: only the grevlex order is supported, got {order!r}")
+    p = _field(data, "p", _integer, where=source)
     try:
-        ring = PolyRing(tuple(data["vars"]), int(data["p"]))
+        ring = PolyRing(tuple(data["vars"]), p)
     except (CharpError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{source}: {exc}") from None
     jobs = data.get("jobs", [])
@@ -115,11 +119,19 @@ def _field(spec: dict, key: str, convert: Optional[Callable] = None,
             f"{where} field {key!r} has the malformed value {value!r}") from None
 
 
+def _integer(value) -> int:
+    """A JSON integer; bools, floats and strings are refused rather
+    than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _parse_pair(ring: PolyRing, spec: dict) -> PairDivisor:
     _require(isinstance(spec, dict), "pair must be an object with f, a, e")
     return PairDivisor(_field(spec, "f", ring.parse, where="pair"),
-                       _field(spec, "a", int, where="pair"),
-                       _field(spec, "e", int, where="pair"))
+                       _field(spec, "a", _integer, where="pair"),
+                       _field(spec, "e", _integer, where="pair"))
 
 
 def _polys(ring: PolyRing, spec: dict, key: str, default: Any = _REQUIRED,
@@ -133,7 +145,7 @@ def _polys(ring: PolyRing, spec: dict, key: str, default: Any = _REQUIRED,
 
 def _parse_scheme(ring: PolyRing, spec: dict) -> ProjScheme:
     _require(isinstance(spec, dict), "scheme must be an object")
-    n = _field(spec, "n", int, where="scheme")
+    n = _field(spec, "n", _integer, where="scheme")
     _require(n + 1 == ring.nvars,
              f"scheme n={n} needs {n + 1} variables, header declares "
              f"{ring.nvars}")
@@ -166,16 +178,10 @@ def _echo_pair(pair: PairDivisor) -> dict:
 
 
 def _point_tuple(raw: list) -> tuple:
-    _require(isinstance(raw, list), "point must be a list of coordinates")
-    out = []
-    for v in raw:
-        if v is None:
-            out.append(None)
-        elif isinstance(v, int) and not isinstance(v, bool):
-            out.append(v)
-        else:
-            raise ScenarioError(f"point coordinate {v!r} is not a residue")
-    return tuple(out)
+    """A mult point: integer residues, None for a free direction."""
+    if not isinstance(raw, list):
+        raise TypeError("point must be a list of coordinates")
+    return tuple(None if v is None else _integer(v) for v in raw)
 
 
 def _subsystem_space(ring: PolyRing, job: dict):
@@ -184,7 +190,7 @@ def _subsystem_space(ring: PolyRing, job: dict):
     scheme = _job_scheme(ring, job)
     echo_scheme = {"n": scheme.n,
                    "hypersurfaces": [str(h) for h in scheme.forms]}
-    m = _field(job, "m", int)
+    m = _field(job, "m", _integer)
     if "forms" in job:
         polys = _polys(ring, job, "forms")
         space = space_from_polys(scheme.ideal, m, polys)
@@ -245,8 +251,8 @@ def _run_compatible(ring, job):
 
 def _run_mult(ring, job):
     pair = _parse_pair(ring, _field(job, "pair"))
-    point = _point_tuple(_field(job, "point"))
-    l = _field(job, "l", int, None)
+    point = _field(job, "point", _point_tuple)
+    l = _field(job, "l", _integer, None)
     report = multiplicity_containment(pair, point, l)
     result = {"multiplicity": str(report.pair_multiplicity),
               "codim": report.codim, "threshold": report.threshold,
@@ -260,7 +266,7 @@ def _run_s0(ring, job):
     pair = _pair_or_trivial(ring, job)
     which = job.get("which", "sigma")
     c = _field(job, "c", ring.parse, None)
-    m = _field(job, "m", int)
+    m = _field(job, "m", _integer)
     result = stable_sections(scheme, pair, m, which, c)
     full = graded_piece(scheme, m)
     out = _space_json(result.space)
@@ -279,7 +285,7 @@ def _run_bpf(ring, job):
 
 def _run_separates(ring, job):
     scheme, space, info = _subsystem_space(ring, job)
-    k = _field(job, "ext_degree", int, 1)
+    k = _field(job, "ext_degree", _integer, 1)
     report = separates(scheme, space, k)
     out = {"verdict": report.ok, "points": report.points_on_scheme,
            "pairs": report.pairs_checked, "tangents": report.tangents_checked,
@@ -292,7 +298,7 @@ def _run_separates(ring, job):
 
 
 def _run_gg(ring, job):
-    m = _field(job, "m", int)
+    m = _field(job, "m", _integer)
     if "ideal" in job:
         ideal = Ideal(ring, _polys(ring, job, "ideal"))
         verdict = is_globally_generated(ideal, m)
@@ -308,16 +314,20 @@ def _run_gg(ring, job):
 
 
 def _run_thm46(ring, job):
-    _job_scheme(ring, job)  # validated only: the bound lives on P^n
+    # the bound lives on P^n: a scheme with hypersurfaces is refused
+    # rather than answered for the whole space
+    _require(not _job_scheme(ring, job).forms,
+             "thm46 field 'scheme' must be projective space, with no "
+             "hypersurfaces")
     points = _field(job, "points",
-                    lambda raw: [tuple(int(v) for v in P) for P in raw])
+                    lambda raw: [tuple(map(_integer, P)) for P in raw])
     form = _field(job, "A", ring.parse)
-    d = _field(job, "d", int, None)
+    d = _field(job, "d", _integer, None)
     if d is not None and d != form.degree():
         raise ScenarioError(
             f"declared degree {job['d']} but A has degree {form.degree()}")
-    l = _field(job, "l", int)
-    e = _field(job, "e", int)
+    l = _field(job, "l", _integer)
+    e = _field(job, "e", _integer)
     report = degree_bound_pipeline(ring, points, form, l, e)
     result = {"delta": report.delta, "witness": str(report.witness),
               "witness_degree": report.witness_degree,
@@ -333,7 +343,7 @@ def _run_restrict(ring, job):
     scheme = _job_scheme(ring, job)
     pair = _parse_pair(ring, _field(job, "pair"))
     center = Ideal(ring, _polys(ring, job, "I_Z"))
-    m = _field(job, "m", int)
+    m = _field(job, "m", _integer)
     verdict = restriction_is_surjective(scheme, pair, center, m)
     return ({"pair": _echo_pair(pair), "I_Z": [str(g) for g in center.generators],
              "m": m}, {"verdict": verdict}, None, verdict)

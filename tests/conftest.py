@@ -5,6 +5,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
+from charp.errors import DomainError
+from charp.ideal import Ideal
+from charp.proj import space_from_polys
 from charp.ring import MultiPoly, PolyRing
 
 settings.register_profile(
@@ -46,6 +49,31 @@ def random_homogeneous(rng: random.Random, ring: PolyRing, degree: int,
         poly = ring.poly(terms)
         if not poly.is_zero:
             return poly
+
+
+# -- oracles for routes the engine no longer takes --------------------------
+
+
+def rational_point_ideal(ring: PolyRing, coords) -> Ideal:
+    """Homogeneous ideal of a rational projective point: the 2x2 minors
+    x_i*c_j - x_j*c_i."""
+    coords = [c % ring.p for c in coords]
+    if len(coords) != ring.nvars or not any(coords):
+        raise DomainError(f"bad projective point {coords}")
+    gens = []
+    for i in range(len(coords)):
+        for j in range(i + 1, len(coords)):
+            g = ring.gen(i).scale(coords[j]) - ring.gen(j).scale(coords[i])
+            if not g.is_zero:
+                gens.append(g)
+    return Ideal(ring, gens)
+
+
+def is_subspace(small, big) -> bool:
+    """Whether one graded subspace lies in another: adding its rows to
+    the other's leaves the canonical row-reduced form as it is."""
+    return space_from_polys(big.modulus, big.degree,
+                            big.polys() + small.polys()) == big
 
 
 # -- acceptance criterion recording ----------------------------------------

@@ -7,22 +7,24 @@ from fractions import Fraction
 
 import pytest
 
+from charp import proj as proj_module
 from charp.cartier import trace
 from charp.config import DEFAULT_CAPS, Caps, caps_scope, current_caps
-from charp.errors import DomainError, PreconditionError, ResourceError
-from charp.fsing import PairDivisor, sigma_chain
+from charp.errors import (DomainError, PreconditionError, ResourceError,
+                          TheoremViolationError)
+from charp.fsing import PairDivisor, multiplicity, sigma_chain
 from charp.ideal import Ideal, normal_form
 from charp.proj import (ProjScheme, _same_saturation, _saturated_pieces,
                         center_is_compatible,
                         center_stable_image, degree_bound_pipeline,
                         graded_fixed_ideal, graded_piece, is_base_point_free,
                         is_globally_generated, projective_multiplicity,
-                        rational_point_ideal, restriction_is_surjective,
+                        restriction_is_surjective,
                         separates, space_from_polys, stable_sections,
                         stable_sections_generate, trivial_pair)
 from charp.ring import PolyRing
 
-from conftest import random_homogeneous
+from conftest import is_subspace, random_homogeneous, rational_point_ideal
 from test_ideal import (_random_homogeneous_ideal, oracle_saturate,
                         quotient_loop_saturate)
 
@@ -214,7 +216,7 @@ def test_stable_sections_monotone_in_coefficient():
         m = rng.randint(1, 3)
         big = stable_sections(scheme, PairDivisor(f, a1, 1), m).space
         small = stable_sections(scheme, PairDivisor(f, a2, 1), m).space
-        assert big.is_subspace_of(small)
+        assert is_subspace(big, small)
 
 
 def test_stable_sections_tau_inside_sigma(P2):
@@ -224,15 +226,17 @@ def test_stable_sections_tau_inside_sigma(P2):
         pair = PairDivisor(ring.parse(text), a, 1)
         tau_side = stable_sections(P2, pair, m, "tau").space
         sigma_side = stable_sections(P2, pair, m, "sigma").space
-        assert tau_side.is_subspace_of(sigma_side)
+        assert is_subspace(tau_side, sigma_side)
 
 
 def test_graded_subspace_membership(P2):
     ring = P2.ring
     space = space_from_polys(P2.ideal, 2, [ring.parse("x^2 + y*z"),
                                            ring.parse("x*y")])
-    assert space.contains(ring.parse("x^2 + x*y + y*z"))
-    assert not space.contains(ring.parse("z^2"))
+    inside = space_from_polys(P2.ideal, 2, [ring.parse("x^2 + x*y + y*z")])
+    outside = space_from_polys(P2.ideal, 2, [ring.parse("z^2")])
+    assert is_subspace(inside, space) and not is_subspace(outside, space)
+    assert is_subspace(space, space) and not is_subspace(space, inside)
 
 
 def test_stable_sections_level_independent(P1):
@@ -835,6 +839,173 @@ def test_degree_bound_random_admissible_instances():
         assert all(report.test_ideal.issubset(rational_point_ideal(ring, P))
                    for P in pts)
         ran += 1
+
+
+# -- the chart, point-ideal and subset-search routes as oracles --------------
+#
+# The engine reads a projective multiplicity at a representative on the
+# cone, decides tau ⊆ I_P by evaluating tau's reduced basis at P, and
+# accepts a complete intersection by its Hilbert numerator.  The routes
+# it took before stay here as oracles: a chart (dehomogenise at the last
+# nonzero coordinate, rescale the point to 1 there), the ideal of 2x2
+# minors of each point, and the codimension of the leading ideal by a
+# search over subsets of variables.
+
+_GRID = [(names, p) for names in (("x", "y", "z"), ("x", "y", "z", "w"))
+         for p in (2, 3, 5, 7)]
+
+
+def oracle_projective_multiplicity(form, point):
+    """The affine multiplicity of the chart x_pivot = 1 at the rescaled
+    point, x_pivot a free direction."""
+    ring, p = form.ring, form.ring.p
+    coords = [c % p for c in point]
+    pivot = max(i for i, c in enumerate(coords) if c)
+    scale = pow(coords[pivot], -1, p)
+    chart = {}
+    for exps, c in form.iter_terms():
+        key = exps[:pivot] + (0,) + exps[pivot + 1:]
+        chart[key] = chart.get(key, 0) + c
+    local = [None if i == pivot else (c * scale) % p
+             for i, c in enumerate(coords)]
+    return multiplicity(ring.poly(chart), local)
+
+
+def oracle_leading_codim(ideal):
+    """Codimension of a homogeneous ideal: the fewest variables that meet
+    the support of every leading monomial of its reduced basis (nvars + 1
+    for the unit ideal)."""
+    supports = [{i for i, a in enumerate(g.leading_exponent()) if a}
+                for g in ideal.groebner_basis]
+    nvars = ideal.ring.nvars
+    for k in range(nvars + 1):
+        for chosen in itertools.combinations(range(nvars), k):
+            if all(support.intersection(chosen) for support in supports):
+                return k
+    return nvars + 1
+
+
+def _random_point(rng, ring):
+    """A representative of a rational projective point, not rescaled."""
+    while True:
+        point = tuple(rng.randrange(ring.p) for _ in range(ring.nvars))
+        if any(point):
+            return point
+
+
+def _linear_through(rng, ring, point):
+    """A random nonzero linear form vanishing at the point."""
+    i = next(k for k, c in enumerate(point) if c)
+    while True:
+        coeffs = [rng.randrange(ring.p) for _ in range(ring.nvars)]
+        rest = sum(c * x for k, (c, x) in enumerate(zip(coeffs, point))
+                   if k != i)
+        coeffs[i] = -rest * pow(point[i], -1, ring.p)
+        form = ring.poly({tuple(int(t == k) for t in range(ring.nvars)): c
+                          for k, c in enumerate(coeffs)})
+        if not form.is_zero:
+            return form
+
+
+def test_projective_multiplicity_matches_the_chart_route():
+    rng = random.Random(1201)
+    cases = high = 0
+    for names, p in _GRID:
+        ring = PolyRing(names, p)
+        for _ in range(40):
+            point = _random_point(rng, ring)
+            form = random_homogeneous(rng, ring, rng.randint(1, 3))
+            if rng.random() < 0.5:
+                # multiplicity at least k at the point
+                for _ in range(rng.randint(1, 3)):
+                    form = form * _linear_through(rng, ring, point)
+            got = projective_multiplicity(form, point)
+            assert got == oracle_projective_multiplicity(form, point), \
+                (form, point)
+            cases += 1
+            high += got >= 2
+    assert cases == 320 and high >= 80, (cases, high)
+
+
+def test_projective_multiplicity_validates_the_point():
+    ring = PolyRing(("x", "y", "z"), 5)
+    form = ring.parse("x*y")
+    for point in ((0, 0, 0), (5, 10, 0), (1, 0), (0.5, 0, 1), (True, 0, 1),
+                  (None, 0, 1)):
+        with pytest.raises(DomainError):
+            projective_multiplicity(form, point)
+    assert projective_multiplicity(form, (5, 10, 1)) == 2
+
+
+def test_degree_bound_containment_matches_the_point_ideal_route(monkeypatch):
+    # the pipeline refuses exactly when some point's ideal of 2x2 minors
+    # misses the test ideal; tau is replaced by random homogeneous
+    # ideals, each inside the ideal of one of the points or of another
+    rng = random.Random(1203)
+    cases = escaped = 0
+    for names, p in _GRID:
+        ring = PolyRing(names, p)
+        for _ in range(40):
+            points = [_random_point(rng, ring) for _ in range(rng.randint(1, 2))]
+            target = rng.choice(points + [_random_point(rng, ring)])
+            ideal = Ideal(ring, [
+                random_homogeneous(rng, ring, rng.randint(0, 2))
+                * _linear_through(rng, ring, target)
+                for _ in range(rng.randint(1, 3))])
+            form = ring.one()
+            for point in points:
+                form = form * _linear_through(rng, ring, point)
+            monkeypatch.setattr(proj_module, "tau", lambda pair: ideal)
+            inside = all(ideal.issubset(rational_point_ideal(ring, point))
+                         for point in points)
+            try:
+                degree_bound_pipeline(ring, points, form, 1, 1)
+                refused = False
+            except TheoremViolationError as exc:
+                refused = "escapes the point ideal" in str(exc)
+            assert refused == (not inside), (ideal, points)
+            cases += 1
+            escaped += not inside
+    assert cases == 320 and 80 <= escaped <= 240, (cases, escaped)
+
+
+def test_from_forms_matches_the_subset_search_codimension():
+    # r <= n forms are a complete intersection exactly when the leading
+    # ideal has codimension r; a common factor, as in (xy, xz), never is
+    rng = random.Random(1205)
+    cases = irregular = 0
+    for names, p in _GRID:
+        ring = PolyRing(names, p)
+        n = ring.nvars - 1
+        for _ in range(60):
+            r = rng.randint(1, n)
+            forms = [random_homogeneous(rng, ring, rng.randint(1, 3))
+                     for _ in range(r)]
+            if r >= 2 and rng.random() < 0.25:
+                common = random_homogeneous(rng, ring, rng.randint(1, 2))
+                forms = [common * f for f in forms]
+            regular = oracle_leading_codim(Ideal(ring, forms)) == r
+            try:
+                scheme = ProjScheme.from_forms(ring, forms)
+            except DomainError:
+                scheme = None
+            assert (scheme is not None) == regular, forms
+            if scheme is not None:
+                assert scheme.dimension == n - r
+            cases += 1
+            irregular += not regular
+    assert cases == 480 and 100 <= irregular <= 380, (cases, irregular)
+    ring = PolyRing(("x", "y", "z"), 5)
+    assert oracle_leading_codim(I(ring, "x*y", "x*z")) == 1
+
+
+def test_from_forms_refuses_constant_forms():
+    # a constant generates the unit ideal, whose Hilbert numerator is
+    # that of the model (x_0^d_1, ..., x_0^0) too
+    ring = PolyRing(("x", "y", "z"), 5)
+    for forms in (["1"], ["3"], ["x", "1"], ["x^2+y*z", "2"]):
+        with pytest.raises(DomainError, match="positive degree"):
+            ProjScheme.from_forms(ring, [ring.parse(t) for t in forms])
 
 
 # -- the level-enumeration oracle ----------------------------------------------

@@ -132,12 +132,6 @@ def test_shift_and_evaluate():
     assert partial.evaluate((0, 5)) == f.evaluate((3, 5))
 
 
-def test_dehomogenize():
-    ring = PolyRing(("x", "y", "z"), 5)
-    f = ring.parse("x^2*z + y^3")
-    assert f.dehomogenize(2) == ring.parse("x^2 + y^3")
-
-
 def test_derivative():
     ring = PolyRing(("x", "y", "z"), 5)
     f = ring.parse("x^5*y + 3*x^2*z + y^3 + 2")

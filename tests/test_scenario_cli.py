@@ -346,6 +346,15 @@ def test_fpt_scan_script_help_and_errors():
     assert proc.returncode == 0 and "jump" in proc.stdout
 
 
+def test_fpt_scan_default_output_matches_golden():
+    """The script's default scan (the cusp over F_5, F_7, F_11, F_13)
+    matches the checked-in golden output byte for byte."""
+    script = Path(__file__).parent.parent / "scripts" / "fpt_scan.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == (GOLDEN / "fpt_scan_default.txt").read_bytes()
+
+
 def test_golden_report(tmp_path):
     """The machine report for a frozen scenario matches the checked-in
     golden file byte for byte."""
@@ -373,3 +382,66 @@ def test_scheme_header_mismatch(tmp_path):
                "jobs": [{"op": "s0", "scheme": {"n": 2}, "m": 1}]}
     report, _ = execute(load_scenario(write_scenario(tmp_path, payload)))
     assert report["jobs"][0]["status"] == "error"
+
+
+_THM46 = {"op": "thm46", "scheme": {"n": 2},
+          "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          "A": "(x*y*z)^2", "l": 4, "e": 2}
+
+
+def _with(job, **fields):
+    out = dict(job)
+    out.update(fields)
+    return out
+
+
+@pytest.mark.parametrize("job, name", [
+    ({"op": "sigma", "pair": {"f": "x", "a": 5.9, "e": 1}}, "'a'"),
+    ({"op": "sigma", "pair": {"f": "x", "a": 5, "e": True}}, "'e'"),
+    ({"op": "tau", "pair": {"f": "x", "a": "4", "e": 1}}, "'a'"),
+    ({"op": "mult", "pair": {"f": "x^2", "a": 4, "e": 1},
+      "point": [0, None, None], "l": 1.7}, "'l'"),
+    ({"op": "mult", "pair": {"f": "x^2", "a": 4, "e": 1},
+      "point": [0.5, None, None]}, "'point'"),
+    ({"op": "mult", "pair": {"f": "x^2", "a": 4, "e": 1},
+      "point": [False, None, None]}, "'point'"),
+    ({"op": "s0", "scheme": {"n": 2}, "m": 1.7}, "'m'"),
+    ({"op": "s0", "scheme": {"n": 2.0}, "m": 1}, "'n'"),
+    ({"op": "gg", "m": True, "ideal": ["x"]}, "'m'"),
+    ({"op": "separates", "scheme": {"n": 2, "hypersurfaces": ["x^3+y^3+z^3"]},
+      "m": 1, "ext_degree": 1.0}, "'ext_degree'"),
+    (_with(_THM46, points=[[0.5, 0, 1]]), "'points'"),
+    (_with(_THM46, points=[[1, 0, 0], [0, True, 0]]), "'points'"),
+    (_with(_THM46, l=4.0), "'l'"),
+    (_with(_THM46, e="2"), "'e'"),
+    (_with(_THM46, d=6.0), "'d'"),
+])
+def test_integer_fields_take_json_integers_only(job, name):
+    # a bool, float or string in an integer field fails its job and names
+    # the field instead of running on a truncated value
+    scenario = parse_scenario({"p": 7, "vars": ["x", "y", "z"], "jobs": [job]})
+    entry = execute(scenario)[0]["jobs"][0]
+    assert entry["status"] == "error", entry
+    assert entry["error"]["type"] == "ScenarioError"
+    assert name in entry["error"]["message"]
+
+
+@pytest.mark.parametrize("p", [7.9, 7.0, True, "7"])
+def test_header_characteristic_takes_a_json_integer_only(p):
+    with pytest.raises(ScenarioError, match="'p'"):
+        parse_scenario({"p": p, "vars": ["x"], "jobs": []})
+    assert parse_scenario({"p": 7, "vars": ["x"], "jobs": []}).ring.p == 7
+
+
+def test_thm46_refuses_a_scheme_with_hypersurfaces():
+    cubic = {"n": 2, "hypersurfaces": ["x^3+y^3+z^3"]}
+    scenario = parse_scenario({"p": 7, "vars": ["x", "y", "z"],
+                               "jobs": [_with(_THM46, scheme=cubic), _THM46,
+                                        {k: v for k, v in _THM46.items()
+                                         if k != "scheme"}]})
+    refused, plane, default = execute(scenario)[0]["jobs"]
+    assert refused["status"] == "error"
+    assert refused["error"]["type"] == "ScenarioError"
+    assert "'scheme'" in refused["error"]["message"]
+    for entry in (plane, default):
+        assert entry["status"] == "ok" and entry["result"]["delta"] == 3
