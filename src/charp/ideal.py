@@ -4,7 +4,8 @@ The reduced basis is unique for the fixed grevlex order, so two Ideal
 values are equal exactly when they generate the same ideal.  Basis
 completion is plain Buchberger with the coprimality criterion and
 normal-pair selection; degree and basis-size caps turn blowups into
-ResourceErrors instead of hangs.  A homogeneous ideal is saturated by a
+ResourceErrors instead of hangs.  At most one nonzero generator needs
+no completion: one monic polynomial is a reduced basis.  A homogeneous ideal is saturated by a
 variable in one completion, in grevlex after moving that variable last
 (Bayer–Stillman).  The Hilbert series of a homogeneous ideal is read
 off the leading monomials of its basis by pivot recursion (Bigatti).
@@ -171,9 +172,11 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
     monomial first; the tuple is canonical, so equal ideals yield equal
     tuples.
     """
-    raw = sorted((g for g in generators if not g.is_zero), key=_lead_key)
-    if not raw:
-        return ()
+    raw = [g for g in generators if not g.is_zero]
+    if len(raw) <= 1:
+        # one monic polynomial is already a reduced basis
+        return tuple(g.monic() for g in raw)
+    raw.sort(key=_lead_key)
 
     caps = current_caps()
     pairs: list = []

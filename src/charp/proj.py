@@ -59,7 +59,18 @@ def trivial_pair(ring: PolyRing) -> PairDivisor:
 @dataclass(frozen=True)
 class ProjScheme:
     """X in P^n cut out by homogeneous forms (empty for P^n itself),
-    with the degree of the dualizing twist tracked by adjunction."""
+    with the degree of the dualizing twist tracked by adjunction.
+
+    Every construction checks that the forms are a complete intersection:
+    r forms of positive degrees d_1, ..., d_r with r <= n are a
+    regular sequence exactly when their ideal has the Hilbert series
+    prod (1 - t^d_i) / (1-t)^(n+1) (Stanley), that of the model
+    complete intersection (x_0^d_1, ..., x_(r-1)^d_r); the cone they
+    cut out is then Cohen-Macaulay of dimension >= 1, so the ideal is
+    saturated and the adjunction bookkeeping (dimension, canonical
+    twist) holds.  Constant forms are refused first: their unit ideal
+    would pass the series test.
+    """
 
     ring: PolyRing
     forms: tuple
@@ -70,6 +81,17 @@ class ProjScheme:
                 raise DomainError("defining form in the wrong ring")
             if h.is_zero or not h.is_homogeneous():
                 raise DomainError("defining forms must be nonzero homogeneous")
+        if any(h.is_constant for h in self.forms):
+            raise DomainError("defining forms must have positive degree")
+        r = len(self.forms)
+        model = [(0,) * i + (h.degree(),) + (0,) * (self.ring.nvars - i - 1)
+                 for i, h in enumerate(self.forms)]
+        # the empty sequence is regular: P^n needs no series
+        if r > self.n or (r and self.ideal.hilbert_numerator()
+                          != monomial_hilbert_numerator(model, self.ring.nvars)):
+            raise DomainError(
+                f"the {r} defining forms are not a regular sequence of "
+                f"length <= {self.n}; pass a complete intersection")
 
     @classmethod
     def projective_space(cls, ring: PolyRing) -> "ProjScheme":
@@ -77,30 +99,8 @@ class ProjScheme:
 
     @classmethod
     def from_forms(cls, ring: PolyRing, forms: Iterable[MultiPoly]) -> "ProjScheme":
-        """The complete intersection of the forms.
-
-        r forms of positive degrees d_1, ..., d_r with r <= n are a
-        regular sequence exactly when their ideal has the Hilbert series
-        prod (1 - t^d_i) / (1-t)^(n+1) (Stanley), that of the model
-        complete intersection (x_0^d_1, ..., x_(r-1)^d_r); the cone they
-        cut out is then Cohen-Macaulay of dimension >= 1, so the ideal is
-        saturated and the adjunction bookkeeping (dimension, canonical
-        twist) holds.  Constant forms are refused first: their unit
-        ideal would pass the series test.
-        """
-        scheme = cls(ring, tuple(forms))
-        if any(h.is_constant for h in scheme.forms):
-            raise DomainError("defining forms must have positive degree")
-        r = len(scheme.forms)
-        model = [(0,) * i + (h.degree(),) + (0,) * (ring.nvars - i - 1)
-                 for i, h in enumerate(scheme.forms)]
-        # the empty sequence is regular: P^n needs no series
-        if r > scheme.n or (r and scheme.ideal.hilbert_numerator()
-                            != monomial_hilbert_numerator(model, ring.nvars)):
-            raise DomainError(
-                f"the {r} defining forms are not a regular sequence of "
-                f"length <= {scheme.n}; pass a complete intersection")
-        return scheme
+        """The complete intersection of the forms (see the constructor)."""
+        return cls(ring, tuple(forms))
 
     @property
     def n(self) -> int:

@@ -13,6 +13,15 @@ is exact only while the total degree stays below the packing's limit,
 so nothing packs a monomial without checking that first; the Gröbner
 kernel in `ideal.py` widens the digits instead.
 
+Products, powers and the parser work on term dicts {exponents: residue}
+and wrap a `MultiPoly` around the result once.  A power raises a
+one-term polynomial by scaling its exponent; any other polynomial is
+raised digit by digit in base p, f^n = prod_i (f^(n_i))^[p^i] for
+n = sum_i n_i p^i, since the Frobenius f -> f^p only scales exponents
+over F_p.  The parser evaluates its recursive descent on term dicts,
+multiplies and raises monomial factors by exponent arithmetic, and
+bounds the nesting of parentheses and unary signs by MAX_NESTING.
+
 Values are immutable after construction and safe to share across
 threads.  A polynomial memoises its leading exponent, and the division
 kernel its packed terms per packing, on first use.  Both are functions
@@ -119,6 +128,14 @@ class PolyRing:
     variables: tuple
     p: int
 
+    def __eq__(self, other):
+        # rings are shared far more often than rebuilt: identity first
+        if self is other:
+            return True
+        if not isinstance(other, PolyRing):
+            return NotImplemented
+        return self.p == other.p and self.variables == other.variables
+
     def __post_init__(self):
         if not (2 <= self.p <= MAX_CHARACTERISTIC and is_prime(self.p)):
             raise DomainError(f"characteristic must be a prime <= 2^16, got {self.p}")
@@ -183,6 +200,75 @@ class PolyRing:
 
     def __str__(self):
         return f"F_{self.p}[{', '.join(self.variables)}]"
+
+
+# -- term dicts {exponents: residue} ------------------------------------
+
+
+def _mul_terms(a: dict, b: dict, p: int) -> dict:
+    """The product of two term dicts; a one-term factor shifts the other's
+    exponents.  Never returns an input."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (ea, ca), = a.items()
+        # p is prime, so no product of nonzero residues vanishes
+        return {tuple(map(add, ea, eb)): ca * cb % p for eb, cb in b.items()}
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            ne = tuple(map(add, ea, eb))
+            s = (out.get(ne, 0) + ca * cb) % p
+            if s:
+                out[ne] = s
+            else:
+                out.pop(ne, None)
+    return out
+
+
+def _frobenius_terms(terms: dict, q: int) -> dict:
+    """The terms raised to a power q of the characteristic: exponents
+    times q, coefficients fixed (Frobenius fixes F_p)."""
+    return {tuple(a * q for a in exps): c for exps, c in terms.items()}
+
+
+def _pow_terms(terms: dict, n: int, p: int, one: Exponents) -> dict:
+    """terms^n for n >= 0, `one` the zero exponent vector.
+
+    A one-term dict (or none) raises its exponent and coefficient
+    directly.  Otherwise f^n = prod_i (f^(n_i))^[p^i] over the base-p
+    digits n_i of n: each distinct digit is one power by squaring below
+    p, and the rest is exponent scaling.  Never returns an input."""
+    if len(terms) <= 1:
+        if not n:
+            return {one: 1}
+        return {tuple(a * n for a in exps): pow(c, n, p)
+                for exps, c in terms.items()}
+    result: dict = {one: 1}
+    digit_powers: dict = {}
+    q = 1
+    while n:
+        n, digit = divmod(n, p)
+        if digit:
+            power = digit_powers.get(digit)
+            if power is None:
+                power = digit_powers[digit] = _square_and_multiply(terms, digit, p)
+            result = _mul_terms(result, _frobenius_terms(power, q) if q > 1
+                                else power, p)
+        q *= p
+    return result
+
+
+def _square_and_multiply(terms: dict, n: int, p: int) -> dict:
+    """terms^n for n >= 1 by binary powering; for n = 1 the input itself."""
+    result = None
+    while True:
+        if n & 1:
+            result = terms if result is None else _mul_terms(result, terms, p)
+        n >>= 1
+        if not n:
+            return result
+        terms = _mul_terms(terms, terms, p)
 
 
 class MultiPoly:
@@ -338,39 +424,17 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return self.ring.zero()
-        p = self.ring.p
-        # iterate over the shorter operand
-        a, b = (self._terms, other._terms)
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                ne = tuple(map(add, ea, eb))
-                s = (out.get(ne, 0) + ca * cb) % p
-                if s:
-                    out[ne] = s
-                else:
-                    out.pop(ne, None)
-        return MultiPoly(self.ring, out)
+        return MultiPoly(self.ring, _mul_terms(self._terms, other._terms,
+                                               self.ring.p))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise DomainError("negative polynomial powers are not defined")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        ring = self.ring
+        return MultiPoly(ring, _pow_terms(self._terms, n, ring.p,
+                                          (0,) * ring.nvars))
 
     def frobenius_power(self, q: int) -> "MultiPoly":
         """self**q for q a power of the characteristic (exponent scaling).
@@ -387,8 +451,7 @@ class MultiPoly:
             raise DomainError(f"{q} is not a power of the characteristic {p}")
         if q == 1:
             return self
-        return MultiPoly(self.ring, {tuple(a * q for a in exps): c
-                                     for exps, c in self._terms.items()})
+        return MultiPoly(self.ring, _frobenius_terms(self._terms, q))
 
     # -- substitution --------------------------------------------------
 
@@ -494,107 +557,137 @@ class MultiPoly:
 
 _TOKEN_RE = re.compile(
     r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<pow>\*\*|\^)"
-    r"|(?P<op>[-+*()])|(?P<ws>\s+)"
-)
+    r"|(?P<op>[-+*()])|(?P<ws>\s+)|(?P<bad>.)", re.DOTALL)
+
+# Open parentheses plus pending unary signs; the descent recurses about
+# four frames per parenthesis, so this stays far below Python's limit.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
+    """(kind, value, column) triples from one pass over the text, ending
+    with an 'end' token; the first character no token starts with is
+    refused at its column."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup
-            value = m.group()
-            if kind == "pow":
-                kind, value = "op", "^"
-            tokens.append((kind, value, pos + 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             column=m.start() + 1)
+        if kind == "pow":
+            tokens.append(("op", "^", m.start() + 1))
+        else:
+            tokens.append((kind, m.group(), m.start() + 1))
     tokens.append(("end", "", len(text) + 1))
     return tokens
 
 
 class _Parser:
-    """Recursive-descent parser for '+', '-', '*', '^' and parentheses."""
+    """Recursive-descent parser for '+', '-', '*', '^' and parentheses.
+
+    Every rule returns a term dict {exponents: residue} that the parser
+    owns, so sums and signs update it in place; `parse` wraps the final
+    one in a MultiPoly."""
 
     def __init__(self, ring: PolyRing, text: str):
         self.ring = ring
+        self.p = ring.p
+        self.one = (0,) * ring.nvars
         self.tokens = _tokenize(text)
         self.idx = 0
-
-    def peek(self):
-        return self.tokens[self.idx]
+        self.depth = 0
 
     def take(self):
         tok = self.tokens[self.idx]
         self.idx += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, value, col = self.take()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}, found {value!r}", column=col)
+    def nest(self, col: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             column=col)
 
     def parse(self) -> MultiPoly:
-        poly = self.expr()
-        kind, value, col = self.peek()
+        terms = self.expr()
+        kind, value, col = self.tokens[self.idx]
         if kind != "end":
             raise ParseError(f"unexpected trailing {value!r}", column=col)
-        return poly
+        return MultiPoly(self.ring, terms)
 
-    def expr(self) -> MultiPoly:
+    def expr(self) -> dict:
         result = self.term()
+        p = self.p
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
-            else:
+            kind, value, _ = self.tokens[self.idx]
+            if kind != "op" or value not in "+-":
                 return result
+            self.idx += 1
+            rhs = self.term()
+            sign = 1 if value == "+" else -1
+            for exps, c in rhs.items():
+                s = (result.get(exps, 0) + sign * c) % p
+                if s:
+                    result[exps] = s
+                else:
+                    result.pop(exps, None)
 
-    def term(self) -> MultiPoly:
+    def term(self) -> dict:
         result = self.factor()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                result = result * self.factor()
-            else:
+            kind, value, _ = self.tokens[self.idx]
+            if kind != "op" or value != "*":
                 return result
+            self.idx += 1
+            result = _mul_terms(result, self.factor(), self.p)
 
-    def factor(self) -> MultiPoly:
-        kind, value, col = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            inner = self.factor()
-            return inner if value == "+" else -inner
+    def factor(self) -> dict:
+        # unary signs bind looser than '^': -x^2 is -(x^2)
+        outer, negate = self.depth, False
+        kind, value, col = self.tokens[self.idx]
+        while kind == "op" and value in "+-":
+            self.nest(col)
+            negate ^= value == "-"
+            self.idx += 1
+            kind, value, col = self.tokens[self.idx]
         base = self.atom()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "^":
-                self.take()
-                nkind, nvalue, ncol = self.take()
-                if nkind != "num":
-                    raise ParseError("exponent must be a non-negative integer",
-                                     column=ncol)
-                base = base ** int(nvalue)
-            else:
-                return base
+            kind, value, _ = self.tokens[self.idx]
+            if kind != "op" or value != "^":
+                break
+            self.idx += 1
+            nkind, nvalue, ncol = self.take()
+            if nkind != "num":
+                raise ParseError("exponent must be a non-negative integer",
+                                 column=ncol)
+            base = _pow_terms(base, int(nvalue), self.p, self.one)
+        self.depth = outer
+        if negate:
+            p = self.p
+            for exps, c in base.items():
+                base[exps] = p - c
+        return base
 
-    def atom(self) -> MultiPoly:
+    def atom(self) -> dict:
         kind, value, col = self.take()
         if kind == "num":
-            return self.ring.constant(int(value))
+            c = int(value) % self.p
+            return {self.one: c} if c else {}
         if kind == "name":
-            if value not in self.ring.variables:
-                raise ParseError(f"unknown variable {value!r}", column=col)
-            return self.ring.gen(value)
+            try:
+                i = self.ring.variables.index(value)
+            except ValueError:
+                raise ParseError(f"unknown variable {value!r}", column=col) from None
+            return {self.one[:i] + (1,) + self.one[i + 1:]: 1}
         if kind == "op" and value == "(":
+            self.nest(col)
             inner = self.expr()
-            self.expect_op(")")
+            kind, value, col = self.take()
+            if kind != "op" or value != ")":
+                raise ParseError(f"expected ')', found {value!r}", column=col)
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input",
                          column=col)

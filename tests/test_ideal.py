@@ -633,6 +633,18 @@ def test_reduced_bases_match_the_tuple_key_oracle():
                 assert _same(normal_form(f, got), oracle_normal_form(f, want))
 
 
+def test_one_generator_needs_no_completion():
+    # at most one nonzero generator: the basis is that generator, monic
+    assert buchberger([]) == () and buchberger([PolyRing(("x",), 5).zero()]) == ()
+    for rng, ring in _kernel_cases(71):
+        g = random_poly(rng, ring, max_degree=4, max_terms=5, nonzero=True)
+        g = g.scale(rng.randint(1, ring.p - 1))
+        for gens in ([g], [ring.zero(), g, ring.zero()]):
+            got = buchberger(gens)
+            assert len(got) == 1 and _same(got[0], g.monic())
+            assert all(map(_same, got, oracle_buchberger([g])))
+
+
 def test_kernel_widens_past_any_digit_width():
     # x^(2^20) needs 32-bit digits and x^(2^40) 64-bit ones
     ring = PolyRing(("x", "y", "z"), 7)

@@ -77,6 +77,12 @@ def test_scheme_rejects_non_complete_intersection():
     ring = PolyRing(("x", "y", "z"), 5)
     with pytest.raises(DomainError):
         ProjScheme.from_forms(ring, [ring.parse("x*y"), ring.parse("x*z")])
+    # the constructor checks too, so no path reads (xy, xz) as a point
+    # with canonical twist 1, or the unit ideal as a curve
+    with pytest.raises(DomainError, match="regular sequence"):
+        ProjScheme(ring, (ring.parse("x*y"), ring.parse("x*z")))
+    with pytest.raises(DomainError, match="positive degree"):
+        ProjScheme(ring, (ring.one(),))
     assert ProjScheme.from_forms(ring, [ring.parse("x^3+y^3+z^3")]).is_curve
     space = PolyRing(("x", "y", "z", "w"), 5)
     quartic = ProjScheme.from_forms(

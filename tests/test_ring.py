@@ -1,12 +1,14 @@
 """Field and polynomial kernel: arithmetic, parsing, order conventions."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from charp.errors import DomainError, ParseError, RingMismatchError
-from charp.ring import (PolyRing, grevlex_key, grevlex_packing,
+from charp.ideal import Ideal
+from charp.ring import (MAX_NESTING, PolyRing, grevlex_key, grevlex_packing,
                         monomials_of_degree)
 
 from charp.ideal import normal_form
@@ -71,6 +73,224 @@ def test_parser_errors(R57):
         R57.parse("(x + y")
     with pytest.raises(ParseError):
         R57.parse("x $ y")
+
+
+
+# -- the operator-protocol parser, kept as the oracle --------------------------
+#
+# The former production parser: a token loop that matches at each
+# position, and a recursive descent that builds a MultiPoly for every
+# token and combines them with the ring operators.  Powers here are
+# repeated products, so the oracle shares no power code with the engine.
+
+_ORACLE_TOKEN_RE = re.compile(
+    r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<pow>\*\*|\^)"
+    r"|(?P<op>[-+*()])|(?P<ws>\s+)"
+)
+
+
+def _oracle_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", column=pos + 1)
+        if m.lastgroup != "ws":
+            kind = m.lastgroup
+            value = m.group()
+            if kind == "pow":
+                kind, value = "op", "^"
+            tokens.append((kind, value, pos + 1))
+        pos = m.end()
+    tokens.append(("end", "", len(text) + 1))
+    return tokens
+
+
+class OracleParser:
+    def __init__(self, ring, text):
+        self.ring = ring
+        self.tokens = _oracle_tokenize(text)
+        self.idx = 0
+
+    def peek(self):
+        return self.tokens[self.idx]
+
+    def take(self):
+        tok = self.tokens[self.idx]
+        self.idx += 1
+        return tok
+
+    def expect_op(self, op):
+        kind, value, col = self.take()
+        if kind != "op" or value != op:
+            raise ParseError(f"expected {op!r}, found {value!r}", column=col)
+
+    def parse(self):
+        poly = self.expr()
+        kind, value, col = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing {value!r}", column=col)
+        return poly
+
+    def expr(self):
+        result = self.term()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.take()
+                rhs = self.term()
+                result = result + rhs if value == "+" else result - rhs
+            else:
+                return result
+
+    def term(self):
+        result = self.factor()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "*":
+                self.take()
+                result = result * self.factor()
+            else:
+                return result
+
+    def factor(self):
+        kind, value, col = self.peek()
+        if kind == "op" and value in "+-":
+            self.take()
+            inner = self.factor()
+            return inner if value == "+" else -inner
+        base = self.atom()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "^":
+                self.take()
+                nkind, nvalue, ncol = self.take()
+                if nkind != "num":
+                    raise ParseError("exponent must be a non-negative integer",
+                                     column=ncol)
+                power = self.ring.one()
+                for _ in range(int(nvalue)):
+                    power = power * base
+                base = power
+            else:
+                return base
+
+    def atom(self):
+        kind, value, col = self.take()
+        if kind == "num":
+            return self.ring.constant(int(value))
+        if kind == "name":
+            if value not in self.ring.variables:
+                raise ParseError(f"unknown variable {value!r}", column=col)
+            return self.ring.gen(value)
+        if kind == "op" and value == "(":
+            inner = self.expr()
+            self.expect_op(")")
+            return inner
+        raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input",
+                         column=col)
+
+
+def _fuzz_expr(rng, names, p, depth=0):
+    """A random expression over the grammar: sums, products, powers by
+    '^' or '**', unary signs, parentheses, constants up to past p, and
+    whitespace; some sums cancel."""
+    def pad():
+        return rng.choice(["", "", " ", "  ", "\t", "\n"])
+
+    def atom():
+        # (text, largest exponent): powers of sums stay small, so that
+        # the oracle's repeated products stay fast
+        roll = rng.random()
+        if depth < 3 and roll < 0.25:
+            inner = _fuzz_expr(rng, names, p, depth + 1)
+            return "(" + pad() + inner + pad() + ")", 2
+        if roll < 0.5:
+            return str(rng.choice([0, 1, 2, p - 1, p, p + 1, 2 * p + 3,
+                                   rng.randrange(10 * p)])), 9
+        return rng.choice(names), 9
+
+    def factor():
+        signs = "".join(rng.choice("+-") + pad()
+                        for _ in range(rng.choice([0, 0, 0, 1, 2])))
+        text, top = atom()
+        text = signs + text
+        for _ in range(rng.choice([0, 0, 1, 1, 2])):
+            text += pad() + rng.choice(["^", "**"]) + pad() + str(rng.randint(0, top))
+            top = 1
+        return text
+
+    def term():
+        return (pad() + "*" + pad()).join(factor() for _ in range(rng.randint(1, 3)))
+
+    terms = [term() for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        terms.append(rng.choice(terms))  # and subtract it below: cancels
+        text = " + ".join(terms[:-1]) + " - (" + terms[-1] + ")"
+    else:
+        text = terms[0] + "".join(pad() + rng.choice("+-") + pad() + t
+                                  for t in terms[1:])
+    return text
+
+
+def _garble(rng, text):
+    """The text cut short, or with one character replaced or inserted."""
+    pos = rng.randrange(len(text) + 1)
+    roll = rng.random()
+    junk = rng.choice(list("()+-*^$?.,;!@xyzqw0123456789 ") + ["**", "^^", "()"])
+    if roll < 0.4:
+        return text[:pos]
+    if roll < 0.7:
+        return text[:pos] + junk + text[pos + 1:]
+    return text[:pos] + junk + text[pos:]
+
+
+def _outcome(parse):
+    try:
+        return "ok", parse()
+    except ParseError as err:
+        return "error", (str(err), err.column)
+
+
+def test_parser_matches_the_operator_oracle():
+    rng = random.Random(2024)
+    malformed = ["x + z", "x +", "x ^ y", "(x + y", "x $ y"]
+    checked = errors = 0
+    for p in (2, 3, 5, 7, 65521):
+        for names in (("x",), ("x", "y"), ("x", "y", "z")):
+            ring = PolyRing(names, p)
+            texts = [_fuzz_expr(rng, names, p) for _ in range(40)]
+            for text in texts:
+                got = ring.parse(text)
+                want = OracleParser(ring, text).parse()
+                assert got == want and str(got) == str(want), text
+                checked += 1
+            garbled = [_garble(rng, rng.choice(texts)) for _ in range(30)]
+            for text in malformed + garbled:
+                got = _outcome(lambda: ring.parse(text))
+                want = _outcome(lambda: OracleParser(ring, text).parse())
+                assert got == want, text
+                errors += got[0] == "error"
+    assert checked >= 500 and errors >= 200, (checked, errors)
+
+
+def test_parser_bounds_nesting(R57):
+    # parentheses and unary signs count alike; the first token past the
+    # bound is refused at its column
+    x = R57.gen(0)
+    assert R57.parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == x
+    assert R57.parse("-" * MAX_NESTING + "x") == x  # an even count
+    assert R57.parse("(-" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2)) == x
+    for text, column in [("(" * 2000 + "x" + ")" * 2000, MAX_NESTING + 1),
+                         ("-" * 3000 + "x", MAX_NESTING + 1),
+                         ("(-" * MAX_NESTING + "x", MAX_NESTING + 1),
+                         ("x * ( " * 2 * MAX_NESTING + "x", 6 * MAX_NESTING + 5)]:
+        with pytest.raises(ParseError) as err:
+            R57.parse(text)
+        assert err.value.column == column
+        assert str(err.value) == (f"nesting deeper than {MAX_NESTING} levels "
+                                  f"at column {column}")
 
 
 def test_no_zero_coefficients_stored(R57):
@@ -151,6 +371,52 @@ def test_ring_mismatch_raises():
     b = PolyRing(("x",), 7).gen(0)
     with pytest.raises(RingMismatchError):
         a + b
+
+
+def test_equal_rings_built_apart_mix():
+    R, S = PolyRing(("x", "y"), 5), PolyRing(("x", "y"), 5)
+    assert R is not S and R == S and hash(R) == hash(S)
+    f, g = R.parse("x^2 + y"), S.parse("x*y - 1")
+    assert f + g == g + f and f * g == S.parse("x^3*y + x*y^2 - x^2 - y")
+    assert (f * g).ring == R
+    ideal = Ideal(R, [f, g]) + Ideal(S, [g])
+    assert ideal == Ideal(S, [f, g])
+    assert ideal.contains(S.parse("x^3*y + x*y^2"))
+    assert Ideal(S, [g]).issubset(ideal)
+
+
+def test_unequal_rings_refuse_to_mix():
+    R = PolyRing(("x", "y"), 5)
+    for other in (PolyRing(("x", "y"), 7), PolyRing(("y", "x"), 5)):
+        assert R != other and other != R
+        f, g = R.gen(0), other.gen(0)
+        for combine in (lambda: f + g, lambda: f * g, lambda: g - f,
+                        lambda: Ideal(R, [g]), lambda: Ideal(R, [f]) + Ideal(other, [g]),
+                        lambda: Ideal(R, [f]).contains(g)):
+            with pytest.raises(RingMismatchError):
+                combine()
+    assert R != ("x", "y") and R != 5
+
+
+def _repeated_products(f, top):
+    power = f.ring.one()
+    for _ in range(top + 1):
+        yield power
+        power = power * f
+
+
+def test_powers_match_repeated_products():
+    for p in (2, 3, 5, 7, 13):
+        ring = PolyRing(("x", "y"), p)
+        cases = [ring.zero(), ring.constant(p - 1), ring.constant(3),
+                 ring.monomial((2, 1), p - 1), ring.monomial((0, 3), 2),
+                 ring.parse("x + 2*y"), ring.parse("3*x^2 + x + 2")]
+        for f in cases:
+            for n, want in enumerate(_repeated_products(f, 3 * p * p)):
+                got = f ** n
+                assert got == want and str(got) == str(want), (p, f, n)
+            with pytest.raises(DomainError):
+                f ** -1
 
 
 def test_canonical_string(R57):

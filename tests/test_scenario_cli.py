@@ -160,6 +160,20 @@ def test_polynomial_parse_error_reported_per_job(tmp_path):
     assert "column" in report["jobs"][0]["error"]["message"]
 
 
+@pytest.mark.parametrize("text", ["(" * 2000 + "x" + ")" * 2000, "-" * 3000 + "x"])
+def test_deep_nesting_fails_its_job_only(text):
+    # a RecursionError is no CharpError: it would end the whole run
+    report, _ = execute(parse_scenario(
+        {"p": 5, "vars": ["x"],
+         "jobs": [{"op": "sigma", "pair": {"f": text, "a": 1, "e": 1}},
+                  {"op": "sigma", "pair": {"f": "x", "a": 5, "e": 1}}]}))
+    bad, good = report["jobs"]
+    assert bad["status"] == "error" and bad["error"] == {
+        "type": "ParseError",
+        "message": "nesting deeper than 100 levels at column 101"}
+    assert good["status"] == "ok" and good["result"] == {"generators": ["x"]}
+
+
 def test_caps_parsing_and_validation():
     caps = parse_caps("degree=32,steps=16,max_basis=100")
     assert caps.max_degree == 32 and caps.chain_steps == 16
