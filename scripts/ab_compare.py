@@ -7,12 +7,13 @@ Each tree is a checkout with `src/charp` and `perfbench/`.  Both are
 imported into this one process, each with its own modules, and each
 builds its own instance list with `perfbench.instances` and its own
 one-job scenarios with `perfbench.run.scenario_doc`, as
-`perfbench/run.py` does; nothing is written to either tree.  A first
-round of each side must give equal report entries, job by job.  Then
-full rounds of the two sides alternate, and the side that goes first
-switches every round, so a host whose clock speed wanders between
-runs slows both sides alike.  Each job is timed alone after an untimed
-`gc.collect()`.
+`perfbench/run.py` does; nothing is written to either tree, not even
+bytecode caches.  A first round of each side must give equal report
+entries, job by job; otherwise the script exits nonzero and names the
+first job that differs.  Then full rounds of the two sides alternate,
+and the side that goes first switches every round, so a host whose
+clock speed wanders between runs slows both sides alike.  Each job is
+timed alone after an untimed `gc.collect()`.
 
 Prints each side's median round time and the median and quartiles of
 the per-round ratio change/parent.
@@ -29,6 +30,10 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+# both trees are imported from their sources; caching bytecode would
+# leave __pycache__ directories in them
+sys.dont_write_bytecode = True
 
 PACKAGES = ("charp", "perfbench")
 
@@ -93,10 +98,12 @@ def main(argv=None) -> int:
     change = Side(args.change, args.workload, args.seed)
     want, _ = parent.round()
     got, _ = change.round()
-    assert len(want) == len(got), (len(want), len(got))
+    if len(want) != len(got):
+        raise SystemExit(f"parent has {len(want)} jobs, change {len(got)}")
     for index, (a, b) in enumerate(zip(want, got)):
         a, b = json.dumps(a, sort_keys=True), json.dumps(b, sort_keys=True)
-        assert a == b, f"job {index} differs:\n parent {a}\n change {b}"
+        if a != b:
+            raise SystemExit(f"job {index} differs:\n parent {a}\n change {b}")
 
     gc.collect()
     gc.freeze()

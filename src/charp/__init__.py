@@ -7,8 +7,7 @@ stable trace images on projective schemes (proj), and a deterministic
 scenario runner (scenario, cli).
 """
 
-from .cartier import (CartierMap, apply_cartier, bracket_root, frob_expand,
-                      trace)
+from .cartier import apply_cartier, bracket_root, frob_expand, trace
 from .config import DEFAULT_CAPS, Caps, caps_scope, current_caps
 from .errors import (CharpError, DomainError, ParseError, PreconditionError,
                      ResourceError, RingMismatchError, ScenarioError,
@@ -18,7 +17,7 @@ from .fsing import (PairDivisor, fedder_f_pure, is_compatible,
                     is_sharply_f_pure, is_strongly_f_regular, multiplicity,
                     multiplicity_containment, point_ideal, sigma, tau,
                     twist_identity)
-from .ideal import Ideal, buchberger, groebner, normal_form
+from .ideal import Ideal, buchberger, normal_form
 from .proj import (GradedSubspace, ProjScheme, degree_bound_pipeline,
                    graded_piece, is_base_point_free, is_globally_generated,
                    restriction_is_surjective, separates, space_from_polys,
@@ -28,7 +27,7 @@ from .ring import MultiPoly, PolyRing
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartierMap", "apply_cartier", "bracket_root", "frob_expand", "trace", "Caps", "DEFAULT_CAPS", "caps_scope",
+    "apply_cartier", "bracket_root", "frob_expand", "trace", "Caps", "DEFAULT_CAPS", "caps_scope",
     "current_caps", "CharpError",
     "DomainError", "ParseError", "PreconditionError", "ResourceError",
     "RingMismatchError", "ScenarioError", "TestElementError",
@@ -36,7 +35,7 @@ __all__ = [
     "fedder_f_pure", "is_compatible", "is_sharply_f_pure",
     "is_strongly_f_regular", "multiplicity", "multiplicity_containment",
     "point_ideal", "sigma", "tau", "twist_identity", "Ideal", "buchberger",
-    "groebner", "normal_form", "GradedSubspace", "ProjScheme",
+    "normal_form", "GradedSubspace", "ProjScheme",
     "degree_bound_pipeline", "graded_piece", "is_base_point_free",
     "is_globally_generated", "restriction_is_surjective", "separates",
     "space_from_polys", "stable_sections", "stable_sections_generate",

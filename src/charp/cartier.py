@@ -6,19 +6,25 @@ expansion g = sum_b g_b^q * x^b.  `frob_expand` is the one place that
 splits exponents by q: bracket roots take every component, and the
 trace operator reads the top slot b = (q-1, ..., q-1); this
 normalization is fixed once and for all, which is harmless because
-images of ideals are insensitive to unit factors.  Composites follow
-the rule Tr^e(f * -) iterated n times = Tr^(ne)(f^(1+q+...+q^(n-1)) * -).
+images of ideals are insensitive to unit factors.
+
+Every p^{-e}-linear map of S is g -> Tr^e(u * g) for one u, and the
+map is the divisor pair (u, 1, e) (`fsing.PairDivisor`); a pair
+(f, a, e) is the map with u = f^a.  `apply_cartier` takes the pair, and
+composites are `PairDivisor.rescale`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 from .config import current_caps
 from .errors import DomainError, ResourceError
 from .ideal import Ideal
 from .ring import MultiPoly, PolyRing
+
+if TYPE_CHECKING:
+    from .fsing import PairDivisor
 
 
 def _check_level(ring: PolyRing, e: int) -> int:
@@ -73,45 +79,11 @@ def bracket_root(ideal: Ideal, e: int) -> Ideal:
     return Ideal(ideal.ring, gens)
 
 
-@dataclass(frozen=True)
-class CartierMap:
-    """The p^{-e}-linear operator g -> Tr^e(multiplier * g)."""
-
-    e: int
-    multiplier: MultiPoly
-
-    def __post_init__(self):
-        if self.e <= 0:
-            raise DomainError(f"Cartier map level must be >= 1, got {self.e}")
-        if self.multiplier.is_zero:
-            raise DomainError("Cartier map multiplier must be nonzero")
-
-    @property
-    def ring(self) -> PolyRing:
-        return self.multiplier.ring
-
-    @property
-    def q(self) -> int:
-        return self.ring.p ** self.e
-
-    def iterate(self, n: int) -> "CartierMap":
-        """n-fold composite: level n*e with multiplier
-        f^(1 + q + ... + q^(n-1))."""
-        if n <= 0:
-            raise DomainError(f"composite needs n >= 1, got {n}")
-        exponent = (self.q ** n - 1) // (self.q - 1)
-        return CartierMap(self.e * n, self.multiplier ** exponent)
-
-    def __call__(self, g: MultiPoly) -> MultiPoly:
-        return trace(self.multiplier * g, self.e)
-
-
-def apply_cartier(cmap: CartierMap, ideal: Ideal) -> Ideal:
-    """Image ideal of the operator on J: bracket_root(multiplier * J).
-
-    Monotone in J and additive over ideal sums.
-    """
-    if ideal.ring != cmap.ring:
-        raise DomainError("Cartier map and ideal live in different rings")
-    scaled = Ideal(ideal.ring, [cmap.multiplier * g for g in ideal.generators])
-    return bracket_root(scaled, cmap.e)
+def apply_cartier(pair: PairDivisor, ideal: Ideal) -> Ideal:
+    """Image ideal of the pair's operator g -> Tr^e(f^a * g) on J:
+    bracket_root(f^a * J).  Monotone in J and additive over ideal sums."""
+    if ideal.ring != pair.ring:
+        raise DomainError("pair and ideal live in different rings")
+    u = pair.multiplier
+    return bracket_root(Ideal(ideal.ring, [u * g for g in ideal.generators]),
+                        pair.e)

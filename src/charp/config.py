@@ -19,7 +19,8 @@ from typing import Iterator
 
 @dataclass(frozen=True)
 class Caps:
-    max_degree: int = 64          # total degree allowed during basis completion
+    max_degree: int = 64          # total degree allowed in polynomial text and in
+                                  # every basis completion, inputs included
     max_basis: int = 512          # generators tracked during basis completion
     chain_steps: int = 64         # iterations allowed in fixed-ideal chains
     frobenius_block: int = 256    # largest p^e handled by basis expansion

@@ -2,25 +2,28 @@
 
 A pair divisor (f, a, e) encodes the effective Q-divisor
 Delta = (a/(p^e-1)) * div(f), whose log-discrepancy data is carried by
-the p^{-e}-linear operator g -> Tr^e(f^a * g).  The non-F-pure ideal is
-the limit of the descending image chain from the unit ideal; the test
-ideal is the stabilized ascending chain from a test element.  Both land
-on operator-fixed ideals and the fixedness is re-checked at the end of
-every run.
+the p^{-e}-linear operator g -> Tr^e(f^a * g).  The pair is the
+operator: every such map is a pair (u, 1, e), and `rescale` composes.
+The non-F-pure ideal is the limit of the descending image chain from
+the unit ideal; the test ideal is the stabilized ascending chain from a
+test element.  Both land on operator-fixed ideals and the fixedness is
+re-checked at the end of every run.
 
 Every chain runs modulo an ideal, and every step adds it back in: on
 affine space that is the zero ideal, and for a cone S/(h_1, ..., h_r)
-it is (h_1, ..., h_r), whose operator multiplier picks up the adjunction
-factor prod h_i^(q-1).
+it is (h_1, ..., h_r), and the chain runs the cone's pair
+Delta + sum div(h_i), each h_i at coefficient 1, whose multiplier picks
+up the adjunction factor prod h_i^(q-1) (F-adjunction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .cartier import CartierMap, apply_cartier
+from .cartier import apply_cartier
 from .config import current_caps
 from .errors import (DomainError, InternalInvariantError, PreconditionError,
                      ResourceError, TestElementError, UnsupportedInputError)
@@ -57,14 +60,17 @@ class PairDivisor:
     def coefficient(self) -> Fraction:
         return Fraction(self.a, self.q - 1)
 
+    @cached_property
     def multiplier(self) -> MultiPoly:
-        return self.f ** self.a
-
-    def cartier_map(self) -> CartierMap:
-        return CartierMap(self.e, self.multiplier())
+        """f^a, the u of the operator g -> Tr^e(u * g); f itself at a = 1."""
+        return self.f if self.a == 1 else self.f ** self.a
 
     def rescale(self, n: int) -> "PairDivisor":
-        """Same divisor presented at level n*e."""
+        """Same divisor presented at level n*e, for n >= 1: the operator
+        applied n times, since Tr^e(u * -) iterated n times is
+        Tr^(ne)(u^(1+q+...+q^(n-1)) * -)."""
+        if n < 1:
+            raise DomainError(f"rescaling needs n >= 1, got {n}")
         q = self.q
         return PairDivisor(self.f, self.a * (q ** n - 1) // (q - 1), self.e * n)
 
@@ -80,7 +86,7 @@ class ChainResult:
     steps: int
 
 
-def descending_fixed_ideal(cmap: CartierMap, modulus: Ideal) -> ChainResult:
+def descending_fixed_ideal(pair: PairDivisor, modulus: Ideal) -> ChainResult:
     """Largest operator-fixed ideal containing the modulus: iterate
     J -> image(J) + modulus from the unit ideal until two consecutive
     reduced bases agree.
@@ -89,27 +95,27 @@ def descending_fixed_ideal(cmap: CartierMap, modulus: Ideal) -> ChainResult:
     convention and raises InternalInvariantError.
     """
     limit = current_caps().chain_steps
-    current = Ideal.unit(cmap.ring)
+    current = Ideal.unit(pair.ring)
     for step in range(1, limit + 1):
-        nxt = apply_cartier(cmap, current) + modulus
+        nxt = apply_cartier(pair, current) + modulus
         if not nxt.issubset(current):
             raise InternalInvariantError(
                 "descending chain grew at step %d" % step)
         if nxt == current:
             return ChainResult(current, step)
-        current = Ideal._from_groebner(cmap.ring, nxt.groebner_basis)
+        current = Ideal._from_groebner(pair.ring, nxt.groebner_basis)
     raise ResourceError("chain_steps", limit,
                         "descending fixed-ideal chain did not stabilize")
 
 
-def ascending_fixed_ideal(cmap: CartierMap, seed: MultiPoly,
+def ascending_fixed_ideal(pair: PairDivisor, seed: MultiPoly,
                           modulus: Ideal) -> ChainResult:
     """Smallest operator-fixed ideal containing the seed and the modulus:
     iterate N -> N + image(N) + modulus until stable, then insist the
     result is genuinely fixed (image == result); failure means the seed
     was not a test element and raises TestElementError.
     """
-    ring = cmap.ring
+    ring = pair.ring
     if seed.is_zero:
         raise DomainError("test element must be nonzero")
     if modulus.contains(seed):
@@ -117,7 +123,7 @@ def ascending_fixed_ideal(cmap: CartierMap, seed: MultiPoly,
     current = Ideal(ring, (seed,)) + modulus
     limit = current_caps().chain_steps
     for step in range(1, limit + 1):
-        image = apply_cartier(cmap, current) + modulus
+        image = apply_cartier(pair, current) + modulus
         nxt = current + image
         if nxt == current:
             if image != current:
@@ -125,7 +131,7 @@ def ascending_fixed_ideal(cmap: CartierMap, seed: MultiPoly,
                     f"chain from {seed} stabilized on a non-fixed ideal; "
                     "the seed is not a test element for this pair")
             return ChainResult(current, step)
-        current = Ideal._from_groebner(cmap.ring, nxt.groebner_basis)
+        current = Ideal._from_groebner(ring, nxt.groebner_basis)
     raise ResourceError("chain_steps", limit,
                         "ascending fixed-ideal chain did not stabilize")
 
@@ -134,7 +140,7 @@ def ascending_fixed_ideal(cmap: CartierMap, seed: MultiPoly,
 
 
 def sigma_chain(pair: PairDivisor) -> ChainResult:
-    return descending_fixed_ideal(pair.cartier_map(), Ideal.zero(pair.ring))
+    return descending_fixed_ideal(pair, Ideal.zero(pair.ring))
 
 
 def sigma(pair: PairDivisor) -> Ideal:
@@ -144,8 +150,7 @@ def sigma(pair: PairDivisor) -> Ideal:
 
 def tau_chain(pair: PairDivisor, c: Optional[MultiPoly] = None) -> ChainResult:
     seed = pair.default_test_element() if c is None else c
-    return ascending_fixed_ideal(pair.cartier_map(), seed,
-                                 Ideal.zero(pair.ring))
+    return ascending_fixed_ideal(pair, seed, Ideal.zero(pair.ring))
 
 
 def tau(pair: PairDivisor, c: Optional[MultiPoly] = None) -> Ideal:
@@ -182,7 +187,7 @@ def twist_identity(pair: PairDivisor, g: MultiPoly,
         raise DomainError("twisting polynomial must be nonzero")
     base_c = pair.default_test_element() if c is None else c
     q = pair.q
-    augmented = PairDivisor(pair.multiplier() * g ** (q - 1), 1, pair.e)
+    augmented = PairDivisor(pair.multiplier * g ** (q - 1), 1, pair.e)
     lhs = tau(augmented, g * base_c)
     rhs = Ideal(pair.ring, (g,)) * tau(pair, base_c)
     return TwistReport(holds=(lhs == rhs), shifted=lhs, expected=rhs)
@@ -211,8 +216,7 @@ def is_compatible(center: Ideal, pair: PairDivisor) -> bool:
     """Whether the operator of the pair maps the center's ideal into
     itself; a compatible center along which the pair is generically
     sharply F-pure is an F-pure-center candidate."""
-    image = apply_cartier(pair.cartier_map(), center)
-    return image.issubset(center)
+    return apply_cartier(pair, center).issubset(center)
 
 
 # -- multiplicity and the codimension containment test ---------------------
@@ -247,7 +251,7 @@ def multiplicity(f: MultiPoly, point: Sequence) -> int:
     if f.is_zero:
         raise DomainError("multiplicity of the zero polynomial is undefined")
     coords = _validate_point(f.ring, point)
-    shifted = f.shift(tuple(c if c is not None else None for c in coords))
+    shifted = f.shift(coords)
     constrained = [i for i, c in enumerate(coords) if c is not None]
     return min(sum(exps[i] for i in constrained) for exps in shifted._terms)
 

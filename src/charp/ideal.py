@@ -4,11 +4,13 @@ The reduced basis is unique for the fixed grevlex order, so two Ideal
 values are equal exactly when they generate the same ideal.  Basis
 completion is plain Buchberger with the coprimality criterion and
 normal-pair selection; degree and basis-size caps turn blowups into
-ResourceErrors instead of hangs.  At most one nonzero generator needs
-no completion: one monic polynomial is a reduced basis.  A homogeneous ideal is saturated by a
-variable in one completion, in grevlex after moving that variable last
-(Bayer–Stillman).  The Hilbert series of a homogeneous ideal is read
-off the leading monomials of its basis by pivot recursion (Bigatti).
+ResourceErrors instead of hangs, and the degree cap binds on the input
+generators before anything else.  At most one nonzero generator needs
+no completion: one monic polynomial is a reduced basis.  A homogeneous
+ideal is saturated by a variable in one completion, in grevlex after
+moving that variable last (Bayer–Stillman).  The Hilbert series of a
+homogeneous ideal is read off the leading monomials of its basis by
+pivot recursion (Bigatti).
 
 Reduction (`normal_form`) is heap division on packed monomial keys
 (Monagan–Pearce): the polynomial being reduced is one mutable
@@ -173,6 +175,7 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
     tuples.
     """
     raw = [g for g in generators if not g.is_zero]
+    _check_input_degree(raw)
     if len(raw) <= 1:
         # one monic polynomial is already a reduced basis
         return tuple(g.monic() for g in raw)
@@ -233,10 +236,13 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
 
 
 def _check_input_degree(generators: Sequence[MultiPoly]):
-    """Refuse a generator above the degree cap.  A chart or a Hilbert
-    series may form no S-polynomial from a large input, so the
-    completion's own checks would let it through."""
-    top = max(map(MultiPoly.degree, generators), default=-1)
+    """Refuse a generator above the degree cap.  A completion may form no
+    S-polynomial from a large input (one generator needs none), so the
+    checks on S-polynomials would let it through; `buchberger` runs this
+    first, and a Hilbert series runs it on its generators because their
+    basis may be a cached one.  Grevlex is graded, so a degree is that of
+    the leading monomial, which the completion caches and needs anyway."""
+    top = max((sum(g.leading_exponent()) for g in generators), default=-1)
     limit = current_caps().max_degree
     if top > limit:
         raise ResourceError("max_degree", limit, f"generator of degree {top}")
@@ -445,7 +451,6 @@ class Ideal:
         forms = self._forms()
         if forms is None:
             raise DomainError("chart of a non-homogeneous ideal")
-        _check_input_degree(forms)
         names = self.ring.variables
         last = PolyRing(names[:i] + names[i + 1:] + names[i:i + 1],
                         self.ring.p)
@@ -478,8 +483,8 @@ class Ideal:
         """N(t) with HS(S/I) = N(t)/(1-t)^nvars for a homogeneous ideal,
         as `monomial_hilbert_numerator` lists it, read off the leading
         monomials of the reduced basis (S/I and S/in(I) share their
-        Hilbert function).  As for a chart, homogeneous generators above
-        the degree cap are refused before their basis is completed."""
+        Hilbert function).  Homogeneous generators above the degree cap
+        are refused also when their basis was cached."""
         forms = self._forms()
         if forms is None:
             raise DomainError("Hilbert series of a non-homogeneous ideal")
@@ -536,7 +541,3 @@ def _divide_out_last(f: MultiPoly) -> MultiPoly:
     return MultiPoly(f.ring, {e[:-1] + (e[-1] - k,): c
                               for e, c in f._terms.items()})
 
-
-def groebner(ideal: Ideal) -> tuple:
-    """The unique reduced Gröbner basis of the ideal (grevlex)."""
-    return ideal.groebner_basis

@@ -3,10 +3,14 @@ stable images of iterated trace maps inside them.
 
 Everything happens on the affine cone: sections of O_X(m) for a
 projectively normal X = V(h_1, ..., h_r) in P^n are the degree-m piece
-of S/(h_1, ..., h_r).  The trace operator of the cone with multiplier
-prod h_i^(q-1) * f^a realizes the divisor pair on X.  Its level-n image
-inside the degree-m piece is the degree-m piece of J_n, the n-th term
-of the operator's descending chain J_0 = S, J_n = image(J_(n-1)) + I_X.
+of S/(h_1, ..., h_r).  The divisor pair on X is realized on the cone
+by the pair Delta + sum div(h_i), each h_i at coefficient 1
+(F-adjunction; Schwede, "F-adjunction", Algebra & Number Theory 3
+(2009)): `ProjScheme.cone_pair` writes it as (u, 1, e) with
+u = f^a * prod h_i^(q-1), the multiplier of its trace operator.  Its
+level-n image inside the degree-m piece is the degree-m piece of J_n,
+the n-th term of the operator's descending chain J_0 = S,
+J_n = image(J_(n-1)) + I_X.
 The chain stops on the largest fixed ideal sigma once J_s = J_(s-1),
 an ideal equality that proves every later image equal, so the
 canonical subsystem of the twist is the degree-m piece of sigma (for
@@ -40,12 +44,11 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .cartier import CartierMap, apply_cartier
 from .config import DEFAULT_CAPS, current_caps
 from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
 from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
-                    descending_fixed_ideal, multiplicity, tau)
+                    descending_fixed_ideal, is_compatible, multiplicity, tau)
 from .ideal import Ideal, monomial_hilbert_numerator, normal_form
 from .linalg import null_space, rank, rref
 from .ring import MultiPoly, PolyRing, monomials_of_degree
@@ -123,18 +126,18 @@ class ProjScheme:
     def is_curve(self) -> bool:
         return self.dimension == 1
 
-    def cartier_map(self, pair: PairDivisor) -> CartierMap:
-        """The pair's operator on the cone: level e, multiplier the
-        adjunction factor prod h^(q-1) times f^a."""
+    def cone_pair(self, pair: PairDivisor) -> PairDivisor:
+        """The pair's F-adjunction pair on the cone, Delta plus each
+        div(h) at coefficient 1: (f^a * prod h^(q-1), 1, e)."""
         if pair.ring != self.ring:
             raise DomainError("pair lives in a different ring than the scheme")
         if not pair.f.is_homogeneous():
             raise DomainError("pair polynomial must be homogeneous")
-        u = pair.multiplier()
+        u = pair.multiplier
         q = pair.q
         for h in self.forms:
             u = u * h ** (q - 1)
-        return CartierMap(pair.e, u)
+        return PairDivisor(u, 1, pair.e)
 
     def pair_degree(self, pair: PairDivisor) -> Fraction:
         """Degree of the twist K_X + Delta."""
@@ -263,9 +266,9 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
     ideal of the cone pair, adjunction factors included.  The tau chain
     starts from c, by default the pair's test element; a unit seed is
     refused on a cone singular at its vertex."""
-    cmap = scheme.cartier_map(pair)
+    cone = scheme.cone_pair(pair)
     if which == "sigma":
-        return descending_fixed_ideal(cmap, scheme.ideal)
+        return descending_fixed_ideal(cone, scheme.ideal)
     if which == "tau":
         seed = pair.default_test_element() if c is None else c
         if (seed.is_constant and not seed.is_zero
@@ -274,7 +277,7 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
                 f"test element c = {seed} is a unit: its chain cannot "
                 "leave the unit ideal, and the cone of a form of degree "
                 ">= 2 is singular at its vertex; pass a nonconstant c")
-        return ascending_fixed_ideal(cmap, seed, scheme.ideal)
+        return ascending_fixed_ideal(cone, seed, scheme.ideal)
     raise DomainError(f"unknown fixed-ideal kind {which!r}")
 
 
@@ -646,20 +649,13 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
 # -- restriction to compatible centers -------------------------------------
 
 
-def center_is_compatible(scheme: ProjScheme, pair: PairDivisor,
-                         center: Ideal) -> bool:
-    """Compatibility of a center's cone ideal with the scheme's operator."""
-    total = center + scheme.ideal
-    return apply_cartier(scheme.cartier_map(pair), total).issubset(total)
-
-
 def center_stable_image(scheme: ProjScheme, pair: PairDivisor, center: Ideal,
                         m: int) -> GradedSubspace:
     """Stable subsystem of the operator induced on the center: the
     degree-m piece of the largest fixed ideal of the cone modulo
     center + I_X."""
     modulus = center + scheme.ideal
-    chain = descending_fixed_ideal(scheme.cartier_map(pair), modulus)
+    chain = descending_fixed_ideal(scheme.cone_pair(pair), modulus)
     return _stable_piece(scheme, pair, m, _stable_level(chain), chain.ideal,
                          modulus)
 
@@ -678,7 +674,7 @@ def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,
     subsystem on X.  It verifies compatibility and the chain, not a
     surjectivity that could fail.
     """
-    if not center_is_compatible(scheme, pair, center):
+    if not is_compatible(center + scheme.ideal, scheme.cone_pair(pair)):
         raise PreconditionError("the center is not compatible with the pair")
     if m - scheme.pair_degree(pair) <= 0:
         raise PreconditionError(

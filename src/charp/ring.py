@@ -19,8 +19,9 @@ one-term polynomial by scaling its exponent; any other polynomial is
 raised digit by digit in base p, f^n = prod_i (f^(n_i))^[p^i] for
 n = sum_i n_i p^i, since the Frobenius f -> f^p only scales exponents
 over F_p.  The parser evaluates its recursive descent on term dicts,
-multiplies and raises monomial factors by exponent arithmetic, and
-bounds the nesting of parentheses and unary signs by MAX_NESTING.
+multiplies and raises monomial factors by exponent arithmetic, bounds
+the nesting of parentheses and unary signs by MAX_NESTING, and refuses
+a power whose degree would pass the `max_degree` cap before forming it.
 
 Values are immutable after construction and safe to share across
 threads.  A polynomial memoises its leading exponent, and the division
@@ -37,7 +38,8 @@ from functools import cache
 from operator import add, neg
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import DomainError, ParseError, RingMismatchError
+from .config import current_caps
+from .errors import DomainError, ParseError, ResourceError, RingMismatchError
 
 Exponents = tuple  # tuple[int, ...]
 
@@ -654,7 +656,7 @@ class _Parser:
             kind, value, col = self.tokens[self.idx]
         base = self.atom()
         while True:
-            kind, value, _ = self.tokens[self.idx]
+            kind, value, col = self.tokens[self.idx]
             if kind != "op" or value != "^":
                 break
             self.idx += 1
@@ -662,7 +664,13 @@ class _Parser:
             if nkind != "num":
                 raise ParseError("exponent must be a non-negative integer",
                                  column=ncol)
-            base = _pow_terms(base, int(nvalue), self.p, self.one)
+            n = int(nvalue)
+            degree = n * max(map(sum, base), default=0)
+            limit = current_caps().max_degree
+            if degree > limit:
+                raise ResourceError("max_degree", limit,
+                                    f"power of degree {degree} at column {col}")
+            base = _pow_terms(base, n, self.p, self.one)
         self.depth = outer
         if negate:
             p = self.p

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from charp.cartier import CartierMap, apply_cartier, bracket_root, trace
+from charp.cartier import apply_cartier, bracket_root, trace
 from charp.config import Caps, caps_scope
 from charp.fsing import (PairDivisor, fedder_f_pure, multiplicity_containment,
                          sigma, tau, twist_identity)
@@ -326,9 +326,9 @@ def test_c11c_composition_law_100():
             f = random_poly(rng, ring, max_degree=2, nonzero=True)
             ideal = Ideal(ring, [random_poly(rng, ring, max_degree=3,
                                              nonzero=True)])
-            once = CartierMap(1, f)
+            once = PairDivisor(f, 1, 1)
             twice = apply_cartier(once, apply_cartier(once, ideal))
-            assert twice == apply_cartier(once.iterate(2), ideal)
+            assert twice == apply_cartier(once.rescale(2), ideal)
     _timed(run)
 
 

@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from charp.cartier import (CartierMap, apply_cartier, bracket_root,
-                           frob_expand, trace)
+from charp.cartier import apply_cartier, bracket_root, frob_expand, trace
 from charp.errors import DomainError, ResourceError
+from charp.fsing import PairDivisor
 from charp.ideal import Ideal
 from charp.ring import PolyRing
 
@@ -192,27 +192,27 @@ def test_root_smallest_ideal_property():
 def test_apply_examples():
     R1 = PolyRing(("x",), 5)
     unit = Ideal.unit(R1)
-    assert apply_cartier(CartierMap(1, R1.parse("x^4")), unit).is_unit
-    assert apply_cartier(CartierMap(1, R1.one()), I(R1, "x^5")) == I(R1, "x")
-    assert apply_cartier(CartierMap(1, R1.parse("x^5")), unit) == I(R1, "x")
+    assert apply_cartier(PairDivisor(R1.parse("x^4"), 1, 1), unit).is_unit
+    assert apply_cartier(PairDivisor(R1.one(), 1, 1), I(R1, "x^5")) == I(R1, "x")
+    assert apply_cartier(PairDivisor(R1.parse("x^5"), 1, 1), unit) == I(R1, "x")
 
 
 def test_zero_multiplier_rejected():
     R1 = PolyRing(("x",), 5)
     with pytest.raises(DomainError):
-        CartierMap(1, R1.zero())
+        PairDivisor(R1.zero(), 1, 1)
 
 
 def test_apply_monotone_and_additive(R2):
     rng = random.Random(131)
     for _ in range(20):
         f = random_poly(rng, R2, nonzero=True)
-        cmap = CartierMap(1, f)
+        pair = PairDivisor(f, 1, 1)
         a = Ideal(R2, [random_poly(rng, R2, nonzero=True)])
         b = Ideal(R2, [random_poly(rng, R2, nonzero=True)])
-        assert apply_cartier(cmap, a).issubset(apply_cartier(cmap, a + b))
-        assert apply_cartier(cmap, a + b) == \
-            apply_cartier(cmap, a) + apply_cartier(cmap, b)
+        assert apply_cartier(pair, a).issubset(apply_cartier(pair, a + b))
+        assert apply_cartier(pair, a + b) == \
+            apply_cartier(pair, a) + apply_cartier(pair, b)
 
 
 def test_composition_law():
@@ -226,9 +226,9 @@ def test_composition_law():
             f = random_poly(rng, ring, max_degree=2, nonzero=True)
             ideal = Ideal(ring, [random_poly(rng, ring, max_degree=3,
                                              nonzero=True)])
-            once = CartierMap(1, f)
+            once = PairDivisor(f, 1, 1)
             twice = apply_cartier(once, apply_cartier(once, ideal))
-            composite = once.iterate(2)
+            composite = once.rescale(2)
             assert composite.e == 2
             assert composite.multiplier == f ** (1 + p)
             assert twice == apply_cartier(composite, ideal)
@@ -236,7 +236,9 @@ def test_composition_law():
     assert cases >= 52
 
 
-def test_iterate_validation(R2):
-    cmap = CartierMap(1, R2.gen(0))
-    with pytest.raises(DomainError):
-        cmap.iterate(0)
+def test_rescale_validation(R2):
+    # n < 1 presents no composite; -1 would give a float coefficient
+    pair = PairDivisor(R2.gen(0), 1, 1)
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="n >= 1"):
+            pair.rescale(n)

@@ -48,7 +48,15 @@ def test_pair_validation(R5x):
         PairDivisor(R5x.gen(0), 1, 0)
     pair = PairDivisor(R5x.gen(0), 3, 1)
     assert pair.q == 5 and pair.coefficient == Fraction(3, 4)
-    assert pair.multiplier() == R5x.parse("x^3")
+    assert pair.multiplier == R5x.parse("x^3")
+
+
+def test_multiplier_is_formed_once(R5x):
+    pair = PairDivisor(R5x.parse("x+1"), 3, 1)
+    assert pair.multiplier is pair.multiplier
+    # at a = 1 the multiplier is f itself, not a copy
+    f = R5x.parse("x+1")
+    assert PairDivisor(f, 1, 1).multiplier is f
 
 
 def test_pair_rescaling_preserves_divisor(R5x):
@@ -76,7 +84,7 @@ def test_sigma_is_fixed_point(R7xy):
         a = rng.randint(0, 8)
         pair = PairDivisor(f, a, 1)
         fixed = sigma(pair)
-        assert apply_cartier(pair.cartier_map(), fixed) == fixed
+        assert apply_cartier(pair, fixed) == fixed
 
 
 def test_sigma_unit_iff_surjective_on_unit(R7xy):
@@ -85,7 +93,7 @@ def test_sigma_unit_iff_surjective_on_unit(R7xy):
     for _ in range(20):
         f = random_poly(rng, R7xy, max_degree=3, nonzero=True)
         pair = PairDivisor(f, rng.randint(0, 7), 1)
-        first = apply_cartier(pair.cartier_map(), Ideal.unit(R7xy))
+        first = apply_cartier(pair, Ideal.unit(R7xy))
         assert first.is_unit == is_sharply_f_pure(pair)
 
 
@@ -176,20 +184,19 @@ def test_tau_is_least_fixed_ideal_containing_seed(R7xy):
         f = random_poly(rng, R7xy, max_degree=3, nonzero=True)
         a = rng.randint(0, 6)
         pair = PairDivisor(f, a, 1)
-        cmap = pair.cartier_map()
         seed = f
         ideal = tau(pair, seed)
         extra = random_poly(rng, R7xy, max_degree=2, nonzero=True)
-        bigger = ascending_fixed_ideal(cmap, seed, Ideal.zero(R7xy)).ideal
+        bigger = ascending_fixed_ideal(pair, seed, Ideal.zero(R7xy)).ideal
         enlarged = Ideal(R7xy, (seed, extra))
         # close the enlarged seed up to a fixed ideal
         current = enlarged
         for _ in range(64):
-            nxt = current + apply_cartier(cmap, current)
+            nxt = current + apply_cartier(pair, current)
             if nxt == current:
                 break
             current = nxt
-        assert apply_cartier(cmap, current).issubset(current)
+        assert apply_cartier(pair, current).issubset(current)
         assert ideal.issubset(current)
         assert ideal.issubset(bigger) and bigger.issubset(ideal)
         built += 1

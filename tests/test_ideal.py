@@ -11,7 +11,7 @@ import sympy as sp
 
 from charp.config import Caps, caps_scope
 from charp.errors import DomainError, ResourceError
-from charp.ideal import (Ideal, _divisor, buchberger, groebner,
+from charp.ideal import (Ideal, _divisor, buchberger,
                          monomial_hilbert_numerator, normal_form)
 from charp.ring import PolyRing, grevlex_key, grevlex_packing
 
@@ -31,11 +31,11 @@ def R5():
 
 
 def test_already_reduced(R5):
-    assert groebner(I(R5, "x")) == (R5.gen(0),)
+    assert I(R5, "x").groebner_basis == (R5.gen(0),)
 
 
 def test_linear_change(R5):
-    gb = groebner(I(R5, "x+y", "x-y"))
+    gb = I(R5, "x+y", "x-y").groebner_basis
     assert gb == (R5.gen(0), R5.gen(1))
 
 
@@ -43,17 +43,17 @@ def test_hand_buchberger_run():
     # S-polynomial of x^2+y^2 and xy yields y^3; basis leading terms
     # then generate (x^2, xy, y^3)
     ring = PolyRing(("x", "y"), 7)
-    gb = groebner(I(ring, "x^2+y^2", "x*y"))
+    gb = I(ring, "x^2+y^2", "x*y").groebner_basis
     lts = {g.leading_exponent() for g in gb}
     assert lts == {(2, 0), (1, 1), (0, 3)}
     assert ring.parse("y^3") in I(ring, "x^2+y^2", "x*y")
 
 
 def test_zero_and_unit_ideals(R5):
-    assert groebner(Ideal(R5, [])) == ()
+    assert Ideal(R5, []).groebner_basis == ()
     assert Ideal.zero(R5).is_zero
     assert Ideal.unit(R5).is_unit
-    assert groebner(I(R5, "2")) == (R5.one(),)
+    assert I(R5, "2").groebner_basis == (R5.one(),)
     assert I(R5, "x", "x+1").is_unit
 
 

@@ -12,10 +12,9 @@ from charp.cartier import trace
 from charp.config import DEFAULT_CAPS, Caps, caps_scope, current_caps
 from charp.errors import (DomainError, PreconditionError, ResourceError,
                           TheoremViolationError)
-from charp.fsing import PairDivisor, multiplicity, sigma_chain
+from charp.fsing import PairDivisor, is_compatible, multiplicity, sigma_chain
 from charp.ideal import Ideal, normal_form
 from charp.proj import (ProjScheme, _same_saturation, _saturated_pieces,
-                        center_is_compatible,
                         center_stable_image, degree_bound_pipeline,
                         graded_fixed_ideal, graded_piece, is_base_point_free,
                         is_globally_generated, projective_multiplicity,
@@ -88,6 +87,30 @@ def test_scheme_rejects_non_complete_intersection():
     quartic = ProjScheme.from_forms(
         space, [space.parse("x^2-y*w"), space.parse("y^2+z^2+w^2-x*z")])
     assert quartic.is_curve
+
+
+def test_cone_pair_is_the_adjunction_pair(P2, fermat7):
+    # F-adjunction: the cone's pair adds each defining form at
+    # coefficient 1, that is, the factor h^(q-1) in the multiplier
+    ring3 = PolyRing(("x", "y", "z", "w"), 3)
+    quadrics = ProjScheme.from_forms(ring3, [ring3.parse("x*y-z*w"),
+                                             ring3.parse("x^2+y^2-z^2")])
+    cases = [(P2, PairDivisor(P2.ring.parse("x*y"), 3, 1)),
+             (fermat7, PairDivisor(fermat7.ring.gen(0), 6, 1)),
+             (fermat7, PairDivisor(fermat7.ring.parse("x+y"), 20, 2)),
+             (quadrics, PairDivisor(ring3.gen(3), 1, 1))]
+    for scheme, pair in cases:
+        u = pair.f ** pair.a
+        for h in scheme.forms:
+            u = u * h ** (pair.q - 1)
+        assert scheme.cone_pair(pair) == PairDivisor(u, 1, pair.e)
+
+
+def test_cone_pair_refusals(P2, fermat7):
+    with pytest.raises(DomainError, match="different ring"):
+        fermat7.cone_pair(PairDivisor(P2.ring.gen(0), 1, 1))
+    with pytest.raises(DomainError, match="homogeneous"):
+        fermat7.cone_pair(PairDivisor(fermat7.ring.parse("x^2+y"), 1, 1))
 
 
 def test_graded_piece_dimensions(P2, fermat7):
@@ -1074,7 +1097,7 @@ def oracle_stable_sections(scheme, pair, m, which="sigma", c=None):
     source = None
     if which == "tau":
         source = graded_fixed_ideal(scheme, pair, "tau", c).ideal
-    return level_stable_image(scheme.ideal, scheme.cartier_map(pair).multiplier,
+    return level_stable_image(scheme.ideal, scheme.cone_pair(pair).multiplier,
                               pair.e, m, source)
 
 
@@ -1115,7 +1138,7 @@ def test_restriction_centers_match_level_oracle():
     plane = ProjScheme.projective_space(ring)
     for text, center in (("z", I(ring, "z")), ("x*y", I(ring, "x", "y"))):
         pair = PairDivisor(ring.parse(text), 4, 1)
-        u1 = plane.cartier_map(pair).multiplier
+        u1 = plane.cone_pair(pair).multiplier
         for m in range(1, 5):
             oracle, _, _ = level_stable_image(center, u1, pair.e, m)
             assert center_stable_image(plane, pair, center, m) == oracle
@@ -1141,7 +1164,7 @@ def test_restriction_line_center(P2):
     ring = P2.ring
     pair = PairDivisor(ring.gen(2), 4, 1)
     line = I(ring, "z")
-    assert center_is_compatible(P2, pair, line)
+    assert is_compatible(line, P2.cone_pair(pair))
     assert restriction_is_surjective(P2, pair, line, 3)
 
 
@@ -1169,5 +1192,6 @@ def test_restriction_onto_points_of_a_curve(fermat7):
     pair = PairDivisor(ring.gen(0), 6, 1)
     for t in (3, 5, 6):
         point = rational_point_ideal(ring, (0, t, 1))
-        assert center_is_compatible(fermat7, pair, point)
+        assert is_compatible(point + fermat7.ideal,
+                             fermat7.cone_pair(pair))
         assert restriction_is_surjective(fermat7, pair, point, 2)

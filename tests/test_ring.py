@@ -2,11 +2,13 @@
 
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from charp.errors import DomainError, ParseError, RingMismatchError
+from charp.config import DEFAULT_CAPS, caps_scope
+from charp.errors import DomainError, ParseError, ResourceError, RingMismatchError
 from charp.ideal import Ideal
 from charp.ring import (MAX_NESTING, PolyRing, grevlex_key, grevlex_packing,
                         monomials_of_degree)
@@ -257,22 +259,44 @@ def test_parser_matches_the_operator_oracle():
     rng = random.Random(2024)
     malformed = ["x + z", "x +", "x ^ y", "(x + y", "x $ y"]
     checked = errors = 0
-    for p in (2, 3, 5, 7, 65521):
-        for names in (("x",), ("x", "y"), ("x", "y", "z")):
-            ring = PolyRing(names, p)
-            texts = [_fuzz_expr(rng, names, p) for _ in range(40)]
-            for text in texts:
-                got = ring.parse(text)
-                want = OracleParser(ring, text).parse()
-                assert got == want and str(got) == str(want), text
-                checked += 1
-            garbled = [_garble(rng, rng.choice(texts)) for _ in range(30)]
-            for text in malformed + garbled:
-                got = _outcome(lambda: ring.parse(text))
-                want = _outcome(lambda: OracleParser(ring, text).parse())
-                assert got == want, text
-                errors += got[0] == "error"
+    # a garbled digit can raise a power past the default degree cap;
+    # the oracle knows no caps, so the comparison runs with it lifted
+    with caps_scope(DEFAULT_CAPS.with_overrides(max_degree=10 ** 9)):
+        for p in (2, 3, 5, 7, 65521):
+            for names in (("x",), ("x", "y"), ("x", "y", "z")):
+                ring = PolyRing(names, p)
+                texts = [_fuzz_expr(rng, names, p) for _ in range(40)]
+                for text in texts:
+                    got = ring.parse(text)
+                    want = OracleParser(ring, text).parse()
+                    assert got == want and str(got) == str(want), text
+                    checked += 1
+                garbled = [_garble(rng, rng.choice(texts)) for _ in range(30)]
+                for text in malformed + garbled:
+                    got = _outcome(lambda: ring.parse(text))
+                    want = _outcome(lambda: OracleParser(ring, text).parse())
+                    assert got == want, text
+                    errors += got[0] == "error"
     assert checked >= 500 and errors >= 200, (checked, errors)
+
+
+def test_parser_caps_the_degree_of_a_power(R57):
+    # the degree of a power is checked before the power is formed, so a
+    # large one is refused at once; the cap in force decides
+    start = time.perf_counter()
+    with pytest.raises(ResourceError) as err:
+        PolyRing(("x", "y", "z"), 65521).parse("x + (x+y+z)^200")
+    assert time.perf_counter() - start < 1.0
+    assert err.value.cap_name == "max_degree"
+    assert str(err.value) == ("resource cap max_degree=64 exceeded: power of "
+                              "degree 200 at column 12")
+    assert R57.parse("(x*y)^32") == R57.parse("x^32*y^32")
+    with pytest.raises(ResourceError, match="power of degree 66 at column 6"):
+        R57.parse("(x*y)^33")
+    with caps_scope(DEFAULT_CAPS.with_overrides(max_degree=8)):
+        with pytest.raises(ResourceError, match="max_degree=8 "):
+            R57.parse("x^9")
+        assert R57.parse("x^8*y^8") == R57.parse("x^8") * R57.parse("y^8")
 
 
 def test_parser_bounds_nesting(R57):

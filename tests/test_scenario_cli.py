@@ -174,6 +174,40 @@ def test_deep_nesting_fails_its_job_only(text):
     assert good["status"] == "ok" and good["result"] == {"generators": ["x"]}
 
 
+def test_degree_cap_binds_on_the_inputs_of_a_completion():
+    # the first image of these chains is one generator of degree 2047 or
+    # 511, which needs no S-polynomial: unchecked, a = 4095 ran for
+    # minutes and a = 1023 answered a generator of degree 1022
+    report, timings = execute(parse_scenario(
+        {"p": 2, "vars": ["x", "y"],
+         "jobs": [{"op": "sigma", "pair": {"f": "x+y", "a": 4095, "e": 1}},
+                  {"op": "sigma", "pair": {"f": "x+y", "a": 1023, "e": 1}},
+                  {"op": "sigma", "pair": {"f": "x*y", "a": 3, "e": 1}}]}))
+    *refused, good = report["jobs"]
+    for entry, degree, elapsed in zip(refused, (2047, 511), timings):
+        assert entry["status"] == "error" and entry["error"] == {
+            "type": "ResourceError",
+            "message": "resource cap max_degree=64 exceeded: generator of "
+                       f"degree {degree}"}
+        assert elapsed < 1.0
+    assert good["status"] == "ok" and good["result"] == {"generators": ["x^2*y^2"]}
+
+
+def test_power_in_polynomial_text_is_capped():
+    # (x+y+z)^200 once took 27 s to expand; its degree is refused first
+    report, timings = execute(parse_scenario(
+        {"p": 5, "vars": ["x", "y", "z"],
+         "jobs": [{"op": "sigma", "pair": {"f": "(x+y+z)^200", "a": 1, "e": 1}},
+                  {"op": "sigma", "pair": {"f": "x^64", "a": 1, "e": 1}}]}))
+    bad, good = report["jobs"]
+    assert bad["status"] == "error" and bad["error"] == {
+        "type": "ResourceError",
+        "message": "resource cap max_degree=64 exceeded: power of degree 200 "
+                   "at column 8"}
+    assert timings[0] < 1.0
+    assert good["status"] == "ok" and good["result"] == {"generators": ["x^15"]}
+
+
 def test_caps_parsing_and_validation():
     caps = parse_caps("degree=32,steps=16,max_basis=100")
     assert caps.max_degree == 32 and caps.chain_steps == 16
