@@ -16,11 +16,13 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Iterator
 
+from .errors import ResourceError
+
 
 @dataclass(frozen=True)
 class Caps:
-    max_degree: int = 64          # total degree allowed in polynomial text and in
-                                  # every basis completion, inputs included
+    max_degree: int = 64          # total degree of polynomial text, completions
+                                  # and their inputs, f^a, seeds, graded pieces
     max_basis: int = 512          # generators tracked during basis completion
     chain_steps: int = 64         # iterations allowed in fixed-ideal chains
     frobenius_block: int = 256    # largest p^e handled by basis expansion
@@ -52,3 +54,11 @@ def caps_scope(caps: Caps) -> Iterator[Caps]:
         yield caps
     finally:
         _CAPS.reset(token)
+
+
+def check_degree(degree: int, what: str, where: str = ""):
+    """Refuse `what` of this total degree above the degree cap in force."""
+    limit = current_caps().max_degree
+    if degree > limit:
+        raise ResourceError("max_degree", limit,
+                            f"{what} of degree {degree}{where}")

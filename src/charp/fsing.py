@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .cartier import apply_cartier
-from .config import current_caps
+from .config import check_degree, current_caps
 from .errors import (DomainError, InternalInvariantError, PreconditionError,
                      ResourceError, TestElementError, UnsupportedInputError)
 from .ideal import Ideal
@@ -62,7 +62,13 @@ class PairDivisor:
 
     @cached_property
     def multiplier(self) -> MultiPoly:
-        """f^a, the u of the operator g -> Tr^e(u * g); f itself at a = 1."""
+        """f^a, the u of the operator g -> Tr^e(u * g); f itself at a = 1.
+        Refused unformed when L = ceil((deg u - n(q-1))/q), n variables,
+        passes the degree cap: the first image of a nonzero ideal, which
+        every chain completes, has a generator of degree >= L."""
+        q, n = self.q, self.ring.nvars
+        check_degree(-(-(self.a * self.f.degree() - n * (q - 1)) // q),
+                     "generator")
         return self.f if self.a == 1 else self.f ** self.a
 
     def rescale(self, n: int) -> "PairDivisor":
@@ -76,8 +82,11 @@ class PairDivisor:
 
     def default_test_element(self) -> MultiPoly:
         """f^max(1, ceil(a/(q-1))): f itself while a <= q-1, and beyond
-        that a power of f deep enough to be a test element."""
-        return self.f ** max(1, -(-self.a // (self.q - 1)))
+        that a power of f deep enough to be a test element.  Refused
+        unformed above the degree cap, as the chain it seeds would."""
+        k = max(1, -(-self.a // (self.q - 1)))
+        check_degree(k * self.f.degree(), "generator")
+        return self.f ** k
 
 
 @dataclass

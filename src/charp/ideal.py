@@ -8,9 +8,10 @@ ResourceErrors instead of hangs, and the degree cap binds on the input
 generators before anything else.  At most one nonzero generator needs
 no completion: one monic polynomial is a reduced basis.  A homogeneous
 ideal is saturated by a variable in one completion, in grevlex after
-moving that variable last (Bayer–Stillman).  The Hilbert series of a
-homogeneous ideal is read off the leading monomials of its basis by
-pivot recursion (Bigatti).
+moving that variable last (Bayer–Stillman).  The standard monomials
+are a basis of S/I (Macaulay): the Hilbert series of a homogeneous ideal
+is read off its basis's leads by pivot recursion (Bigatti), and its
+graded pieces off normal forms of monomials (`proj._ideal_piece`).
 
 Reduction (`normal_form`) is heap division on packed monomial keys
 (Monagan–Pearce): the polynomial being reduced is one mutable
@@ -27,7 +28,7 @@ never rescans terms to find one.
 
 Ideals are immutable; the Gröbner basis is computed lazily and cached.
 The degree and basis caps are the ones in force in the current context
-(`config.current_caps`), read where each completion starts.
+(`config.current_caps`), read where they are enforced.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Optional, Sequence
 
-from .config import current_caps
+from .config import check_degree, current_caps
 from .errors import DomainError, ResourceError, RingMismatchError
 from .ring import (MultiPoly, PolyRing, grevlex_key, grevlex_packing,
                    monomials_of_degree)
@@ -217,15 +218,11 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
         s = _s_poly(basis[i], basis[j])
         if s.is_zero:
             continue
-        if s.degree() > caps.max_degree:
-            raise ResourceError("max_degree", caps.max_degree,
-                                f"S-polynomial of degree {s.degree()}")
+        check_degree(s.degree(), "S-polynomial")
         reduced = normal_form(s, basis)
         if reduced.is_zero:
             continue
-        if reduced.degree() > caps.max_degree:
-            raise ResourceError("max_degree", caps.max_degree,
-                                f"basis element of degree {reduced.degree()}")
+        check_degree(reduced.degree(), "basis element")
         basis.append(reduced.monic())
         if len(basis) > caps.max_basis:
             raise ResourceError("max_basis", caps.max_basis,
@@ -242,10 +239,8 @@ def _check_input_degree(generators: Sequence[MultiPoly]):
     first, and a Hilbert series runs it on its generators because their
     basis may be a cached one.  Grevlex is graded, so a degree is that of
     the leading monomial, which the completion caches and needs anyway."""
-    top = max((sum(g.leading_exponent()) for g in generators), default=-1)
-    limit = current_caps().max_degree
-    if top > limit:
-        raise ResourceError("max_degree", limit, f"generator of degree {top}")
+    check_degree(max((sum(g.leading_exponent()) for g in generators),
+                     default=-1), "generator")
 
 
 def _reduce(basis: list) -> tuple:
@@ -492,26 +487,6 @@ class Ideal:
         return monomial_hilbert_numerator(
             (g.leading_exponent() for g in self.groebner_basis),
             self.ring.nvars)
-
-    def graded_generators_in_degree(self, m: int, modulus: "Ideal") -> list:
-        """Spanning set of the degree-m piece modulo a homogeneous
-        modulus (pass the zero ideal for the piece itself): each element
-        g of the reduced basis (homogeneous ideals only) times the
-        degree-(m - deg g) standard monomials of the modulus.  Any other
-        monomial x^a adds nothing, since x^a - NF(x^a) lies in the
-        modulus and NF(x^a) is a combination of standard monomials."""
-        multipliers: dict = {}
-        out = []
-        for g in self.groebner_basis:
-            d = g.degree()
-            if d > m:
-                continue
-            if not g.is_homogeneous():
-                raise DomainError("graded piece of a non-homogeneous ideal")
-            if d not in multipliers:
-                multipliers[d] = modulus.standard_monomials(m - d)
-            out.extend(g.mul_monomial(exps) for exps in multipliers[d])
-        return out
 
     def __str__(self):
         if not self.generators:

@@ -16,6 +16,9 @@ an ideal equality that proves every later image equal, so the
 canonical subsystem of the twist is the degree-m piece of sigma (for
 the test-ideal variant, of tau, which the operator fixes).
 
+A degree-m piece of a homogeneous ideal is read off its reduced basis
+(`_ideal_piece`); spans of forms and chart meets are row-reduced.
+
 Each question about X is answered on the cone, by one route.  Forms
 define a complete intersection when their Hilbert series is that of a
 regular sequence of the same degrees.  Away from the vertex the cone is
@@ -39,12 +42,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
-from operator import add
+from operator import add, le
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, current_caps
+from .config import DEFAULT_CAPS, check_degree, current_caps
 from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
 from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
@@ -144,56 +147,38 @@ class ProjScheme:
         return self.canonical_twist + pair.coefficient * pair.f.degree()
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradedSubspace:
-    """Row-reduced subspace of the degree-m piece of S/modulus.
+    """Subspace of the degree-m piece of S/modulus by its canonical basis:
+    monic forms, largest lead first, whose other terms are standard
+    monomials of the modulus and no basis form's lead.  These are the
+    rows of the reduced echelon form over the standard monomials, so
+    equal subspaces have equal bases."""
 
-    Columns are the standard monomials of the quotient in that degree
-    (grevlex-descending), so equal row spaces have equal matrices.
-    """
-
-    ring: PolyRing
     modulus: Ideal
     degree: int
-    columns: tuple
-    matrix: np.ndarray
-    pivots: tuple
+    basis: tuple
+
+    @property
+    def ring(self) -> PolyRing:
+        return self.modulus.ring
 
     @property
     def dim(self) -> int:
-        return int(self.matrix.shape[0])
-
-    def polys(self) -> List[MultiPoly]:
-        out = []
-        for row in self.matrix:
-            terms = {exps: int(c) for exps, c in zip(self.columns, row) if c}
-            out.append(MultiPoly(self.ring, terms))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSubspace):
-            return NotImplemented
-        return (self.ring == other.ring and self.degree == other.degree
-                and self.columns == other.columns
-                and self.matrix.shape == other.matrix.shape
-                and bool((self.matrix == other.matrix).all()))
+        return len(self.basis)
 
 
-def _vectorize(f: MultiPoly, modulus: Ideal, m: int, index: dict) -> np.ndarray:
-    """Coefficient vector of the canonical representative of f over the
-    columns of `index`."""
-    reduced = normal_form(f, modulus.groebner_basis)
-    vec = np.zeros(len(index), dtype=np.int64)
-    for exps, c in reduced._terms.items():
-        if exps not in index:
-            raise DomainError(f"{f} does not reduce into degree {m}")
-        vec[index[exps]] = c
-    return vec
+def _rows_to_basis(ring: PolyRing, columns: tuple,
+                   matrix: np.ndarray) -> tuple:
+    """The forms of the rows of a reduced matrix over monomial columns."""
+    return tuple(MultiPoly(ring, {columns[j]: int(row[j])
+                                  for j in np.flatnonzero(row)})
+                 for row in matrix)
 
 
 def space_from_polys(modulus: Ideal, m: int,
                      polys: Iterable[MultiPoly]) -> GradedSubspace:
-    """Row space spanned by the canonical representatives of the polys."""
+    """Subspace spanned by the polys: their normal forms, row-reduced."""
     ring = modulus.ring
     columns = modulus.standard_monomials(m)
     index = {exps: i for i, exps in enumerate(columns)}
@@ -203,29 +188,51 @@ def space_from_polys(modulus: Ideal, m: int,
             continue
         if f.degree() != m or not f.is_homogeneous():
             raise DomainError(f"{f} is not homogeneous of degree {m}")
-        vec = _vectorize(f, modulus, m, index)
-        if vec.any():
-            rows.append(vec)
+        row = np.zeros(len(columns), dtype=np.int64)
+        for exps, c in normal_form(f, modulus.groebner_basis)._terms.items():
+            if exps not in index:
+                raise DomainError(f"{f} does not reduce into degree {m}")
+            row[index[exps]] = c
+        if row.any():
+            rows.append(row)
+    basis = ()
     if rows:
-        mat, piv = rref(np.array(rows, dtype=np.int64), ring.p)
-    else:
-        mat = np.zeros((0, len(columns)), dtype=np.int64)
-        piv = ()
-    return GradedSubspace(ring=ring, modulus=modulus, degree=m,
-                          columns=columns, matrix=mat, pivots=piv)
+        matrix, _ = rref(np.array(rows, dtype=np.int64), ring.p)
+        basis = _rows_to_basis(ring, columns, matrix)
+    return GradedSubspace(modulus=modulus, degree=m, basis=basis)
+
+
+def _ideal_piece(ideal: Ideal, modulus: Ideal, m: int) -> GradedSubspace:
+    """The degree-m piece of a homogeneous ideal J ⊇ modulus, modulo the
+    modulus, with no matrix: for each standard monomial x^a of the modulus
+    in in(J), x^a - NF_J(x^a) is in J with lead x^a and other terms
+    standard for J, hence for the modulus; these are the canonical basis."""
+    check_degree(m, "graded piece")
+    basis = ideal.groebner_basis
+    if not all(g.is_homogeneous() for g in basis):
+        raise DomainError("graded piece of a non-homogeneous ideal")
+    ring, p = ideal.ring, ideal.ring.p
+    leads = [(g.leading_exponent(), g.num_terms() == 1) for g in basis]
+    forms = []
+    for exps in modulus.standard_monomials(m):
+        # whether each basis element whose lead divides x^a is a monomial
+        dividing = [one for lead, one in leads if all(map(le, lead, exps))]
+        if not dividing:
+            continue  # x^a is standard for J
+        terms = {exps: 1}
+        if not any(dividing):  # else x^a is in J, and NF_J(x^a) = 0
+            rest = normal_form(MultiPoly(ring, {exps: 1}), basis)._terms
+            terms.update((e, p - c) for e, c in rest.items())
+        forms.append(MultiPoly(ring, terms))
+    return GradedSubspace(modulus=modulus, degree=m, basis=tuple(forms))
 
 
 def graded_piece(scheme: ProjScheme, m: int) -> GradedSubspace:
-    """The full degree-m piece of the homogeneous coordinate ring; its
-    dimension is the Hilbert function value."""
+    """The full degree-m piece of the homogeneous coordinate ring, the
+    unit ideal's: its basis is the standard monomials."""
     if m < 0:
         raise DomainError(f"graded pieces need m >= 0, got {m}")
-    modulus = scheme.ideal
-    columns = modulus.standard_monomials(m)
-    mat = np.eye(len(columns), dtype=np.int64)
-    return GradedSubspace(ring=scheme.ring, modulus=modulus, degree=m,
-                          columns=columns, matrix=mat,
-                          pivots=tuple(range(len(columns))))
+    return _ideal_piece(Ideal.unit(scheme.ring), scheme.ideal, m)
 
 
 # -- stable trace images -------------------------------------------------
@@ -249,8 +256,7 @@ def _stable_piece(scheme: ProjScheme, pair: PairDivisor, m: int,
         if degree < 0:
             raise DomainError(
                 f"source twist degree {degree} is negative at level {n}")
-    return space_from_polys(
-        modulus, m, fixed.graded_generators_in_degree(m, modulus))
+    return _ideal_piece(fixed, modulus, m)
 
 
 def _stable_level(chain: ChainResult) -> int:
@@ -333,7 +339,7 @@ def is_base_point_free(space: GradedSubspace) -> bool:
     quotient (Hilbert numerator divisible by (1-t)^(n+1))."""
     if space.dim == 0:
         raise DomainError("base-point check on the zero subspace")
-    total = Ideal(space.ring, space.polys()) + space.modulus
+    total = Ideal(space.ring, space.basis) + space.modulus
     return _same_saturation(total, Ideal.unit(space.ring))
 
 
@@ -406,7 +412,7 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
     ring = scheme.ring
     p = ring.p
     field = ExtField(p, ext_degree)
-    basis = space.polys()
+    basis = space.basis
 
     def on_scheme(block):
         keep = np.ones(len(block), dtype=bool)
@@ -481,9 +487,8 @@ def is_globally_generated(ideal: Ideal, m: int) -> bool:
     of the quotient of the two."""
     if m < 0:
         raise DomainError(f"target degree must be >= 0, got {m}")
-    piece = Ideal(ideal.ring, ideal.graded_generators_in_degree(
-        m, Ideal.zero(ideal.ring)))
-    return _same_saturation(piece, ideal)
+    piece = _ideal_piece(ideal, Ideal.zero(ideal.ring), m)
+    return _same_saturation(Ideal(ideal.ring, piece.basis), ideal)
 
 
 def stable_sections_generate(scheme: ProjScheme, pair: PairDivisor, m: int,
@@ -496,7 +501,7 @@ def stable_sections_generate(scheme: ProjScheme, pair: PairDivisor, m: int,
     the two.  For a unit fixed ideal this is base-point-freeness of the
     subsystem, and a zero subsystem generates nothing."""
     result = stable_sections(scheme, pair, m, which, c)
-    generated = Ideal(scheme.ring, result.space.polys()) + scheme.ideal
+    generated = Ideal(scheme.ring, result.space.basis) + scheme.ideal
     return _same_saturation(generated, result.fixed)
 
 
@@ -549,7 +554,7 @@ def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
                 for gens in charts)
     for d in range(top + 1):
         columns = tuple(monomials_of_degree(ring.nvars, d))
-        meet = np.zeros((0, len(columns)), dtype=np.int64), ()
+        meet = np.zeros((0, len(columns)), dtype=np.int64)
         if d >= start:
             index = {exps: k for k, exps in enumerate(columns)}
             for i, gens in enumerate(charts):
@@ -561,15 +566,15 @@ def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
                         for exps, c in g._terms.items():
                             row[index[tuple(map(add, exps, shift))]] = c
                         rows.append(row)
-                piece = rref(np.array(rows), p)
+                piece = rref(np.array(rows), p)[0]
                 if i:
-                    kernel = null_space(np.vstack([meet[0], piece[0]]).T, p)
-                    piece = rref(kernel[:, :len(meet[0])] @ meet[0] % p, p)
+                    kernel = null_space(np.vstack([meet, piece]).T, p)
+                    piece = rref(kernel[:, :len(meet)] @ meet % p, p)[0]
                 meet = piece
-                if not len(meet[0]):
+                if not len(meet):
                     break
-        yield GradedSubspace(ring=ring, modulus=Ideal.zero(ring), degree=d,
-                             columns=columns, matrix=meet[0], pivots=meet[1])
+        yield GradedSubspace(Ideal.zero(ring), d,
+                             _rows_to_basis(ring, columns, meet))
 
 
 def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
@@ -636,7 +641,7 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
     witness = None
     for piece in _saturated_pieces(tau_ideal, delta):
         if piece.dim > 0:
-            witness = piece.polys()[0]
+            witness = piece.basis[0]
             break
     if witness is None:
         raise TheoremViolationError(
@@ -682,5 +687,5 @@ def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,
             f"{scheme.pair_degree(pair)}")
     on_x = stable_sections(scheme, pair, m, "sigma").space
     restricted = center_stable_image(scheme, pair, center, m)
-    image = space_from_polys(restricted.modulus, m, on_x.polys())
+    image = space_from_polys(restricted.modulus, m, on_x.basis)
     return image == restricted

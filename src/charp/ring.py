@@ -38,8 +38,8 @@ from functools import cache
 from operator import add, neg
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .config import current_caps
-from .errors import DomainError, ParseError, ResourceError, RingMismatchError
+from .config import check_degree
+from .errors import DomainError, ParseError, RingMismatchError
 
 Exponents = tuple  # tuple[int, ...]
 
@@ -665,11 +665,8 @@ class _Parser:
                 raise ParseError("exponent must be a non-negative integer",
                                  column=ncol)
             n = int(nvalue)
-            degree = n * max(map(sum, base), default=0)
-            limit = current_caps().max_degree
-            if degree > limit:
-                raise ResourceError("max_degree", limit,
-                                    f"power of degree {degree} at column {col}")
+            check_degree(n * max(map(sum, base), default=0), "power",
+                         f" at column {col}")
             base = _pow_terms(base, n, self.p, self.one)
         self.depth = outer
         if negate:

@@ -1,6 +1,6 @@
 """Scenario files: JSON job lists executed against the engine.
 
-A scenario declares the ring in its header (characteristic, variables,
+A scenario declares the ring in its header (characteristic, variable list,
 monomial order) and lists jobs drawn from a fixed op registry.  Runs are
 deterministic: the machine-readable report for a file is byte-identical
 across runs (timings are reported on the human side only).
@@ -81,8 +81,11 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     _require(order == "grevlex",
              f"{source}: only the grevlex order is supported, got {order!r}")
     p = _field(data, "p", _integer, where=source)
+    names = data["vars"]
+    _require(isinstance(names, list) and all(isinstance(v, str) for v in names),
+             f"{source}: 'vars' must be a JSON list of variable names")
     try:
-        ring = PolyRing(tuple(data["vars"]), p)
+        ring = PolyRing(tuple(names), p)
     except (CharpError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{source}: {exc}") from None
     jobs = data.get("jobs", [])
@@ -170,7 +173,7 @@ def _ideal_json(ideal: Ideal) -> list:
 
 
 def _space_json(space) -> dict:
-    return {"dim": space.dim, "basis": [str(f) for f in space.polys()]}
+    return {"dim": space.dim, "basis": [str(f) for f in space.basis]}
 
 
 def _echo_pair(pair: PairDivisor) -> dict:

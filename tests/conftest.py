@@ -70,10 +70,32 @@ def rational_point_ideal(ring: PolyRing, coords) -> Ideal:
 
 
 def is_subspace(small, big) -> bool:
-    """Whether one graded subspace lies in another: adding its rows to
+    """Whether one graded subspace lies in another: adding its basis to
     the other's leaves the canonical row-reduced form as it is."""
     return space_from_polys(big.modulus, big.degree,
-                            big.polys() + small.polys()) == big
+                            big.basis + small.basis) == big
+
+
+def graded_generators_in_degree(ideal: Ideal, m: int, modulus: Ideal) -> list:
+    """Spanning set of the degree-m piece of a homogeneous ideal modulo
+    a homogeneous modulus (the zero ideal for the piece itself): each
+    element g of the reduced basis times the degree-(m - deg g) standard
+    monomials of the modulus.  Any other monomial x^a adds nothing,
+    since x^a - NF(x^a) lies in the modulus and NF(x^a) is a combination
+    of standard monomials.  With `space_from_polys` this is the span
+    route that `proj._ideal_piece` replaced."""
+    multipliers: dict = {}
+    out = []
+    for g in ideal.groebner_basis:
+        d = g.degree()
+        if d > m:
+            continue
+        if not g.is_homogeneous():
+            raise DomainError("graded piece of a non-homogeneous ideal")
+        if d not in multipliers:
+            multipliers[d] = modulus.standard_monomials(m - d)
+        out.extend(g.mul_monomial(exps) for exps in multipliers[d])
+    return out
 
 
 # -- acceptance criterion recording ----------------------------------------

@@ -14,7 +14,8 @@ from charp.errors import (DomainError, PreconditionError, ResourceError,
                           TheoremViolationError)
 from charp.fsing import PairDivisor, is_compatible, multiplicity, sigma_chain
 from charp.ideal import Ideal, normal_form
-from charp.proj import (ProjScheme, _same_saturation, _saturated_pieces,
+from charp.proj import (ProjScheme, _ideal_piece, _same_saturation,
+                        _saturated_pieces,
                         center_stable_image, degree_bound_pipeline,
                         graded_fixed_ideal, graded_piece, is_base_point_free,
                         is_globally_generated, projective_multiplicity,
@@ -23,7 +24,8 @@ from charp.proj import (ProjScheme, _same_saturation, _saturated_pieces,
                         stable_sections_generate, trivial_pair)
 from charp.ring import PolyRing
 
-from conftest import is_subspace, random_homogeneous, rational_point_ideal
+from conftest import (graded_generators_in_degree, is_subspace,
+                      random_homogeneous, rational_point_ideal)
 from test_ideal import (_random_homogeneous_ideal, oracle_saturate,
                         quotient_loop_saturate)
 
@@ -218,9 +220,41 @@ def test_stable_image_matches_graded_fixed_ideal_oracle():
             fixed = graded_fixed_ideal(scheme, pair, "sigma").ideal
             zero = Ideal.zero(ring)
             oracle = space_from_polys(
-                zero, m, fixed.graded_generators_in_degree(m, zero))
-            assert space.matrix.shape == oracle.matrix.shape
-            assert (space.matrix == oracle.matrix).all()
+                zero, m, graded_generators_in_degree(fixed, m, zero))
+            assert space.basis == oracle.basis
+
+
+def test_ideal_piece_matches_the_span_oracle():
+    # the read-off basis against the row-reduced span of the reduced
+    # basis times standard monomials, for random J ⊇ M in P^2 and P^3
+    # with M zero, a cubic, and a center plus a cubic
+    rng = random.Random(59)
+    nonzero = partial = tails = 0
+    for names in (("x", "y", "z"), ("x", "y", "z", "w")):
+        for p in (2, 3, 5, 7):
+            ring = PolyRing(names, p)
+            cubic = random_homogeneous(rng, ring, 3, max_terms=4)
+            center = Ideal(ring, [ring.gen(0), cubic])
+            for modulus in (Ideal.zero(ring), Ideal(ring, [cubic]), center):
+                for _ in range(3):
+                    ideal = Ideal(ring, [
+                        random_homogeneous(rng, ring, rng.randint(1, 3))
+                        for _ in range(rng.randint(1, 3))]) + modulus
+                    for m in range(6):
+                        piece = _ideal_piece(ideal, modulus, m)
+                        oracle = space_from_polys(
+                            modulus, m,
+                            graded_generators_in_degree(ideal, m, modulus))
+                        case = (p, names, modulus, ideal, m)
+                        assert piece == oracle, case
+                        assert piece.modulus is modulus and piece.degree == m
+                        nonzero += piece.dim > 0
+                        partial += 0 < piece.dim < len(
+                            modulus.standard_monomials(m))
+                        tails += any(g.num_terms() > 1 for g in piece.basis)
+    # the grid reaches pieces that are neither zero nor everything, and
+    # basis forms with normal-form tails
+    assert nonzero > 200 and partial > 200 and tails > 100
 
 
 def test_stable_image_tau_matches_tau_piece(fermat7):
@@ -230,7 +264,7 @@ def test_stable_image_tau_matches_tau_piece(fermat7):
     fixed = graded_fixed_ideal(fermat7, pair, "tau").ideal
     oracle = space_from_polys(
         fermat7.ideal, 2,
-        fixed.graded_generators_in_degree(2, Ideal.zero(ring)))
+        graded_generators_in_degree(fixed, 2, Ideal.zero(ring)))
     assert space == oracle
 
 
@@ -442,7 +476,7 @@ def oracle_tangent_checks(scheme, space, double_points):
         if target_dim != 2:
             failures.append(
                 (label, f"double-point piece has dimension {target_dim}"))
-        elif space_from_polys(fat, space.degree, space.polys()).dim != 2:
+        elif space_from_polys(fat, space.degree, space.basis).dim != 2:
             failures.append(
                 (label, "sections do not surject onto the doubled point"))
     return failures
@@ -469,7 +503,7 @@ def test_tangent_checks_match_double_point_oracle():
     details = set()
     for scheme, degrees in _tangent_grid():
         for m in degrees:
-            full = graded_piece(scheme, m).polys()
+            full = graded_piece(scheme, m).basis
             for span in (full, full[:2], full[:1]):
                 space = space_from_polys(scheme.ideal, m, span)
                 report = separates(scheme, space, 1)
@@ -527,13 +561,13 @@ def _saturated(ideal):
 
 
 def oracle_base_point_free(space):
-    total = Ideal(space.ring, space.polys()) + space.modulus
+    total = Ideal(space.ring, space.basis) + space.modulus
     return _saturated(total).is_unit
 
 
 def oracle_globally_generated(ideal, m):
-    piece = Ideal(ideal.ring, ideal.graded_generators_in_degree(
-        m, Ideal.zero(ideal.ring)))
+    piece = Ideal(ideal.ring, graded_generators_in_degree(
+        ideal, m, Ideal.zero(ideal.ring)))
     return _saturated(piece) == _saturated(ideal)
 
 
@@ -542,7 +576,7 @@ def oracle_stable_sections_generate(scheme, pair, m, which):
     target = _saturated(result.fixed + scheme.ideal)
     if target.is_unit:
         return result.space.dim > 0 and oracle_base_point_free(result.space)
-    generated = Ideal(scheme.ring, result.space.polys()) + scheme.ideal
+    generated = Ideal(scheme.ring, result.space.basis) + scheme.ideal
     return _saturated(generated) == target
 
 
@@ -566,7 +600,7 @@ def test_positional_verdicts_match_quotient_loop_oracle():
         for text in ("x^3+y^3+z^3", "y^2*z-x^3-x^2*z", "y^2*z-x^3"):
             scheme = ProjScheme.from_forms(ring, [ring.parse(text)])
             for m in (1, 2, 3):
-                full = graded_piece(scheme, m).polys()
+                full = graded_piece(scheme, m).basis
                 for span in (full, full[:2]):
                     case = (p, text, m, len(span))
                     space = space_from_polys(scheme.ideal, m, span)
@@ -711,7 +745,7 @@ def test_saturated_pieces_match_the_elimination_oracle():
                 ideal = _random_homogeneous_ideal(rng, ring)
                 want = oracle_saturate(ideal, irrelevant)
                 expected = [space_from_polys(
-                    zero, d, want.graded_generators_in_degree(d, zero))
+                    zero, d, graded_generators_in_degree(want, d, zero))
                     for d in range(6)]
                 for case in (ideal, ideal * irrelevant):
                     unsaturated += case != want
@@ -719,12 +753,9 @@ def test_saturated_pieces_match_the_elimination_oracle():
                     assert len(got) == len(expected), case
                     for piece, wanted in zip(got, expected):
                         assert piece.degree == wanted.degree, case
-                        assert piece.columns == wanted.columns, case
-                        assert piece.pivots == wanted.pivots, case
-                        assert (piece.matrix.tobytes()
-                                == wanted.matrix.tobytes()), case
-                        assert list(map(str, piece.polys())) == \
-                            list(map(str, wanted.polys()))
+                        assert piece.basis == wanted.basis, case
+                        assert list(map(str, piece.basis)) == \
+                            list(map(str, wanted.basis))
                     # the first nonzero piece sits at the charts' start
                     first = next((piece.degree for piece in got if piece.dim),
                                  None)

@@ -193,6 +193,101 @@ def test_degree_cap_binds_on_the_inputs_of_a_completion():
     assert good["status"] == "ok" and good["result"] == {"generators": ["x^2*y^2"]}
 
 
+def execute_with_bounded_memory(payload, limit=1536 << 20):
+    """Run `execute` on the scenario in a child process whose address
+    space is capped (1.5 GB by default); returns (report, timings), or
+    fails the test with the child's error output.  A job that builds a
+    huge piece or power fails there instead of exhausting the host."""
+    resource = pytest.importorskip("resource")
+    code = (
+        "import json, resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from charp.scenario import execute, parse_scenario\n"
+        "print(json.dumps(execute(parse_scenario(json.load(sys.stdin)))))\n")
+    env = {"PATH": "", "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", code], input=json.dumps(payload),
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_degree_cap_refuses_f_power_and_seed_before_forming_them():
+    # f^a (first three) and the default test element f^2047 (fourth) are
+    # refused before they are formed: the chains' completions refused
+    # them only after 40.6 s, 4.3 s and 4.3 s.  The compatible job has
+    # no generator to complete and once answered True after forming f^a
+    jobs = [{"op": "sigma", "pair": {"f": "x+y+z", "a": 16383, "e": 1}},
+            {"op": "sigma", "pair": {"f": "x+y+z", "a": 4095, "e": 1}},
+            {"op": "compatible", "pair": {"f": "x+y+z", "a": 16383, "e": 1},
+             "I_Z": []},
+            {"op": "tau", "pair": {"f": "x+y", "a": 2047, "e": 1}},
+            {"op": "sigma", "pair": {"f": "x*y", "a": 3, "e": 1}}]
+    report, timings = execute_with_bounded_memory(
+        {"p": 2, "vars": ["x", "y", "z"], "jobs": jobs})
+    *refused, good = report["jobs"]
+    for entry, degree, elapsed in zip(refused, (8190, 2046, 8190, 2047),
+                                      timings):
+        assert entry["status"] == "error" and entry["error"] == {
+            "type": "ResourceError",
+            "message": "resource cap max_degree=64 exceeded: generator of "
+                       f"degree {degree}"}
+        assert elapsed < 1.0
+    assert good["status"] == "ok" and good["result"] == {"generators": ["x^2*y^2"]}
+
+
+def test_degree_cap_refuses_large_graded_pieces():
+    # every op that reads a graded piece refuses one above max_degree at
+    # once, as bpf and gg already did in their completions; the s0 piece
+    # at m = 200 once allocated about 3.3 GB
+    scheme = {"n": 2}
+    pair = {"f": "x", "a": 4, "e": 1}  # (x) is a compatible center
+    jobs = [{"op": "s0", "scheme": scheme, "m": 200},
+            {"op": "separates", "scheme": scheme, "m": 200},
+            {"op": "restrict", "scheme": scheme, "pair": pair, "I_Z": ["x"],
+             "m": 200},
+            {"op": "bpf", "scheme": scheme, "m": 200},
+            {"op": "gg", "scheme": scheme, "m": 200},
+            {"op": "gg", "ideal": ["x"], "m": 200},
+            {"op": "s0", "scheme": scheme, "m": 64}]
+    report, timings = execute_with_bounded_memory(
+        {"p": 5, "vars": ["x", "y", "z"], "jobs": jobs})
+    *refused, good = report["jobs"]
+    for entry, elapsed in zip(refused, timings):
+        assert entry["status"] == "error", entry
+        assert entry["error"]["type"] == "ResourceError"
+        assert entry["error"]["message"].startswith(
+            "resource cap max_degree=64 exceeded"), entry
+        assert elapsed < 1.0
+    assert refused[0]["error"]["message"].endswith("graded piece of degree 200")
+    assert good["status"] == "ok" and good["result"]["dim"] == 2145
+
+
+def test_large_graded_piece_runs_in_bounded_memory():
+    # the degree-45 piece of F_5[x, y, z, w] has 17296 monomials; built
+    # as a dense matrix it let a MemoryError escape `execute` under the
+    # same 1.5 GB address-space limit
+    report, _ = execute_with_bounded_memory(
+        {"p": 5, "vars": ["x", "y", "z", "w"],
+         "jobs": [{"op": "s0", "scheme": {"n": 3}, "m": 45},
+                  {"op": "sigma", "pair": {"f": "x*y", "a": 3, "e": 1}}]})
+    s0, sigma = report["jobs"]
+    assert s0["status"] == "ok" and s0["result"]["complete"] is True
+    assert s0["result"]["dim"] == s0["result"]["full_dim"] == 17296
+    assert sigma["status"] == "ok" and sigma["result"] == {"generators": ["1"]}
+
+
+@pytest.mark.parametrize("names", ["xy", "x_y", {"x": 1, "y": 2}, ["x", 2],
+                                   None, 3])
+def test_header_variables_must_be_a_list_of_names(names):
+    # a string once ran over one variable per character (or one name with
+    # underscores), and an object's keys became the variables
+    with pytest.raises(ScenarioError, match="'vars'"):
+        parse_scenario({"p": 5, "vars": names, "jobs": []})
+    assert parse_scenario({"p": 5, "vars": ["x", "y"],
+                           "jobs": []}).ring.variables == ("x", "y")
+
+
 def test_power_in_polynomial_text_is_capped():
     # (x+y+z)^200 once took 27 s to expand; its degree is refused first
     report, timings = execute(parse_scenario(
