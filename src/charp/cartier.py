@@ -2,26 +2,33 @@
 
 For q = p^e the monomials x^b with 0 <= b_i < q form a free basis of
 S = F_p[x] over its subring of q-th powers, so every g has a unique
-expansion g = sum_b g_b^q * x^b.  `frob_expand` is the one place that
-splits exponents by q: bracket roots take every component, and the
-trace operator reads the top slot b = (q-1, ..., q-1); this
-normalization is fixed once and for all, which is harmless because
-images of ideals are insensitive to unit factors.
+expansion g = sum_b g_b^q * x^b.  `_split` is the one place that
+splits exponents by q, on a term dict with `divmod`: `frob_expand`
+wraps its components in polynomials, bracket roots take every
+component, and the trace operator reads the top slot
+b = (q-1, ..., q-1); this normalization is fixed once and for all,
+which is harmless because images of ideals are insensitive to unit
+factors.
 
 Every p^{-e}-linear map of S is g -> Tr^e(u * g) for one u, and the
 map is the divisor pair (u, 1, e) (`fsing.PairDivisor`); a pair
 (f, a, e) is the map with u = f^a.  `apply_cartier` takes the pair, and
-composites are `PairDivisor.rescale`.
+composites are `PairDivisor.rescale`.  Its image ideal is the bracket
+root of u * J, formed in one pass over term dicts: each product u * g
+is a term dict that is split at once, each component is made monic on
+its dict with its lead found once, and equal components are dropped
+before any polynomial is built.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from .config import current_caps
 from .errors import DomainError, ResourceError
 from .ideal import Ideal
-from .ring import MultiPoly, PolyRing
+from .ring import MultiPoly, PolyRing, _mul_terms, grevlex_key
 
 if TYPE_CHECKING:
     from .fsing import PairDivisor
@@ -37,17 +44,25 @@ def _check_level(ring: PolyRing, e: int) -> int:
     return q
 
 
+def _split(terms: dict, q: int) -> Dict[tuple, dict]:
+    """The components {b: {u: c}} of a term dict: every exponent a splits
+    as q*u + b with 0 <= b_i < q, and coefficients pass through unchanged
+    because Frobenius fixes F_p.  The split is a bijection, so no two
+    terms land on the same term of a component."""
+    buckets: Dict[tuple, dict] = {}
+    for exps, c in terms.items():
+        u, b = zip(*map(divmod, exps, repeat(q)))
+        component = buckets.get(b)
+        if component is None:
+            component = buckets[b] = {}
+        component[u] = c
+    return buckets
+
+
 def frob_expand(g: MultiPoly, e: int) -> Dict[tuple, MultiPoly]:
     """The components {b: g_b} of g = sum_b g_b^q * x^b, 0 <= b_i < q,
-    nonzero ones only and in ascending order of b: every exponent a
-    splits as q*u + b, and coefficients pass through unchanged because
-    Frobenius fixes F_p.  The split is a bijection, so no two terms of g
-    land on the same term of a component."""
-    q = _check_level(g.ring, e)
-    buckets: Dict[tuple, dict] = {}
-    for exps, c in g._terms.items():
-        b = tuple(a % q for a in exps)
-        buckets.setdefault(b, {})[tuple(a // q for a in exps)] = c
+    nonzero ones only and in ascending order of b."""
+    buckets = _split(g._terms, _check_level(g.ring, e))
     return {b: MultiPoly(g.ring, buckets[b]) for b in sorted(buckets)}
 
 
@@ -63,27 +78,52 @@ def trace(g: MultiPoly, e: int) -> MultiPoly:
     return components.get((ring.p ** e - 1,) * ring.nvars, ring.zero())
 
 
+def _root(ring: PolyRing, u: Optional[dict], generators: Iterable[MultiPoly],
+          e: int) -> Ideal:
+    """Bracket root of u * J for the term dict u (None for u = 1): the
+    monic components of each u * g, generator by generator and in
+    ascending order of b, each kept once.  A component is made monic on
+    its dict, and its polynomial comes with its leading exponent cached."""
+    q = _check_level(ring, e)
+    p = ring.p
+    gens = []
+    seen = set()
+    for g in generators:
+        terms = g._terms if u is None else _mul_terms(u, g._terms, p)
+        buckets = _split(terms, q)
+        for b in sorted(buckets):
+            component = buckets[b]
+            if len(component) == 1:  # a monomial, like most components
+                (lead, lc), = component.items()
+                if lc != 1:
+                    component = {lead: 1}
+            else:
+                lead = max(component, key=grevlex_key)
+                lc = component[lead]
+                if lc != 1:
+                    inv = pow(lc, -1, p)
+                    component = {k: c * inv % p
+                                 for k, c in component.items()}
+            key = frozenset(component.items())
+            if key not in seen:
+                seen.add(key)
+                poly = MultiPoly(ring, component)
+                poly._lead = lead
+                gens.append(poly)
+    return Ideal(ring, gens)
+
+
 def bracket_root(ideal: Ideal, e: int) -> Ideal:
     """Smallest ideal K with J ⊆ K^[q]: generated by all basis components
     of the generators.  Monotone in J."""
-    if e <= 0:
-        raise DomainError(f"bracket root needs e >= 1, got {e}")
-    gens = []
-    seen = set()
-    for g in ideal.generators:
-        for component in frob_expand(g, e).values():
-            component = component.monic()
-            if component not in seen:
-                seen.add(component)
-                gens.append(component)
-    return Ideal(ideal.ring, gens)
+    return _root(ideal.ring, None, ideal.generators, e)
 
 
 def apply_cartier(pair: PairDivisor, ideal: Ideal) -> Ideal:
     """Image ideal of the pair's operator g -> Tr^e(f^a * g) on J:
-    bracket_root(f^a * J).  Monotone in J and additive over ideal sums."""
+    bracket_root(f^a * J), with no polynomial formed for f^a * g.
+    Monotone in J and additive over ideal sums."""
     if ideal.ring != pair.ring:
         raise DomainError("pair and ideal live in different rings")
-    u = pair.multiplier
-    return bracket_root(Ideal(ideal.ring, [u * g for g in ideal.generators]),
-                        pair.e)
+    return _root(ideal.ring, pair.multiplier._terms, ideal.generators,
+                 pair.e)

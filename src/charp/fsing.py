@@ -101,17 +101,19 @@ def descending_fixed_ideal(pair: PairDivisor, modulus: Ideal) -> ChainResult:
     reduced bases agree.
 
     Each step must shrink or stall; growth signals a broken trace
-    convention and raises InternalInvariantError.
+    convention and raises InternalInvariantError.  Equal bases are
+    checked first: an ideal is contained in itself, so the containment
+    is tested only on steps where it could fail.
     """
     limit = current_caps().chain_steps
     current = Ideal.unit(pair.ring)
     for step in range(1, limit + 1):
         nxt = apply_cartier(pair, current) + modulus
+        if nxt == current:
+            return ChainResult(current, step)
         if not nxt.issubset(current):
             raise InternalInvariantError(
                 "descending chain grew at step %d" % step)
-        if nxt == current:
-            return ChainResult(current, step)
         current = Ideal._from_groebner(pair.ring, nxt.groebner_basis)
     raise ResourceError("chain_steps", limit,
                         "descending fixed-ideal chain did not stabilize")

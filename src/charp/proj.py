@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
+from math import comb
 from operator import add, le
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -93,7 +94,7 @@ class ProjScheme:
         model = [(0,) * i + (h.degree(),) + (0,) * (self.ring.nvars - i - 1)
                  for i, h in enumerate(self.forms)]
         # the empty sequence is regular: P^n needs no series
-        if r > self.n or (r and self.ideal.hilbert_numerator()
+        if r > self.n or (r and self.hilbert_numerator
                           != monomial_hilbert_numerator(model, self.ring.nvars)):
             raise DomainError(
                 f"the {r} defining forms are not a regular sequence of "
@@ -116,6 +117,12 @@ class ProjScheme:
     def ideal(self) -> Ideal:
         return Ideal(self.ring, self.forms)
 
+    @cached_property
+    def hilbert_numerator(self) -> list:
+        """N(t) of the scheme ideal (`Ideal.hilbert_numerator`), read by
+        the construction check and by `hilbert_function`."""
+        return self.ideal.hilbert_numerator()
+
     @property
     def canonical_twist(self) -> int:
         """omega_X = O_X(canonical_twist) for these complete intersections."""
@@ -128,6 +135,15 @@ class ProjScheme:
     @property
     def is_curve(self) -> bool:
         return self.dimension == 1
+
+    def hilbert_function(self, m: int) -> int:
+        """dim (S/I_X)_m, the size of `graded_piece(self, m)` without
+        forming it: the t^m coefficient of N(t)/(1-t)^(n+1) for the
+        Hilbert numerator N of the scheme ideal, where 1/(1-t)^(n+1) has
+        t^k coefficient C(k+n, n).  On P^n, N = 1."""
+        n = self.n
+        return sum(c * comb(m - k + n, n)
+                   for k, c in enumerate(self.hilbert_numerator) if k <= m)
 
     def cone_pair(self, pair: PairDivisor) -> PairDivisor:
         """The pair's F-adjunction pair on the cone, Delta plus each

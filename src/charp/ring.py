@@ -705,14 +705,19 @@ def _parse_poly(ring: PolyRing, text: str) -> MultiPoly:
 
 
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
-    """All exponent tuples of the given total degree, grevlex-descending."""
+    """All exponent tuples of the given total degree, grevlex-descending,
+    with no sort: grevlex puts a smaller last exponent first and breaks
+    ties by the same order on the other variables, so the monomials are
+    the last exponent ascending, each followed by the monomials of the
+    remaining degree in one variable fewer.  Those are built once per
+    degree, variable by variable."""
     if degree < 0:
         return
-    def rec(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining, -1, -1):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
-    yield from sorted(rec(degree, nvars), key=grevlex_key, reverse=True)
+    # pieces[d]: the monomials of degree d in the variables so far
+    pieces = [[()]] + [[] for _ in range(degree)]
+    for _ in range(nvars - 1):
+        pieces = [[head + (last,) for last in range(d + 1)
+                   for head in pieces[d - last]] for d in range(degree + 1)]
+    for last in range(degree + 1):
+        for head in pieces[degree - last]:
+            yield head + (last,)

@@ -40,7 +40,7 @@ from .fsing import (PairDivisor, is_compatible, is_sharply_f_pure,
                     is_strongly_f_regular, multiplicity_containment,
                     sigma_chain, tau_chain)
 from .ideal import Ideal
-from .proj import (ProjScheme, degree_bound_pipeline, graded_piece,
+from .proj import (ProjScheme, degree_bound_pipeline,
                    is_base_point_free, is_globally_generated,
                    restriction_is_surjective, separates, space_from_polys,
                    stable_sections, stable_sections_generate, trivial_pair)
@@ -271,10 +271,10 @@ def _run_s0(ring, job):
     c = _field(job, "c", ring.parse, None)
     m = _field(job, "m", _integer)
     result = stable_sections(scheme, pair, m, which, c)
-    full = graded_piece(scheme, m)
+    full_dim = scheme.hilbert_function(m)
     out = _space_json(result.space)
-    out.update({"level": result.level, "full_dim": full.dim,
-                "complete": result.space.dim == full.dim})
+    out.update({"level": result.level, "full_dim": full_dim,
+                "complete": result.space.dim == full_dim})
     return ({"pair": _echo_pair(pair), "m": m, "which": which}, out,
             result.level, None)
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charp.cartier import apply_cartier, bracket_root, frob_expand, trace
+from charp.config import DEFAULT_CAPS
 from charp.errors import DomainError, ResourceError
 from charp.fsing import PairDivisor
 from charp.ideal import Ideal
-from charp.ring import PolyRing
+from charp.ring import PolyRing, grevlex_key
 
 from conftest import random_poly
 
@@ -242,3 +243,72 @@ def test_rescale_validation(R2):
     for n in (0, -1):
         with pytest.raises(DomainError, match="n >= 1"):
             pair.rescale(n)
+
+
+# -- the one-pass image against the polynomial route ---------------------------
+
+
+def polynomial_route_root(generators, u, e):
+    """Bracket root generators of u * J the way the engine once formed
+    them: the polynomial u * g, its expansion, each component made monic,
+    and each kept once, in order."""
+    gens, seen = [], set()
+    for g in generators:
+        for component in frob_expand(u * g, e).values():
+            component = component.monic()
+            if component not in seen:
+                seen.add(component)
+                gens.append(component)
+    return gens
+
+
+def sparse_poly(rng, ring, top, max_terms):
+    """A nonzero polynomial with a few terms of exponents up to top."""
+    while True:
+        poly = ring.poly({tuple(rng.randint(0, top) for _ in range(ring.nvars)):
+                          rng.randint(1, ring.p - 1)
+                          for _ in range(rng.randint(1, max_terms))})
+        if not poly.is_zero:
+            return poly
+
+
+def test_one_pass_image_matches_polynomial_route():
+    # every level up to the frobenius_block cap over F_2 ... F_7, with
+    # exponents past q so that every slot and quotient gets used
+    rng = random.Random(139)
+    cases = 0
+    for p in (2, 3, 5, 7):
+        q, e = p, 1
+        while q <= DEFAULT_CAPS.frobenius_block:
+            for nvars in (1, 2, 3):
+                ring = PolyRing(("x", "y", "z")[:nvars], p)
+                for _ in range(3):
+                    gens = [sparse_poly(rng, ring, 2 * q + 1, 5)
+                            for _ in range(rng.randint(1, 3))]
+                    gens.append(gens[0].scale(rng.randint(1, p - 1)))
+                    u = sparse_poly(rng, ring, q + 2, 3)
+                    ideal = Ideal(ring, gens)
+                    for got, want in (
+                            (apply_cartier(PairDivisor(u, 1, e), ideal),
+                             polynomial_route_root(gens, u, e)),
+                            (bracket_root(ideal, e),
+                             polynomial_route_root(gens, ring.one(), e))):
+                        assert list(got.generators) == want
+                        for g in got.generators:
+                            assert g._lead == max(g._terms, key=grevlex_key)
+                    cases += 1
+            q, e = q * p, e + 1
+    assert cases == 9 * (8 + 5 + 3 + 2)
+
+
+def test_one_pass_image_keeps_the_caps_and_ring_check():
+    ring = PolyRing(("x",), 3)
+    with pytest.raises(ResourceError, match="frobenius_block"):
+        apply_cartier(PairDivisor(ring.gen(0), 1, 6), Ideal.unit(ring))
+    with pytest.raises(ResourceError, match="frobenius_block"):
+        bracket_root(Ideal.unit(ring), 6)
+    other = PolyRing(("x",), 5)
+    with pytest.raises(DomainError, match="different rings"):
+        apply_cartier(PairDivisor(ring.gen(0), 1, 1), Ideal.unit(other))
+    with pytest.raises(DomainError, match="e >= 1"):
+        bracket_root(Ideal.unit(ring), 0)

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from charp import fsing as fsing_module
 from charp.cartier import apply_cartier, bracket_root
 from charp.config import Caps, caps_scope
-from charp.errors import (DomainError, PreconditionError, ResourceError,
-                          TestElementError, UnsupportedInputError)
+from charp.errors import (DomainError, InternalInvariantError,
+                          PreconditionError, ResourceError, TestElementError,
+                          UnsupportedInputError)
 from charp.fsing import (PairDivisor, ascending_fixed_ideal, fedder_f_pure,
                          is_compatible, is_sharply_f_pure,
                          is_strongly_f_regular, multiplicity,
@@ -102,6 +104,20 @@ def test_sigma_step_cap():
     with pytest.raises(ResourceError):
         with caps_scope(Caps(chain_steps=1)):
             sigma(PairDivisor(ring.gen(0), 5, 1))
+
+
+@pytest.mark.parametrize("outside", ["y", "1", "x+y"])
+def test_descending_chain_refuses_growth(R7xy, monkeypatch, outside):
+    # an operator whose second image leaves the first: the chain must not
+    # step to it, and the guard runs although the two bases differ
+    def grows(pair, current):
+        if current.is_unit:
+            return I(R7xy, "x")
+        return I(R7xy, outside)
+
+    monkeypatch.setattr(fsing_module, "apply_cartier", grows)
+    with pytest.raises(InternalInvariantError, match="grew at step 2"):
+        sigma(PairDivisor(R7xy.gen(0), 1, 1))
 
 
 # -- the test ideal --------------------------------------------------------------

@@ -91,6 +91,37 @@ def test_scheme_rejects_non_complete_intersection():
     assert quartic.is_curve
 
 
+def test_hilbert_function_is_the_graded_piece_dimension():
+    # s0 reports full_dim from the Hilbert series; the piece it once
+    # formed for the count is the oracle
+    rng = random.Random(149)
+    schemes = []
+    for n in (1, 2, 3):
+        schemes.append(ProjScheme.projective_space(
+            PolyRing(("x", "y", "z", "w")[:n + 1], 5)))
+    plane = PolyRing(("x", "y", "z"), 7)
+    for degree in (3, 3, 4, 4):
+        schemes.append(ProjScheme.from_forms(
+            plane, [random_homogeneous(rng, plane, degree, max_terms=6)]))
+    space = PolyRing(("x", "y", "z", "w"), 3)
+    for degrees in ((2, 2), (2, 3)):
+        while True:
+            forms = [random_homogeneous(rng, space, d, max_terms=5)
+                     for d in degrees]
+            try:
+                schemes.append(ProjScheme.from_forms(space, forms))
+                break
+            except DomainError:
+                continue
+    for scheme in schemes:
+        dims = [scheme.hilbert_function(m) for m in range(9)]
+        assert dims == [graded_piece(scheme, m).dim for m in range(9)]
+        assert scheme.hilbert_function(-1) == 0
+    # P^3, and the (2, 3) curve: degree 6, genus 4, so 6m - 3 for large m
+    assert [schemes[2].hilbert_function(m) for m in range(4)] == [1, 4, 10, 20]
+    assert schemes[-1].hilbert_function(8) == 45
+
+
 def test_cone_pair_is_the_adjunction_pair(P2, fermat7):
     # F-adjunction: the cone's pair adds each defining form at
     # coefficient 1, that is, the factor h^(q-1) in the multiplier

@@ -347,11 +347,30 @@ def test_grevlex_conventions():
     assert f.leading_exponent() == (0, 0, 3)
 
 
+def sorted_monomials(nvars, degree):
+    """Every exponent tuple of the degree, from a recursive enumeration
+    sorted by the grevlex key: the route the direct enumeration
+    replaced."""
+    def rec(remaining, slots):
+        if slots == 1:
+            yield (remaining,)
+            return
+        for first in range(remaining, -1, -1):
+            for rest in rec(remaining - first, slots - 1):
+                yield (first,) + rest
+    return sorted(rec(degree, nvars), key=grevlex_key, reverse=True)
+
+
 def test_monomial_enumeration_descending():
     mons = list(monomials_of_degree(3, 2))
     keys = [grevlex_key(m) for m in mons]
     assert keys == sorted(keys, reverse=True)
     assert len(mons) == 6  # C(4, 2)
+    for nvars in range(1, 6):
+        for degree in range(9):
+            assert list(monomials_of_degree(nvars, degree)) == \
+                sorted_monomials(nvars, degree)
+        assert list(monomials_of_degree(nvars, -1)) == []
 
 
 def test_frobenius_power_matches_binary_power():
