@@ -21,7 +21,7 @@ from .errors import ResourceError
 
 @dataclass(frozen=True)
 class Caps:
-    max_degree: int = 64          # total degree of polynomial text, completions
+    max_degree: int = 64          # each power in polynomial text, completions
                                   # and their inputs, f^a, seeds, graded pieces
     max_basis: int = 512          # generators tracked during basis completion
     chain_steps: int = 64         # iterations allowed in fixed-ideal chains

@@ -1,8 +1,9 @@
 """Exact row reduction over a prime field (numpy int64 matrices).
 
-Matrices hold canonical residues in [0, p).  The reduced row echelon
-form is canonical, so row spaces compare by array equality.  Matrices
-returned here are treated as immutable by the callers.
+Matrices hold canonical residues in [0, p).  The engine solves only for
+kernels and ranks here (chart meets, separation checks); graded-subspace
+bases come from the Gröbner kernel.  Matrices returned here are treated
+as immutable by the callers.
 """
 
 from __future__ import annotations

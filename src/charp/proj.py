@@ -16,8 +16,10 @@ an ideal equality that proves every later image equal, so the
 canonical subsystem of the twist is the degree-m piece of sigma (for
 the test-ideal variant, of tau, which the operator fixes).
 
-A degree-m piece of a homogeneous ideal is read off its reduced basis
-(`_ideal_piece`); spans of forms and chart meets are row-reduced.
+Every graded-subspace basis comes from the Gröbner kernel: a piece of a
+homogeneous ideal is read off its reduced basis (`_ideal_piece`), a span
+of forms is reduced by normal forms (`space_from_polys`).  Numpy only
+solves for kernels and ranks: chart meets and `separates`.
 
 Each question about X is answered on the cone, by one route.  Forms
 define a complete intersection when their Hilbert series is that of a
@@ -43,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
 from math import comb
-from operator import add, le
+from operator import le
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -53,9 +55,9 @@ from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
 from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
                     descending_fixed_ideal, is_compatible, multiplicity, tau)
-from .ideal import Ideal, monomial_hilbert_numerator, normal_form
-from .linalg import null_space, rank, rref
-from .ring import MultiPoly, PolyRing, monomials_of_degree
+from .ideal import Ideal, _reduce, monomial_hilbert_numerator, normal_form
+from .linalg import null_space, rank
+from .ring import MultiPoly, PolyRing
 
 
 def trivial_pair(ring: PolyRing) -> PairDivisor:
@@ -167,9 +169,8 @@ class ProjScheme:
 class GradedSubspace:
     """Subspace of the degree-m piece of S/modulus by its canonical basis:
     monic forms, largest lead first, whose other terms are standard
-    monomials of the modulus and no basis form's lead.  These are the
-    rows of the reduced echelon form over the standard monomials, so
-    equal subspaces have equal bases."""
+    monomials of the modulus and no basis form's lead: the span's reduced
+    Gröbner basis, so equal subspaces have equal bases."""
 
     modulus: Ideal
     degree: int
@@ -186,7 +187,7 @@ class GradedSubspace:
 
 def _rows_to_basis(ring: PolyRing, columns: tuple,
                    matrix: np.ndarray) -> tuple:
-    """The forms of the rows of a reduced matrix over monomial columns."""
+    """The forms of the rows of a matrix over monomial columns."""
     return tuple(MultiPoly(ring, {columns[j]: int(row[j])
                                   for j in np.flatnonzero(row)})
                  for row in matrix)
@@ -194,28 +195,27 @@ def _rows_to_basis(ring: PolyRing, columns: tuple,
 
 def space_from_polys(modulus: Ideal, m: int,
                      polys: Iterable[MultiPoly]) -> GradedSubspace:
-    """Subspace spanned by the polys: their normal forms, row-reduced."""
-    ring = modulus.ring
-    columns = modulus.standard_monomials(m)
-    index = {exps: i for i, exps in enumerate(columns)}
-    rows = []
+    """Subspace spanned by the polys, with no matrix: forward elimination
+    by normal forms.  Each form is reduced by the modulus's basis and the
+    forms kept so far, which have degree m, distinct leads and standard
+    terms, so the remainder is its normal form modulo the modulus minus a
+    combination of kept forms.  `_reduce` then clears the leads out of
+    the tails and makes the forms monic: the canonical basis."""
+    check_degree(m, "graded piece")
+    divisors = list(modulus.groebner_basis)
+    start = len(divisors)
     for f in polys:
         if f.is_zero:
             continue
         if f.degree() != m or not f.is_homogeneous():
             raise DomainError(f"{f} is not homogeneous of degree {m}")
-        row = np.zeros(len(columns), dtype=np.int64)
-        for exps, c in normal_form(f, modulus.groebner_basis)._terms.items():
-            if exps not in index:
+        rest = normal_form(f, divisors)
+        if not rest.is_zero:
+            if rest.degree() != m or not rest.is_homogeneous():
                 raise DomainError(f"{f} does not reduce into degree {m}")
-            row[index[exps]] = c
-        if row.any():
-            rows.append(row)
-    basis = ()
-    if rows:
-        matrix, _ = rref(np.array(rows, dtype=np.int64), ring.p)
-        basis = _rows_to_basis(ring, columns, matrix)
-    return GradedSubspace(modulus=modulus, degree=m, basis=basis)
+            divisors.append(rest)
+    return GradedSubspace(modulus=modulus, degree=m,
+                          basis=_reduce(divisors[start:]))
 
 
 def _ideal_piece(ideal: Ideal, modulus: Ideal, m: int) -> GradedSubspace:
@@ -558,39 +558,32 @@ def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
 
     The saturation is the intersection of the charts (I : x_i^∞), each
     one grevlex basis (`Ideal.chart`), and so is each of its pieces.  A
-    chart's piece is spanned by its generators times the monomials of
-    the complementary degree, and two pieces meet in the rows x·A for
-    which x·A + y·B = 0 (`linalg.null_space`).  Below the largest of
-    the charts' lowest generator degrees some chart's piece is 0, and
-    so is the saturation's.  The charts are computed on the first
-    piece asked for."""
+    chart's piece is read off its reduced basis (`_ideal_piece`); two
+    pieces meet in the combinations x·A for which x·A + y·B = 0
+    (`linalg.null_space`), made canonical by `space_from_polys`.  A
+    chart's piece below its lowest degree is 0, and so is the
+    saturation's.  The charts are computed on the first piece asked
+    for."""
     ring, p = ideal.ring, ideal.ring.p
-    charts = [ideal.chart(i).generators for i in range(ring.nvars)]
-    start = max(min(map(MultiPoly.degree, gens), default=top + 1)
-                for gens in charts)
+    zero = Ideal.zero(ring)
+    charts = [ideal.chart(i) for i in range(ring.nvars)]
     for d in range(top + 1):
-        columns = tuple(monomials_of_degree(ring.nvars, d))
-        meet = np.zeros((0, len(columns)), dtype=np.int64)
-        if d >= start:
-            index = {exps: k for k, exps in enumerate(columns)}
-            for i, gens in enumerate(charts):
-                rows = []
-                for g in gens:
-                    for shift in monomials_of_degree(ring.nvars,
-                                                     d - g.degree()):
-                        row = np.zeros(len(columns), dtype=np.int64)
-                        for exps, c in g._terms.items():
-                            row[index[tuple(map(add, exps, shift))]] = c
-                        rows.append(row)
-                piece = rref(np.array(rows), p)[0]
-                if i:
-                    kernel = null_space(np.vstack([meet, piece]).T, p)
-                    piece = rref(kernel[:, :len(meet)] @ meet % p, p)[0]
-                meet = piece
-                if not len(meet):
-                    break
-        yield GradedSubspace(Ideal.zero(ring), d,
-                             _rows_to_basis(ring, columns, meet))
+        meet = ()
+        for i, chart in enumerate(charts):
+            piece = _ideal_piece(chart, zero, d).basis
+            if i:
+                columns = tuple({exps: 0 for g in meet + piece
+                                 for exps in g._terms})
+                rows = np.array([[g._terms.get(exps, 0) for exps in columns]
+                                 for g in meet + piece], dtype=np.int64)
+                kernel = null_space(rows.T, p)
+                combos = kernel[:, :len(meet)] @ rows[:len(meet)] % p
+                piece = space_from_polys(
+                    zero, d, _rows_to_basis(ring, columns, combos)).basis
+            meet = piece
+            if not meet:
+                break
+        yield GradedSubspace(zero, d, meet)
 
 
 def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],

@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from charp.errors import DomainError
-from charp.ideal import Ideal
-from charp.proj import space_from_polys
+from charp.ideal import Ideal, normal_form
+from charp.linalg import rref
+from charp.proj import GradedSubspace
 from charp.ring import MultiPoly, PolyRing
 
 settings.register_profile(
@@ -69,11 +71,39 @@ def rational_point_ideal(ring: PolyRing, coords) -> Ideal:
     return Ideal(ring, gens)
 
 
+def rref_span(modulus: Ideal, m: int, polys) -> GradedSubspace:
+    """Subspace spanned by the polys, the matrix route that
+    `proj.space_from_polys` replaced: their normal forms as rows over the
+    standard monomials of the modulus, row-reduced."""
+    ring = modulus.ring
+    columns = modulus.standard_monomials(m)
+    index = {exps: i for i, exps in enumerate(columns)}
+    rows = []
+    for f in polys:
+        if f.is_zero:
+            continue
+        if f.degree() != m or not f.is_homogeneous():
+            raise DomainError(f"{f} is not homogeneous of degree {m}")
+        row = np.zeros(len(columns), dtype=np.int64)
+        for exps, c in normal_form(f, modulus.groebner_basis)._terms.items():
+            if exps not in index:
+                raise DomainError(f"{f} does not reduce into degree {m}")
+            row[index[exps]] = c
+        if row.any():
+            rows.append(row)
+    basis = ()
+    if rows:
+        matrix, _ = rref(np.array(rows, dtype=np.int64), ring.p)
+        basis = tuple(MultiPoly(ring, {columns[j]: int(row[j])
+                                       for j in np.flatnonzero(row)})
+                      for row in matrix)
+    return GradedSubspace(modulus=modulus, degree=m, basis=basis)
+
+
 def is_subspace(small, big) -> bool:
     """Whether one graded subspace lies in another: adding its basis to
     the other's leaves the canonical row-reduced form as it is."""
-    return space_from_polys(big.modulus, big.degree,
-                            big.basis + small.basis) == big
+    return rref_span(big.modulus, big.degree, big.basis + small.basis) == big
 
 
 def graded_generators_in_degree(ideal: Ideal, m: int, modulus: Ideal) -> list:
@@ -82,8 +112,8 @@ def graded_generators_in_degree(ideal: Ideal, m: int, modulus: Ideal) -> list:
     element g of the reduced basis times the degree-(m - deg g) standard
     monomials of the modulus.  Any other monomial x^a adds nothing,
     since x^a - NF(x^a) lies in the modulus and NF(x^a) is a combination
-    of standard monomials.  With `space_from_polys` this is the span
-    route that `proj._ideal_piece` replaced."""
+    of standard monomials.  With `rref_span` this is the span route that
+    `proj._ideal_piece` replaced."""
     multipliers: dict = {}
     out = []
     for g in ideal.groebner_basis:

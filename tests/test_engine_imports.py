@@ -1,4 +1,6 @@
-"""The engine imports the standard library, numpy and itself, nothing else."""
+"""The engine imports the standard library, numpy and itself, nothing
+else, and only `linalg` row-reduces: every graded-subspace basis comes
+from the Gröbner kernel."""
 
 import ast
 import sys
@@ -39,3 +41,36 @@ def test_foreign_imports_are_seen_anywhere():
     assert foreign_imports("import numpy as np, os.path\n"
                            "from .ring import PolyRing\n"
                            "from charp.ideal import Ideal\n") == []
+
+
+def rref_uses(source: str) -> list:
+    """Line numbers where the source imports `rref` or names it: a call,
+    an attribute such as `linalg.rref`, or any other reference."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            hit = any(alias.name == "rref" for alias in node.names)
+        elif isinstance(node, ast.Name):
+            hit = node.id == "rref"
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "rref"
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+def test_only_linalg_row_reduces():
+    for module in sorted(ENGINE.glob("*.py")):
+        if module.name != "linalg.py":
+            assert rref_uses(module.read_text()) == [], module.name
+    assert rref_uses((ENGINE / "linalg.py").read_text())
+
+
+def test_rref_uses_are_seen_anywhere():
+    assert rref_uses("from .linalg import null_space, rref\n") == [1]
+    assert rref_uses("from . import linalg\nlinalg.rref(m, 5)\n") == [2]
+    assert rref_uses("def f(m):\n    return rref(m, 5)[0]\n") == [2]
+    assert rref_uses("from .linalg import null_space, rank\n"
+                     "rank(null_space(m, 5), 5)\n") == []

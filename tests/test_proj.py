@@ -25,7 +25,7 @@ from charp.proj import (ProjScheme, _ideal_piece, _same_saturation,
 from charp.ring import PolyRing
 
 from conftest import (graded_generators_in_degree, is_subspace,
-                      random_homogeneous, rational_point_ideal)
+                      random_homogeneous, rational_point_ideal, rref_span)
 from test_ideal import (_random_homogeneous_ideal, oracle_saturate,
                         quotient_loop_saturate)
 
@@ -250,7 +250,7 @@ def test_stable_image_matches_graded_fixed_ideal_oracle():
             space = stable_sections(scheme, pair, m, "sigma").space
             fixed = graded_fixed_ideal(scheme, pair, "sigma").ideal
             zero = Ideal.zero(ring)
-            oracle = space_from_polys(
+            oracle = rref_span(
                 zero, m, graded_generators_in_degree(fixed, m, zero))
             assert space.basis == oracle.basis
 
@@ -273,7 +273,7 @@ def test_ideal_piece_matches_the_span_oracle():
                         for _ in range(rng.randint(1, 3))]) + modulus
                     for m in range(6):
                         piece = _ideal_piece(ideal, modulus, m)
-                        oracle = space_from_polys(
+                        oracle = rref_span(
                             modulus, m,
                             graded_generators_in_degree(ideal, m, modulus))
                         case = (p, names, modulus, ideal, m)
@@ -288,12 +288,65 @@ def test_ideal_piece_matches_the_span_oracle():
     assert nonzero > 200 and partial > 200 and tails > 100
 
 
+def test_span_of_forms_matches_the_row_reduction_oracle():
+    # the reduced span against the normal-form rows row-reduced, basis
+    # for basis and in order, for random spans with repeated, dependent
+    # and zero forms in P^2 and P^3, with the modulus zero, a cubic, and
+    # a center plus a cubic
+    rng = random.Random(61)
+    nonzero = partial = tails = 0
+    for names in (("x", "y", "z"), ("x", "y", "z", "w")):
+        for p in (2, 3, 5, 7):
+            ring = PolyRing(names, p)
+            cubic = random_homogeneous(rng, ring, 3, max_terms=4)
+            center = Ideal(ring, [ring.gen(0), cubic])
+            for modulus in (Ideal.zero(ring), Ideal(ring, [cubic]), center):
+                for m in range(1, 5):
+                    forms = [random_homogeneous(rng, ring, m, max_terms=4)
+                             for _ in range(rng.randint(1, 4))]
+                    forms += [rng.choice(forms), ring.zero(),
+                              sum((f.scale(rng.randrange(p)) for f in forms),
+                                  ring.zero())]
+                    if m >= 3:
+                        forms.append(cubic.mul_monomial(
+                            (m - 3,) + (0,) * (len(names) - 1)))
+                    rng.shuffle(forms)
+                    space = space_from_polys(modulus, m, forms)
+                    oracle = rref_span(modulus, m, forms)
+                    case = (p, names, modulus, forms, m)
+                    assert space.basis == oracle.basis, case
+                    assert list(map(str, space.basis)) == \
+                        list(map(str, oracle.basis)), case
+                    assert space.modulus is modulus and space.degree == m
+                    nonzero += space.dim > 0
+                    partial += 0 < space.dim < len(
+                        modulus.standard_monomials(m))
+                    tails += any(g.num_terms() > 1 for g in space.basis)
+    # the grid reaches spans that are neither zero nor everything, and
+    # basis forms with tails
+    assert nonzero > 80 and partial > 70 and tails > 40, \
+        (nonzero, partial, tails)
+
+
+def test_span_of_forms_refuses_forms_outside_degree_m(P2):
+    ring = P2.ring
+    for route in (space_from_polys, rref_span):
+        with pytest.raises(DomainError, match="is not homogeneous of degree 2"):
+            route(P2.ideal, 2, [ring.parse("x^2 + y")])
+        with pytest.raises(DomainError, match="is not homogeneous of degree 2"):
+            route(P2.ideal, 2, [ring.parse("x")])
+        # under a non-homogeneous modulus a form can reduce below degree m
+        with pytest.raises(DomainError, match="does not reduce into degree 2"):
+            route(I(ring, "x^2+y"), 2, [ring.parse("x^2 + z^2")])
+        assert route(I(ring, "x^2+y"), 2, [ring.parse("y^2 + x*z")]).dim == 1
+
+
 def test_stable_image_tau_matches_tau_piece(fermat7):
     ring = fermat7.ring
     pair = PairDivisor(ring.parse("x"), 6, 1)
     space = stable_sections(fermat7, pair, 2, "tau").space
     fixed = graded_fixed_ideal(fermat7, pair, "tau").ideal
-    oracle = space_from_polys(
+    oracle = rref_span(
         fermat7.ideal, 2,
         graded_generators_in_degree(fixed, 2, Ideal.zero(ring)))
     assert space == oracle
@@ -775,7 +828,7 @@ def test_saturated_pieces_match_the_elimination_oracle():
             for _ in range(8):
                 ideal = _random_homogeneous_ideal(rng, ring)
                 want = oracle_saturate(ideal, irrelevant)
-                expected = [space_from_polys(
+                expected = [rref_span(
                     zero, d, graded_generators_in_degree(want, d, zero))
                     for d in range(6)]
                 for case in (ideal, ideal * irrelevant):
@@ -1104,8 +1157,9 @@ def test_from_forms_refuses_constant_forms():
 # The stable image computed the way the paper defines it: push a spanning
 # set of the level-n source piece through n trace steps and stop when two
 # consecutive degree-m images agree.  Production reads the image off the
-# cone's fixed ideal instead; the two routes share the graded-piece
-# helpers and, for tau, the test ideal whose pieces are the sources.
+# cone's fixed ideal instead.  The oracle spans its images by row
+# reduction (`rref_span`); the two routes share normal forms and, for tau,
+# the test ideal whose pieces are the sources.
 
 
 def oracle_source_degree(u1, e, n, m):
@@ -1139,7 +1193,7 @@ def level_image(modulus, u1, e, n, m, source=None):
                 if v.is_zero:
                     break
             images.append(v)
-    return space_from_polys(modulus, m, images), degree
+    return rref_span(modulus, m, images), degree
 
 
 def level_stable_image(modulus, u1, e, m, source=None, max_level=8):

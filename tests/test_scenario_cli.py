@@ -239,11 +239,15 @@ def test_degree_cap_refuses_f_power_and_seed_before_forming_them():
 def test_degree_cap_refuses_large_graded_pieces():
     # every op that reads a graded piece refuses one above max_degree at
     # once, as bpf and gg already did in their completions; the s0 piece
-    # at m = 200 once allocated about 3.3 GB
+    # at m = 200 once allocated about 3.3 GB, and spans of explicit forms
+    # of degree 200 (each power within the cap) were once accepted
     scheme = {"n": 2}
     pair = {"f": "x", "a": 4, "e": 1}  # (x) is a compatible center
+    forms = ["x^64*y^64*z^64*x^8", "y^64*z^64*x^64*y^8"]
     jobs = [{"op": "s0", "scheme": scheme, "m": 200},
             {"op": "separates", "scheme": scheme, "m": 200},
+            {"op": "bpf", "scheme": scheme, "forms": forms, "m": 200},
+            {"op": "separates", "scheme": scheme, "forms": forms, "m": 200},
             {"op": "restrict", "scheme": scheme, "pair": pair, "I_Z": ["x"],
              "m": 200},
             {"op": "bpf", "scheme": scheme, "m": 200},
@@ -259,7 +263,8 @@ def test_degree_cap_refuses_large_graded_pieces():
         assert entry["error"]["message"].startswith(
             "resource cap max_degree=64 exceeded"), entry
         assert elapsed < 1.0
-    assert refused[0]["error"]["message"].endswith("graded piece of degree 200")
+    for entry in (refused[0], *refused[2:4]):
+        assert entry["error"]["message"].endswith("graded piece of degree 200")
     assert good["status"] == "ok" and good["result"]["dim"] == 2145
 
 
