@@ -16,7 +16,10 @@ clock speed wanders between runs slows both sides alike.  Each job is
 timed alone after an untimed `gc.collect()`.
 
 Prints each side's median round time and the median and quartiles of
-the per-round ratio change/parent.
+the per-round ratio change/parent.  Then one line per job op, in
+alphabetical order: the median over rounds of the ratio change/parent
+of the time that op's jobs took in the round, which shows where a
+change in the round time sits.
 """
 
 from __future__ import annotations
@@ -71,16 +74,16 @@ class Side:
                           for inst in insts]
 
     def round(self) -> tuple:
-        """(report entries, seconds summed over the jobs)."""
+        """(report entries, seconds of each job)."""
         sys.modules.update(self.modules)
-        entries, total = [], 0.0
+        entries, seconds = [], []
         for sc in self.scenarios:
             gc.collect()
             t0 = time.perf_counter()
             report, _ = self.execute(sc)
-            total += time.perf_counter() - t0
+            seconds.append(time.perf_counter() - t0)
             entries.append(report["jobs"][0])
-        return entries, total
+        return entries, seconds
 
 
 def main(argv=None) -> int:
@@ -107,10 +110,12 @@ def main(argv=None) -> int:
 
     gc.collect()
     gc.freeze()
-    times = {parent: [], change: []}
+    jobs = {parent: [], change: []}  # per round, the seconds of each job
     for r in range(args.rounds):
         for side in ((parent, change) if r % 2 == 0 else (change, parent)):
-            times[side].append(side.round()[1])
+            jobs[side].append(side.round()[1])
+    times = {side: [sum(seconds) for seconds in rounds]
+             for side, rounds in jobs.items()}
     ratios = [c / p for p, c in zip(times[parent], times[change])]
     low, _, high = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
                     else ratios * 3)
@@ -121,6 +126,14 @@ def main(argv=None) -> int:
     print(f"change {args.change}: median round {statistics.median(times[change]):.4f} s")
     print(f"change/parent per round: median {statistics.median(ratios):.3f}, "
           f"quartiles {low:.3f}-{high:.3f}, change faster in {wins}/{len(ratios)}")
+    by_op: dict = {}
+    for index, entry in enumerate(want):
+        by_op.setdefault(entry["op"], []).append(index)
+    for op, indices in sorted(by_op.items()):
+        op_ratios = [sum(c[i] for i in indices) / sum(p[i] for i in indices)
+                     for p, c in zip(jobs[parent], jobs[change])]
+        print(f"op {op}: {len(indices)} jobs, change/parent per round: "
+              f"median {statistics.median(op_ratios):.3f}")
     return 0
 
 

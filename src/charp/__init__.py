@@ -7,7 +7,7 @@ stable trace images on projective schemes (proj), and a deterministic
 scenario runner (scenario, cli).
 """
 
-from .cartier import apply_cartier, bracket_root, frob_expand, trace
+from .cartier import apply_cartier, bracket_root, frob_expand
 from .config import DEFAULT_CAPS, Caps, caps_scope, current_caps
 from .errors import (CharpError, DomainError, ParseError, PreconditionError,
                      ResourceError, RingMismatchError, ScenarioError,
@@ -27,7 +27,7 @@ from .ring import MultiPoly, PolyRing
 __version__ = "0.1.0"
 
 __all__ = [
-    "apply_cartier", "bracket_root", "frob_expand", "trace", "Caps", "DEFAULT_CAPS", "caps_scope",
+    "apply_cartier", "bracket_root", "frob_expand", "Caps", "DEFAULT_CAPS", "caps_scope",
     "current_caps", "CharpError",
     "DomainError", "ParseError", "PreconditionError", "ResourceError",
     "RingMismatchError", "ScenarioError", "TestElementError",

@@ -4,11 +4,11 @@ For q = p^e the monomials x^b with 0 <= b_i < q form a free basis of
 S = F_p[x] over its subring of q-th powers, so every g has a unique
 expansion g = sum_b g_b^q * x^b.  `_split` is the one place that
 splits exponents by q, on a term dict with `divmod`: `frob_expand`
-wraps its components in polynomials, bracket roots take every
-component, and the trace operator reads the top slot
-b = (q-1, ..., q-1); this normalization is fixed once and for all,
-which is harmless because images of ideals are insensitive to unit
-factors.
+wraps its components in polynomials, and bracket roots take every
+component.  The trace Tr^e is the top slot b = (q-1, ..., q-1); this
+normalization is fixed once and for all, which is harmless because
+images of ideals are insensitive to unit factors.  No engine route
+reads one slot alone, so the trace by itself lives in the tests.
 
 Every p^{-e}-linear map of S is g -> Tr^e(u * g) for one u, and the
 map is the divisor pair (u, 1, e) (`fsing.PairDivisor`); a pair
@@ -64,18 +64,6 @@ def frob_expand(g: MultiPoly, e: int) -> Dict[tuple, MultiPoly]:
     nonzero ones only and in ascending order of b."""
     buckets = _split(g._terms, _check_level(g.ring, e))
     return {b: MultiPoly(g.ring, buckets[b]) for b in sorted(buckets)}
-
-
-def trace(g: MultiPoly, e: int) -> MultiPoly:
-    """The component of the top basis monomial x^(q-1, ..., q-1).
-
-    Monomial rule: x^a maps to x^((a - (q-1)*1)/q) when every coordinate
-    of a is congruent to q-1 mod q, and to 0 otherwise.  The operator is
-    p^{-e}-linear and surjective.
-    """
-    ring = g.ring
-    components = frob_expand(g, e)
-    return components.get((ring.p ** e - 1,) * ring.nvars, ring.zero())
 
 
 def _root(ring: PolyRing, u: Optional[dict], generators: Iterable[MultiPoly],

@@ -6,7 +6,12 @@ completion is plain Buchberger with the coprimality criterion and
 normal-pair selection; degree and basis-size caps turn blowups into
 ResourceErrors instead of hangs, and the degree cap binds on the input
 generators before anything else.  At most one nonzero generator needs
-no completion: one monic polynomial is a reduced basis.  A homogeneous
+no completion: one monic polynomial is a reduced basis.  Neither do
+monomials: the reduced basis of a monomial ideal is its minimal
+generators (Dickson; Cox–Little–O'Shea, *Ideals, Varieties, and
+Algorithms*, §2.4), and a normal form by monomials drops the terms they
+divide.  Monomial ideals are common, since the test ideal of a monomial
+pair is one (Hara–Yoshida, Trans. AMS 355 (2003)).  A homogeneous
 ideal is saturated by a variable in one completion, in grevlex after
 moving that variable last (Bayer–Stillman).  The standard monomials
 are a basis of S/I (Macaulay): the Hilbert series of a homogeneous ideal
@@ -23,8 +28,8 @@ bits and doubles, restarting the division, until the input and every
 divisor are below the width's degree limit; grevlex is graded, so no
 term formed later exceeds the degree of the term it cancels, and no
 exponent can overflow a digit.  Leading exponents are cached on the
-polynomials, and a normal form comes with its own, so the completion
-never rescans terms to find one.
+polynomials, and a normal form by heap division comes with its own, so
+the completion scans a polynomial's terms for its lead at most once.
 
 Ideals are immutable; the Gröbner basis is computed lazily and cached.
 The degree and basis caps are the ones in force in the current context
@@ -141,12 +146,19 @@ def _divide(f: MultiPoly, divisors: Sequence[MultiPoly], packing):
 
 def normal_form(f: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
     """Fully reduce f against the basis: no term of the result is
-    divisible by any basis leading monomial.  `_divide` runs at the
-    narrowest width from 16 bits up, doubling, that holds the input and
-    the divisors.  The result comes with its leading exponent cached."""
+    divisible by any basis leading monomial.  When every divisor is a
+    monomial, that is f without its terms some divisor divides (f itself
+    when none is).  Otherwise `_divide` runs at the narrowest width from
+    16 bits up, doubling, that holds the input and the divisors, and the
+    result comes with its leading exponent cached."""
     divisors = [g for g in basis if not g.is_zero]
     if not divisors or f.is_zero:
         return f
+    if all(g.num_terms() == 1 for g in divisors):
+        leads = [g.leading_exponent() for g in divisors]
+        kept = {e: c for e, c in f._terms.items()
+                if not any(_divides(a, e) for a in leads)}
+        return f if len(kept) == len(f._terms) else MultiPoly(f.ring, kept)
     width = _MIN_WIDTH
     while True:
         packing = grevlex_packing(f.ring.nvars, width)
@@ -180,9 +192,11 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
     if len(raw) <= 1:
         # one monic polynomial is already a reduced basis
         return tuple(g.monic() for g in raw)
+    caps = current_caps()
+    if all(g.num_terms() == 1 for g in raw):
+        return _monomial_basis(raw, caps.max_basis)
     raw.sort(key=_lead_key)
 
-    caps = current_caps()
     pairs: list = []
     counter = 0
     basis: list = []
@@ -230,6 +244,23 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
         push_pairs(len(basis) - 1)
 
     return _reduce(basis)
+
+
+def _monomial_basis(monomials: Sequence[MultiPoly], max_basis: int) -> tuple:
+    """The reduced basis of a monomial ideal: its minimal generators,
+    monic and largest first (Dickson; Cox–Little–O'Shea, §2.4).  Every
+    S-polynomial of two monomials is zero, so the completion would keep
+    exactly these, fed in ascending order, and its cap fires at the same
+    count."""
+    by_lead: dict = {}
+    for g in monomials:
+        by_lead.setdefault(g.leading_exponent(), g)
+    minimal = _minimal_monomials(by_lead)
+    if len(minimal) > max_basis:
+        raise ResourceError("max_basis", max_basis,
+                            "too many pairwise-irreducible generators")
+    minimal.sort(key=grevlex_key, reverse=True)
+    return tuple(by_lead[a].monic() for a in minimal)
 
 
 def _check_input_degree(generators: Sequence[MultiPoly]):

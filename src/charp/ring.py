@@ -18,10 +18,14 @@ and wrap a `MultiPoly` around the result once.  A power raises a
 one-term polynomial by scaling its exponent; any other polynomial is
 raised digit by digit in base p, f^n = prod_i (f^(n_i))^[p^i] for
 n = sum_i n_i p^i, since the Frobenius f -> f^p only scales exponents
-over F_p.  The parser evaluates its recursive descent on term dicts,
-multiplies and raises monomial factors by exponent arithmetic, bounds
-the nesting of parentheses and unary signs by MAX_NESTING, and refuses
-a power whose degree would pass the `max_degree` cap before forming it.
+over F_p.  The parser tokenizes in one `findall` pass and evaluates
+its recursive descent on term dicts.  A product folds its runs of
+variables and numbers, each with at most one numeric exponent, into one
+exponent vector and one coefficient; parentheses, unary signs and
+stacked powers take the general factor rule.  It bounds the nesting of
+parentheses and unary signs by MAX_NESTING, and refuses a power whose
+degree would pass the `max_degree` cap before forming it.  A token's
+column is computed only when an error message names it.
 
 Values are immutable after construction and safe to share across
 threads.  A polynomial memoises its leading exponent, and the division
@@ -38,7 +42,7 @@ from functools import cache
 from operator import add, neg
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .config import check_degree
+from .config import check_degree, current_caps
 from .errors import DomainError, ParseError, RingMismatchError
 
 Exponents = tuple  # tuple[int, ...]
@@ -557,33 +561,34 @@ class MultiPoly:
 
 # -- parsing -----------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<pow>\*\*|\^)"
-    r"|(?P<op>[-+*()])|(?P<ws>\s+)|(?P<bad>.)", re.DOTALL)
+# one token; once `_BAD_RE` finds nothing, every character outside the
+# tokens is whitespace, which `findall` steps over
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|\*\*|[-+*()^]")
+# a character that starts no token
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_*^+\-()]")
+_POWER = ("^", "**")
 
 # Open parentheses plus pending unary signs; the descent recurses about
 # four frames per parenthesis, so this stays far below Python's limit.
 MAX_NESTING = 100
 
 
-def _tokenize(text: str):
-    """(kind, value, column) triples from one pass over the text, ending
-    with an 'end' token; the first character no token starts with is
-    refused at its column."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}",
-                             column=m.start() + 1)
-        if kind == "pow":
-            tokens.append(("op", "^", m.start() + 1))
-        else:
-            tokens.append((kind, m.group(), m.start() + 1))
-    tokens.append(("end", "", len(text) + 1))
+def _tokenize(text: str) -> list:
+    """The tokens of the text as strings, with '' appended for the end of
+    input; the first character no token starts with is refused at its
+    column."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}",
+                         column=bad.start() + 1)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
+
+
+def _shown(token: str) -> str:
+    """A token as messages show it: both power operators read '^'."""
+    return "^" if token == "**" else token
 
 
 class _Parser:
@@ -591,44 +596,58 @@ class _Parser:
 
     Every rule returns a term dict {exponents: residue} that the parser
     owns, so sums and signs update it in place; `parse` wraps the final
-    one in a MultiPoly."""
+    one in a MultiPoly.  A product folds its runs of variables and
+    numbers, each with at most one numeric exponent, into one exponent
+    vector and one coefficient; parentheses, unary signs and stacked
+    powers go through `factor`.  Tokens are plain strings, and a
+    token's column is computed only for a message that names it."""
 
     def __init__(self, ring: PolyRing, text: str):
         self.ring = ring
         self.p = ring.p
         self.one = (0,) * ring.nvars
+        self.index = {name: i for i, name in enumerate(ring.variables)}
+        self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
         self.depth = 0
 
-    def take(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
+    def column(self, index: int) -> int:
+        """The column of the token at this index."""
+        for k, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            if k == index:
+                return m.start() + 1
+        return len(self.text) + 1
 
-    def nest(self, col: int):
+    def nest(self, index: int):
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
-                             column=col)
+                             column=self.column(index))
+
+    def check_power(self, degree: int, index: int):
+        """The degree cap on a power whose '^' is the token at this index."""
+        if degree > current_caps().max_degree:
+            check_degree(degree, "power", f" at column {self.column(index)}")
 
     def parse(self) -> MultiPoly:
         terms = self.expr()
-        kind, value, col = self.tokens[self.idx]
-        if kind != "end":
-            raise ParseError(f"unexpected trailing {value!r}", column=col)
+        token = self.tokens[self.idx]
+        if token:
+            raise ParseError(f"unexpected trailing {_shown(token)!r}",
+                             column=self.column(self.idx))
         return MultiPoly(self.ring, terms)
 
     def expr(self) -> dict:
         result = self.term()
-        p = self.p
+        tokens, p = self.tokens, self.p
         while True:
-            kind, value, _ = self.tokens[self.idx]
-            if kind != "op" or value not in "+-":
+            token = tokens[self.idx]
+            if token != "+" and token != "-":
                 return result
             self.idx += 1
             rhs = self.term()
-            sign = 1 if value == "+" else -1
+            sign = 1 if token == "+" else -1
             for exps, c in rhs.items():
                 s = (result.get(exps, 0) + sign * c) % p
                 if s:
@@ -637,36 +656,61 @@ class _Parser:
                     result.pop(exps, None)
 
     def term(self) -> dict:
-        result = self.factor()
+        tokens, p, index = self.tokens, self.p, self.index
+        exps = list(self.one)
+        coeff = 1
+        product = None  # the factors that do not fold
         while True:
-            kind, value, _ = self.tokens[self.idx]
-            if kind != "op" or value != "*":
-                return result
+            i = self.idx
+            token = tokens[i]
+            var = index.get(token)
+            end = None
+            if var is not None or token.isdecimal():
+                if tokens[i + 1] not in _POWER:
+                    n, end = 1, i + 1
+                elif tokens[i + 2].isdecimal() and tokens[i + 3] not in _POWER:
+                    n, end = int(tokens[i + 2]), i + 3
+                    self.check_power(0 if var is None else n, i + 1)
+            if end is None:
+                factor = self.factor()
+                product = (factor if product is None
+                           else _mul_terms(product, factor, p))
+            else:
+                if var is None:
+                    coeff = coeff * pow(int(token), n, p) % p
+                else:
+                    exps[var] += n
+                self.idx = end
+            if tokens[self.idx] != "*":
+                break
             self.idx += 1
-            result = _mul_terms(result, self.factor(), self.p)
+        if not coeff:
+            return {}
+        monomial = {tuple(exps): coeff}
+        if product is None:
+            return monomial
+        return _mul_terms(monomial, product, p)
 
     def factor(self) -> dict:
         # unary signs bind looser than '^': -x^2 is -(x^2)
+        tokens = self.tokens
         outer, negate = self.depth, False
-        kind, value, col = self.tokens[self.idx]
-        while kind == "op" and value in "+-":
-            self.nest(col)
-            negate ^= value == "-"
+        token = tokens[self.idx]
+        while token == "+" or token == "-":
+            self.nest(self.idx)
+            negate ^= token == "-"
             self.idx += 1
-            kind, value, col = self.tokens[self.idx]
+            token = tokens[self.idx]
         base = self.atom()
-        while True:
-            kind, value, col = self.tokens[self.idx]
-            if kind != "op" or value != "^":
-                break
-            self.idx += 1
-            nkind, nvalue, ncol = self.take()
-            if nkind != "num":
+        while tokens[self.idx] in _POWER:
+            at = self.idx
+            self.idx += 2
+            exponent = tokens[at + 1]
+            if not exponent.isdecimal():
                 raise ParseError("exponent must be a non-negative integer",
-                                 column=ncol)
-            n = int(nvalue)
-            check_degree(n * max(map(sum, base), default=0), "power",
-                         f" at column {col}")
+                                 column=self.column(at + 1))
+            n = int(exponent)
+            self.check_power(n * max(map(sum, base), default=0), at)
             base = _pow_terms(base, n, self.p, self.one)
         self.depth = outer
         if negate:
@@ -676,26 +720,29 @@ class _Parser:
         return base
 
     def atom(self) -> dict:
-        kind, value, col = self.take()
-        if kind == "num":
-            c = int(value) % self.p
+        i = self.idx
+        token = self.tokens[i]
+        self.idx += 1
+        if token.isdecimal():
+            c = int(token) % self.p
             return {self.one: c} if c else {}
-        if kind == "name":
-            try:
-                i = self.ring.variables.index(value)
-            except ValueError:
-                raise ParseError(f"unknown variable {value!r}", column=col) from None
-            return {self.one[:i] + (1,) + self.one[i + 1:]: 1}
-        if kind == "op" and value == "(":
-            self.nest(col)
+        var = self.index.get(token)
+        if var is not None:
+            return {self.one[:var] + (1,) + self.one[var + 1:]: 1}
+        if token == "(":
+            self.nest(i)
             inner = self.expr()
-            kind, value, col = self.take()
-            if kind != "op" or value != ")":
-                raise ParseError(f"expected ')', found {value!r}", column=col)
+            j = self.idx
+            self.idx += 1
+            if self.tokens[j] != ")":
+                raise ParseError(f"expected ')', found {_shown(self.tokens[j])!r}",
+                                 column=self.column(j))
             self.depth -= 1
             return inner
-        raise ParseError(f"unexpected {value!r}" if value else "unexpected end of input",
-                         column=col)
+        if token[:1] == "_" or token[:1].isalpha():
+            raise ParseError(f"unknown variable {token!r}", column=self.column(i))
+        raise ParseError(f"unexpected {_shown(token)!r}" if token
+                         else "unexpected end of input", column=self.column(i))
 
 
 def _parse_poly(ring: PolyRing, text: str) -> MultiPoly:

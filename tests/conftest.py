@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from charp.cartier import frob_expand
 from charp.errors import DomainError
 from charp.ideal import Ideal, normal_form
 from charp.linalg import rref
@@ -54,6 +55,19 @@ def random_homogeneous(rng: random.Random, ring: PolyRing, degree: int,
 
 
 # -- oracles for routes the engine no longer takes --------------------------
+
+
+def trace(g: MultiPoly, e: int) -> MultiPoly:
+    """The trace Tr^e: the component of the top basis monomial
+    x^(q-1, ..., q-1) in `frob_expand`.
+
+    Monomial rule: x^a maps to x^((a - (q-1)*1)/q) when every coordinate
+    of a is congruent to q-1 mod q, and to 0 otherwise.  The operator is
+    p^{-e}-linear and surjective.
+    """
+    ring = g.ring
+    components = frob_expand(g, e)
+    return components.get((ring.p ** e - 1,) * ring.nvars, ring.zero())
 
 
 def rational_point_ideal(ring: PolyRing, coords) -> Ideal:

@@ -34,21 +34,43 @@ def _run(parent: Path, change: Path):
         capture_output=True, text=True, env=env, cwd=parent)
 
 
+def _ops(tree: Path) -> list:
+    """The op of each geometry job, in order."""
+    ops = subprocess.run(
+        [sys.executable, "-B", "-c",
+         "from perfbench.instances import instances\n"
+         "from perfbench.run import scenario_doc\n"
+         "for inst in instances('geometry', 1):\n"
+         "    print(scenario_doc(inst)['jobs'][0]['op'])"],
+        capture_output=True, text=True, check=True, cwd=tree,
+        env=dict(os.environ, PYTHONPATH=f"{tree / 'src'}{os.pathsep}{tree}"))
+    return ops.stdout.split()
+
+
 def test_one_tree_on_both_sides_reports_and_writes_nothing(tmp_path):
     tree = _copy(tmp_path / "tree")
     before = _files(tree)
     proc = _run(tree, tree)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4, proc.stdout
-    assert re.fullmatch(r"geometry seed 1: \d+ jobs x 1 rounds per side",
+    assert len(lines) > 4, proc.stdout
+    head = re.fullmatch(r"geometry seed 1: (\d+) jobs x 1 rounds per side",
                         lines[0])
+    assert head
     for line, side in zip(lines[1:3], ("parent", "change")):
         assert re.fullmatch(rf"{side} {re.escape(str(tree))}: "
                             r"median round \d+\.\d{4} s", line)
     assert re.fullmatch(r"change/parent per round: median \d+\.\d{3}, "
                         r"quartiles \d+\.\d{3}-\d+\.\d{3}, "
                         r"change faster in [01]/1", lines[3])
+    # then one line per op, alphabetical, covering every job once
+    per_op = [re.fullmatch(r"op (\w+): (\d+) jobs, change/parent per round: "
+                           r"median \d+\.\d{3}", line) for line in lines[4:]]
+    assert all(per_op), lines[4:]
+    ops, jobs = [found[1] for found in per_op], _ops(tree)
+    assert ops == sorted(set(jobs))
+    assert [int(found[2]) for found in per_op] == list(map(jobs.count, ops))
+    assert sum(map(jobs.count, ops)) == int(head[1])
     assert _files(tree) == before
 
 
@@ -69,12 +91,4 @@ def test_differing_reports_name_the_first_job_that_differs(tmp_path):
     want, got = json.loads(found[2]), json.loads(found[3])
     assert want["op"] == got["op"] == "bpf"
     assert got["result"]["dim"] == want["result"]["dim"] + 1
-    ops = subprocess.run(
-        [sys.executable, "-B", "-c",
-         "from perfbench.instances import instances\n"
-         "from perfbench.run import scenario_doc\n"
-         "for inst in instances('geometry', 1):\n"
-         "    print(scenario_doc(inst)['jobs'][0]['op'])"],
-        capture_output=True, text=True, check=True, cwd=parent,
-        env=dict(os.environ, PYTHONPATH=f"{parent / 'src'}{os.pathsep}{parent}"))
-    assert int(found[1]) == ops.stdout.split().index("bpf") > 0
+    assert int(found[1]) == _ops(parent).index("bpf") > 0

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from charp.cartier import apply_cartier, bracket_root, trace
+from charp.cartier import apply_cartier, bracket_root
 from charp.config import Caps, caps_scope
 from charp.fsing import (PairDivisor, fedder_f_pure, multiplicity_containment,
                          sigma, tau, twist_identity)
@@ -23,7 +23,7 @@ from charp.proj import (ProjScheme, _same_saturation, degree_bound_pipeline,
 from charp.ring import PolyRing
 
 from conftest import (check_criterion, is_subspace, random_homogeneous,
-                      random_poly, rational_point_ideal)
+                      random_poly, rational_point_ideal, trace)
 
 _PROPERTY_SECONDS = []
 

@@ -5,14 +5,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from charp.cartier import apply_cartier, bracket_root, frob_expand, trace
+from charp.cartier import apply_cartier, bracket_root, frob_expand
 from charp.config import DEFAULT_CAPS
 from charp.errors import DomainError, ResourceError
 from charp.fsing import PairDivisor
 from charp.ideal import Ideal
 from charp.ring import PolyRing, grevlex_key
 
-from conftest import random_poly
+from conftest import random_poly, trace
 
 
 @st.composite

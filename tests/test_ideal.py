@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -11,9 +12,10 @@ import sympy as sp
 
 from charp.config import Caps, caps_scope
 from charp.errors import DomainError, ResourceError
-from charp.ideal import (Ideal, _divisor, buchberger,
+from charp.ideal import (Ideal, _divide, _divisor, buchberger,
                          monomial_hilbert_numerator, normal_form)
-from charp.ring import PolyRing, grevlex_key, grevlex_packing
+from charp.ring import (MultiPoly, PolyRing, grevlex_key, grevlex_packing,
+                        monomials_of_degree)
 
 from conftest import random_homogeneous, random_poly
 
@@ -541,10 +543,11 @@ def _oracle_monic(f, key):
     return f.scale(pow(f._terms[_oracle_lead(f, key)], -1, f.ring.p))
 
 
-def oracle_buchberger(generators, key=grevlex_key):
+def oracle_buchberger(generators, key=grevlex_key, nf=oracle_normal_form):
     """The former `buchberger` and `_reduce`: normal pair selection on
     tuple keys, the coprimality criterion, then minimalize and
-    inter-reduce, all through the dict-copy normal form."""
+    inter-reduce, all through the dict-copy normal form (or `nf(f,
+    basis, key)`)."""
     raw = sorted((g for g in generators if not g.is_zero),
                  key=lambda g: key(_oracle_lead(g, key)))
     basis, pairs, counter = [], [], itertools.count()
@@ -558,7 +561,7 @@ def oracle_buchberger(generators, key=grevlex_key):
                 heapq.heappush(pairs, (key(lcm), next(counter), i, new))
 
     for g in raw:
-        g = oracle_normal_form(g, basis, key)
+        g = nf(g, basis, key)
         if not g.is_zero:
             basis.append(_oracle_monic(g, key))
             push_pairs(len(basis) - 1)
@@ -569,7 +572,7 @@ def oracle_buchberger(generators, key=grevlex_key):
         lcm = tuple(map(max, lf, lg))
         s = (f.mul_monomial(tuple(a - b for a, b in zip(lcm, lf)))
              - g.mul_monomial(tuple(a - b for a, b in zip(lcm, lg))))
-        s = oracle_normal_form(s, basis, key)
+        s = nf(s, basis, key)
         if not s.is_zero:
             basis.append(_oracle_monic(s, key))
             push_pairs(len(basis) - 1)
@@ -582,7 +585,7 @@ def oracle_buchberger(generators, key=grevlex_key):
             minimal.append(g)
     for k, g in enumerate(minimal):
         minimal[k] = _oracle_monic(
-            oracle_normal_form(g, minimal[:k] + minimal[k + 1:], key), key)
+            nf(g, minimal[:k] + minimal[k + 1:], key), key)
     return tuple(sorted(minimal, key=lambda g: key(_oracle_lead(g, key)),
                         reverse=True))
 
@@ -643,6 +646,97 @@ def test_one_generator_needs_no_completion():
             got = buchberger(gens)
             assert len(got) == 1 and _same(got[0], g.monic())
             assert all(map(_same, got, oracle_buchberger([g])))
+
+
+# -- monomial ideals by divisibility against the heap route ------------------
+
+
+def heap_normal_form(f, basis, key=grevlex_key):
+    """`_divide` at 32-bit digits, whatever the divisors are."""
+    assert key is grevlex_key
+    packing = grevlex_packing(f.ring.nvars, 32)
+    return MultiPoly.from_packed(f.ring, packing, *_divide(
+        f, [g for g in basis if not g.is_zero], packing))
+
+
+def _monomial_inputs(rng, ring):
+    """Monomials of degree 0 to 4 with random coefficients, then
+    duplicates, scalar multiples and zeros among them, shuffled."""
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(0, 4)):
+            exps[rng.randrange(ring.nvars)] += 1
+        gens.append(ring.monomial(exps, rng.randint(1, ring.p - 1)))
+    if rng.random() < 0.2:
+        gens.append(ring.constant(rng.randint(1, ring.p - 1)))
+    for _ in range(rng.randint(0, 3)):
+        g = rng.choice(gens)
+        gens.append(rng.choice([g, g.scale(rng.randint(1, ring.p - 1)),
+                                ring.zero()]))
+    rng.shuffle(gens)
+    return gens
+
+
+def _monomial_cases(seed):
+    rng = random.Random(seed)
+    for p in (2, 3, 5, 7):
+        for nvars in (1, 2, 3, 4):
+            ring = PolyRing(("x", "y", "z", "w")[:nvars], p)
+            for _ in range(12):
+                yield rng, ring
+
+
+def test_monomial_bases_match_the_heap_route():
+    mixed = 0
+    for rng, ring in _monomial_cases(73):
+        gens = _monomial_inputs(rng, ring)
+        if rng.random() < 0.4:  # the completion, with monomial divisors
+            gens += [random_poly(rng, ring, max_degree=3, max_terms=3)
+                     for _ in range(rng.randint(1, 2))]
+            mixed += any(g.num_terms() > 1 for g in gens)
+        got = buchberger(gens)
+        want = oracle_buchberger([g for g in gens if not g.is_zero],
+                                 nf=heap_normal_form)
+        assert len(got) == len(want) and all(map(_same, got, want)), gens
+        for f in (random_poly(rng, ring, max_degree=5, max_terms=6)
+                  for _ in range(2)):
+            assert _same(normal_form(f, got), heap_normal_form(f, got)), (f, got)
+    assert mixed >= 30
+
+
+def test_normal_forms_by_monomials_match_the_heap_route():
+    for rng, ring in _monomial_cases(79):
+        divisors = _monomial_inputs(rng, ring)
+        for f in [random_poly(rng, ring, max_degree=6, max_terms=8)
+                  for _ in range(3)] + [ring.zero(), ring.one()]:
+            got = normal_form(f, divisors)
+            assert _same(got, heap_normal_form(f, divisors)), (f, divisors)
+            assert not any(all(map(operator.le, g.leading_exponent(), e))
+                           for g in divisors if not g.is_zero
+                           for e in got._terms)
+
+
+def test_monomial_bases_keep_the_completions_basis_cap():
+    # the completion fed its inputs in ascending order and refused the
+    # (max_basis + 1)-st one no earlier one divides; redundant inputs
+    # never counted
+    ring = PolyRing(("x", "y", "z"), 5)
+    for degree in (1, 2, 3):
+        minimal = list(monomials_of_degree(3, degree))
+        redundant = [ring.monomial(e).mul_monomial((1, 0, 2), 3)
+                     for e in minimal]
+        gens = [ring.monomial(e, 2) for e in minimal] + redundant + redundant[:1]
+        with caps_scope(Caps(max_basis=len(minimal))):
+            assert buchberger(gens) == tuple(map(ring.monomial, sorted(
+                minimal, key=grevlex_key, reverse=True)))
+        with caps_scope(Caps(max_basis=len(minimal) - 1)), \
+                pytest.raises(ResourceError) as err:
+            buchberger(gens)
+        assert err.value.cap_name == "max_basis"
+        assert str(err.value) == (
+            f"resource cap max_basis={len(minimal) - 1} exceeded: "
+            "too many pairwise-irreducible generators")
 
 
 def test_kernel_widens_past_any_digit_width():

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from charp import proj as proj_module
-from charp.cartier import trace
 from charp.config import DEFAULT_CAPS, Caps, caps_scope, current_caps
 from charp.errors import (DomainError, PreconditionError, ResourceError,
                           TheoremViolationError)
@@ -25,7 +24,8 @@ from charp.proj import (ProjScheme, _ideal_piece, _same_saturation,
 from charp.ring import PolyRing
 
 from conftest import (graded_generators_in_degree, is_subspace,
-                      random_homogeneous, rational_point_ideal, rref_span)
+                      random_homogeneous, rational_point_ideal, rref_span,
+                      trace)
 from test_ideal import (_random_homogeneous_ideal, oracle_saturate,
                         quotient_loop_saturate)
 
