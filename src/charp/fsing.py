@@ -186,17 +186,17 @@ class TwistReport:
     expected: Ideal
 
 
-def twist_identity(pair: PairDivisor, g: MultiPoly,
-                   c: Optional[MultiPoly] = None) -> TwistReport:
+def twist_identity(pair: PairDivisor, g: MultiPoly) -> TwistReport:
     """Check tau(Delta + div(g)) == g * tau(Delta).
 
     The augmented pair is represented with the single polynomial
-    f^a * g^(q-1) at coefficient 1 and the same level; the augmented
-    chain is seeded with g*c so that both runs share test-element data.
+    f^a * g^(q-1) at coefficient 1 and the same level; the pair's chain
+    is seeded with its default test element c and the augmented chain
+    with g*c, so that both runs share test-element data.
     """
     if g.is_zero:
         raise DomainError("twisting polynomial must be nonzero")
-    base_c = pair.default_test_element() if c is None else c
+    base_c = pair.default_test_element()
     q = pair.q
     augmented = PairDivisor(pair.multiplier * g ** (q - 1), 1, pair.e)
     lhs = tau(augmented, g * base_c)
@@ -287,12 +287,12 @@ class ContainmentReport:
 
 
 def multiplicity_containment(pair: PairDivisor, point: Sequence,
-                             l: Optional[int] = None,
-                             c: Optional[MultiPoly] = None) -> ContainmentReport:
+                             l: Optional[int] = None) -> ContainmentReport:
     """If the divisor has multiplicity >= l at a point of codimension l,
     its test ideal must land inside the point's prime ideal.  The verdict
     is expected True on every admissible input (l >= 1, by default the
-    codimension); False is a bug detector.
+    codimension); False is a bug detector.  The test ideal's chain starts
+    from the pair's default test element.
     """
     coords = _validate_point(pair.ring, point)
     codim = sum(1 for v in coords if v is not None)
@@ -304,7 +304,7 @@ def multiplicity_containment(pair: PairDivisor, point: Sequence,
         raise PreconditionError(
             f"divisor multiplicity {mult} at {coords} is below the "
             f"threshold {threshold}")
-    t = tau(pair, c)
+    t = tau(pair)
     q_point = point_ideal(pair.ring, coords)
     return ContainmentReport(point=coords, codim=codim, threshold=threshold,
                              pair_multiplicity=mult, test_ideal=t,

@@ -23,13 +23,14 @@ Reduction (`normal_form`) is heap division on packed monomial keys
 accumulator from key to coefficient, its leading term is popped from a
 heap of keys, and subtracting a multiple of a divisor adds one integer
 to each of the divisor's cached keys.  Divisibility by a leading
-monomial is one subtraction and one mask.  The digit width starts at 16
-bits and doubles, restarting the division, until the input and every
-divisor are below the width's degree limit; grevlex is graded, so no
-term formed later exceeds the degree of the term it cancels, and no
-exponent can overflow a digit.  Leading exponents are cached on the
-polynomials, and a normal form by heap division comes with its own, so
-the completion scans a polynomial's terms for its lead at most once.
+monomial is one subtraction and one mask.  The digit width is the
+narrowest of 16, 32, 64, ... bits whose degree limit exceeds the degree
+of the input and of every divisor, picked before anything is packed;
+grevlex is graded, so no term formed later exceeds the degree of the
+term it cancels, and no exponent can overflow a digit.  Leading
+exponents are cached on the polynomials, and a normal form by heap
+division comes with its own, so the completion scans a polynomial's
+terms for its lead at most once.
 
 Ideals are immutable; the Gröbner basis is computed lazily and cached.
 The degree and basis caps are the ones in force in the current context
@@ -60,34 +61,24 @@ def _exp_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-class _Widen(Exception):
-    """The input or a divisor reaches the packing's degree limit."""
-
-
-_MIN_WIDTH = 16
-
-
 def _divisor(g: MultiPoly, packing):
-    """g as a divisor under the packing, memoised on g, or None when its
-    degree reaches the packing's limit: (keys descending, coefficients,
-    lead fields, inverse of the leading coefficient).  The lead fields
-    are `packing.direct` of the leading key."""
+    """g as a divisor under the packing, memoised on g: (keys descending,
+    coefficients, lead fields, inverse of the leading coefficient).  The
+    lead fields are `packing.direct` of the leading key.  The packing's
+    limit must exceed g's degree (`normal_form` picks it so)."""
     memo = g._packed
     if memo is None:
         memo = g._packed = {}
     entry = memo.get(packing)
     if entry is None:
-        entry = False
-        if g.degree() < packing.limit:
-            pack = packing.pack
-            items = sorted(((pack(e), c) for e, c in g._terms.items()),
-                           reverse=True)
-            keys = tuple(k for k, _ in items)
-            coeffs = tuple(c for _, c in items)
-            entry = (keys, coeffs, packing.direct(keys[0])[0],
-                     pow(coeffs[0], -1, g.ring.p))
-        memo[packing] = entry
-    return entry or None
+        pack = packing.pack
+        items = sorted(((pack(e), c) for e, c in g._terms.items()),
+                       reverse=True)
+        keys = tuple(k for k, _ in items)
+        coeffs = tuple(c for _, c in items)
+        entry = memo[packing] = (keys, coeffs, packing.direct(keys[0])[0],
+                                 pow(coeffs[0], -1, g.ring.p))
+    return entry
 
 
 def _divide(f: MultiPoly, divisors: Sequence[MultiPoly], packing):
@@ -97,15 +88,13 @@ def _divide(f: MultiPoly, divisors: Sequence[MultiPoly], packing):
     key of x^m to each of g's cached keys.  A key cancelled and formed
     again is pushed twice; the copy popped second finds no coefficient.
 
-    Returns the remainder's keys and coefficients, largest first.
-    Raises _Widen when the input or a divisor reaches the packing's
-    limit.  Nothing later can: every term of x^m·g has degree at most
-    that of its lead, the popped term, since grevlex is graded."""
+    Returns the remainder's keys and coefficients, largest first.  The
+    packing's limit must exceed the degrees of f and the divisors; then
+    no term formed later reaches it: every term of x^m·g has degree at
+    most that of its lead, the popped term, since grevlex is graded."""
     p = f.ring.p
     guard, direct = packing.guard, packing.direct
     reducers = [_divisor(g, packing) for g in divisors]
-    if None in reducers or f.degree() >= packing.limit:
-        raise _Widen
     pack = packing.pack
     acc = {pack(e): c for e, c in f._terms.items()}
     heap = [-k for k in acc]
@@ -149,8 +138,8 @@ def normal_form(f: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
     divisible by any basis leading monomial.  When every divisor is a
     monomial, that is f without its terms some divisor divides (f itself
     when none is).  Otherwise `_divide` runs at the narrowest width from
-    16 bits up, doubling, that holds the input and the divisors, and the
-    result comes with its leading exponent cached."""
+    16 bits up, doubling, that holds the degrees of f and the divisors,
+    and the result comes with its leading exponent cached."""
     divisors = [g for g in basis if not g.is_zero]
     if not divisors or f.is_zero:
         return f
@@ -159,14 +148,14 @@ def normal_form(f: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
         kept = {e: c for e, c in f._terms.items()
                 if not any(_divides(a, e) for a in leads)}
         return f if len(kept) == len(f._terms) else MultiPoly(f.ring, kept)
-    width = _MIN_WIDTH
-    while True:
-        packing = grevlex_packing(f.ring.nvars, width)
-        try:
-            return MultiPoly.from_packed(f.ring, packing,
-                                         *_divide(f, divisors, packing))
-        except _Widen:
-            width *= 2
+    # grevlex is graded: a degree is the sum of the leading exponent
+    top = max(f.degree(), max(sum(g.leading_exponent()) for g in divisors))
+    width = 16
+    while top >= 1 << (width - 1):
+        width *= 2
+    packing = grevlex_packing(f.ring.nvars, width)
+    return MultiPoly.from_packed(f.ring, packing,
+                                 *_divide(f, divisors, packing))
 
 
 def _lead_key(g: MultiPoly):

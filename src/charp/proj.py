@@ -57,7 +57,7 @@ from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
                     descending_fixed_ideal, is_compatible, multiplicity, tau)
 from .ideal import Ideal, _reduce, monomial_hilbert_numerator, normal_form
 from .linalg import null_space, rank
-from .ring import MultiPoly, PolyRing
+from .ring import MultiPoly, PolyRing, monomials_of_degree
 
 
 def trivial_pair(ring: PolyRing) -> PairDivisor:
@@ -266,9 +266,10 @@ def _stable_piece(scheme: ProjScheme, pair: PairDivisor, m: int,
     """The degree-m piece modulo `modulus` of a fixed ideal whose trace
     images are stable at `level`, once every source twist up to that
     level is checked to be nonnegative."""
+    excess = m - scheme.pair_degree(pair)
     for n in range(1, level + 1):
         # D_n from the module docstring; q - 1 divides q^n - 1
-        degree = int(m + (pair.q ** n - 1) * (m - scheme.pair_degree(pair)))
+        degree = int(m + (pair.q ** n - 1) * excess)
         if degree < 0:
             raise DomainError(
                 f"source twist degree {degree} is negative at level {n}")
@@ -558,19 +559,22 @@ def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
 
     The saturation is the intersection of the charts (I : x_i^∞), each
     one grevlex basis (`Ideal.chart`), and so is each of its pieces.  A
-    chart's piece is read off its reduced basis (`_ideal_piece`); two
-    pieces meet in the combinations x·A for which x·A + y·B = 0
-    (`linalg.null_space`), made canonical by `space_from_polys`.  A
+    chart's degree-d piece is spanned by the products x^b·g of its
+    homogeneous generators g, |b| = d - deg g; two spans meet in the
+    combinations x·A for which x·A + y·B = 0 (`linalg.null_space`), and
+    the meet is made canonical once per degree (`space_from_polys`).  A
     chart's piece below its lowest degree is 0, and so is the
     saturation's.  The charts are computed on the first piece asked
     for."""
     ring, p = ideal.ring, ideal.ring.p
     zero = Ideal.zero(ring)
-    charts = [ideal.chart(i) for i in range(ring.nvars)]
+    charts = [ideal.chart(i).generators for i in range(ring.nvars)]
     for d in range(top + 1):
+        check_degree(d, "graded piece")
         meet = ()
         for i, chart in enumerate(charts):
-            piece = _ideal_piece(chart, zero, d).basis
+            piece = tuple(g.mul_monomial(b) for g in chart for b in
+                          monomials_of_degree(ring.nvars, d - g.degree()))
             if i:
                 columns = tuple({exps: 0 for g in meet + piece
                                  for exps in g._terms})
@@ -578,12 +582,12 @@ def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
                                  for g in meet + piece], dtype=np.int64)
                 kernel = null_space(rows.T, p)
                 combos = kernel[:, :len(meet)] @ rows[:len(meet)] % p
-                piece = space_from_polys(
-                    zero, d, _rows_to_basis(ring, columns, combos)).basis
+                piece = _rows_to_basis(ring, columns,
+                                       combos[combos.any(axis=1)])
             meet = piece
             if not meet:
                 break
-        yield GradedSubspace(zero, d, meet)
+        yield space_from_polys(zero, d, meet)
 
 
 def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],

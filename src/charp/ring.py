@@ -11,7 +11,7 @@ grevlex and which adds under multiplication (Monagan–Pearce, packed
 exponent vectors), one per number of variables and digit width.  A key
 is exact only while the total degree stays below the packing's limit,
 so nothing packs a monomial without checking that first; the Gröbner
-kernel in `ideal.py` widens the digits instead.
+kernel in `ideal.py` picks the width from the degrees before it packs.
 
 Products, powers and the parser work on term dicts {exponents: residue}
 and wrap a `MultiPoly` around the result once.  A power raises a
@@ -87,7 +87,7 @@ class Packing:
         borrows).
 
     Keys are only ever formed below the limit: the kernel in `ideal.py`
-    checks the degree before it packs and widens the digits otherwise.
+    picks the narrowest width above every degree before it packs.
     """
 
     def __init__(self, nvars: int, width: int):

@@ -12,7 +12,7 @@ import sympy as sp
 
 from charp.config import Caps, caps_scope
 from charp.errors import DomainError, ResourceError
-from charp.ideal import (Ideal, _divide, _divisor, buchberger,
+from charp.ideal import (Ideal, _divide, buchberger,
                          monomial_hilbert_numerator, normal_form)
 from charp.ring import (MultiPoly, PolyRing, grevlex_key, grevlex_packing,
                         monomials_of_degree)
@@ -748,10 +748,12 @@ def test_kernel_widens_past_any_digit_width():
                     ring.parse("x*y - z^2")]
         assert _same(normal_form(f, divisors),
                      oracle_normal_form(f, divisors)), top
-    # a divisor that does not fit a width is refused at that width
+    # the width is picked before anything is packed, so a divisor that
+    # does not fit 16-bit digits is packed at 32 bits only
     wide = ring.monomial((1 << 20, 0, 0)) + ring.gen(1)
-    assert _divisor(wide, grevlex_packing(3, 16)) is None
-    assert _divisor(wide, grevlex_packing(3, 32)) is not None
+    assert _same(normal_form(ring.parse("x*y + z"), [wide]),
+                 ring.parse("x*y + z"))
+    assert list(wide._packed) == [grevlex_packing(3, 32)]
     # only the input is wide
     f = ring.monomial((1 << 20, 1, 0))
     assert _same(normal_form(f, [ring.parse("y - z")]),
@@ -762,3 +764,23 @@ def test_kernel_widens_past_any_digit_width():
     big = form.frobenius_power(256)
     divisors = [R2.monomial((256, 0, 0)) - R2.monomial((0, 1, 255))]
     assert _same(normal_form(big, divisors), oracle_normal_form(big, divisors))
+
+
+def test_digit_width_is_the_narrowest_that_holds_every_degree():
+    # 16-bit digits hold degrees below 2^15; degree 2^15 needs 32 bits,
+    # whether the input or a divisor reaches it
+    ring = PolyRing(("x", "y", "z"), 5)
+    for top, width in (((1 << 15) - 1, 16), (1 << 15, 32)):
+        inputs = [
+            (ring.monomial((top - 2, 2, 0)) + ring.monomial((0, top, 0)),
+             ring.parse("x*y - z^2")),
+            (ring.monomial((3, 2, 0)) + ring.monomial((0, 0, 5)),
+             ring.monomial((top, 0, 0)) - ring.monomial((1, top - 3, 2))
+             + ring.parse("x*y - z^2")),
+        ]
+        for f, divisor in inputs:
+            other = ring.parse("x^2 - y*z")
+            got = normal_form(f, [divisor, other])
+            assert _same(got, oracle_normal_form(f, [divisor, other])), top
+            for g in (divisor, other):
+                assert list(g._packed) == [grevlex_packing(3, width)], top

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from charp import ideal as ideal_module
 from charp import proj as proj_module
 from charp.config import DEFAULT_CAPS, Caps, caps_scope, current_caps
 from charp.errors import (DomainError, PreconditionError, ResourceError,
@@ -850,6 +851,29 @@ def test_saturated_pieces_match_the_elimination_oracle():
         (unsaturated, nonzero_at_start)
 
 
+def test_saturated_pieces_complete_each_chart_once(monkeypatch):
+    # one Buchberger completion per chart, none again when the meet
+    # reaches it; the saturation (x^2 - yz, ...) has a nonzero degree-2
+    # piece, so every degree from 2 on reaches every chart
+    calls = []
+    complete = ideal_module.buchberger
+
+    def counted(generators):
+        generators = list(generators)
+        if any(not g.is_zero for g in generators):
+            calls.append(generators)
+        return complete(generators)
+
+    monkeypatch.setattr(ideal_module, "buchberger", counted)
+    for names, texts in ((("x", "y", "z"), ("x^2 - y*z", "y^3 + x*z^2")),
+                         (("x", "y", "z", "w"), ("x^2 - y*w", "z^2 - x*w"))):
+        ring = PolyRing(names, 5)
+        ideal = I(ring, *texts) * Ideal.irrelevant(ring)
+        del calls[:]
+        pieces = list(_saturated_pieces(ideal, 5))
+        assert pieces[2].dim and len(calls) == ring.nvars, names
+
+
 def test_degree_bound_three_points():
     ring = PolyRing(("x", "y", "z"), 7)
     report = degree_bound_pipeline(
@@ -1271,6 +1295,119 @@ def test_trace_tower_bookkeeping(P2):
         big = q ** n
         assert degree == big * 3 + (big - 1) * 3 - du * (big - 1) // (q - 1)
     assert space == stable_sections(P2, pair, 3, "sigma").space
+
+
+# -- the Hasse–Witt oracle --------------------------------------------------------
+#
+# At the canonical twist K = sum d_i - n - 1 of a complete intersection
+# X = V(h_1, ..., h_r) in P^n with every d_i > K, (S/I_X)_K = S_K, and
+# the trace of the cone pair maps x^(v-1) to sum_u A[v, u] x^(u-1), where
+# u, v have every entry >= 1 and |u| = |v| = sum d_i and A[v, u] is the
+# coefficient of x^(p*u - v) in (prod h_i)^(p-1) (Stöhr–Voloch, J. reine
+# angew. Math. 377 (1987)).  So S^0 at the twist has dimension rank(A^N),
+# N the size of A.  The oracle forms A on its own term dicts and takes
+# the rank by its own elimination; it shares only the parser.
+
+
+def _dict_product(a, b, p):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def _rank_mod(rows, p):
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                factor = row[col]
+                rows[i] = [(x - factor * y) % p for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def hasse_witt_stable_rank(forms, nvars, p):
+    """rank(A^N) for the forms given as term dicts {exponents: residue}."""
+    product = {(0,) * nvars: 1}
+    for h in forms:
+        product = _dict_product(product, h, p)
+    power = {(0,) * nvars: 1}
+    for _ in range(p - 1):
+        power = _dict_product(power, product, p)
+    total = sum(sum(next(iter(h))) for h in forms)
+    vectors = [v for v in itertools.product(range(1, total + 1), repeat=nvars)
+               if sum(v) == total]
+    matrix = [[power.get(tuple(p * a - b for a, b in zip(u, v)), 0)
+               for u in vectors] for v in vectors]
+    size = len(vectors)
+    stable = matrix
+    for _ in range(size - 1):
+        stable = [[sum(x * y for x, y in zip(row, col)) % p
+                   for col in zip(*matrix)] for row in stable]
+    return _rank_mod(stable, p)
+
+
+def _form_text(names, terms):
+    return " + ".join(f"{c}*" + "*".join(f"{x}^{k}" for x, k in zip(names, e))
+                      for e, c in terms.items())
+
+
+def _random_form(rng, nvars, degree, p):
+    """A random form as a term dict, about half its monomials present."""
+    terms = {}
+    while not terms:
+        for e in itertools.product(range(degree + 1), repeat=nvars):
+            if sum(e) == degree and rng.random() < 0.5:
+                terms[e] = rng.randint(1, p - 1)
+    return terms
+
+
+def _hasse_witt_case(names, p, terms):
+    ring = PolyRing(names, p)
+    scheme = ProjScheme.from_forms(
+        ring, [ring.parse(_form_text(names, h)) for h in terms])
+    got = stable_sections(scheme, trivial_pair(ring),
+                          scheme.canonical_twist).space.dim
+    return got, hasse_witt_stable_rank(terms, len(names), p)
+
+
+def test_canonical_sections_match_the_hasse_witt_rank():
+    rng = random.Random(89)
+    ranks = collections.Counter()
+    families = [(("x", "y", "z"), (4,), (2, 3, 5, 7)),
+                (("x", "y", "z"), (5,), (2, 3, 5, 7)),
+                (("x", "y", "z", "w"), (2, 2), (2, 3, 5)),
+                (("x", "y", "z", "w"), (2, 3), (2, 3, 5))]
+    for names, degrees, primes in families:
+        for p in primes:
+            for _ in range(3):
+                while True:
+                    terms = [_random_form(rng, len(names), d, p)
+                             for d in degrees]
+                    try:
+                        got, want = _hasse_witt_case(names, p, terms)
+                    except DomainError:  # not a complete intersection
+                        continue
+                    break
+                assert got == want, (names, p, terms)
+                ranks[want] += 1
+    # the cases reach every rank from 0 to 6, not only 0 and full ones
+    assert sorted(ranks) == list(range(7)), ranks
+    # the Fermat quartic surface: supersingular over F_3, ordinary over F_5
+    fermat = [{(4, 0, 0, 0): 1, (0, 4, 0, 0): 1, (0, 0, 4, 0): 1,
+               (0, 0, 0, 4): 1}]
+    assert _hasse_witt_case(("x", "y", "z", "w"), 3, fermat) == (0, 0)
+    assert _hasse_witt_case(("x", "y", "z", "w"), 5, fermat) == (1, 1)
 
 
 # -- restriction to centers -----------------------------------------------------------
