@@ -15,9 +15,14 @@ map is the divisor pair (u, 1, e) (`fsing.PairDivisor`); a pair
 (f, a, e) is the map with u = f^a.  `apply_cartier` takes the pair, and
 composites are `PairDivisor.rescale`.  Its image ideal is the bracket
 root of u * J, formed in one pass over term dicts: each product u * g
-is a term dict that is split at once, each component is made monic on
-its dict with its lead found once, and equal components are dropped
-before any polynomial is built.
+is a term dict that is split at once.  Its generators are the
+polynomial components, each made monic on its dict with its lead found
+once and kept once, followed by the minimal one-term components: a
+monomial component divisible by another generates nothing new
+(Dickson; Cox–Little–O'Shea, *Ideals, Varieties, and Algorithms*,
+§2.4).  The terms of a cone multiplier mostly lie in distinct residue
+classes mod q, so most components are monomials, and most of those are
+redundant.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from .config import current_caps
 from .errors import DomainError, ResourceError
-from .ideal import Ideal
+from .ideal import Ideal, _minimal_monomials
 from .ring import MultiPoly, PolyRing, _mul_terms, grevlex_key
 
 if TYPE_CHECKING:
@@ -70,40 +75,47 @@ def _root(ring: PolyRing, u: Optional[dict], generators: Iterable[MultiPoly],
           e: int) -> Ideal:
     """Bracket root of u * J for the term dict u (None for u = 1): the
     monic components of each u * g, generator by generator and in
-    ascending order of b, each kept once.  A component is made monic on
-    its dict, and its polynomial comes with its leading exponent cached."""
+    ascending order of b.  A polynomial component is made monic on its
+    dict, kept once and comes with its leading exponent cached.  The
+    one-term components, most of them, are collected as exponents, and
+    only their minimal elements follow, grevlex-descending: a monomial
+    that another divides adds nothing to the ideal (Dickson)."""
     q = _check_level(ring, e)
     p = ring.p
     gens = []
     seen = set()
+    monomials = set()
     for g in generators:
         terms = g._terms if u is None else _mul_terms(u, g._terms, p)
         buckets = _split(terms, q)
         for b in sorted(buckets):
             component = buckets[b]
-            if len(component) == 1:  # a monomial, like most components
-                (lead, lc), = component.items()
-                if lc != 1:
-                    component = {lead: 1}
-            else:
-                lead = max(component, key=grevlex_key)
-                lc = component[lead]
-                if lc != 1:
-                    inv = pow(lc, -1, p)
-                    component = {k: c * inv % p
-                                 for k, c in component.items()}
+            if len(component) == 1:
+                monomials.update(component)
+                continue
+            lead = max(component, key=grevlex_key)
+            lc = component[lead]
+            if lc != 1:
+                inv = pow(lc, -1, p)
+                component = {k: c * inv % p for k, c in component.items()}
             key = frozenset(component.items())
             if key not in seen:
                 seen.add(key)
                 poly = MultiPoly(ring, component)
                 poly._lead = lead
                 gens.append(poly)
+    for lead in sorted(_minimal_monomials(monomials), key=grevlex_key,
+                       reverse=True):
+        poly = MultiPoly(ring, {lead: 1})
+        poly._lead = lead
+        gens.append(poly)
     return Ideal(ring, gens)
 
 
 def bracket_root(ideal: Ideal, e: int) -> Ideal:
-    """Smallest ideal K with J ⊆ K^[q]: generated by all basis components
-    of the generators.  Monotone in J."""
+    """Smallest ideal K with J ⊆ K^[q]: generated by the basis components
+    of the generators, the polynomial ones and the minimal monomial
+    ones.  Monotone in J."""
     return _root(ideal.ring, None, ideal.generators, e)
 
 

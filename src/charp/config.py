@@ -14,6 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from math import comb
 from typing import Iterator
 
 from .errors import ResourceError
@@ -27,6 +28,8 @@ class Caps:
     chain_steps: int = 64         # iterations allowed in fixed-ideal chains
     frobenius_block: int = 256    # largest p^e handled by basis expansion
     ext_degree: int = 3           # largest field extension used for point sampling
+    max_piece: int = 1_000_000    # monomials in one graded piece, counted
+                                  # before it is enumerated
 
     def with_overrides(self, **kwargs: int) -> "Caps":
         unknown = set(kwargs) - set(self.__dataclass_fields__)
@@ -62,3 +65,15 @@ def check_degree(degree: int, what: str, where: str = ""):
     if degree > limit:
         raise ResourceError("max_degree", limit,
                             f"{what} of degree {degree}{where}")
+
+
+def check_piece(nvars: int, degree: int):
+    """Refuse a graded piece with more monomials than the piece cap in
+    force, from their count C(degree + nvars - 1, nvars - 1) and before
+    any of them is formed."""
+    count = comb(degree + nvars - 1, nvars - 1) if degree >= 0 else 0
+    limit = current_caps().max_piece
+    if count > limit:
+        raise ResourceError("max_piece", limit,
+                            f"graded piece of degree {degree} in {nvars} "
+                            f"variables has {count} monomials")

@@ -17,6 +17,9 @@ moving that variable last (Bayer–Stillman).  The standard monomials
 are a basis of S/I (Macaulay): the Hilbert series of a homogeneous ideal
 is read off its basis's leads by pivot recursion (Bigatti), and its
 graded pieces off normal forms of monomials (`proj._ideal_piece`).
+A one-term polynomial needs no division to decide most of the time:
+scanning the divisors' cached leads in order, it is its own normal form
+when none divides it, and zero when the first that does is a monomial.
 
 Reduction (`normal_form`) is heap division on packed monomial keys
 (Monagan–Pearce): the polynomial being reduced is one mutable
@@ -43,7 +46,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Optional, Sequence
 
-from .config import check_degree, current_caps
+from .config import check_degree, check_piece, current_caps
 from .errors import DomainError, ResourceError, RingMismatchError
 from .ring import (MultiPoly, PolyRing, grevlex_key, grevlex_packing,
                    monomials_of_degree)
@@ -137,13 +140,23 @@ def normal_form(f: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
     """Fully reduce f against the basis: no term of the result is
     divisible by any basis leading monomial.  When every divisor is a
     monomial, that is f without its terms some divisor divides (f itself
-    when none is).  Otherwise `_divide` runs at the narrowest width from
-    16 bits up, doubling, that holds the degrees of f and the divisors,
-    and the result comes with its leading exponent cached."""
+    when none is).  A one-term f is f when no lead divides it and zero
+    when the first lead that does is a monomial's, as in `_divide`.
+    Otherwise `_divide` runs at the narrowest width from 16 bits up,
+    doubling, that holds the degrees of f and the divisors, and the
+    result comes with its leading exponent cached."""
     divisors = [g for g in basis if not g.is_zero]
     if not divisors or f.is_zero:
         return f
-    if all(g.num_terms() == 1 for g in divisors):
+    if len(f._terms) == 1:
+        exps, = f._terms
+        first = next((g for g in divisors
+                      if _divides(g.leading_exponent(), exps)), None)
+        if first is None:
+            return f
+        if first.num_terms() == 1:
+            return MultiPoly(f.ring, {})
+    elif all(g.num_terms() == 1 for g in divisors):
         leads = [g.leading_exponent() for g in divisors]
         kept = {e: c for e, c in f._terms.items()
                 if not any(_divides(a, e) for a in leads)}
@@ -489,7 +502,9 @@ class Ideal:
 
     def standard_monomials(self, m: int) -> tuple:
         """Degree-m monomials outside the leading-term ideal,
-        grevlex-descending."""
+        grevlex-descending; a piece above the piece cap is refused
+        before it is enumerated."""
+        check_piece(self.ring.nvars, m)
         lts = [g.leading_exponent() for g in self.groebner_basis]
         return tuple(exps for exps in monomials_of_degree(self.ring.nvars, m)
                      if not any(_divides(lt, exps) for lt in lts))

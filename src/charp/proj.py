@@ -35,7 +35,11 @@ degree du): a source form of degree D maps to degree
 level n is D_n = q^n*m + (q^n-1)*(n+1) - du*(q^n-1)/(q-1).  Since
 du/(q-1) = deg(K_X + Delta) + n + 1, this is
 D_n = m + (q^n-1)*(m - deg(K_X + Delta)): negative source degrees occur
-only below the pair degree, and such levels are rejected.
+only below the pair degree, and such levels are rejected.  With
+deg(K_X + Delta) = K + a*deg(f)/(q-1) for the canonical twist K, and
+q - 1 dividing q^n - 1, this is the integer
+D_n = m + (q^n-1)*(m - K) - a*deg(f)*(q^n-1)/(q-1), computed with no
+fractions.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CAPS, check_degree, current_caps
+from .config import DEFAULT_CAPS, check_degree, check_piece, current_caps
 from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
 from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
@@ -147,9 +151,18 @@ class ProjScheme:
         return sum(c * comb(m - k + n, n)
                    for k, c in enumerate(self.hilbert_numerator) if k <= m)
 
+    @cached_property
+    def _cone_pairs(self) -> dict:
+        return {}
+
     def cone_pair(self, pair: PairDivisor) -> PairDivisor:
         """The pair's F-adjunction pair on the cone, Delta plus each
-        div(h) at coefficient 1: (f^a * prod h^(q-1), 1, e)."""
+        div(h) at coefficient 1: (f^a * prod h^(q-1), 1, e).  Formed once
+        per pair and kept on this scheme, which lives as long as its
+        job."""
+        cone = self._cone_pairs.get(pair)
+        if cone is not None:
+            return cone
         if pair.ring != self.ring:
             raise DomainError("pair lives in a different ring than the scheme")
         if not pair.f.is_homogeneous():
@@ -158,7 +171,8 @@ class ProjScheme:
         q = pair.q
         for h in self.forms:
             u = u * h ** (q - 1)
-        return PairDivisor(u, 1, pair.e)
+        cone = self._cone_pairs[pair] = PairDivisor(u, 1, pair.e)
+        return cone
 
     def pair_degree(self, pair: PairDivisor) -> Fraction:
         """Degree of the twist K_X + Delta."""
@@ -202,6 +216,7 @@ def space_from_polys(modulus: Ideal, m: int,
     combination of kept forms.  `_reduce` then clears the leads out of
     the tails and makes the forms monic: the canonical basis."""
     check_degree(m, "graded piece")
+    check_piece(modulus.ring.nvars, m)
     divisors = list(modulus.groebner_basis)
     start = len(divisors)
     for f in polys:
@@ -224,6 +239,7 @@ def _ideal_piece(ideal: Ideal, modulus: Ideal, m: int) -> GradedSubspace:
     in in(J), x^a - NF_J(x^a) is in J with lead x^a and other terms
     standard for J, hence for the modulus; these are the canonical basis."""
     check_degree(m, "graded piece")
+    check_piece(ideal.ring.nvars, m)
     basis = ideal.groebner_basis
     if not all(g.is_homogeneous() for g in basis):
         raise DomainError("graded piece of a non-homogeneous ideal")
@@ -266,14 +282,22 @@ def _stable_piece(scheme: ProjScheme, pair: PairDivisor, m: int,
     """The degree-m piece modulo `modulus` of a fixed ideal whose trace
     images are stable at `level`, once every source twist up to that
     level is checked to be nonnegative."""
-    excess = m - scheme.pair_degree(pair)
-    for n in range(1, level + 1):
-        # D_n from the module docstring; q - 1 divides q^n - 1
-        degree = int(m + (pair.q ** n - 1) * excess)
+    for n, degree in enumerate(_source_twists(scheme, pair, m, level), 1):
         if degree < 0:
             raise DomainError(
                 f"source twist degree {degree} is negative at level {n}")
     return _ideal_piece(fixed, modulus, m)
+
+
+def _source_twists(scheme: ProjScheme, pair: PairDivisor, m: int,
+                   level: int) -> list:
+    """D_1, ..., D_level from the module docstring, in integers: q - 1
+    divides q^n - 1."""
+    q = pair.q
+    excess = m - scheme.canonical_twist
+    weight = pair.a * pair.f.degree()
+    return [m + (q ** n - 1) * excess - weight * ((q ** n - 1) // (q - 1))
+            for n in range(1, level + 1)]
 
 
 def _stable_level(chain: ChainResult) -> int:
@@ -571,6 +595,7 @@ def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
     charts = [ideal.chart(i).generators for i in range(ring.nvars)]
     for d in range(top + 1):
         check_degree(d, "graded piece")
+        check_piece(ring.nvars, d)
         meet = ()
         for i, chart in enumerate(charts):
             piece = tuple(g.mul_monomial(b) for g in chart for b in

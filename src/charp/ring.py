@@ -478,35 +478,35 @@ class MultiPoly:
     def shift(self, point: Sequence[Optional[int]]) -> "MultiPoly":
         """Substitute x_i -> x_i + c_i for every constrained coordinate.
 
-        Coordinates given as None are left untouched.
-        """
+        Coordinates given as None are left untouched.  Each shifted term
+        is folded into one term dict, and each power (x_i + c_i)^e is
+        formed once."""
         if len(point) != self.ring.nvars:
             raise DomainError("wrong number of coordinates")
         ring = self.ring
-        shifted_gens = []
-        for i, c in enumerate(point):
-            if c is None or c % ring.p == 0:
-                shifted_gens.append(None)
-            else:
-                shifted_gens.append(ring.gen(i) + ring.constant(c))
-        power_cache: dict = {}
-        result = ring.zero()
+        p = ring.p
+        one = (0,) * ring.nvars
+        shifts = [None if c is None or c % p == 0
+                  else {one[:i] + (1,) + one[i + 1:]: 1, one: c % p}
+                  for i, c in enumerate(point)]
+        powers: dict = {}
+        out: dict = {}
         for exps, coeff in self._terms.items():
-            term = ring.constant(coeff)
-            plain_exp = [0] * ring.nvars
+            plain = tuple(0 if shifts[i] else e for i, e in enumerate(exps))
+            term = {plain: coeff}
             for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if shifted_gens[i] is None:
-                    plain_exp[i] = e
+                if e and shifts[i]:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = _pow_terms(shifts[i], e, p, one)
+                    term = _mul_terms(term, power, p)
+            for k, c in term.items():
+                s = (out.get(k, 0) + c) % p
+                if s:
+                    out[k] = s
                 else:
-                    key = (i, e)
-                    if key not in power_cache:
-                        power_cache[key] = shifted_gens[i] ** e
-                    term = term * power_cache[key]
-            term = term.mul_monomial(tuple(plain_exp))
-            result = result + term
-        return result
+                    out.pop(k, None)
+        return MultiPoly(ring, out)
 
     def derivative(self, index: int) -> "MultiPoly":
         """Formal partial derivative in the given variable."""

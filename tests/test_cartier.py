@@ -1,6 +1,7 @@
 """Frobenius expansion, trace, bracket roots and the operator calculus."""
 
 import random
+from operator import le
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +13,7 @@ from charp.fsing import PairDivisor
 from charp.ideal import Ideal
 from charp.ring import PolyRing, grevlex_key
 
-from conftest import random_poly, trace
+from conftest import random_homogeneous, random_poly, trace
 
 
 @st.composite
@@ -262,6 +263,19 @@ def polynomial_route_root(generators, u, e):
     return gens
 
 
+def minimalised(gens):
+    """The polynomial generators in order, then the one-term ones that
+    no other one-term generator divides, grevlex-descending."""
+    monomials = {g.leading_exponent() for g in gens if g.num_terms() == 1}
+    minimal = [a for a in monomials
+               if not any(b != a and all(x <= y for x, y in zip(b, a))
+                          for b in monomials)]
+    ring = gens[0].ring
+    return ([g for g in gens if g.num_terms() > 1]
+            + [ring.monomial(a) for a in sorted(minimal, key=grevlex_key,
+                                                reverse=True)])
+
+
 def sparse_poly(rng, ring, top, max_terms):
     """A nonzero polynomial with a few terms of exponents up to top."""
     while True:
@@ -274,7 +288,8 @@ def sparse_poly(rng, ring, top, max_terms):
 
 def test_one_pass_image_matches_polynomial_route():
     # every level up to the frobenius_block cap over F_2 ... F_7, with
-    # exponents past q so that every slot and quotient gets used
+    # exponents past q so that every slot and quotient gets used; the
+    # engine keeps only the minimal monomial components
     rng = random.Random(139)
     cases = 0
     for p in (2, 3, 5, 7):
@@ -293,12 +308,44 @@ def test_one_pass_image_matches_polynomial_route():
                              polynomial_route_root(gens, u, e)),
                             (bracket_root(ideal, e),
                              polynomial_route_root(gens, ring.one(), e))):
-                        assert list(got.generators) == want
+                        assert list(got.generators) == minimalised(want)
                         for g in got.generators:
                             assert g._lead == max(g._terms, key=grevlex_key)
                     cases += 1
             q, e = q * p, e + 1
     assert cases == 9 * (8 + 5 + 3 + 2)
+
+
+def test_minimal_monomial_image_of_cone_multipliers():
+    # u = h^(q-1) * f^a for forms h and f, as on a cone: dropping the
+    # monomial components that others divide keeps the ideal, and no
+    # monomial generator left divides another
+    rng = random.Random(421)
+    checked = dropped = 0
+    for p in (2, 3, 5):
+        for e in (1, 2):
+            q = p ** e
+            if q > 9:
+                continue
+            ring = PolyRing(("x", "y", "z"), p)
+            for _ in range(4):
+                h = random_homogeneous(rng, ring, rng.randint(2, 3), 4)
+                f = random_homogeneous(rng, ring, 1, 3)
+                u = h ** (q - 1) * f ** rng.randint(0, q)
+                gens = [random_homogeneous(rng, ring, rng.randint(1, q + 1), 3)
+                        for _ in range(rng.randint(1, 3))] + [h]
+                got = apply_cartier(PairDivisor(u, 1, e), Ideal(ring, gens))
+                want = polynomial_route_root(gens, u, e)
+                assert got.groebner_basis == Ideal(ring, want).groebner_basis
+                assert list(got.generators) == minimalised(want)
+                monomials = [g.leading_exponent() for g in got.generators
+                             if g.num_terms() == 1]
+                for i, a in enumerate(monomials):
+                    for j, b in enumerate(monomials):
+                        assert i == j or not all(map(le, a, b))
+                dropped += len(want) - len(got.generators)
+                checked += 1
+    assert checked == 20 and dropped > 0
 
 
 def test_one_pass_image_keeps_the_caps_and_ring_check():

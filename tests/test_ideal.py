@@ -1,5 +1,6 @@
 """Gröbner engine and ideal operations, cross-checked against sympy."""
 
+import collections
 import heapq
 import itertools
 import math
@@ -715,6 +716,29 @@ def test_normal_forms_by_monomials_match_the_heap_route():
             assert not any(all(map(operator.le, g.leading_exponent(), e))
                            for g in divisors if not g.is_zero
                            for e in got._terms)
+
+
+def test_one_term_normal_forms_match_the_heap_route():
+    # mixed divisor lists in any order: the first lead dividing the
+    # monomial belongs to a monomial, to a polynomial, or there is none
+    seen = collections.Counter()
+    for rng, ring in _monomial_cases(83):
+        divisors = _monomial_inputs(rng, ring)[:rng.randint(1, 4)]
+        divisors += [random_poly(rng, ring, max_degree=3, max_terms=3)
+                     for _ in range(rng.randint(1, 3))]
+        rng.shuffle(divisors)
+        for _ in range(4):
+            exps = [rng.randint(0, 4) for _ in range(ring.nvars)]
+            f = ring.monomial(exps, rng.randint(1, ring.p - 1))
+            first = next((g for g in divisors if not g.is_zero and all(
+                map(operator.le, g.leading_exponent(), exps))), None)
+            seen["none" if first is None else
+                 "monomial" if first.num_terms() == 1 else "polynomial"] += 1
+            got = normal_form(f, divisors)
+            assert _same(got, heap_normal_form(f, divisors)), (f, divisors)
+            if first is None:
+                assert got is f
+    assert min(seen.values()) >= 50 and len(seen) == 3, seen
 
 
 def test_monomial_bases_keep_the_completions_basis_cap():

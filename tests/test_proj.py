@@ -147,6 +147,99 @@ def test_cone_pair_refusals(P2, fermat7):
         fermat7.cone_pair(PairDivisor(fermat7.ring.parse("x^2+y"), 1, 1))
 
 
+def test_cone_pair_is_formed_once_per_scheme(P2, fermat7, monkeypatch):
+    # memoised on the scheme, by pair equality; a new scheme forms its own
+    pair = PairDivisor(fermat7.ring.parse("x+y"), 3, 1)
+    cone = fermat7.cone_pair(pair)
+    assert fermat7.cone_pair(PairDivisor(fermat7.ring.parse("x+y"), 3, 1)) \
+        is cone
+    again = ProjScheme.from_forms(fermat7.ring, fermat7.forms)
+    assert again.cone_pair(pair) == cone and again.cone_pair(pair) is not cone
+    # the restriction check reads it three times and forms it once
+    formed = []
+
+    def counting_pair(*args):
+        formed.append(args)
+        return PairDivisor(*args)
+
+    monkeypatch.setattr(proj_module, "PairDivisor", counting_pair)
+    ring = P2.ring
+    assert restriction_is_surjective(P2, PairDivisor(ring.parse("x*y"), 4, 1),
+                                     I(ring, "x"), 3)
+    assert len(formed) == 1
+
+
+def test_integer_source_twist_matches_the_fraction_formula(monkeypatch):
+    # D_n = m + (q^n - 1)(m - deg(K_X + Delta)) with the pair degree a
+    # Fraction, as the level check once computed it, over fields, pair
+    # levels, coefficients, pair degrees, schemes, twists and image
+    # levels; the check fires on the same inputs with the same message
+    monkeypatch.setattr(proj_module, "_ideal_piece", lambda *args: "piece")
+    fired = checked = 0
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(("x", "y", "z", "w"), p)
+        schemes = [ProjScheme.from_forms(ring, [ring.parse(t) for t in forms])
+                   for forms in ([], ["x^2"], ["x^4"], ["x*y", "z^3"])]
+        for e in (1, 2):
+            q = p ** e
+            for a in (0, 1, q - 2, q - 1, q, 3 * q + 1):
+                for d in (1, 2, 3):
+                    pair = PairDivisor(ring.gen(0) ** d, a, e)
+                    for scheme in schemes:
+                        pair_degree = (scheme.canonical_twist
+                                       + Fraction(pair.a, q - 1) * d)
+                        for m in range(0, 7):
+                            want = None
+                            twists = proj_module._source_twists(scheme, pair,
+                                                                m, 4)
+                            assert len(twists) == 4
+                            for level in range(1, 5):
+                                exact = m + (q ** level - 1) * (m - pair_degree)
+                                assert exact.denominator == 1
+                                assert twists[level - 1] == exact
+                                if want is None and exact < 0:
+                                    want = (f"source twist degree {exact} is "
+                                            f"negative at level {level}")
+                                args = (scheme, pair, m, level, None, None)
+                                if want is None:
+                                    assert proj_module._stable_piece(*args) \
+                                        == "piece"
+                                else:
+                                    with pytest.raises(DomainError) as err:
+                                        proj_module._stable_piece(*args)
+                                    assert str(err.value) == want
+                                    fired += 1
+                                checked += 1
+    assert checked == 4 * 2 * 6 * 3 * 4 * 7 * 4 and fired > checked // 4
+
+
+def test_piece_cap_refuses_pieces_before_enumerating_them(P2, monkeypatch):
+    # F_5[x, y, z] has 6 monomials of degree 2 and 10 of degree 3
+    ring = P2.ring
+    x3 = ring.parse("x^3")
+    with caps_scope(Caps(max_piece=9)):
+        assert graded_piece(P2, 2).dim == 6
+        pieces = _saturated_pieces(I(ring, "x"), 3)
+        assert [next(pieces).dim for _ in range(3)] == [0, 1, 3]
+
+        def refused(*args):
+            raise AssertionError("a monomial piece was enumerated")
+
+        monkeypatch.setattr(ideal_module, "monomials_of_degree", refused)
+        monkeypatch.setattr(proj_module, "monomials_of_degree", refused)
+        for attempt in (lambda: Ideal.unit(ring).standard_monomials(3),
+                        lambda: graded_piece(P2, 3),
+                        lambda: _ideal_piece(Ideal.unit(ring), P2.ideal, 3),
+                        lambda: space_from_polys(P2.ideal, 3, [x3]),
+                        lambda: next(pieces)):
+            with pytest.raises(ResourceError) as err:
+                attempt()
+            assert err.value.cap_name == "max_piece"
+            assert str(err.value) == (
+                "resource cap max_piece=9 exceeded: graded piece of degree "
+                "3 in 3 variables has 10 monomials")
+
+
 def test_graded_piece_dimensions(P2, fermat7):
     assert graded_piece(P2, 1).dim == 3
     assert graded_piece(fermat7, 1).dim == 3

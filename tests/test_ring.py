@@ -1,5 +1,6 @@
 """Field and polynomial kernel: arithmetic, parsing, order conventions."""
 
+import itertools
 import random
 import re
 import time
@@ -552,3 +553,27 @@ def test_caches_never_enter_equality_or_hashing():
         assert str(f) == str(fresh)
         assert {f: 1}[fresh] == 1
         assert f.monic() == fresh.monic()
+
+
+def test_shift_is_substitution_at_every_point():
+    # f(x + c) at every point of F_p^n, a free coordinate shifted by 0;
+    # the top-degree part of f is unchanged, which evaluation alone
+    # cannot see once exponents reach p
+    rng = random.Random(97)
+    for p in (2, 3, 5):
+        for nvars in (1, 2, 3):
+            ring = PolyRing(("x", "y", "z")[:nvars], p)
+            points = list(itertools.product(range(p), repeat=nvars))
+            for _ in range(8):
+                f = random_poly(rng, ring, max_degree=2 * p + 1, max_terms=6,
+                                nonzero=True)
+                point = tuple(rng.choice([None, *range(2 * p)])
+                              for _ in range(nvars))
+                g = f.shift(point)
+                top = f.degree()
+                assert g.degree() == top
+                assert ({e: c for e, c in g._terms.items() if sum(e) == top}
+                        == {e: c for e, c in f._terms.items() if sum(e) == top})
+                for x in points:
+                    moved = tuple(v + (c or 0) for v, c in zip(x, point))
+                    assert g.evaluate(x) == f.evaluate(moved)

@@ -282,6 +282,30 @@ def test_large_graded_piece_runs_in_bounded_memory():
     assert sigma["status"] == "ok" and sigma["result"] == {"generators": ["1"]}
 
 
+def test_piece_cap_refuses_large_pieces_by_their_count():
+    # the degree-30 piece of F_5[x0, ..., x7] has C(37, 7) = 10295472
+    # monomials; enumerating them let a MemoryError escape `execute`
+    # under the same 1.5 GB address-space limit, and the next job never
+    # ran.  Each op that reads a piece refuses it at once by its count
+    scheme = {"n": 7}
+    jobs = [{"op": "s0", "scheme": scheme, "m": 30},
+            {"op": "bpf", "scheme": scheme, "forms": ["x0^30"], "m": 30},
+            {"op": "gg", "ideal": ["x0"], "m": 30},
+            {"op": "s0", "scheme": scheme, "m": 3}]
+    report, timings = execute_with_bounded_memory(
+        {"p": 5, "vars": [f"x{i}" for i in range(8)], "jobs": jobs})
+    *refused, good = report["jobs"]
+    for entry, elapsed in zip(refused, timings):
+        assert entry["status"] == "error", entry
+        assert entry["error"] == {
+            "type": "ResourceError",
+            "message": "resource cap max_piece=1000000 exceeded: graded "
+                       "piece of degree 30 in 8 variables has 10295472 "
+                       "monomials"}
+        assert elapsed < 1.0
+    assert good["status"] == "ok" and good["result"]["dim"] == 120
+
+
 @pytest.mark.parametrize("names", ["xy", "x_y", {"x": 1, "y": 2}, ["x", 2],
                                    None, 3])
 def test_header_variables_must_be_a_list_of_names(names):
@@ -349,7 +373,7 @@ def test_lower_caps_fail_loudly_or_change_nothing():
     settings = [(name, value) for name in Caps.__dataclass_fields__
                 for value in (1, 2, 4, 8, 16)
                 if value < getattr(DEFAULT_CAPS, name)]
-    assert len(settings) == 22
+    assert len(settings) == 27
     fired = set()
     for name, value in settings:
         caps = DEFAULT_CAPS.with_overrides(**{name: value})
