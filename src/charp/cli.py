@@ -5,9 +5,11 @@ Usage:
     charp suite <name> [--report out.json] [--caps ...]
 
 Exit status is 0 exactly when every job succeeds and every verdict job
-passes; scenario or usage problems exit with 2.  The human-readable text
-goes to stdout (with per-job wall times); the machine-readable JSON is
-deterministic and timing-free.
+passes, and 1 when one does not; scenario, file or usage problems
+(including a file that cannot be read or a report that cannot be
+written) exit with 2.  The human-readable text goes to stdout (with
+per-job wall times); the machine-readable JSON is deterministic and
+timing-free.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "run":
             return run_file(args.file, caps, args.report)
         return run_suite(args.name, caps, args.report)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except (ScenarioError, OSError) as exc:
         sys.stderr.write(f"charp: {exc}\n")
         return 2
     except CharpError as exc:

@@ -19,7 +19,9 @@ the test-ideal variant, of tau, which the operator fixes).
 Every graded-subspace basis comes from the Gröbner kernel: a piece of a
 homogeneous ideal is read off its reduced basis (`_ideal_piece`), a span
 of forms is reduced by normal forms (`space_from_polys`).  Numpy only
-solves for kernels and ranks: chart meets and `separates`.
+solves for kernels and ranks: chart meets and `separates`, which load it
+with `linalg` (and `separates` also `extfield`) on their first call, so
+importing this module loads no numpy.
 
 Each question about X is answered on the cone, by one route.  Forms
 define a complete intersection when their Hilbert series is that of a
@@ -52,15 +54,12 @@ from math import comb
 from operator import le
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-import numpy as np
-
 from .config import DEFAULT_CAPS, check_degree, check_piece, current_caps
 from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
 from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
                     descending_fixed_ideal, is_compatible, multiplicity, tau)
 from .ideal import Ideal, _reduce, monomial_hilbert_numerator, normal_form
-from .linalg import null_space, rank
 from .ring import MultiPoly, PolyRing, monomials_of_degree
 
 
@@ -203,7 +202,7 @@ def _rows_to_basis(ring: PolyRing, columns: tuple,
                    matrix: np.ndarray) -> tuple:
     """The forms of the rows of a matrix over monomial columns."""
     return tuple(MultiPoly(ring, {columns[j]: int(row[j])
-                                  for j in np.flatnonzero(row)})
+                                  for j in row.nonzero()[0]})
                  for row in matrix)
 
 
@@ -311,13 +310,16 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
                        c: Optional[MultiPoly] = None) -> ChainResult:
     """Largest ('sigma') or smallest ('tau') operator-fixed homogeneous
     ideal of the cone pair, adjunction factors included.  The tau chain
-    starts from c, by default the pair's test element; a unit seed is
-    refused on a cone singular at its vertex."""
+    starts from c, by default the pair's test element; a seed that is not
+    homogeneous is refused, and so is a unit seed on a cone singular at
+    its vertex."""
     cone = scheme.cone_pair(pair)
     if which == "sigma":
         return descending_fixed_ideal(cone, scheme.ideal)
     if which == "tau":
         seed = pair.default_test_element() if c is None else c
+        if not seed.is_homogeneous():
+            raise DomainError(f"test element c = {seed} must be homogeneous")
         if (seed.is_constant and not seed.is_zero
                 and any(h.degree() >= 2 for h in scheme.forms)):
             raise DomainError(
@@ -414,6 +416,8 @@ def _derivatives_at(field: "ExtField", polys: Sequence[MultiPoly],
                     points: np.ndarray) -> np.ndarray:
     """(points x polys x variables) array of the partial derivatives'
     values."""
+    import numpy as np
+
     out = np.zeros((len(points), len(polys), points.shape[1]), dtype=np.int64)
     for a, f in enumerate(polys):
         for x in range(points.shape[1]):
@@ -436,9 +440,12 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
     derivatives grad s(P) . v for v in ker J(P) have rank 2.  This is a
     partial, rational-point verification and the report says so.
     """
-    # imported on first use, so importing charp stays light for callers
-    # that never sample points
+    # the array layer loads on first use, so importing charp loads no
+    # numpy for callers that never sample points
+    import numpy as np
+
     from .extfield import ExtField, projective_point_blocks
+    from .linalg import null_space, rank
 
     if not scheme.is_curve:
         raise DomainError("separation checks are defined for curves only")
@@ -588,8 +595,12 @@ def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
     combinations x·A for which x·A + y·B = 0 (`linalg.null_space`), and
     the meet is made canonical once per degree (`space_from_polys`).  A
     chart's piece below its lowest degree is 0, and so is the
-    saturation's.  The charts are computed on the first piece asked
-    for."""
+    saturation's.  The charts are computed, and numpy and `linalg`
+    loaded, on the first piece asked for."""
+    import numpy as np
+
+    from .linalg import null_space
+
     ring, p = ideal.ring, ideal.ring.p
     zero = Ideal.zero(ring)
     charts = [ideal.chart(i).generators for i in range(ring.nvars)]

@@ -25,6 +25,11 @@ d, ext_degree and point coordinates) take JSON integers only: a bool,
 float or string is refused, never truncated.  thm46 works on P^n only,
 so its scheme, when given, must have no hypersurfaces.  Top-level keys
 other than the ring header and the job list are ignored.
+
+Only separates and thm46 compute with numpy (ARRAY_OPS).  Parsing a
+scenario that holds one of them loads the array layer (`linalg`,
+`extfield`), so the import is paid before any job is timed; every other
+scenario runs without numpy.
 """
 
 from __future__ import annotations
@@ -62,8 +67,12 @@ def _require(condition: bool, message: str):
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"{path}: not UTF-8 text at byte {exc.start}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -93,8 +102,12 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     for i, job in enumerate(jobs):
         _require(isinstance(job, dict) and "op" in job,
                  f"{source}: job {i} must be an object with an 'op'")
-        _require(job["op"] in JOB_REGISTRY,
+        _require(isinstance(job["op"], str) and job["op"] in JOB_REGISTRY,
                  f"{source}: job {i} has unknown op {job['op']!r}")
+    if any(job["op"] in ARRAY_OPS for job in jobs):
+        # load the array layer now, so the first such job's wall time
+        # measures its work and not numpy's import
+        from . import extfield, linalg  # noqa: F401
     header = {"p": ring.p, "vars": list(ring.variables), "order": "grevlex"}
     return Scenario(ring=ring, jobs=jobs, header=header)
 
@@ -366,6 +379,10 @@ JOB_REGISTRY = {
     "thm46": _run_thm46,
     "restrict": _run_restrict,
 }
+
+# ops whose jobs compute with numpy (`linalg`, `extfield`); a scenario
+# loads the array layer only when it holds one of them
+ARRAY_OPS = frozenset({"separates", "thm46"})
 
 
 def _expect_matches(expect, actual) -> bool:

@@ -1,13 +1,20 @@
 """The engine imports the standard library, numpy and itself, nothing
-else, and only `linalg` row-reduces: every graded-subspace basis comes
-from the Gröbner kernel."""
+else; only `linalg` row-reduces, so every graded-subspace basis comes
+from the Gröbner kernel; and numpy loads only with the array layer
+(`linalg`, `extfield`), which only separates and thm46 need."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+from charp.scenario import ARRAY_OPS, JOB_REGISTRY
+
 ENGINE = Path(__file__).resolve().parent.parent / "src" / "charp"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "charp"}
+ARRAY_LAYER = ("linalg.py", "extfield.py")
 
 
 def foreign_imports(source: str) -> list:
@@ -74,3 +81,134 @@ def test_rref_uses_are_seen_anywhere():
     assert rref_uses("def f(m):\n    return rref(m, 5)[0]\n") == [2]
     assert rref_uses("from .linalg import null_space, rank\n"
                      "rank(null_space(m, 5), 5)\n") == []
+
+
+def eager_imports(source: str) -> set:
+    """Dotted names of what the source imports when it is loaded: every
+    import outside a function body, each imported name of a `from`
+    import included, relative imports read inside charp."""
+    found = set()
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = "charp" + (f".{base}" if base else "")
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def loads(names: set, module: str) -> bool:
+    return any(name == module or name.startswith(module + ".")
+               for name in names)
+
+
+def test_only_the_array_layer_loads_numpy():
+    for name in ARRAY_LAYER:
+        assert loads(eager_imports((ENGINE / name).read_text()), "numpy")
+    for module in sorted(ENGINE.glob("*.py")):
+        names = eager_imports(module.read_text())
+        if module.name not in ARRAY_LAYER:
+            assert not loads(names, "numpy"), module.name
+        assert not loads(names, "charp.linalg"), module.name
+        assert not loads(names, "charp.extfield"), module.name
+
+
+def test_eager_imports_skip_function_bodies_only():
+    source = ("import numpy as np, os.path\n"
+              "from . import linalg\n"
+              "try:\n"
+              "    from .extfield import ExtField\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "class Holder:\n"
+              "    from charp.ring import PolyRing\n"
+              "def f():\n"
+              "    import sympy\n"
+              "    from .proj import separates\n"
+              "async def g():\n"
+              "    import json\n"
+              "h = lambda: __import__('fractions')\n")
+    assert eager_imports(source) == {
+        "numpy", "os.path", "charp", "charp.linalg", "charp.extfield",
+        "charp.extfield.ExtField", "charp.ring", "charp.ring.PolyRing"}
+    assert eager_imports("def f():\n    import numpy as np\n"
+                         "    from .linalg import null_space\n") == set()
+    names = eager_imports("from numpy.linalg import det\n")
+    assert loads(names, "numpy") and not loads(names, "charp.linalg")
+    assert not loads({"numpyish"}, "numpy")
+
+
+PROBE = """
+import json, sys
+import charp
+from charp.scenario import execute, parse_scenario
+scenario = parse_scenario(json.loads(sys.argv[1]))
+parsed = "numpy" in sys.modules
+report, _ = execute(scenario)
+print(json.dumps({"parsed": parsed, "ran": "numpy" in sys.modules,
+                  "errors": [job["error"] for job in report["jobs"]
+                             if job["status"] != "ok"]}))
+"""
+
+
+def probe(jobs: list) -> dict:
+    """Parse and execute a scenario over F_5[x, y, z] in a fresh
+    interpreter; whether numpy was loaded after parsing and after
+    executing, and the jobs' errors."""
+    doc = {"p": 5, "vars": ["x", "y", "z"], "jobs": jobs}
+    path = os.pathsep.join(filter(None, [str(ENGINE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(doc)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    return json.loads(proc.stdout)
+
+
+CUBIC = {"n": 2, "hypersurfaces": ["x^3+y^3+z^3"]}
+PLANE = {"n": 2}
+
+
+def test_scenarios_without_array_ops_never_load_numpy():
+    pair = {"f": "x*y", "a": 4, "e": 1}
+    jobs = [
+        {"op": "sigma", "pair": pair},
+        {"op": "tau", "pair": pair},
+        {"op": "fpure", "pair": {"f": "x^3+y^3+z^3", "a": 4, "e": 1}},
+        {"op": "sfr", "pair": pair},
+        {"op": "compatible", "pair": pair, "I_Z": ["x", "y"]},
+        {"op": "mult", "pair": {"f": "x^2+x*y+y^2", "a": 4, "e": 1},
+         "point": [0, 0, None], "l": 2},
+        {"op": "s0", "scheme": CUBIC, "m": 1},
+        {"op": "s0", "scheme": PLANE, "pair": {"f": "z", "a": 4, "e": 1},
+         "m": 1, "which": "tau"},
+        {"op": "bpf", "scheme": CUBIC, "m": 1, "forms": ["x", "y", "z"]},
+        {"op": "bpf", "scheme": CUBIC, "m": 1},
+        {"op": "gg", "ideal": ["x^2", "x*y", "y^2"], "m": 2},
+        {"op": "gg", "scheme": PLANE, "pair": {"f": "x^2*z+y^3", "a": 4,
+                                                "e": 1}, "m": 2},
+        {"op": "restrict", "scheme": PLANE, "pair": {"f": "z", "a": 4,
+                                                      "e": 1},
+         "I_Z": ["z"], "m": 3},
+    ]
+    assert {job["op"] for job in jobs} == set(JOB_REGISTRY) - ARRAY_OPS
+    assert probe(jobs) == {"parsed": False, "ran": False, "errors": []}
+
+
+def test_array_ops_load_numpy_while_parsing():
+    separates = {"op": "separates", "scheme": CUBIC, "m": 1,
+                 "ext_degree": 2}
+    thm46 = {"op": "thm46", "scheme": PLANE,
+             "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             "A": "(x*y*z)^2", "l": 4, "e": 2}
+    assert {separates["op"], thm46["op"]} == ARRAY_OPS
+    for job in (separates, thm46):
+        assert probe([job]) == {"parsed": True, "ran": True, "errors": []}

@@ -287,6 +287,11 @@ def test_tau_on_a_cone_refuses_a_unit_seed(fermat7):
         result = stable_sections(fermat7, trivial, 0, "tau", ring.parse(seed))
         assert result.space.dim == 0
         assert result.fixed == I(ring, "x", "y", "z")
+    # a seed with a constant term is no homogeneous test element: its
+    # chain stopped on the unit ideal and answered dim 1
+    for seed in ("x+1", "x^2+1", "2*x+3*y+1"):
+        with pytest.raises(DomainError, match="must be homogeneous"):
+            stable_sections(fermat7, trivial, 0, "tau", ring.parse(seed))
     # on the plane (no forms) the unit is a test element
     plane = ProjScheme.projective_space(ring)
     assert stable_sections(plane, trivial_pair(ring), 0, "tau").space.dim == 1

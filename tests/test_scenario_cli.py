@@ -149,6 +149,8 @@ def test_header_validation():
     with pytest.raises(ScenarioError):
         parse_scenario({"p": 5, "vars": ["x"],
                         "jobs": [{"op": "frobnicate"}]})
+    with pytest.raises(ScenarioError, match="unknown op"):
+        parse_scenario({"p": 5, "vars": ["x"], "jobs": [{"op": ["sigma"]}]})
 
 
 def test_polynomial_parse_error_reported_per_job(tmp_path):
@@ -462,8 +464,19 @@ def test_unknown_suite_exits_two(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
-def test_missing_file_exits_two(capsys):
+def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["run", "/nonexistent/scenario.json"]) == 2
+    # a directory, a file that is not UTF-8 and a report path inside a
+    # directory are usage problems too, not failed jobs
+    assert main(["run", str(tmp_path)]) == 2
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"p": 5, "vars": ["\xe9"], "jobs": []}')
+    assert main(["run", str(latin)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    path = write_scenario(tmp_path, BASIC)
+    assert main(["run", path, "--report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("charp: ") and "Traceback" not in err
 
 
 def test_smoke_suite_passes(capsys):
