@@ -15,8 +15,7 @@ from .errors import (CharpError, DomainError, ParseError, PreconditionError,
                      UnsupportedInputError)
 from .fsing import (PairDivisor, fedder_f_pure, is_compatible,
                     is_sharply_f_pure, is_strongly_f_regular, multiplicity,
-                    multiplicity_containment, point_ideal, sigma, tau,
-                    twist_identity)
+                    multiplicity_containment, sigma, tau, twist_identity)
 from .ideal import Ideal, buchberger, normal_form
 from .proj import (GradedSubspace, ProjScheme, degree_bound_pipeline,
                    graded_piece, is_base_point_free, is_globally_generated,
@@ -34,7 +33,7 @@ __all__ = [
     "TheoremViolationError", "UnsupportedInputError", "PairDivisor",
     "fedder_f_pure", "is_compatible", "is_sharply_f_pure",
     "is_strongly_f_regular", "multiplicity", "multiplicity_containment",
-    "point_ideal", "sigma", "tau", "twist_identity", "Ideal", "buchberger",
+    "sigma", "tau", "twist_identity", "Ideal", "buchberger",
     "normal_form", "GradedSubspace", "ProjScheme",
     "degree_bound_pipeline", "graded_piece", "is_base_point_free",
     "is_globally_generated", "restriction_is_surjective", "separates",

@@ -10,7 +10,8 @@ builds its tables once: the base-p digits of every code (addition is
 digit-wise mod p) and the log/antilog tables of a primitive element
 (multiplication adds logs mod p^k - 1).  The arithmetic works on numpy
 arrays of codes, so a form is evaluated at every point in one pass.
-The tables are capped at p^k <= MAX_ORDER.
+The tables are capped at p^k <= MAX_ORDER, and the points one check
+enumerates at MAX_POINTS.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .ring import MultiPoly
 
 MAX_ORDER = 1 << 16   # largest p^k given tables; every prime field fits
 BLOCK_ROWS = 1 << 16  # points enumerated per array, to bound memory
+MAX_POINTS = 1 << 24  # most projective points one check enumerates
 
 
 def _digits(code: int, p: int, k: int) -> List[int]:

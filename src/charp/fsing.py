@@ -267,15 +267,6 @@ def multiplicity(f: MultiPoly, point: Sequence) -> int:
     return min(sum(exps[i] for i in constrained) for exps in shifted._terms)
 
 
-def point_ideal(ring: PolyRing, point: Sequence) -> Ideal:
-    """Prime ideal of a coordinate-subspace point: (x_i - c_i) over the
-    constrained coordinates."""
-    coords = _validate_point(ring, point)
-    gens = [ring.gen(i) - ring.constant(c)
-            for i, c in enumerate(coords) if c is not None]
-    return Ideal(ring, gens)
-
-
 @dataclass
 class ContainmentReport:
     point: tuple
@@ -289,10 +280,11 @@ class ContainmentReport:
 def multiplicity_containment(pair: PairDivisor, point: Sequence,
                              l: Optional[int] = None) -> ContainmentReport:
     """If the divisor has multiplicity >= l at a point of codimension l,
-    its test ideal must land inside the point's prime ideal.  The verdict
-    is expected True on every admissible input (l >= 1, by default the
-    codimension); False is a bug detector.  The test ideal's chain starts
-    from the pair's default test element.
+    its test ideal must land inside the point's prime ideal, that is,
+    vanish there generator by generator.  The verdict is expected True on
+    every admissible input (l >= 1, by default the codimension); False is
+    a bug detector.  The test ideal's chain starts from the pair's default
+    test element.
     """
     coords = _validate_point(pair.ring, point)
     codim = sum(1 for v in coords if v is not None)
@@ -305,7 +297,7 @@ def multiplicity_containment(pair: PairDivisor, point: Sequence,
             f"divisor multiplicity {mult} at {coords} is below the "
             f"threshold {threshold}")
     t = tau(pair)
-    q_point = point_ideal(pair.ring, coords)
+    inside = all(multiplicity(g, coords) >= 1 for g in t.groebner_basis)
     return ContainmentReport(point=coords, codim=codim, threshold=threshold,
                              pair_multiplicity=mult, test_ideal=t,
-                             holds=t.issubset(q_point))
+                             holds=inside)

@@ -29,7 +29,8 @@ regular sequence of the same degrees.  Away from the vertex the cone is
 locally X × A^1, so a rational point P of P^n is read at any
 representative: a form's multiplicity at P is its multiplicity there,
 and a homogeneous ideal lies in the ideal of P when its homogeneous
-reduced basis vanishes there.
+reduced basis vanishes there.  A compatible center Z's stable subsystem
+is read off sigma_X + Z, the fixed ideal of its chain.
 
 Degree bookkeeping for one level with multiplier u (homogeneous of
 degree du): a source form of degree D maps to degree
@@ -150,18 +151,9 @@ class ProjScheme:
         return sum(c * comb(m - k + n, n)
                    for k, c in enumerate(self.hilbert_numerator) if k <= m)
 
-    @cached_property
-    def _cone_pairs(self) -> dict:
-        return {}
-
     def cone_pair(self, pair: PairDivisor) -> PairDivisor:
         """The pair's F-adjunction pair on the cone, Delta plus each
-        div(h) at coefficient 1: (f^a * prod h^(q-1), 1, e).  Formed once
-        per pair and kept on this scheme, which lives as long as its
-        job."""
-        cone = self._cone_pairs.get(pair)
-        if cone is not None:
-            return cone
+        div(h) at coefficient 1: (f^a * prod h^(q-1), 1, e)."""
         if pair.ring != self.ring:
             raise DomainError("pair lives in a different ring than the scheme")
         if not pair.f.is_homogeneous():
@@ -170,8 +162,7 @@ class ProjScheme:
         q = pair.q
         for h in self.forms:
             u = u * h ** (q - 1)
-        cone = self._cone_pairs[pair] = PairDivisor(u, 1, pair.e)
-        return cone
+        return PairDivisor(u, 1, pair.e)
 
     def pair_degree(self, pair: PairDivisor) -> Fraction:
         """Degree of the twist K_X + Delta."""
@@ -438,13 +429,15 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
     dimension dim ker J(P), which is 2 exactly at smooth points, and
     the sections surject onto it when the values s(P) and the
     derivatives grad s(P) . v for v in ker J(P) have rank 2.  This is a
-    partial, rational-point verification and the report says so.
+    partial, rational-point verification and the report says so.  More
+    than `extfield.MAX_POINTS` points are refused before any is formed.
     """
     # the array layer loads on first use, so importing charp loads no
     # numpy for callers that never sample points
     import numpy as np
 
-    from .extfield import ExtField, projective_point_blocks
+    from .extfield import (MAX_POINTS, ExtField,
+                           projective_point_blocks)
     from .linalg import null_space, rank
 
     if not scheme.is_curve:
@@ -459,6 +452,12 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
 
     ring = scheme.ring
     p = ring.p
+    q = p ** ext_degree
+    count = (q ** ring.nvars - 1) // (q - 1)
+    if count > MAX_POINTS:
+        raise DomainError(
+            f"point sampling supports at most {MAX_POINTS} projective points, "
+            f"got {count} in P^{scheme.n} over F_({p}^{ext_degree})")
     field = ExtField(p, ext_degree)
     basis = space.basis
 
@@ -703,38 +702,28 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
 # -- restriction to compatible centers -------------------------------------
 
 
-def center_stable_image(scheme: ProjScheme, pair: PairDivisor, center: Ideal,
-                        m: int) -> GradedSubspace:
-    """Stable subsystem of the operator induced on the center: the
-    degree-m piece of the largest fixed ideal of the cone modulo
-    center + I_X."""
-    modulus = center + scheme.ideal
-    chain = descending_fixed_ideal(scheme.cone_pair(pair), modulus)
-    return _stable_piece(scheme, pair, m, _stable_level(chain), chain.ideal,
-                         modulus)
-
-
 def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,
                               center: Ideal, m: int) -> bool:
     """Whether the stable subsystem on X restricts onto the stable
-    subsystem of the induced operator on a compatible center.
+    subsystem of the induced operator on a compatible center Z.
 
     Surjectivity is a theorem whenever the twist minus the pair's log
     divisor has positive degree, so False signals a bug rather than an
-    admissible outcome.  On a compatible center this check cannot answer
-    False at all: the center's chain is J_n + Z term by term (the image
-    of J + Z is image(J) + image(Z), and image(Z) lies in Z), so the
-    center's stable piece always equals the image of the stable
-    subsystem on X.  It verifies compatibility and the chain, not a
-    surjectivity that could fail.
+    admissible outcome.  On a compatible center the center's chain is
+    J_n + Z term by term (the image of J + Z is image(J) + image(Z), and
+    image(Z) lies in Z + I_X; Schwede, "F-adjunction", 2009), so its
+    stable piece is that of sigma_X + Z, read with no second chain; the
+    positive degree makes every source twist positive.  This check thus
+    cannot answer False: it verifies compatibility and the image of the
+    stable subsystem on X, not a surjectivity that could fail.
     """
-    if not is_compatible(center + scheme.ideal, scheme.cone_pair(pair)):
+    modulus = center + scheme.ideal
+    if not is_compatible(modulus, scheme.cone_pair(pair)):
         raise PreconditionError("the center is not compatible with the pair")
     if m - scheme.pair_degree(pair) <= 0:
         raise PreconditionError(
             f"twist degree {m} does not dominate the pair degree "
             f"{scheme.pair_degree(pair)}")
-    on_x = stable_sections(scheme, pair, m, "sigma").space
-    restricted = center_stable_image(scheme, pair, center, m)
-    image = space_from_polys(restricted.modulus, m, on_x.basis)
-    return image == restricted
+    on_x = stable_sections(scheme, pair, m, "sigma")
+    restricted = _ideal_piece(on_x.fixed + center, modulus, m)
+    return space_from_polys(modulus, m, on_x.space.basis) == restricted

@@ -19,8 +19,10 @@ Job schema by op:
 Any job may carry "expect": a JSON fragment that must match the result
 (recursive subset for objects, equality for leaves).  Ops that verify a
 theorem (mult, thm46, restrict) pass exactly when the theorem holds.
-A missing or malformed field fails its job with a ScenarioError naming
-the field; the other jobs still run.  Integer fields (p, a, e, n, m, l,
+A missing or malformed field, or one the job would ignore (c unless
+which, after its default, is tau; pair, which or c beside forms or
+ideal), fails its job with a ScenarioError naming the field; the other
+jobs still run.  Integer fields (p, a, e, n, m, l,
 d, ext_degree and point coordinates) take JSON integers only: a bool,
 float or string is refused, never truncated.  thm46 works on P^n only,
 so its scheme, when given, must have no hypersurfaces.  Top-level keys
@@ -200,6 +202,20 @@ def _point_tuple(raw: list) -> tuple:
     return tuple(None if v is None else _integer(v) for v in raw)
 
 
+def _which_and_seed(ring: PolyRing, job: dict, default: str) -> tuple:
+    """`which`, after its default, and the seed `c`, read only by tau."""
+    which = job.get("which", default)
+    _require(which == "tau" or "c" not in job,
+             f"job field 'c' is read only with which 'tau', not {which!r}")
+    return which, _field(job, "c", ring.parse, None)
+
+
+def _refuse_beside(job: dict, source: str):
+    for key in ("pair", "which", "c"):
+        _require(key not in job,
+                 f"job field {key!r} is not read beside {source!r}")
+
+
 def _subsystem_space(ring: PolyRing, job: dict):
     """Shared input handling for bpf/separates: an explicit span of
     forms, or the stable subsystem of a pair."""
@@ -208,14 +224,14 @@ def _subsystem_space(ring: PolyRing, job: dict):
                    "hypersurfaces": [str(h) for h in scheme.forms]}
     m = _field(job, "m", _integer)
     if "forms" in job:
+        _refuse_beside(job, "forms")
         polys = _polys(ring, job, "forms")
         space = space_from_polys(scheme.ideal, m, polys)
         info = {"scheme": echo_scheme, "m": m, "source": "forms",
                 "forms": [str(f) for f in polys]}
     else:
         pair = _pair_or_trivial(ring, job)
-        which = job.get("which", "sigma")
-        c = _field(job, "c", ring.parse, None)
+        which, c = _which_and_seed(ring, job, "sigma")
         result = stable_sections(scheme, pair, m, which, c)
         space = result.space
         info = {"scheme": echo_scheme, "pair": _echo_pair(pair),
@@ -280,8 +296,7 @@ def _run_mult(ring, job):
 def _run_s0(ring, job):
     scheme = _parse_scheme(ring, _field(job, "scheme"))
     pair = _pair_or_trivial(ring, job)
-    which = job.get("which", "sigma")
-    c = _field(job, "c", ring.parse, None)
+    which, c = _which_and_seed(ring, job, "sigma")
     m = _field(job, "m", _integer)
     result = stable_sections(scheme, pair, m, which, c)
     full_dim = scheme.hilbert_function(m)
@@ -316,14 +331,14 @@ def _run_separates(ring, job):
 def _run_gg(ring, job):
     m = _field(job, "m", _integer)
     if "ideal" in job:
+        _refuse_beside(job, "ideal")
         ideal = Ideal(ring, _polys(ring, job, "ideal"))
         verdict = is_globally_generated(ideal, m)
         return ({"ideal": [str(g) for g in ideal.generators], "m": m},
                 {"verdict": verdict}, None, None)
     scheme = _job_scheme(ring, job)
     pair = _pair_or_trivial(ring, job)
-    which = job.get("which", "tau")
-    c = _field(job, "c", ring.parse, None)
+    which, c = _which_and_seed(ring, job, "tau")
     verdict = stable_sections_generate(scheme, pair, m, which, c)
     return ({"pair": _echo_pair(pair), "m": m, "which": which},
             {"verdict": verdict}, None, None)

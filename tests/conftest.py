@@ -70,6 +70,16 @@ def trace(g: MultiPoly, e: int) -> MultiPoly:
     return components.get((ring.p ** e - 1,) * ring.nvars, ring.zero())
 
 
+def point_ideal(ring: PolyRing, point) -> Ideal:
+    """Prime ideal of a coordinate-subspace point: (x_i - c_i) over the
+    constrained coordinates, None marking a free one.  The route that
+    `fsing.multiplicity_containment` replaced by vanishing: an ideal lies
+    in it exactly when `issubset` says so."""
+    gens = [ring.gen(i) - ring.constant(c % ring.p)
+            for i, c in enumerate(point) if c is not None]
+    return Ideal(ring, gens)
+
+
 def rational_point_ideal(ring: PolyRing, coords) -> Ideal:
     """Homogeneous ideal of a rational projective point: the 2x2 minors
     x_i*c_j - x_j*c_i."""

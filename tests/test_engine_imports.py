@@ -4,6 +4,7 @@ from the Gröbner kernel; and numpy loads only with the array layer
 (`linalg`, `extfield`), which only separates and thm46 need."""
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -48,6 +49,21 @@ def test_foreign_imports_are_seen_anywhere():
     assert foreign_imports("import numpy as np, os.path\n"
                            "from .ring import PolyRing\n"
                            "from charp.ideal import Ideal\n") == []
+
+
+def test_public_names_resolve():
+    # `__all__` lists each public name once, every listed name resolves,
+    # and every public non-module attribute the package imports is listed
+    import charp
+
+    assert len(set(charp.__all__)) == len(charp.__all__)
+    assert [name for name in charp.__all__ if not hasattr(charp, name)] == []
+    namespace: dict = {}
+    exec("from charp import *", namespace)
+    assert set(charp.__all__) <= set(namespace)
+    public = {name for name, value in vars(charp).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(charp.__all__)
 
 
 def rref_uses(source: str) -> list:

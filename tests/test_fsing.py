@@ -15,12 +15,11 @@ from charp.errors import (DomainError, InternalInvariantError,
 from charp.fsing import (PairDivisor, ascending_fixed_ideal, fedder_f_pure,
                          is_compatible, is_sharply_f_pure,
                          is_strongly_f_regular, multiplicity,
-                         multiplicity_containment, point_ideal, sigma, tau,
-                         twist_identity)
+                         multiplicity_containment, sigma, tau, twist_identity)
 from charp.ideal import Ideal
 from charp.ring import PolyRing
 
-from conftest import random_poly
+from conftest import point_ideal, random_poly
 from test_ideal import oracle_quotient
 
 
@@ -407,6 +406,52 @@ def test_containment_rejects_a_threshold_below_one():
         with pytest.raises(DomainError):
             multiplicity_containment(PairDivisor(ring.gen(0), a, 1),
                                      (0, None, None), l)
+
+
+def _random_point(rng, ring):
+    """Residues, some coordinates None (free), at least one constrained."""
+    while True:
+        point = tuple(None if rng.random() < 0.3 else rng.randrange(ring.p)
+                      for _ in range(ring.nvars))
+        if any(c is not None for c in point):
+            return point
+
+
+def test_containment_verdict_matches_the_point_ideal_route(monkeypatch):
+    # on random pairs the verdict is the theorem's, True; with tau replaced
+    # by random ideals, each built inside the point's prime or not, it is
+    # `issubset` of the point ideal either way
+    rng = random.Random(2311)
+    real = outside = 0
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(("x", "y", "z"), p)
+        for case in range(30):
+            point = _random_point(rng, ring)
+            through = point_ideal(ring, point).generators
+            f = random_poly(rng, ring, 2, 2, nonzero=True)
+            for _ in range(len(through)):
+                f = f * rng.choice(through)
+            pair = PairDivisor(f, rng.randint(p - 1, 2 * (p - 1)), 1)
+            if case < 10:
+                report = multiplicity_containment(pair, point)
+                assert report.holds and report.test_ideal.issubset(
+                    point_ideal(ring, point))
+                real += 1
+                continue
+            inside = rng.random() < 0.5
+            gens = [sum((random_poly(rng, ring, 2, 2) * g for g in through),
+                        ring.zero()) if inside
+                    else random_poly(rng, ring, 2, 3)
+                    for _ in range(rng.randint(1, 3))]
+            ideal = Ideal(ring, gens + [rng.choice(through)] * inside)
+            monkeypatch.setattr(fsing_module, "tau", lambda pair: ideal)
+            report = multiplicity_containment(pair, point)
+            assert report.test_ideal is ideal
+            assert report.holds == ideal.issubset(point_ideal(ring, point)), \
+                (ideal, point)
+            outside += not report.holds
+            monkeypatch.undo()
+    assert real == 40 and 20 <= outside <= 60, (real, outside)
 
 
 def test_point_ideal_shapes():

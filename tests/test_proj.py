@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,11 +13,11 @@ from charp import proj as proj_module
 from charp.config import DEFAULT_CAPS, Caps, caps_scope, current_caps
 from charp.errors import (DomainError, PreconditionError, ResourceError,
                           TheoremViolationError)
-from charp.fsing import PairDivisor, is_compatible, multiplicity, sigma_chain
+from charp.fsing import (PairDivisor, descending_fixed_ideal, is_compatible,
+                         multiplicity, sigma_chain)
 from charp.ideal import Ideal, normal_form
 from charp.proj import (ProjScheme, _ideal_piece, _same_saturation,
-                        _saturated_pieces,
-                        center_stable_image, degree_bound_pipeline,
+                        _saturated_pieces, degree_bound_pipeline,
                         graded_fixed_ideal, graded_piece, is_base_point_free,
                         is_globally_generated, projective_multiplicity,
                         restriction_is_surjective,
@@ -147,26 +148,14 @@ def test_cone_pair_refusals(P2, fermat7):
         fermat7.cone_pair(PairDivisor(fermat7.ring.parse("x^2+y"), 1, 1))
 
 
-def test_cone_pair_is_formed_once_per_scheme(P2, fermat7, monkeypatch):
-    # memoised on the scheme, by pair equality; a new scheme forms its own
+def test_cone_pair_is_formed_once_per_scheme(fermat7):
+    # equal pairs, on this scheme or on an equal one, give equal cone pairs
     pair = PairDivisor(fermat7.ring.parse("x+y"), 3, 1)
     cone = fermat7.cone_pair(pair)
     assert fermat7.cone_pair(PairDivisor(fermat7.ring.parse("x+y"), 3, 1)) \
-        is cone
+        == cone
     again = ProjScheme.from_forms(fermat7.ring, fermat7.forms)
-    assert again.cone_pair(pair) == cone and again.cone_pair(pair) is not cone
-    # the restriction check reads it three times and forms it once
-    formed = []
-
-    def counting_pair(*args):
-        formed.append(args)
-        return PairDivisor(*args)
-
-    monkeypatch.setattr(proj_module, "PairDivisor", counting_pair)
-    ring = P2.ring
-    assert restriction_is_surjective(P2, PairDivisor(ring.parse("x*y"), 4, 1),
-                                     I(ring, "x"), 3)
-    assert len(formed) == 1
+    assert again.cone_pair(pair) == cone
 
 
 def test_integer_source_twist_matches_the_fraction_formula(monkeypatch):
@@ -1369,17 +1358,86 @@ def test_stable_sections_match_level_oracle(scheme):
                 assert result.space == oracle, (pair.f, m, which)
 
 
-def test_restriction_centers_match_level_oracle():
-    # the C10 centers: the line z = 0 under (z, 4/4) and the point
-    # x = y = 0 under (xy, 4/4) in the plane over F_5
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _restriction_cases():
+    """(scheme, pair, center) for compatible centers: the C10 fixtures,
+    the three rational points of the Fermat cubic over F_7 on x = 0, and
+    the compatible coordinate centers of seeded monomial pairs on P^2,
+    moved by a random linear change of coordinates (compatibility is
+    kept, and the fixed ideals and centers stop being monomial)."""
     ring = PolyRing(("x", "y", "z"), 5)
     plane = ProjScheme.projective_space(ring)
-    for text, center in (("z", I(ring, "z")), ("x*y", I(ring, "x", "y"))):
-        pair = PairDivisor(ring.parse(text), 4, 1)
-        u1 = plane.cone_pair(pair).multiplier
-        for m in range(1, 5):
-            oracle, _, _ = level_stable_image(center, u1, pair.e, m)
-            assert center_stable_image(plane, pair, center, m) == oracle
+    yield plane, PairDivisor(ring.parse("z"), 4, 1), I(ring, "z")
+    yield plane, PairDivisor(ring.parse("x*y"), 4, 1), I(ring, "x", "y")
+    ring = PolyRing(("x", "y", "z"), 7)
+    fermat = ProjScheme.from_forms(ring, [ring.parse("x^3+y^3+z^3")])
+    for t in (3, 5, 6):
+        yield (fermat, PairDivisor(ring.gen(0), 6, 1),
+               rational_point_ideal(ring, (0, t, 1)))
+    rng = random.Random(2330)
+    for p in (3, 5, 7):
+        ring = PolyRing(("x", "y", "z"), p)
+        plane = ProjScheme.projective_space(ring)
+        subsets = [subset for size in (1, 2)
+                   for subset in itertools.combinations(range(3), size)]
+        for _ in range(9):
+            exps = tuple(rng.randint(0, 2) for _ in range(3))
+            if not any(exps):
+                continue
+            # coefficient 1: each variable's coefficient is its exponent
+            monomial = plane.cone_pair(
+                PairDivisor(ring.poly({exps: 1}), p - 1, 1))
+            while True:
+                rows = [[rng.randrange(p) for _ in range(3)]
+                        for _ in range(3)]
+                if _det3(rows) % p:
+                    break
+            forms = [sum((ring.gen(j).scale(c) for j, c in enumerate(row)),
+                         ring.zero()) for row in rows]
+            f = ring.one()
+            for form, k in zip(forms, exps):
+                f = f * form ** k
+            pair = PairDivisor(f, p - 1, 1)
+            for subset in subsets:
+                if is_compatible(Ideal(ring, [ring.gen(i) for i in subset]),
+                                 monomial):
+                    yield plane, pair, Ideal(ring, [forms[i] for i in subset])
+
+
+def test_restriction_centers_match_level_oracle(monkeypatch):
+    # the center's piece is read off sigma_X + Z; it must equal the piece
+    # of the center's own chain, run modulo Z + I_X, and on the C10
+    # centers also the level-by-level images of that chain
+    pieces = []
+
+    def recording_piece(ideal, modulus, m):
+        pieces.append(_ideal_piece(ideal, modulus, m))
+        return pieces[-1]
+
+    monkeypatch.setattr(proj_module, "_ideal_piece", recording_piece)
+    centers = checks = 0
+    for scheme, pair, center in _restriction_cases():
+        centers += 1
+        modulus = center + scheme.ideal
+        cone = scheme.cone_pair(pair)
+        chain = descending_fixed_ideal(cone, modulus).ideal
+        for m in range(max(0, math.floor(scheme.pair_degree(pair)) + 1), 6):
+            assert restriction_is_surjective(scheme, pair, center, m)
+            piece = pieces[-1]
+            assert piece.modulus == modulus and piece.degree == m
+            oracle = rref_span(modulus, m,
+                               graded_generators_in_degree(chain, m, modulus))
+            assert piece == oracle, (pair, center.generators, m)
+            if centers <= 2 and m <= 4:
+                level, _, _ = level_stable_image(modulus, cone.multiplier,
+                                                 pair.e, m)
+                assert piece == level, (pair, center.generators, m)
+            checks += 1
+    assert centers == 110 and checks == 518, (centers, checks)
 
 
 def test_trace_tower_bookkeeping(P2):

@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from charp import extfield
 from charp import scenario as scenario_module
 from charp.cli import SUITE_DIRS, main, parse_caps, suite_scenarios
 from charp.config import DEFAULT_CAPS, Caps, current_caps
@@ -89,19 +91,50 @@ def test_execute_restores_the_caps(tmp_path, monkeypatch):
 
 
 def test_malformed_job_fields_fail_only_their_job(tmp_path):
+    # a seed c is read only by a tau chain, after the op's default which;
+    # pair, which and c change nothing beside explicit forms or an ideal,
+    # so each such field fails its job like a malformed one
+    scheme = {"n": 2}
+    pair = {"f": "x", "a": 1, "e": 1}
+    forms = ["x", "y", "z"]
+    ignored = [({"op": "s0", "m": 1, "c": "x"}, "'c'"),
+               ({"op": "s0", "m": 1, "which": "sigma", "c": "x"}, "'c'"),
+               ({"op": "bpf", "m": 1, "pair": pair, "c": "x"}, "'c'"),
+               ({"op": "separates", "m": 1, "c": "x"}, "'c'"),
+               ({"op": "gg", "m": 1, "pair": pair, "which": "sigma",
+                 "c": "x"}, "'c'"),
+               ({"op": "bpf", "m": 1, "forms": forms, "pair": pair}, "'pair'"),
+               ({"op": "separates", "m": 1, "forms": forms, "which": "tau"},
+                "'which'"),
+               ({"op": "bpf", "m": 1, "forms": forms, "c": "x"}, "'c'"),
+               ({"op": "gg", "m": 1, "ideal": ["x", "y"], "pair": pair},
+                "'pair'"),
+               ({"op": "gg", "m": 1, "ideal": ["x", "y"], "which": "tau"},
+                "'which'"),
+               ({"op": "gg", "m": 1, "ideal": ["x", "y"], "c": "x"}, "'c'")]
+    read = [{"op": "s0", "m": 1, "pair": pair, "which": "tau", "c": "x^2"},
+            {"op": "gg", "m": 1, "pair": pair, "c": "x^2"},
+            {"op": "bpf", "m": 1, "forms": forms},
+            {"op": "gg", "m": 1, "ideal": ["x", "y"]}]
     payload = {"p": 5, "vars": ["x", "y", "z"],
-               "jobs": [{"op": "s0", "scheme": {"n": 2}},
+               "jobs": [{"op": "s0", "scheme": scheme},
                         {"op": "sigma", "pair": {"f": "x", "a": "z", "e": 1}},
                         {"op": "bpf", "m": 1, "forms": "xy"},
-                        {"op": "s0", "scheme": {"n": 2}, "m": 1}]}
+                        {"op": "s0", "scheme": scheme, "m": 1}]
+               + [dict(job, scheme=scheme) for job, _ in ignored]
+               + [dict(job, scheme=scheme) for job in read]}
     report, _ = execute(load_scenario(write_scenario(tmp_path, payload)))
-    missing, malformed, not_a_list, fine = report["jobs"]
-    for entry, name in ((missing, "'m'"), (malformed, "'a'"),
-                        (not_a_list, "'forms'")):
-        assert entry["status"] == "error"
-        assert entry["error"]["type"] == "ScenarioError"
-        assert name in entry["error"]["message"]
+    missing, malformed, not_a_list, fine = report["jobs"][:4]
+    refused = [(missing, "'m'"), (malformed, "'a'"), (not_a_list, "'forms'")]
+    refused += [(entry, name) for entry, (_, name)
+                in zip(report["jobs"][4:], ignored)]
+    for entry, name in refused:
+        assert entry["status"] == "error", entry["inputs"]
+        assert entry["error"]["type"] == "ScenarioError", entry["inputs"]
+        assert name in entry["error"]["message"], entry["inputs"]
     assert fine["status"] == "ok" and fine["result"]["dim"] == 3
+    assert all(entry["status"] == "ok"
+               for entry in report["jobs"][4 + len(ignored):])
 
 
 def test_empty_job_list_exits_zero(tmp_path, capsys):
@@ -426,6 +459,29 @@ def test_extension_degree_cap_fails_a_separation_job(tmp_path, capsys):
     assert error["type"] == "ResourceError"
     assert "ext_degree=1" in error["message"]
     assert main(["run", path]) == 0
+
+
+def test_point_count_refuses_a_separation_job(tmp_path, monkeypatch):
+    # a curve in P^3 over F_(251^2) passes the order and degree caps, but
+    # has (q^4 - 1)/(q - 1) projective points to walk: refused at once,
+    # before the field's tables are built
+    def no_tables(p, k):
+        raise AssertionError(f"F_({p}^{k}) tables built")
+
+    monkeypatch.setattr(extfield, "ExtField", no_tables)
+    payload = {"p": 251, "vars": ["x", "y", "z", "w"],
+               "jobs": [{"op": "separates", "m": 1, "ext_degree": 2,
+                         "forms": ["x", "y", "z", "w"],
+                         "scheme": {"n": 3, "hypersurfaces": [
+                             "x*w-y*z", "x^2+y^2+z^2+w^2"]}}]}
+    start = time.monotonic()
+    report, _ = execute(load_scenario(write_scenario(tmp_path, payload)))
+    assert time.monotonic() - start < 1
+    error = report["jobs"][0]["error"]
+    assert error["type"] == "DomainError"
+    q = 251 ** 2
+    assert str((q ** 4 - 1) // (q - 1)) in error["message"]
+    assert str(extfield.MAX_POINTS) in error["message"]
 
 
 def _f16_mul(a, b):
