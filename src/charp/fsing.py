@@ -179,50 +179,6 @@ def is_strongly_f_regular(pair: PairDivisor,
     return tau(pair, c).is_unit
 
 
-@dataclass
-class TwistReport:
-    holds: bool
-    shifted: Ideal
-    expected: Ideal
-
-
-def twist_identity(pair: PairDivisor, g: MultiPoly) -> TwistReport:
-    """Check tau(Delta + div(g)) == g * tau(Delta).
-
-    The augmented pair is represented with the single polynomial
-    f^a * g^(q-1) at coefficient 1 and the same level; the pair's chain
-    is seeded with its default test element c and the augmented chain
-    with g*c, so that both runs share test-element data.
-    """
-    if g.is_zero:
-        raise DomainError("twisting polynomial must be nonzero")
-    base_c = pair.default_test_element()
-    q = pair.q
-    augmented = PairDivisor(pair.multiplier * g ** (q - 1), 1, pair.e)
-    lhs = tau(augmented, g * base_c)
-    rhs = Ideal(pair.ring, (g,)) * tau(pair, base_c)
-    return TwistReport(holds=(lhs == rhs), shifted=lhs, expected=rhs)
-
-
-def fedder_f_pure(ideal: Ideal, maximal: Ideal) -> bool:
-    """Fedder's criterion at a rational point for a hypersurface: the
-    quotient ring S/I is F-pure at m exactly when (I^[p] : I) is not
-    inside m^[p] (Fedder, "F-purity and rational singularity", Trans.
-    AMS 278 (1983)).  For I = (h) the colon is (h^p : h) = (h^(p-1)),
-    so the test is h^(p-1) not in m^[p].  An ideal whose reduced basis
-    is not one element is refused.
-    """
-    if not ideal.issubset(maximal):
-        raise DomainError("Fedder test needs I contained in the maximal ideal")
-    basis = ideal.groebner_basis
-    if len(basis) != 1:
-        raise UnsupportedInputError(
-            f"Fedder test needs a principal ideal, got a basis of "
-            f"{len(basis)} elements")
-    h = basis[0]
-    return not maximal.bracket_power(1).contains(h ** (ideal.ring.p - 1))
-
-
 def is_compatible(center: Ideal, pair: PairDivisor) -> bool:
     """Whether the operator of the pair maps the center's ideal into
     itself; a compatible center along which the pair is generically

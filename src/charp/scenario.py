@@ -19,23 +19,28 @@ Job schema by op:
 Any job may carry "expect": a JSON fragment that must match the result
 (recursive subset for objects, equality for leaves).  Ops that verify a
 theorem (mult, thm46, restrict) pass exactly when the theorem holds.
-A missing or malformed field, or one the job would ignore (c unless
-which, after its default, is tau; pair, which or c beside forms or
-ideal), fails its job with a ScenarioError naming the field; the other
-jobs still run.  Integer fields (p, a, e, n, m, l,
+A missing or malformed field, or one the job would ignore (c beside a
+pair of sigma, fpure, compatible, mult or restrict, which read no seed;
+c unless which, after its default, is tau; pair, which or c beside
+forms or ideal), fails its job with a ScenarioError naming the field;
+the other jobs still run.  Integer fields (p, a, e, n, m, l,
 d, ext_degree and point coordinates) take JSON integers only: a bool,
 float or string is refused, never truncated.  thm46 works on P^n only,
 so its scheme, when given, must have no hypersurfaces.  Top-level keys
 other than the ring header and the job list are ignored.
 
-Only separates and thm46 compute with numpy (ARRAY_OPS).  Parsing a
-scenario that holds one of them loads the array layer (`linalg`,
-`extfield`), so the import is paid before any job is timed; every other
-scenario runs without numpy.
+Importing this module loads the pair layer (ring, ideal, cartier,
+fsing) and nothing more.  OP_LAYERS lists the layers each op needs
+beyond it: `proj` for the projective ops, and after it the array layer
+(`linalg`, `extfield`, which load numpy) for separates and thm46.
+Parsing a scenario loads the layers its jobs need, `proj` first, so
+every import is paid before any job is timed; a scenario of pair ops
+loads neither `proj` nor numpy.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -47,10 +52,6 @@ from .fsing import (PairDivisor, is_compatible, is_sharply_f_pure,
                     is_strongly_f_regular, multiplicity_containment,
                     sigma_chain, tau_chain)
 from .ideal import Ideal
-from .proj import (ProjScheme, degree_bound_pipeline,
-                   is_base_point_free, is_globally_generated,
-                   restriction_is_surjective, separates, space_from_polys,
-                   stable_sections, stable_sections_generate, trivial_pair)
 from .ring import PolyRing
 
 REPORT_FORMAT = "charp-report-v1"
@@ -106,10 +107,11 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
                  f"{source}: job {i} must be an object with an 'op'")
         _require(isinstance(job["op"], str) and job["op"] in JOB_REGISTRY,
                  f"{source}: job {i} has unknown op {job['op']!r}")
-    if any(job["op"] in ARRAY_OPS for job in jobs):
-        # load the array layer now, so the first such job's wall time
-        # measures its work and not numpy's import
-        from . import extfield, linalg  # noqa: F401
+    # load the layers the jobs need now, so that no job's wall time
+    # includes an import
+    for layer in dict.fromkeys(layer for job in jobs
+                               for layer in OP_LAYERS[job["op"]]):
+        importlib.import_module(f".{layer}", __package__)
     header = {"p": ring.p, "vars": list(ring.variables), "order": "grevlex"}
     return Scenario(ring=ring, jobs=jobs, header=header)
 
@@ -152,6 +154,14 @@ def _parse_pair(ring: PolyRing, spec: dict) -> PairDivisor:
                        _field(spec, "e", _integer, where="pair"))
 
 
+def _unseeded_pair(ring: PolyRing, job: dict) -> PairDivisor:
+    """The pair of a job whose op reads no seed: a `c` beside it is
+    refused."""
+    _require("c" not in job,
+             f"job field 'c' is not read by the op {job['op']!r}")
+    return _parse_pair(ring, _field(job, "pair"))
+
+
 def _polys(ring: PolyRing, spec: dict, key: str, default: Any = _REQUIRED,
            where: str = "job") -> list:
     """The polynomials listed in spec[key]."""
@@ -161,17 +171,18 @@ def _polys(ring: PolyRing, spec: dict, key: str, default: Any = _REQUIRED,
     return [ring.parse(t) for t in texts]
 
 
-def _parse_scheme(ring: PolyRing, spec: dict) -> ProjScheme:
+def _parse_scheme(ring: PolyRing, spec: dict):
+    from . import proj
     _require(isinstance(spec, dict), "scheme must be an object")
     n = _field(spec, "n", _integer, where="scheme")
     _require(n + 1 == ring.nvars,
              f"scheme n={n} needs {n + 1} variables, header declares "
              f"{ring.nvars}")
-    return ProjScheme.from_forms(
+    return proj.ProjScheme.from_forms(
         ring, _polys(ring, spec, "hypersurfaces", [], "scheme"))
 
 
-def _job_scheme(ring: PolyRing, job: dict) -> ProjScheme:
+def _job_scheme(ring: PolyRing, job: dict):
     """The job's scheme, by default the whole projective space."""
     return _parse_scheme(ring, _field(job, "scheme",
                                       default={"n": ring.nvars - 1}))
@@ -180,7 +191,8 @@ def _job_scheme(ring: PolyRing, job: dict) -> ProjScheme:
 def _pair_or_trivial(ring: PolyRing, job: dict) -> PairDivisor:
     if "pair" in job:
         return _parse_pair(ring, job["pair"])
-    return trivial_pair(ring)
+    from . import proj
+    return proj.trivial_pair(ring)
 
 
 def _ideal_json(ideal: Ideal) -> list:
@@ -219,6 +231,7 @@ def _refuse_beside(job: dict, source: str):
 def _subsystem_space(ring: PolyRing, job: dict):
     """Shared input handling for bpf/separates: an explicit span of
     forms, or the stable subsystem of a pair."""
+    from . import proj
     scheme = _job_scheme(ring, job)
     echo_scheme = {"n": scheme.n,
                    "hypersurfaces": [str(h) for h in scheme.forms]}
@@ -226,13 +239,13 @@ def _subsystem_space(ring: PolyRing, job: dict):
     if "forms" in job:
         _refuse_beside(job, "forms")
         polys = _polys(ring, job, "forms")
-        space = space_from_polys(scheme.ideal, m, polys)
+        space = proj.space_from_polys(scheme.ideal, m, polys)
         info = {"scheme": echo_scheme, "m": m, "source": "forms",
                 "forms": [str(f) for f in polys]}
     else:
         pair = _pair_or_trivial(ring, job)
         which, c = _which_and_seed(ring, job, "sigma")
-        result = stable_sections(scheme, pair, m, which, c)
+        result = proj.stable_sections(scheme, pair, m, which, c)
         space = result.space
         info = {"scheme": echo_scheme, "pair": _echo_pair(pair),
                 "m": m, "which": which, "level": result.level,
@@ -244,7 +257,7 @@ def _subsystem_space(ring: PolyRing, job: dict):
 
 
 def _run_sigma(ring, job):
-    pair = _parse_pair(ring, _field(job, "pair"))
+    pair = _unseeded_pair(ring, job)
     chain = sigma_chain(pair)
     return ({"pair": _echo_pair(pair)},
             {"generators": _ideal_json(chain.ideal)}, chain.steps, None)
@@ -261,7 +274,7 @@ def _run_tau(ring, job):
 
 
 def _run_fpure(ring, job):
-    pair = _parse_pair(ring, _field(job, "pair"))
+    pair = _unseeded_pair(ring, job)
     verdict = is_sharply_f_pure(pair)
     return ({"pair": _echo_pair(pair)}, {"verdict": verdict}, None, None)
 
@@ -274,7 +287,7 @@ def _run_sfr(ring, job):
 
 
 def _run_compatible(ring, job):
-    pair = _parse_pair(ring, _field(job, "pair"))
+    pair = _unseeded_pair(ring, job)
     center = Ideal(ring, _polys(ring, job, "I_Z"))
     verdict = is_compatible(center, pair)
     return ({"pair": _echo_pair(pair), "I_Z": [str(g) for g in center.generators]},
@@ -282,7 +295,7 @@ def _run_compatible(ring, job):
 
 
 def _run_mult(ring, job):
-    pair = _parse_pair(ring, _field(job, "pair"))
+    pair = _unseeded_pair(ring, job)
     point = _field(job, "point", _point_tuple)
     l = _field(job, "l", _integer, None)
     report = multiplicity_containment(pair, point, l)
@@ -294,11 +307,12 @@ def _run_mult(ring, job):
 
 
 def _run_s0(ring, job):
+    from . import proj
     scheme = _parse_scheme(ring, _field(job, "scheme"))
     pair = _pair_or_trivial(ring, job)
     which, c = _which_and_seed(ring, job, "sigma")
     m = _field(job, "m", _integer)
-    result = stable_sections(scheme, pair, m, which, c)
+    result = proj.stable_sections(scheme, pair, m, which, c)
     full_dim = scheme.hilbert_function(m)
     out = _space_json(result.space)
     out.update({"level": result.level, "full_dim": full_dim,
@@ -308,16 +322,18 @@ def _run_s0(ring, job):
 
 
 def _run_bpf(ring, job):
+    from . import proj
     scheme, space, info = _subsystem_space(ring, job)
-    verdict = is_base_point_free(space)
+    verdict = proj.is_base_point_free(space)
     out = {"verdict": verdict, "dim": space.dim}
     return (info, out, info.get("level"), None)
 
 
 def _run_separates(ring, job):
+    from . import proj
     scheme, space, info = _subsystem_space(ring, job)
     k = _field(job, "ext_degree", _integer, 1)
-    report = separates(scheme, space, k)
+    report = proj.separates(scheme, space, k)
     out = {"verdict": report.ok, "points": report.points_on_scheme,
            "pairs": report.pairs_checked, "tangents": report.tangents_checked,
            "failures": [{"kind": f.kind, "points": list(f.points),
@@ -329,22 +345,24 @@ def _run_separates(ring, job):
 
 
 def _run_gg(ring, job):
+    from . import proj
     m = _field(job, "m", _integer)
     if "ideal" in job:
         _refuse_beside(job, "ideal")
         ideal = Ideal(ring, _polys(ring, job, "ideal"))
-        verdict = is_globally_generated(ideal, m)
+        verdict = proj.is_globally_generated(ideal, m)
         return ({"ideal": [str(g) for g in ideal.generators], "m": m},
                 {"verdict": verdict}, None, None)
     scheme = _job_scheme(ring, job)
     pair = _pair_or_trivial(ring, job)
     which, c = _which_and_seed(ring, job, "tau")
-    verdict = stable_sections_generate(scheme, pair, m, which, c)
+    verdict = proj.stable_sections_generate(scheme, pair, m, which, c)
     return ({"pair": _echo_pair(pair), "m": m, "which": which},
             {"verdict": verdict}, None, None)
 
 
 def _run_thm46(ring, job):
+    from . import proj
     # the bound lives on P^n: a scheme with hypersurfaces is refused
     # rather than answered for the whole space
     _require(not _job_scheme(ring, job).forms,
@@ -359,7 +377,7 @@ def _run_thm46(ring, job):
             f"declared degree {job['d']} but A has degree {form.degree()}")
     l = _field(job, "l", _integer)
     e = _field(job, "e", _integer)
-    report = degree_bound_pipeline(ring, points, form, l, e)
+    report = proj.degree_bound_pipeline(ring, points, form, l, e)
     result = {"delta": report.delta, "witness": str(report.witness),
               "witness_degree": report.witness_degree,
               "tau": _ideal_json(report.test_ideal),
@@ -371,11 +389,12 @@ def _run_thm46(ring, job):
 
 
 def _run_restrict(ring, job):
+    from . import proj
     scheme = _job_scheme(ring, job)
-    pair = _parse_pair(ring, _field(job, "pair"))
+    pair = _unseeded_pair(ring, job)
     center = Ideal(ring, _polys(ring, job, "I_Z"))
     m = _field(job, "m", _integer)
-    verdict = restriction_is_surjective(scheme, pair, center, m)
+    verdict = proj.restriction_is_surjective(scheme, pair, center, m)
     return ({"pair": _echo_pair(pair), "I_Z": [str(g) for g in center.generators],
              "m": m}, {"verdict": verdict}, None, verdict)
 
@@ -395,9 +414,17 @@ JOB_REGISTRY = {
     "restrict": _run_restrict,
 }
 
-# ops whose jobs compute with numpy (`linalg`, `extfield`); a scenario
-# loads the array layer only when it holds one of them
-ARRAY_OPS = frozenset({"separates", "thm46"})
+# the engine layers each op needs beyond the pair layer (ring, ideal,
+# cartier, fsing), in the order `parse_scenario` loads them: `proj`
+# first, then for separates and thm46 the array layer, which loads numpy
+_PROJ = ("proj",)
+_ARRAY = ("proj", "linalg", "extfield")
+OP_LAYERS = {
+    "sigma": (), "tau": (), "fpure": (), "sfr": (), "compatible": (),
+    "mult": (),
+    "s0": _PROJ, "bpf": _PROJ, "gg": _PROJ, "restrict": _PROJ,
+    "separates": _ARRAY, "thm46": _ARRAY,
+}
 
 
 def _expect_matches(expect, actual) -> bool:

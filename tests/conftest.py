@@ -1,13 +1,15 @@
 """Shared fixtures, hypothesis profile, and the acceptance recorder."""
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from charp.cartier import frob_expand
-from charp.errors import DomainError
+from charp.errors import DomainError, UnsupportedInputError
+from charp.fsing import PairDivisor, tau
 from charp.ideal import Ideal, normal_form
 from charp.linalg import rref
 from charp.proj import GradedSubspace
@@ -68,6 +70,50 @@ def trace(g: MultiPoly, e: int) -> MultiPoly:
     ring = g.ring
     components = frob_expand(g, e)
     return components.get((ring.p ** e - 1,) * ring.nvars, ring.zero())
+
+
+@dataclass
+class TwistReport:
+    holds: bool
+    shifted: Ideal
+    expected: Ideal
+
+
+def twist_identity(pair: PairDivisor, g: MultiPoly) -> TwistReport:
+    """Check tau(Delta + div(g)) == g * tau(Delta).
+
+    The augmented pair is represented with the single polynomial
+    f^a * g^(q-1) at coefficient 1 and the same level; the pair's chain
+    is seeded with its default test element c and the augmented chain
+    with g*c, so that both runs share test-element data.
+    """
+    if g.is_zero:
+        raise DomainError("twisting polynomial must be nonzero")
+    base_c = pair.default_test_element()
+    q = pair.q
+    augmented = PairDivisor(pair.multiplier * g ** (q - 1), 1, pair.e)
+    lhs = tau(augmented, g * base_c)
+    rhs = Ideal(pair.ring, (g,)) * tau(pair, base_c)
+    return TwistReport(holds=(lhs == rhs), shifted=lhs, expected=rhs)
+
+
+def fedder_f_pure(ideal: Ideal, maximal: Ideal) -> bool:
+    """Fedder's criterion at a rational point for a hypersurface: the
+    quotient ring S/I is F-pure at m exactly when (I^[p] : I) is not
+    inside m^[p] (Fedder, "F-purity and rational singularity", Trans.
+    AMS 278 (1983)).  For I = (h) the colon is (h^p : h) = (h^(p-1)),
+    so the test is h^(p-1) not in m^[p].  An ideal whose reduced basis
+    is not one element is refused.
+    """
+    if not ideal.issubset(maximal):
+        raise DomainError("Fedder test needs I contained in the maximal ideal")
+    basis = ideal.groebner_basis
+    if len(basis) != 1:
+        raise UnsupportedInputError(
+            f"Fedder test needs a principal ideal, got a basis of "
+            f"{len(basis)} elements")
+    h = basis[0]
+    return not maximal.bracket_power(1).contains(h ** (ideal.ring.p - 1))
 
 
 def point_ideal(ring: PolyRing, point) -> Ideal:

@@ -12,8 +12,7 @@ import pytest
 
 from charp.cartier import apply_cartier, bracket_root
 from charp.config import Caps, caps_scope
-from charp.fsing import (PairDivisor, fedder_f_pure, multiplicity_containment,
-                         sigma, tau, twist_identity)
+from charp.fsing import PairDivisor, multiplicity_containment, sigma, tau
 from charp.ideal import Ideal
 from charp.proj import (ProjScheme, _same_saturation, degree_bound_pipeline,
                         graded_piece, is_base_point_free,
@@ -22,8 +21,9 @@ from charp.proj import (ProjScheme, _same_saturation, degree_bound_pipeline,
                         trivial_pair)
 from charp.ring import PolyRing
 
-from conftest import (check_criterion, is_subspace, random_homogeneous,
-                      random_poly, rational_point_ideal, trace)
+from conftest import (check_criterion, fedder_f_pure, is_subspace,
+                      random_homogeneous, random_poly, rational_point_ideal,
+                      trace, twist_identity)
 
 _PROPERTY_SECONDS = []
 

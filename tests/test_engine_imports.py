@@ -1,7 +1,9 @@
 """The engine imports the standard library, numpy and itself, nothing
 else; only `linalg` row-reduces, so every graded-subspace basis comes
-from the Gröbner kernel; and numpy loads only with the array layer
-(`linalg`, `extfield`), which only separates and thm46 need."""
+from the Gröbner kernel; and each layer beyond the pair layer loads only
+for the ops that need it: `proj` for the projective ops, and numpy with
+the array layer (`linalg`, `extfield`), which only separates and thm46
+need."""
 
 import ast
 import inspect
@@ -11,7 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from charp.scenario import ARRAY_OPS, JOB_REGISTRY
+from charp.scenario import JOB_REGISTRY, OP_LAYERS
 
 ENGINE = Path(__file__).resolve().parent.parent / "src" / "charp"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "charp"}
@@ -163,68 +165,138 @@ def test_eager_imports_skip_function_bodies_only():
     assert not loads({"numpyish"}, "numpy")
 
 
+LAZY = ("charp.proj", "charp.linalg", "charp.extfield", "numpy")
+
 PROBE = """
 import json, sys
-import charp
 from charp.scenario import execute, parse_scenario
+LAZY = %r
+def loaded():
+    return [name for name in sys.modules if name in LAZY]
+assert loaded() == [], loaded()
 scenario = parse_scenario(json.loads(sys.argv[1]))
-parsed = "numpy" in sys.modules
+parsed = loaded()
 report, _ = execute(scenario)
-print(json.dumps({"parsed": parsed, "ran": "numpy" in sys.modules,
+print(json.dumps({"parsed": parsed, "ran": loaded(),
                   "errors": [job["error"] for job in report["jobs"]
                              if job["status"] != "ok"]}))
-"""
+""" % (LAZY,)
+
+
+def run_fresh(source: str, *args: str) -> str:
+    """Standard output of the source run in a fresh interpreter that
+    imports charp from this checkout."""
+    path = os.pathsep.join(filter(None, [str(ENGINE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", source, *args],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path)).stdout
 
 
 def probe(jobs: list) -> dict:
     """Parse and execute a scenario over F_5[x, y, z] in a fresh
-    interpreter; whether numpy was loaded after parsing and after
-    executing, and the jobs' errors."""
+    interpreter: which of the lazily loaded modules (LAZY) were loaded
+    after parsing and after executing, in the order their imports
+    finished, and the jobs' errors."""
     doc = {"p": 5, "vars": ["x", "y", "z"], "jobs": jobs}
-    path = os.pathsep.join(filter(None, [str(ENGINE.parent),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(doc)],
-                          capture_output=True, text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=path))
-    return json.loads(proc.stdout)
+    return json.loads(run_fresh(PROBE, json.dumps(doc)))
 
 
 CUBIC = {"n": 2, "hypersurfaces": ["x^3+y^3+z^3"]}
 PLANE = {"n": 2}
+PAIR = {"f": "x*y", "a": 4, "e": 1}
+PAIR_JOBS = [
+    {"op": "sigma", "pair": PAIR},
+    {"op": "tau", "pair": PAIR},
+    {"op": "fpure", "pair": {"f": "x^3+y^3+z^3", "a": 4, "e": 1}},
+    {"op": "sfr", "pair": PAIR},
+    {"op": "compatible", "pair": PAIR, "I_Z": ["x", "y"]},
+    {"op": "mult", "pair": {"f": "x^2+x*y+y^2", "a": 4, "e": 1},
+     "point": [0, 0, None], "l": 2},
+]
+PROJ_JOBS = [
+    {"op": "s0", "scheme": CUBIC, "m": 1},
+    {"op": "s0", "scheme": PLANE, "pair": {"f": "z", "a": 4, "e": 1},
+     "m": 1, "which": "tau"},
+    {"op": "bpf", "scheme": CUBIC, "m": 1, "forms": ["x", "y", "z"]},
+    {"op": "bpf", "scheme": CUBIC, "m": 1},
+    {"op": "gg", "ideal": ["x^2", "x*y", "y^2"], "m": 2},
+    {"op": "gg", "scheme": PLANE, "pair": {"f": "x^2*z+y^3", "a": 4,
+                                            "e": 1}, "m": 2},
+    {"op": "restrict", "scheme": PLANE, "pair": {"f": "z", "a": 4, "e": 1},
+     "I_Z": ["z"], "m": 3},
+]
+ARRAY_JOBS = [
+    {"op": "separates", "scheme": CUBIC, "m": 1, "ext_degree": 2},
+    {"op": "thm46", "scheme": PLANE,
+     "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "A": "(x*y*z)^2",
+     "l": 4, "e": 2},
+]
+
+
+def ops(jobs: list) -> set:
+    return {job["op"] for job in jobs}
+
+
+def test_each_op_lists_its_layers_proj_first():
+    assert set(OP_LAYERS) == set(JOB_REGISTRY)
+    assert {op for op, layers in OP_LAYERS.items() if not layers} \
+        == ops(PAIR_JOBS)
+    assert {op for op, layers in OP_LAYERS.items() if layers == ("proj",)} \
+        == ops(PROJ_JOBS)
+    assert {op for op, layers in OP_LAYERS.items()
+            if layers == ("proj", "linalg", "extfield")} == ops(ARRAY_JOBS)
+
+
+def test_pair_ops_load_neither_proj_nor_numpy():
+    assert probe(PAIR_JOBS) == {"parsed": [], "ran": [], "errors": []}
+
+
+def test_projective_ops_load_proj_while_parsing_and_no_numpy():
+    for job in PROJ_JOBS:
+        assert probe([job]) == {"parsed": ["charp.proj"],
+                                "ran": ["charp.proj"], "errors": []}, job
 
 
 def test_scenarios_without_array_ops_never_load_numpy():
-    pair = {"f": "x*y", "a": 4, "e": 1}
-    jobs = [
-        {"op": "sigma", "pair": pair},
-        {"op": "tau", "pair": pair},
-        {"op": "fpure", "pair": {"f": "x^3+y^3+z^3", "a": 4, "e": 1}},
-        {"op": "sfr", "pair": pair},
-        {"op": "compatible", "pair": pair, "I_Z": ["x", "y"]},
-        {"op": "mult", "pair": {"f": "x^2+x*y+y^2", "a": 4, "e": 1},
-         "point": [0, 0, None], "l": 2},
-        {"op": "s0", "scheme": CUBIC, "m": 1},
-        {"op": "s0", "scheme": PLANE, "pair": {"f": "z", "a": 4, "e": 1},
-         "m": 1, "which": "tau"},
-        {"op": "bpf", "scheme": CUBIC, "m": 1, "forms": ["x", "y", "z"]},
-        {"op": "bpf", "scheme": CUBIC, "m": 1},
-        {"op": "gg", "ideal": ["x^2", "x*y", "y^2"], "m": 2},
-        {"op": "gg", "scheme": PLANE, "pair": {"f": "x^2*z+y^3", "a": 4,
-                                                "e": 1}, "m": 2},
-        {"op": "restrict", "scheme": PLANE, "pair": {"f": "z", "a": 4,
-                                                      "e": 1},
-         "I_Z": ["z"], "m": 3},
-    ]
-    assert {job["op"] for job in jobs} == set(JOB_REGISTRY) - ARRAY_OPS
-    assert probe(jobs) == {"parsed": False, "ran": False, "errors": []}
+    assert ops(PAIR_JOBS + PROJ_JOBS) == set(JOB_REGISTRY) - ops(ARRAY_JOBS)
+    assert probe(PAIR_JOBS + PROJ_JOBS) == {
+        "parsed": ["charp.proj"], "ran": ["charp.proj"], "errors": []}
 
 
 def test_array_ops_load_numpy_while_parsing():
-    separates = {"op": "separates", "scheme": CUBIC, "m": 1,
-                 "ext_degree": 2}
-    thm46 = {"op": "thm46", "scheme": PLANE,
-             "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-             "A": "(x*y*z)^2", "l": 4, "e": 2}
-    assert {separates["op"], thm46["op"]} == ARRAY_OPS
-    for job in (separates, thm46):
-        assert probe([job]) == {"parsed": True, "ran": True, "errors": []}
+    # sys.modules lists a module once its import finishes, so numpy,
+    # which `linalg` imports, comes before `linalg`
+    layers = ["charp.proj", "numpy", "charp.linalg", "charp.extfield"]
+    for job in ARRAY_JOBS:
+        assert probe([job]) == {"parsed": layers, "ran": layers,
+                                "errors": []}, job
+    # proj loads first even when an array op comes first
+    assert probe(ARRAY_JOBS + PROJ_JOBS + PAIR_JOBS)["parsed"] == layers
+
+
+def test_import_charp_loads_the_projective_layer_on_first_use():
+    out = run_fresh("""
+import json, sys
+import charp, charp.cli
+before = [name for name in sys.modules if name in %r]
+found = charp.stable_sections
+cached = vars(charp).get("stable_sections") is found
+from charp import proj
+try:
+    charp.no_such_name
+    refused = False
+except AttributeError:
+    refused = True
+print(json.dumps({"before": before, "cached": cached,
+                  "same": found is proj.stable_sections,
+                  "module": charp.proj is proj, "refused": refused}))
+""" % (LAZY,))
+    assert json.loads(out) == {"before": [], "cached": True, "same": True,
+                               "module": True, "refused": True}
+
+
+def test_no_engine_module_loads_proj_eagerly():
+    for module in sorted(ENGINE.glob("*.py")):
+        assert not loads(eager_imports(module.read_text()), "charp.proj"), \
+            module.name

@@ -12,14 +12,13 @@ from charp.config import Caps, caps_scope
 from charp.errors import (DomainError, InternalInvariantError,
                           PreconditionError, ResourceError, TestElementError,
                           UnsupportedInputError)
-from charp.fsing import (PairDivisor, ascending_fixed_ideal, fedder_f_pure,
-                         is_compatible, is_sharply_f_pure,
-                         is_strongly_f_regular, multiplicity,
-                         multiplicity_containment, sigma, tau, twist_identity)
+from charp.fsing import (PairDivisor, ascending_fixed_ideal, is_compatible,
+                         is_sharply_f_pure, is_strongly_f_regular,
+                         multiplicity, multiplicity_containment, sigma, tau)
 from charp.ideal import Ideal
 from charp.ring import PolyRing
 
-from conftest import point_ideal, random_poly
+from conftest import fedder_f_pure, point_ideal, random_poly, twist_identity
 from test_ideal import oracle_quotient
 
 

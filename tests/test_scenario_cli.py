@@ -91,9 +91,10 @@ def test_execute_restores_the_caps(tmp_path, monkeypatch):
 
 
 def test_malformed_job_fields_fail_only_their_job(tmp_path):
-    # a seed c is read only by a tau chain, after the op's default which;
-    # pair, which and c change nothing beside explicit forms or an ideal,
-    # so each such field fails its job like a malformed one
+    # a seed c is read only by a tau chain, after the op's default which,
+    # so the pair ops that run no tau chain refuse it too; pair, which and
+    # c change nothing beside explicit forms or an ideal, so each such
+    # field fails its job like a malformed one
     scheme = {"n": 2}
     pair = {"f": "x", "a": 1, "e": 1}
     forms = ["x", "y", "z"]
@@ -111,11 +112,21 @@ def test_malformed_job_fields_fail_only_their_job(tmp_path):
                 "'pair'"),
                ({"op": "gg", "m": 1, "ideal": ["x", "y"], "which": "tau"},
                 "'which'"),
-               ({"op": "gg", "m": 1, "ideal": ["x", "y"], "c": "x"}, "'c'")]
+               ({"op": "gg", "m": 1, "ideal": ["x", "y"], "c": "x"}, "'c'"),
+               ({"op": "sigma", "pair": pair, "c": "x"}, "'c'"),
+               ({"op": "fpure", "pair": pair, "c": "x"}, "'c'"),
+               ({"op": "compatible", "pair": pair, "I_Z": ["x"], "c": "x"},
+                "'c'"),
+               ({"op": "mult", "pair": pair, "point": [0, None, None],
+                 "c": "x"}, "'c'"),
+               ({"op": "restrict", "pair": pair, "I_Z": ["x"], "m": 3,
+                 "c": "x"}, "'c'")]
     read = [{"op": "s0", "m": 1, "pair": pair, "which": "tau", "c": "x^2"},
             {"op": "gg", "m": 1, "pair": pair, "c": "x^2"},
             {"op": "bpf", "m": 1, "forms": forms},
-            {"op": "gg", "m": 1, "ideal": ["x", "y"]}]
+            {"op": "gg", "m": 1, "ideal": ["x", "y"]},
+            {"op": "tau", "pair": pair, "c": "x"},
+            {"op": "sfr", "pair": pair, "c": "x"}]
     payload = {"p": 5, "vars": ["x", "y", "z"],
                "jobs": [{"op": "s0", "scheme": scheme},
                         {"op": "sigma", "pair": {"f": "x", "a": "z", "e": 1}},
