@@ -2,7 +2,6 @@
 """Interleaved A/B timing of two source trees on one benchmark workload.
 
     python3 scripts/ab_compare.py PARENT_DIR CHANGE_DIR --workload pairs --rounds 60
-    python3 scripts/ab_compare.py PARENT_DIR CHANGE_DIR --cold 20 FILE
 
 Each tree is a checkout with `src/charp` and `perfbench/`.  Both are
 imported into this one process, each with its own modules, and each
@@ -21,16 +20,6 @@ the per-round ratio change/parent.  Then one line per job op, in
 alphabetical order: the median over rounds of the ratio change/parent
 of the time that op's jobs took in the round, which shows where a
 change in the round time sits.
-
-With --cold N FILE the script times start-up instead.  It runs N fresh
-`python -B` interpreters per tree, the two trees alternating and the
-side that goes first switching every pair.  Each interpreter imports
-`charp.scenario` from its own tree's `src`, then loads, parses and
-executes the scenario FILE, and reports how long that took.  No
-bytecode is written, and a tree that holds a bytecode cache under
-`src/charp` is refused, since reading it would skip the compile that a
-fresh checkout pays.  The two trees' first reports must be equal.
-Prints each side's median and quartiles and the ratio of the medians.
 """
 
 from __future__ import annotations
@@ -39,10 +28,8 @@ import argparse
 import gc
 import importlib
 import json
-import os
 import pkgutil
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -99,86 +86,14 @@ class Side:
         return entries, seconds
 
 
-# one cold start: the seconds from before `import charp.scenario` to
-# after `execute`, where the module came from, and the machine report
-COLD_RUN = """
-import sys, time
-start = time.perf_counter()
-sys.path.insert(0, sys.argv[1])
-import charp.scenario as scenario
-report, _ = scenario.execute(scenario.load_scenario(sys.argv[2]))
-seconds = time.perf_counter() - start
-print(seconds)
-print(scenario.__file__)
-sys.stdout.write(scenario.report_to_json(report))
-"""
-
-
-def cold_run(tree: Path, scenario_file: Path) -> tuple:
-    """(seconds, report text) of one fresh interpreter on the tree."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, "-B", "-c", COLD_RUN, str(tree / "src"),
-         str(scenario_file)],
-        capture_output=True, text=True, env=env, cwd=tree)
-    if proc.returncode:
-        raise SystemExit(f"{tree}: the scenario run failed:\n{proc.stderr}")
-    seconds, origin, report = proc.stdout.split("\n", 2)
-    if (tree / "src").resolve() not in Path(origin).resolve().parents:
-        raise SystemExit(f"charp was imported from {origin}, not from {tree}")
-    return float(seconds), report
-
-
-def quartiles(values: list) -> tuple:
-    return (statistics.quantiles(values, n=4) if len(values) > 1
-            else values * 3)
-
-
-def cold(parent: Path, change: Path, runs: int, scenario_file: Path) -> int:
-    trees = (parent, change)
-    for tree in trees:
-        cache = tree / "src" / "charp" / "__pycache__"
-        if cache.exists():
-            raise SystemExit(f"{cache} would be read; remove it to time "
-                             "the compile")
-    times: dict = {tree: [] for tree in trees}
-    reports = {}
-    for r in range(runs):
-        for tree in (trees if r % 2 == 0 else trees[::-1]):
-            seconds, reports[tree] = cold_run(tree, scenario_file)
-            times[tree].append(seconds)
-        if r == 0 and reports[parent] != reports[change]:
-            raise SystemExit(f"the reports on {scenario_file} differ")
-    print(f"cold {scenario_file}: {runs} fresh interpreters per side")
-    for side, tree in zip(("parent", "change"), trees):
-        low, _, high = quartiles(times[tree])
-        print(f"{side} {tree}: median {statistics.median(times[tree]):.4f} s, "
-              f"quartiles {low:.4f}-{high:.4f} s")
-    wins = sum(c < p for p, c in zip(times[parent], times[change]))
-    ratio = statistics.median(times[change]) / statistics.median(times[parent])
-    print(f"change/parent of the medians: {ratio:.3f}, "
-          f"change faster in {wins}/{runs} pairs")
-    return 0
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload")
-    ap.add_argument("--rounds", type=int)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--rounds", type=int, required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--cold", nargs=2, metavar=("N", "FILE"),
-                    help="time N cold starts per tree on a scenario file")
     args = ap.parse_args(argv)
-    if args.cold:
-        runs, scenario_file = args.cold
-        if not runs.isdigit() or int(runs) < 1:
-            ap.error("--cold needs a positive count")
-        return cold(args.parent, args.change, int(runs),
-                    Path(scenario_file).resolve())
-    if args.workload is None or args.rounds is None:
-        ap.error("--workload and --rounds are required without --cold")
     if args.rounds < 1:
         ap.error("--rounds must be positive")
 
@@ -202,7 +117,8 @@ def main(argv=None) -> int:
     times = {side: [sum(seconds) for seconds in rounds]
              for side, rounds in jobs.items()}
     ratios = [c / p for p, c in zip(times[parent], times[change])]
-    low, _, high = quartiles(ratios)
+    low, _, high = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
+                    else ratios * 3)
     wins = sum(r < 1 for r in ratios)
     print(f"{args.workload} seed {args.seed}: {len(want)} jobs x "
           f"{args.rounds} rounds per side")

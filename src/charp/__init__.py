@@ -4,7 +4,7 @@ The kernel is a sparse grevlex Gröbner engine over F_p (ring, ideal);
 on top of it sit the Frobenius pushforward operators (cartier), the
 fixed-ideal theory of divisor pairs (fsing), graded section spaces and
 stable trace images on projective schemes (proj), and a deterministic
-scenario runner (scenario, cli).
+scenario runner (scenario, projops, cli).
 
 `import charp` loads the pair layer (ring, ideal, cartier, fsing).  The
 projective layer loads on first use: the first access to `charp.proj`

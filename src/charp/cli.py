@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import resources
 from typing import List, Optional
 
 from .config import Caps, DEFAULT_CAPS
@@ -109,8 +110,6 @@ def run_file(path: str, caps: Caps, report_path: Optional[str]) -> int:
 
 def suite_scenarios(name: str):
     """Yield (scenario name, path-like) for a bundled suite."""
-    # loaded here, not at module level: `charp run` never needs it
-    from importlib import resources
     if name not in SUITE_DIRS:
         raise ScenarioError(
             f"unknown suite {name!r}; available: {sorted(SUITE_DIRS)}")
@@ -121,7 +120,6 @@ def suite_scenarios(name: str):
 
 
 def run_suite(name: str, caps: Caps, report_path: Optional[str]) -> int:
-    from importlib import resources
     scenarios = suite_scenarios(name)
     overall_ok = True
     aggregated = {"format": "charp-suite-report-v1", "suite": name,

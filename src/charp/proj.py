@@ -298,16 +298,13 @@ def _stable_level(chain: ChainResult) -> int:
 
 
 def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
-                       c: Optional[MultiPoly] = None, *,
-                       cone: Optional[PairDivisor] = None) -> ChainResult:
+                       c: Optional[MultiPoly] = None) -> ChainResult:
     """Largest ('sigma') or smallest ('tau') operator-fixed homogeneous
-    ideal of the cone pair, adjunction factors included; `cone` is
-    `scheme.cone_pair(pair)` when the caller has formed it already.  The
-    tau chain starts from c, by default the pair's test element; a seed
-    that is not homogeneous is refused, and so is a unit seed on a cone
-    singular at its vertex."""
-    if cone is None:
-        cone = scheme.cone_pair(pair)
+    ideal of the cone pair, adjunction factors included.  The tau chain
+    starts from c, by default the pair's test element; a seed that is not
+    homogeneous is refused, and so is a unit seed on a cone singular at
+    its vertex."""
+    cone = scheme.cone_pair(pair)
     if which == "sigma":
         return descending_fixed_ideal(cone, scheme.ideal)
     if which == "tau":
@@ -325,8 +322,8 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
 
 
 def stable_sections(scheme: ProjScheme, pair: PairDivisor, m: int,
-                    which: str = "sigma", c: Optional[MultiPoly] = None, *,
-                    cone: Optional[PairDivisor] = None) -> StableImageResult:
+                    which: str = "sigma",
+                    c: Optional[MultiPoly] = None) -> StableImageResult:
     """Stable image of the level-n trace maps inside the degree-m piece.
 
     The level-n image is the degree-m piece of the n-th term of the
@@ -336,12 +333,10 @@ def stable_sections(scheme: ProjScheme, pair: PairDivisor, m: int,
     because it is operator-fixed.  The reported level is the first
     level >= 2 whose image provably equals the one before (2 for tau).
     The result does not depend on the level used to present the pair.
-    A caller that has formed `scheme.cone_pair(pair)` passes it as
-    `cone`, so that the multiplier is not formed twice.
     """
     if m < 0:
         raise DomainError(f"target degree must be >= 0, got {m}")
-    chain = graded_fixed_ideal(scheme, pair, which, c, cone=cone)
+    chain = graded_fixed_ideal(scheme, pair, which, c)
     level = _stable_level(chain) if which == "sigma" else 2
     space = _stable_piece(scheme, pair, m, level, chain.ideal, scheme.ideal)
     return StableImageResult(space=space, level=level, fixed=chain.ideal)
@@ -723,13 +718,12 @@ def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,
     stable subsystem on X, not a surjectivity that could fail.
     """
     modulus = center + scheme.ideal
-    cone = scheme.cone_pair(pair)
-    if not is_compatible(modulus, cone):
+    if not is_compatible(modulus, scheme.cone_pair(pair)):
         raise PreconditionError("the center is not compatible with the pair")
     if m - scheme.pair_degree(pair) <= 0:
         raise PreconditionError(
             f"twist degree {m} does not dominate the pair degree "
             f"{scheme.pair_degree(pair)}")
-    on_x = stable_sections(scheme, pair, m, "sigma", cone=cone)
+    on_x = stable_sections(scheme, pair, m, "sigma")
     restricted = _ideal_piece(on_x.fixed + center, modulus, m)
     return space_from_polys(modulus, m, on_x.space.basis) == restricted

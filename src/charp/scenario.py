@@ -30,12 +30,14 @@ so its scheme, when given, must have no hypersurfaces.  Top-level keys
 other than the ring header and the job list are ignored.
 
 Importing this module loads the pair layer (ring, ideal, cartier,
-fsing) and nothing more.  OP_LAYERS lists the layers each op needs
-beyond it: `proj` for the projective ops, and after it the array layer
-(`linalg`, `extfield`, which load numpy) for separates and thm46.
-Parsing a scenario loads the layers its jobs need, `proj` first, so
-every import is paid before any job is timed; a scenario of pair ops
-loads neither `proj` nor numpy.
+fsing) and the runners of the pair ops, and nothing more.  The runners
+of the projective ops live in `projops`, which imports `proj` and
+registers them when it loads.  OP_LAYERS lists the modules each op
+needs beyond the pair layer: `projops` for the projective ops, and
+after it the array layer (`linalg`, `extfield`, which load numpy) for
+separates and thm46.  Parsing a scenario loads the modules its jobs
+need, `projops` first, so every import is paid before any job is
+timed; a scenario of pair ops loads neither `proj` nor numpy.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     for i, job in enumerate(jobs):
         _require(isinstance(job, dict) and "op" in job,
                  f"{source}: job {i} must be an object with an 'op'")
-        _require(isinstance(job["op"], str) and job["op"] in JOB_REGISTRY,
+        _require(isinstance(job["op"], str) and job["op"] in OP_LAYERS,
                  f"{source}: job {i} has unknown op {job['op']!r}")
     # load the layers the jobs need now, so that no job's wall time
     # includes an import
@@ -171,36 +173,8 @@ def _polys(ring: PolyRing, spec: dict, key: str, default: Any = _REQUIRED,
     return [ring.parse(t) for t in texts]
 
 
-def _parse_scheme(ring: PolyRing, spec: dict):
-    from . import proj
-    _require(isinstance(spec, dict), "scheme must be an object")
-    n = _field(spec, "n", _integer, where="scheme")
-    _require(n + 1 == ring.nvars,
-             f"scheme n={n} needs {n + 1} variables, header declares "
-             f"{ring.nvars}")
-    return proj.ProjScheme.from_forms(
-        ring, _polys(ring, spec, "hypersurfaces", [], "scheme"))
-
-
-def _job_scheme(ring: PolyRing, job: dict):
-    """The job's scheme, by default the whole projective space."""
-    return _parse_scheme(ring, _field(job, "scheme",
-                                      default={"n": ring.nvars - 1}))
-
-
-def _pair_or_trivial(ring: PolyRing, job: dict) -> PairDivisor:
-    if "pair" in job:
-        return _parse_pair(ring, job["pair"])
-    from . import proj
-    return proj.trivial_pair(ring)
-
-
 def _ideal_json(ideal: Ideal) -> list:
     return [str(g) for g in ideal.groebner_basis]
-
-
-def _space_json(space) -> dict:
-    return {"dim": space.dim, "basis": [str(f) for f in space.basis]}
 
 
 def _echo_pair(pair: PairDivisor) -> dict:
@@ -220,37 +194,6 @@ def _which_and_seed(ring: PolyRing, job: dict, default: str) -> tuple:
     _require(which == "tau" or "c" not in job,
              f"job field 'c' is read only with which 'tau', not {which!r}")
     return which, _field(job, "c", ring.parse, None)
-
-
-def _refuse_beside(job: dict, source: str):
-    for key in ("pair", "which", "c"):
-        _require(key not in job,
-                 f"job field {key!r} is not read beside {source!r}")
-
-
-def _subsystem_space(ring: PolyRing, job: dict):
-    """Shared input handling for bpf/separates: an explicit span of
-    forms, or the stable subsystem of a pair."""
-    from . import proj
-    scheme = _job_scheme(ring, job)
-    echo_scheme = {"n": scheme.n,
-                   "hypersurfaces": [str(h) for h in scheme.forms]}
-    m = _field(job, "m", _integer)
-    if "forms" in job:
-        _refuse_beside(job, "forms")
-        polys = _polys(ring, job, "forms")
-        space = proj.space_from_polys(scheme.ideal, m, polys)
-        info = {"scheme": echo_scheme, "m": m, "source": "forms",
-                "forms": [str(f) for f in polys]}
-    else:
-        pair = _pair_or_trivial(ring, job)
-        which, c = _which_and_seed(ring, job, "sigma")
-        result = proj.stable_sections(scheme, pair, m, which, c)
-        space = result.space
-        info = {"scheme": echo_scheme, "pair": _echo_pair(pair),
-                "m": m, "which": which, "level": result.level,
-                "source": "stable-image"}
-    return scheme, space, info
 
 
 # -- job runners ------------------------------------------------------------
@@ -306,99 +249,8 @@ def _run_mult(ring, job):
             result, None, report.holds)
 
 
-def _run_s0(ring, job):
-    from . import proj
-    scheme = _parse_scheme(ring, _field(job, "scheme"))
-    pair = _pair_or_trivial(ring, job)
-    which, c = _which_and_seed(ring, job, "sigma")
-    m = _field(job, "m", _integer)
-    result = proj.stable_sections(scheme, pair, m, which, c)
-    full_dim = scheme.hilbert_function(m)
-    out = _space_json(result.space)
-    out.update({"level": result.level, "full_dim": full_dim,
-                "complete": result.space.dim == full_dim})
-    return ({"pair": _echo_pair(pair), "m": m, "which": which}, out,
-            result.level, None)
-
-
-def _run_bpf(ring, job):
-    from . import proj
-    scheme, space, info = _subsystem_space(ring, job)
-    verdict = proj.is_base_point_free(space)
-    out = {"verdict": verdict, "dim": space.dim}
-    return (info, out, info.get("level"), None)
-
-
-def _run_separates(ring, job):
-    from . import proj
-    scheme, space, info = _subsystem_space(ring, job)
-    k = _field(job, "ext_degree", _integer, 1)
-    report = proj.separates(scheme, space, k)
-    out = {"verdict": report.ok, "points": report.points_on_scheme,
-           "pairs": report.pairs_checked, "tangents": report.tangents_checked,
-           "failures": [{"kind": f.kind, "points": list(f.points),
-                         "detail": f.detail} for f in report.failures],
-           "coverage": report.coverage()}
-    inputs = dict(info)
-    inputs["ext_degree"] = k
-    return (inputs, out, info.get("level"), None)
-
-
-def _run_gg(ring, job):
-    from . import proj
-    m = _field(job, "m", _integer)
-    if "ideal" in job:
-        _refuse_beside(job, "ideal")
-        ideal = Ideal(ring, _polys(ring, job, "ideal"))
-        verdict = proj.is_globally_generated(ideal, m)
-        return ({"ideal": [str(g) for g in ideal.generators], "m": m},
-                {"verdict": verdict}, None, None)
-    scheme = _job_scheme(ring, job)
-    pair = _pair_or_trivial(ring, job)
-    which, c = _which_and_seed(ring, job, "tau")
-    verdict = proj.stable_sections_generate(scheme, pair, m, which, c)
-    return ({"pair": _echo_pair(pair), "m": m, "which": which},
-            {"verdict": verdict}, None, None)
-
-
-def _run_thm46(ring, job):
-    from . import proj
-    # the bound lives on P^n: a scheme with hypersurfaces is refused
-    # rather than answered for the whole space
-    _require(not _job_scheme(ring, job).forms,
-             "thm46 field 'scheme' must be projective space, with no "
-             "hypersurfaces")
-    points = _field(job, "points",
-                    lambda raw: [tuple(map(_integer, P)) for P in raw])
-    form = _field(job, "A", ring.parse)
-    d = _field(job, "d", _integer, None)
-    if d is not None and d != form.degree():
-        raise ScenarioError(
-            f"declared degree {job['d']} but A has degree {form.degree()}")
-    l = _field(job, "l", _integer)
-    e = _field(job, "e", _integer)
-    report = proj.degree_bound_pipeline(ring, points, form, l, e)
-    result = {"delta": report.delta, "witness": str(report.witness),
-              "witness_degree": report.witness_degree,
-              "tau": _ideal_json(report.test_ideal),
-              "multiplicities": report.multiplicities,
-              "verdict": report.ok}
-    inputs = {"points": [list(P) for P in points], "A": str(form),
-              "l": l, "e": e, "d": form.degree()}
-    return (inputs, result, None, report.ok)
-
-
-def _run_restrict(ring, job):
-    from . import proj
-    scheme = _job_scheme(ring, job)
-    pair = _unseeded_pair(ring, job)
-    center = Ideal(ring, _polys(ring, job, "I_Z"))
-    m = _field(job, "m", _integer)
-    verdict = proj.restriction_is_surjective(scheme, pair, center, m)
-    return ({"pair": _echo_pair(pair), "I_Z": [str(g) for g in center.generators],
-             "m": m}, {"verdict": verdict}, None, verdict)
-
-
+# the runners of the pair ops; `projops` adds those of the projective
+# ops when it loads
 JOB_REGISTRY = {
     "sigma": _run_sigma,
     "tau": _run_tau,
@@ -406,19 +258,14 @@ JOB_REGISTRY = {
     "sfr": _run_sfr,
     "compatible": _run_compatible,
     "mult": _run_mult,
-    "s0": _run_s0,
-    "bpf": _run_bpf,
-    "separates": _run_separates,
-    "gg": _run_gg,
-    "thm46": _run_thm46,
-    "restrict": _run_restrict,
 }
 
-# the engine layers each op needs beyond the pair layer (ring, ideal,
-# cartier, fsing), in the order `parse_scenario` loads them: `proj`
-# first, then for separates and thm46 the array layer, which loads numpy
-_PROJ = ("proj",)
-_ARRAY = ("proj", "linalg", "extfield")
+# every op, with the modules it needs beyond the pair layer (ring,
+# ideal, cartier, fsing) in the order `parse_scenario` loads them:
+# `projops`, which loads `proj`, for the projective ops, and after it
+# for separates and thm46 the array layer, which loads numpy
+_PROJ = ("projops",)
+_ARRAY = ("projops", "linalg", "extfield")
 OP_LAYERS = {
     "sigma": (), "tau": (), "fpure": (), "sfr": (), "compatible": (),
     "mult": (),

@@ -78,11 +78,11 @@ def test_differing_reports_name_the_first_job_that_differs(tmp_path):
     parent = _copy(tmp_path / "parent")
     change = _copy(tmp_path / "change")
     # the change reports every bpf subsystem one dimension too large
-    scenario = change / "src" / "charp" / "scenario.py"
-    text = scenario.read_text()
+    runners = change / "src" / "charp" / "projops.py"
+    text = runners.read_text()
     line = 'out = {"verdict": verdict, "dim": space.dim}'
     assert text.count(line) == 1
-    scenario.write_text(text.replace(line, line[:-1] + " + 1}"))
+    runners.write_text(text.replace(line, line[:-1] + " + 1}"))
     proc = _run(parent, change)
     assert proc.returncode != 0 and not proc.stdout
     found = re.fullmatch(r"job (\d+) differs:\n parent (.*)\n change (.*)\n",
@@ -92,40 +92,3 @@ def test_differing_reports_name_the_first_job_that_differs(tmp_path):
     assert want["op"] == got["op"] == "bpf"
     assert got["result"]["dim"] == want["result"]["dim"] + 1
     assert int(found[1]) == _ops(parent).index("bpf") > 0
-
-
-def _run_cold(parent: Path, change: Path, scenario: Path):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    return subprocess.run(
-        [sys.executable, str(SCRIPT), str(parent), str(change),
-         "--cold", "2", str(scenario)],
-        capture_output=True, text=True, env=env, cwd=parent)
-
-
-def test_cold_starts_of_one_tree_report_and_write_nothing(tmp_path):
-    tree = _copy(tmp_path / "tree")
-    scenario = tree / "src" / "charp" / "suites" / "smoke" / "s01_sigma.json"
-    before = _files(tree)
-    proc = _run_cold(tree, tree, scenario)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == f"cold {scenario}: 2 fresh interpreters per side"
-    for line, side in zip(lines[1:3], ("parent", "change")):
-        assert re.fullmatch(rf"{side} {re.escape(str(tree))}: "
-                            r"median \d+\.\d{4} s, "
-                            r"quartiles \d+\.\d{4}-\d+\.\d{4} s", line), line
-    assert re.fullmatch(r"change/parent of the medians: \d+\.\d{3}, "
-                        r"change faster in [012]/2 pairs", lines[3])
-    assert len(lines) == 4
-    # -B: not even the compiled modules are cached
-    assert _files(tree) == before
-
-
-def test_cold_starts_refuse_a_bytecode_cache(tmp_path):
-    tree = _copy(tmp_path / "tree")
-    cache = tree / "src" / "charp" / "__pycache__"
-    cache.mkdir()
-    proc = _run_cold(tree, tree, tree / "src" / "charp" / "suites" / "smoke"
-                     / "s01_sigma.json")
-    assert proc.returncode != 0 and not proc.stdout
-    assert str(cache) in proc.stderr

@@ -1,9 +1,9 @@
 """The engine imports the standard library, numpy and itself, nothing
 else; only `linalg` row-reduces, so every graded-subspace basis comes
 from the Gröbner kernel; and each layer beyond the pair layer loads only
-for the ops that need it: `proj` for the projective ops, and numpy with
-the array layer (`linalg`, `extfield`), which only separates and thm46
-need."""
+for the ops that need it: `proj`, through the runners in `projops`, for
+the projective ops, and numpy with the array layer (`linalg`,
+`extfield`), which only separates and thm46 need."""
 
 import ast
 import inspect
@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from charp import projops  # noqa: F401 (registers the projective runners)
 from charp.scenario import JOB_REGISTRY, OP_LAYERS
 
 ENGINE = Path(__file__).resolve().parent.parent / "src" / "charp"
@@ -165,7 +166,8 @@ def test_eager_imports_skip_function_bodies_only():
     assert not loads({"numpyish"}, "numpy")
 
 
-LAZY = ("charp.proj", "charp.linalg", "charp.extfield", "numpy")
+LAZY = ("charp.proj", "charp.projops", "charp.linalg", "charp.extfield",
+        "numpy")
 
 PROBE = """
 import json, sys
@@ -238,36 +240,44 @@ def ops(jobs: list) -> set:
     return {job["op"] for job in jobs}
 
 
-def test_each_op_lists_its_layers_proj_first():
+def test_each_op_lists_its_layers_projops_first():
     assert set(OP_LAYERS) == set(JOB_REGISTRY)
     assert {op for op, layers in OP_LAYERS.items() if not layers} \
         == ops(PAIR_JOBS)
-    assert {op for op, layers in OP_LAYERS.items() if layers == ("proj",)} \
-        == ops(PROJ_JOBS)
     assert {op for op, layers in OP_LAYERS.items()
-            if layers == ("proj", "linalg", "extfield")} == ops(ARRAY_JOBS)
+            if layers == ("projops",)} == ops(PROJ_JOBS)
+    assert {op for op, layers in OP_LAYERS.items()
+            if layers == ("projops", "linalg", "extfield")} \
+        == ops(ARRAY_JOBS)
+    # the runners of the projective ops are those `projops` defines
+    assert {op for op, run in JOB_REGISTRY.items()
+            if run.__module__ == "charp.projops"} \
+        == ops(PROJ_JOBS + ARRAY_JOBS)
 
 
 def test_pair_ops_load_neither_proj_nor_numpy():
     assert probe(PAIR_JOBS) == {"parsed": [], "ran": [], "errors": []}
 
 
+PROJ_LAYER = ["charp.proj", "charp.projops"]
+
+
 def test_projective_ops_load_proj_while_parsing_and_no_numpy():
     for job in PROJ_JOBS:
-        assert probe([job]) == {"parsed": ["charp.proj"],
-                                "ran": ["charp.proj"], "errors": []}, job
+        assert probe([job]) == {"parsed": PROJ_LAYER, "ran": PROJ_LAYER,
+                                "errors": []}, job
 
 
 def test_scenarios_without_array_ops_never_load_numpy():
     assert ops(PAIR_JOBS + PROJ_JOBS) == set(JOB_REGISTRY) - ops(ARRAY_JOBS)
     assert probe(PAIR_JOBS + PROJ_JOBS) == {
-        "parsed": ["charp.proj"], "ran": ["charp.proj"], "errors": []}
+        "parsed": PROJ_LAYER, "ran": PROJ_LAYER, "errors": []}
 
 
 def test_array_ops_load_numpy_while_parsing():
     # sys.modules lists a module once its import finishes, so numpy,
     # which `linalg` imports, comes before `linalg`
-    layers = ["charp.proj", "numpy", "charp.linalg", "charp.extfield"]
+    layers = PROJ_LAYER + ["numpy", "charp.linalg", "charp.extfield"]
     for job in ARRAY_JOBS:
         assert probe([job]) == {"parsed": layers, "ran": layers,
                                 "errors": []}, job
@@ -296,7 +306,13 @@ print(json.dumps({"before": before, "cached": cached,
                                "module": True, "refused": True}
 
 
-def test_no_engine_module_loads_proj_eagerly():
+def test_only_projops_loads_proj_eagerly():
+    # `projops` is the scenario runner's one door to `proj`, and no
+    # engine module loads `projops` eagerly
+    assert loads(eager_imports((ENGINE / "projops.py").read_text()),
+                 "charp.proj")
     for module in sorted(ENGINE.glob("*.py")):
-        assert not loads(eager_imports(module.read_text()), "charp.proj"), \
-            module.name
+        names = eager_imports(module.read_text())
+        assert not loads(names, "charp.projops"), module.name
+        if module.name != "projops.py":
+            assert not loads(names, "charp.proj"), module.name

@@ -1604,21 +1604,3 @@ def test_restriction_onto_points_of_a_curve(fermat7):
         assert is_compatible(point + fermat7.ideal,
                              fermat7.cone_pair(pair))
         assert restriction_is_surjective(fermat7, pair, point, 2)
-
-
-def test_restriction_forms_the_cone_pair_once(fermat7, monkeypatch):
-    # the multiplier u = f^a * h^(q-1) is formed for the compatibility
-    # check and handed to the chain, not formed again inside it
-    calls = []
-    original = ProjScheme.cone_pair
-
-    def counted(self, pair):
-        calls.append(pair)
-        return original(self, pair)
-
-    monkeypatch.setattr(ProjScheme, "cone_pair", counted)
-    ring = fermat7.ring
-    pair = PairDivisor(ring.gen(0), 6, 1)
-    point = rational_point_ideal(ring, (0, 3, 1))
-    assert restriction_is_surjective(fermat7, pair, point, 2)
-    assert calls == [pair]
