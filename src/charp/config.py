@@ -7,35 +7,86 @@ context variable: `scenario.execute` runs its jobs inside
 read with `current_caps()` where it is enforced, so one setting binds
 in every completion, chain and check below it.  Outside any scope the
 caps are DEFAULT_CAPS.
+
+`Frozen` is the base of the engine's value types (`Caps`, `PolyRing`,
+`PairDivisor`, `ProjScheme`, `GradedSubspace`).  They, like the engine's
+records, are plain classes whose methods are written out by hand, so
+that loading a module runs no generated code: a class decorator that
+generates `__init__`, `__eq__` and the rest writes out their source and
+`exec`s it each time its module loads.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 from math import comb
 from typing import Iterator
 
 from .errors import ResourceError
 
 
-@dataclass(frozen=True)
-class Caps:
-    max_degree: int = 64          # each power in polynomial text, completions
-                                  # and their inputs, f^a, seeds, graded pieces
-    max_basis: int = 512          # generators tracked during basis completion
-    chain_steps: int = 64         # iterations allowed in fixed-ideal chains
-    frobenius_block: int = 256    # largest p^e handled by basis expansion
-    ext_degree: int = 3           # largest field extension used for point sampling
-    max_piece: int = 1_000_000    # monomials in one graded piece, counted
-                                  # before it is enumerated
+class Frozen:
+    """A value equal to, and hashed like, another of its class with the
+    same fields, those named in FIELDS.  Its `__init__` fills the
+    instance dict directly, as a `cached_property` does on first use;
+    every assignment after that is refused."""
+
+    __slots__ = ()
+    FIELDS: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.FIELDS])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.FIELDS, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Caps(Frozen):
+    """The resource caps, named in FIELDS:
+
+    max_degree       each power in polynomial text, completions and
+                     their inputs, f^a, seeds, graded pieces
+    max_basis        generators tracked during basis completion
+    chain_steps      iterations allowed in fixed-ideal chains
+    frobenius_block  largest p^e handled by basis expansion
+    ext_degree       largest field extension used for point sampling
+    max_piece        monomials in one graded piece, counted before it
+                     is enumerated
+    """
+
+    FIELDS = ("max_degree", "max_basis", "chain_steps", "frobenius_block",
+              "ext_degree", "max_piece")
+
+    def __init__(self, max_degree: int = 64, max_basis: int = 512,
+                 chain_steps: int = 64, frobenius_block: int = 256,
+                 ext_degree: int = 3, max_piece: int = 1_000_000):
+        vars(self).update(max_degree=max_degree, max_basis=max_basis,
+                          chain_steps=chain_steps,
+                          frobenius_block=frobenius_block,
+                          ext_degree=ext_degree, max_piece=max_piece)
 
     def with_overrides(self, **kwargs: int) -> "Caps":
-        unknown = set(kwargs) - set(self.__dataclass_fields__)
+        unknown = set(kwargs) - set(self.FIELDS)
         if unknown:
             raise ValueError(f"unknown cap names: {sorted(unknown)}")
-        return replace(self, **kwargs)
+        return Caps(**dict(zip(self.FIELDS, self._values()), **kwargs))
 
 
 DEFAULT_CAPS = Caps()

@@ -18,35 +18,32 @@ up the adjunction factor prod h_i^(q-1) (F-adjunction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .cartier import apply_cartier
-from .config import check_degree, current_caps
+from .config import Frozen, check_degree, current_caps
 from .errors import (DomainError, InternalInvariantError, PreconditionError,
                      ResourceError, TestElementError, UnsupportedInputError)
 from .ideal import Ideal
 from .ring import MultiPoly, PolyRing
 
 
-@dataclass(frozen=True)
-class PairDivisor:
+class PairDivisor(Frozen):
     """Delta = (a/(p^e-1)) * div(f); the index of the pair is prime to p
     by construction."""
 
-    f: MultiPoly
-    a: int
-    e: int
+    FIELDS = ("f", "a", "e")
 
-    def __post_init__(self):
-        if self.f.is_zero:
+    def __init__(self, f: MultiPoly, a: int, e: int):
+        if f.is_zero:
             raise DomainError("pair divisor needs a nonzero polynomial")
-        if self.a < 0:
-            raise DomainError(f"pair coefficient must be >= 0, got {self.a}")
-        if self.e < 1:
-            raise DomainError(f"pair level must be >= 1, got {self.e}")
+        if a < 0:
+            raise DomainError(f"pair coefficient must be >= 0, got {a}")
+        if e < 1:
+            raise DomainError(f"pair level must be >= 1, got {e}")
+        vars(self).update(f=f, a=a, e=e)
 
     @property
     def ring(self) -> PolyRing:
@@ -89,10 +86,12 @@ class PairDivisor:
         return self.f ** k
 
 
-@dataclass
 class ChainResult:
-    ideal: Ideal
-    steps: int
+    __slots__ = ("ideal", "steps")
+
+    def __init__(self, ideal: Ideal, steps: int):
+        self.ideal = ideal
+        self.steps = steps
 
 
 def descending_fixed_ideal(pair: PairDivisor, modulus: Ideal) -> ChainResult:
@@ -223,14 +222,17 @@ def multiplicity(f: MultiPoly, point: Sequence) -> int:
     return min(sum(exps[i] for i in constrained) for exps in shifted._terms)
 
 
-@dataclass
 class ContainmentReport:
-    point: tuple
-    codim: int
-    threshold: int
-    pair_multiplicity: Fraction
-    test_ideal: Ideal
-    holds: bool
+    __slots__ = ("codim", "threshold", "pair_multiplicity", "test_ideal",
+                 "holds")
+
+    def __init__(self, codim: int, threshold: int,
+                 pair_multiplicity: Fraction, test_ideal: Ideal, holds: bool):
+        self.codim = codim
+        self.threshold = threshold
+        self.pair_multiplicity = pair_multiplicity
+        self.test_ideal = test_ideal
+        self.holds = holds
 
 
 def multiplicity_containment(pair: PairDivisor, point: Sequence,
@@ -254,6 +256,6 @@ def multiplicity_containment(pair: PairDivisor, point: Sequence,
             f"threshold {threshold}")
     t = tau(pair)
     inside = all(multiplicity(g, coords) >= 1 for g in t.groebner_basis)
-    return ContainmentReport(point=coords, codim=codim, threshold=threshold,
+    return ContainmentReport(codim=codim, threshold=threshold,
                              pair_multiplicity=mult, test_ideal=t,
                              holds=inside)

@@ -47,7 +47,6 @@ fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
@@ -55,7 +54,8 @@ from math import comb
 from operator import le
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-from .config import DEFAULT_CAPS, check_degree, check_piece, current_caps
+from .config import (DEFAULT_CAPS, Frozen, check_degree, check_piece,
+                     current_caps)
 from .errors import (DomainError, PreconditionError, ResourceError,
                      TheoremViolationError)
 from .fsing import (ChainResult, PairDivisor, ascending_fixed_ideal,
@@ -69,8 +69,7 @@ def trivial_pair(ring: PolyRing) -> PairDivisor:
     return PairDivisor(ring.one(), 0, 1)
 
 
-@dataclass(frozen=True)
-class ProjScheme:
+class ProjScheme(Frozen):
     """X in P^n cut out by homogeneous forms (empty for P^n itself),
     with the degree of the dualizing twist tracked by adjunction.
 
@@ -85,23 +84,23 @@ class ProjScheme:
     would pass the series test.
     """
 
-    ring: PolyRing
-    forms: tuple
+    FIELDS = ("ring", "forms")
 
-    def __post_init__(self):
-        for h in self.forms:
-            if h.ring != self.ring:
+    def __init__(self, ring: PolyRing, forms: tuple):
+        for h in forms:
+            if h.ring != ring:
                 raise DomainError("defining form in the wrong ring")
             if h.is_zero or not h.is_homogeneous():
                 raise DomainError("defining forms must be nonzero homogeneous")
-        if any(h.is_constant for h in self.forms):
+        if any(h.is_constant for h in forms):
             raise DomainError("defining forms must have positive degree")
-        r = len(self.forms)
-        model = [(0,) * i + (h.degree(),) + (0,) * (self.ring.nvars - i - 1)
-                 for i, h in enumerate(self.forms)]
+        vars(self).update(ring=ring, forms=forms)
+        r = len(forms)
+        model = [(0,) * i + (h.degree(),) + (0,) * (ring.nvars - i - 1)
+                 for i, h in enumerate(forms)]
         # the empty sequence is regular: P^n needs no series
         if r > self.n or (r and self.hilbert_numerator
-                          != monomial_hilbert_numerator(model, self.ring.nvars)):
+                          != monomial_hilbert_numerator(model, ring.nvars)):
             raise DomainError(
                 f"the {r} defining forms are not a regular sequence of "
                 f"length <= {self.n}; pass a complete intersection")
@@ -169,16 +168,16 @@ class ProjScheme:
         return self.canonical_twist + pair.coefficient * pair.f.degree()
 
 
-@dataclass(frozen=True)
-class GradedSubspace:
+class GradedSubspace(Frozen):
     """Subspace of the degree-m piece of S/modulus by its canonical basis:
     monic forms, largest lead first, whose other terms are standard
     monomials of the modulus and no basis form's lead: the span's reduced
     Gröbner basis, so equal subspaces have equal bases."""
 
-    modulus: Ideal
-    degree: int
-    basis: tuple
+    FIELDS = ("modulus", "degree", "basis")
+
+    def __init__(self, modulus: Ideal, degree: int, basis: tuple):
+        vars(self).update(modulus=modulus, degree=degree, basis=basis)
 
     @property
     def ring(self) -> PolyRing:
@@ -260,11 +259,14 @@ def graded_piece(scheme: ProjScheme, m: int) -> GradedSubspace:
 # -- stable trace images -------------------------------------------------
 
 
-@dataclass
 class StableImageResult:
-    space: GradedSubspace
-    level: int
-    fixed: Ideal  # the cone's fixed ideal whose degree-m piece is the space
+    __slots__ = ("space", "level", "fixed")
+
+    def __init__(self, space: GradedSubspace, level: int, fixed: Ideal):
+        self.space = space
+        self.level = level
+        # the cone's fixed ideal whose degree-m piece is the space
+        self.fixed = fixed
 
 
 def _stable_piece(scheme: ProjScheme, pair: PairDivisor, m: int,
@@ -377,20 +379,27 @@ def is_base_point_free(space: GradedSubspace) -> bool:
     return _same_saturation(total, Ideal.unit(space.ring))
 
 
-@dataclass
 class SeparationFailure:
-    kind: str  # 'base-point' | 'pair' | 'tangent'
-    points: tuple
-    detail: str = ""
+    __slots__ = ("kind", "points", "detail")
+
+    def __init__(self, kind: str, points: tuple, detail: str = ""):
+        self.kind = kind  # 'base-point' | 'pair' | 'tangent'
+        self.points = points
+        self.detail = detail
 
 
-@dataclass
 class SeparationReport:
-    extension_degree: int
-    points_on_scheme: int
-    pairs_checked: int
-    tangents_checked: int
-    failures: List[SeparationFailure]
+    __slots__ = ("extension_degree", "points_on_scheme", "pairs_checked",
+                 "tangents_checked", "failures")
+
+    def __init__(self, extension_degree: int, points_on_scheme: int,
+                 pairs_checked: int, tangents_checked: int,
+                 failures: List[SeparationFailure]):
+        self.extension_degree = extension_degree
+        self.points_on_scheme = points_on_scheme
+        self.pairs_checked = pairs_checked
+        self.tangents_checked = tangents_checked
+        self.failures = failures
 
     @property
     def ok(self) -> bool:
@@ -568,14 +577,19 @@ def projective_multiplicity(form: MultiPoly, point: Sequence[int]) -> int:
     return multiplicity(form, point)
 
 
-@dataclass
 class DegreeBoundReport:
-    delta: int
-    witness: MultiPoly
-    witness_degree: int
-    pair: PairDivisor
-    test_ideal: Ideal
-    multiplicities: List[int]
+    __slots__ = ("delta", "witness", "witness_degree", "pair", "test_ideal",
+                 "multiplicities")
+
+    def __init__(self, delta: int, witness: MultiPoly, witness_degree: int,
+                 pair: PairDivisor, test_ideal: Ideal,
+                 multiplicities: List[int]):
+        self.delta = delta
+        self.witness = witness
+        self.witness_degree = witness_degree
+        self.pair = pair
+        self.test_ideal = test_ideal
+        self.multiplicities = multiplicities
 
     @property
     def ok(self) -> bool:

@@ -20,7 +20,7 @@ from .proj import (ProjScheme, degree_bound_pipeline, is_base_point_free,
 from .ring import PolyRing
 from .scenario import (JOB_REGISTRY, _echo_pair, _field, _ideal_json,
                        _integer, _parse_pair, _polys, _require,
-                       _unseeded_pair, _which_and_seed)
+                       _which_and_seed)
 
 
 # -- job helpers -----------------------------------------------------------
@@ -44,7 +44,7 @@ def _job_scheme(ring: PolyRing, job: dict) -> ProjScheme:
 
 def _pair_or_trivial(ring: PolyRing, job: dict) -> PairDivisor:
     if "pair" in job:
-        return _parse_pair(ring, job["pair"])
+        return _parse_pair(ring, job)
     return trivial_pair(ring)
 
 
@@ -164,7 +164,7 @@ def _run_thm46(ring, job):
 
 def _run_restrict(ring, job):
     scheme = _job_scheme(ring, job)
-    pair = _unseeded_pair(ring, job)
+    pair = _parse_pair(ring, job)
     center = Ideal(ring, _polys(ring, job, "I_Z"))
     m = _field(job, "m", _integer)
     verdict = restriction_is_surjective(scheme, pair, center, m)

@@ -37,12 +37,11 @@ that fill the same slot at once store equal values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from operator import add, neg
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .config import check_degree, current_caps
+from .config import Frozen, check_degree, current_caps
 from .errors import DomainError, ParseError, RingMismatchError
 
 Exponents = tuple  # tuple[int, ...]
@@ -127,12 +126,24 @@ def grevlex_packing(nvars: int, width: int) -> Packing:
     return Packing(nvars, width)
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Frozen):
     """Descriptor for F_p[variables] with the fixed grevlex order."""
 
-    variables: tuple
-    p: int
+    FIELDS = ("variables", "p")
+
+    def __init__(self, variables: tuple, p: int):
+        if not (2 <= p <= MAX_CHARACTERISTIC and is_prime(p)):
+            raise DomainError(f"characteristic must be a prime <= 2^16, got {p}")
+        if not variables:
+            raise DomainError("a polynomial ring needs at least one variable")
+        seen = set()
+        for name in variables:
+            if not isinstance(name, str) or not _NAME_RE.match(name):
+                raise DomainError(f"invalid variable name {name!r}")
+            if name in seen:
+                raise DomainError(f"duplicate variable name {name!r}")
+            seen.add(name)
+        vars(self).update(variables=variables, p=p)
 
     def __eq__(self, other):
         # rings are shared far more often than rebuilt: identity first
@@ -142,18 +153,8 @@ class PolyRing:
             return NotImplemented
         return self.p == other.p and self.variables == other.variables
 
-    def __post_init__(self):
-        if not (2 <= self.p <= MAX_CHARACTERISTIC and is_prime(self.p)):
-            raise DomainError(f"characteristic must be a prime <= 2^16, got {self.p}")
-        if not self.variables:
-            raise DomainError("a polynomial ring needs at least one variable")
-        seen = set()
-        for name in self.variables:
-            if not isinstance(name, str) or not _NAME_RE.match(name):
-                raise DomainError(f"invalid variable name {name!r}")
-            if name in seen:
-                raise DomainError(f"duplicate variable name {name!r}")
-            seen.add(name)
+    def __hash__(self):
+        return hash((self.variables, self.p))
 
     @property
     def nvars(self) -> int:

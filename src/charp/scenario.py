@@ -5,25 +5,29 @@ monomial order) and lists jobs drawn from a fixed op registry.  Runs are
 deterministic: the machine-readable report for a file is byte-identical
 across runs (timings are reported on the human side only).
 
-Job schema by op:
-  sigma | tau | fpure | sfr    {"pair": {"f","a","e"}, ["c"]}
+Job schema by op ([optional], (one | other)):
+  sigma | fpure                {"pair": {"f","a","e"}}
+  tau | sfr                    {"pair", ["c"]}
   compatible                   {"pair", "I_Z": [forms]}
   mult                         {"pair", "point": [residue|null,...], ["l"]}
   s0                           {"scheme", "m", ["pair"], ["which"], ["c"]}
-  bpf | separates              {"scheme", ("forms" | s0 arguments),
-                                ["ext_degree"]}
-  gg                           {"scheme", "m", ("ideal" | "pair"+["which"])}
+  bpf                          {["scheme"], "m",
+                                ("forms" | ["pair"], ["which"], ["c"])}
+  separates                    {the fields of bpf, ["ext_degree"]}
+  gg                           {["scheme"], "m",
+                                ("ideal" | ["pair"], ["which"], ["c"])}
   thm46                        {["scheme"], "points", "A", "l", "e", ["d"]}
-  restrict                     {"scheme", "pair", "I_Z", "m"}
+  restrict                     {["scheme"], "pair", "I_Z", "m"}
 
 Any job may carry "expect": a JSON fragment that must match the result
 (recursive subset for objects, equality for leaves).  Ops that verify a
 theorem (mult, thm46, restrict) pass exactly when the theorem holds.
-A missing or malformed field, or one the job would ignore (c beside a
-pair of sigma, fpure, compatible, mult or restrict, which read no seed;
-c unless which, after its default, is tau; pair, which or c beside
-forms or ideal), fails its job with a ScenarioError naming the field;
-the other jobs still run.  Integer fields (p, a, e, n, m, l,
+OP_FIELDS lists each op's fields from this schema.  A field outside it
+(other than "op" and "expect"; the first in sorted order when there are
+several), a missing or malformed field, or one the job would ignore in
+its context (c unless which, after its default, is tau; pair, which or
+c beside forms or ideal) fails its job with a ScenarioError naming the
+field; the other jobs still run.  Integer fields (p, a, e, n, m, l,
 d, ext_degree and point coordinates) take JSON integers only: a bool,
 float or string is refused, never truncated.  thm46 works on P^n only,
 so its scheme, when given, must have no hypersurfaces.  Top-level keys
@@ -45,7 +49,6 @@ from __future__ import annotations
 import importlib
 import json
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from .config import Caps, DEFAULT_CAPS, caps_scope
@@ -59,11 +62,14 @@ from .ring import PolyRing
 REPORT_FORMAT = "charp-report-v1"
 
 
-@dataclass
 class Scenario:
-    ring: PolyRing
-    jobs: List[dict]
-    header: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("ring", "jobs", "header")
+
+    def __init__(self, ring: PolyRing, jobs: List[dict],
+                 header: Optional[Dict[str, Any]] = None):
+        self.ring = ring
+        self.jobs = jobs
+        self.header = {} if header is None else header
 
 
 def _require(condition: bool, message: str):
@@ -149,19 +155,13 @@ def _integer(value) -> int:
     return value
 
 
-def _parse_pair(ring: PolyRing, spec: dict) -> PairDivisor:
+def _parse_pair(ring: PolyRing, job: dict) -> PairDivisor:
+    """The job's pair."""
+    spec = _field(job, "pair")
     _require(isinstance(spec, dict), "pair must be an object with f, a, e")
     return PairDivisor(_field(spec, "f", ring.parse, where="pair"),
                        _field(spec, "a", _integer, where="pair"),
                        _field(spec, "e", _integer, where="pair"))
-
-
-def _unseeded_pair(ring: PolyRing, job: dict) -> PairDivisor:
-    """The pair of a job whose op reads no seed: a `c` beside it is
-    refused."""
-    _require("c" not in job,
-             f"job field 'c' is not read by the op {job['op']!r}")
-    return _parse_pair(ring, _field(job, "pair"))
 
 
 def _polys(ring: PolyRing, spec: dict, key: str, default: Any = _REQUIRED,
@@ -200,14 +200,14 @@ def _which_and_seed(ring: PolyRing, job: dict, default: str) -> tuple:
 
 
 def _run_sigma(ring, job):
-    pair = _unseeded_pair(ring, job)
+    pair = _parse_pair(ring, job)
     chain = sigma_chain(pair)
     return ({"pair": _echo_pair(pair)},
             {"generators": _ideal_json(chain.ideal)}, chain.steps, None)
 
 
 def _run_tau(ring, job):
-    pair = _parse_pair(ring, _field(job, "pair"))
+    pair = _parse_pair(ring, job)
     c = _field(job, "c", ring.parse, None)
     chain = tau_chain(pair, c)
     inputs = {"pair": _echo_pair(pair)}
@@ -217,20 +217,20 @@ def _run_tau(ring, job):
 
 
 def _run_fpure(ring, job):
-    pair = _unseeded_pair(ring, job)
+    pair = _parse_pair(ring, job)
     verdict = is_sharply_f_pure(pair)
     return ({"pair": _echo_pair(pair)}, {"verdict": verdict}, None, None)
 
 
 def _run_sfr(ring, job):
-    pair = _parse_pair(ring, _field(job, "pair"))
+    pair = _parse_pair(ring, job)
     c = _field(job, "c", ring.parse, None)
     verdict = is_strongly_f_regular(pair, c)
     return ({"pair": _echo_pair(pair)}, {"verdict": verdict}, None, None)
 
 
 def _run_compatible(ring, job):
-    pair = _unseeded_pair(ring, job)
+    pair = _parse_pair(ring, job)
     center = Ideal(ring, _polys(ring, job, "I_Z"))
     verdict = is_compatible(center, pair)
     return ({"pair": _echo_pair(pair), "I_Z": [str(g) for g in center.generators]},
@@ -238,7 +238,7 @@ def _run_compatible(ring, job):
 
 
 def _run_mult(ring, job):
-    pair = _unseeded_pair(ring, job)
+    pair = _parse_pair(ring, job)
     point = _field(job, "point", _point_tuple)
     l = _field(job, "l", _integer, None)
     report = multiplicity_containment(pair, point, l)
@@ -273,6 +273,21 @@ OP_LAYERS = {
     "separates": _ARRAY, "thm46": _ARRAY,
 }
 
+# every op's job fields, from the schema in the module docstring; any
+# job may also carry "op" and "expect", and no other field
+OP_FIELDS = {
+    "sigma": ("pair",), "fpure": ("pair",),
+    "tau": ("pair", "c"), "sfr": ("pair", "c"),
+    "compatible": ("pair", "I_Z"),
+    "mult": ("pair", "point", "l"),
+    "s0": ("scheme", "m", "pair", "which", "c"),
+    "bpf": ("scheme", "m", "forms", "pair", "which", "c"),
+    "separates": ("scheme", "m", "forms", "pair", "which", "c", "ext_degree"),
+    "gg": ("scheme", "m", "ideal", "pair", "which", "c"),
+    "thm46": ("scheme", "points", "A", "l", "e", "d"),
+    "restrict": ("scheme", "pair", "I_Z", "m"),
+}
+
 
 def _expect_matches(expect, actual) -> bool:
     if isinstance(expect, dict):
@@ -291,6 +306,10 @@ def _run_job(ring: PolyRing, index: int, job: dict) -> tuple:
     start = time.monotonic()
     entry: Dict[str, Any] = {"index": index, "op": job["op"]}
     try:
+        stray = sorted(set(job) - {"op", "expect", *OP_FIELDS[job["op"]]})
+        if stray:
+            raise ScenarioError(f"job field {stray[0]!r} is not read by the "
+                                f"op {job['op']!r}")
         inputs, result, iterations, theorem_pass = JOB_REGISTRY[job["op"]](
             ring, job)
         entry["inputs"] = inputs

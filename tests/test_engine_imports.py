@@ -3,7 +3,8 @@ else; only `linalg` row-reduces, so every graded-subspace basis comes
 from the Gröbner kernel; and each layer beyond the pair layer loads only
 for the ops that need it: `proj`, through the runners in `projops`, for
 the projective ops, and numpy with the array layer (`linalg`,
-`extfield`), which only separates and thm46 need."""
+`extfield`), which only separates and thm46 need; and loading the
+engine runs no generated code: its classes are written out by hand."""
 
 import ast
 import inspect
@@ -316,3 +317,91 @@ def test_only_projops_loads_proj_eagerly():
         assert not loads(names, "charp.projops"), module.name
         if module.name != "projops.py":
             assert not loads(names, "charp.proj"), module.name
+
+
+# -- no generated code ---------------------------------------------------------
+
+
+def codegen_uses(source: str) -> list:
+    """Line numbers where the source imports `dataclasses` or names
+    `namedtuple` or `NamedTuple`, whose classes run generated code each
+    time their module loads: an import, or an attribute such as
+    `typing.NamedTuple`."""
+    makers = ("namedtuple", "NamedTuple")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[0] == "dataclasses"
+                      for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module == "dataclasses"
+                   or any(alias.name in makers for alias in node.names))
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr in makers
+        else:
+            continue
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+def test_engine_classes_are_written_out():
+    for module in sorted(ENGINE.glob("*.py")):
+        assert codegen_uses(module.read_text()) == [], module.name
+
+
+def test_codegen_uses_are_seen_anywhere():
+    assert codegen_uses("from dataclasses import dataclass, field\n") == [1]
+    assert codegen_uses("import os\nimport dataclasses as dc\n") == [2]
+    assert codegen_uses("from collections import namedtuple\n") == [1]
+    assert codegen_uses("import typing\n"
+                        "class P(typing.NamedTuple):\n    x: int\n") == [2]
+    assert codegen_uses("def f():\n    from typing import NamedTuple\n") \
+        == [2]
+    assert codegen_uses("from functools import cached_property\n"
+                        "class A:\n    __slots__ = ('x',)\n") == []
+
+
+# Every `exec` audit event whose code has no source file, by the file of
+# the nearest module-level frame above it: the module whose loading ran
+# generated code.  numpy is imported before the hook is added.  The
+# probe's own dataclass, defined at its top level after the engine has
+# loaded, shows that the hook sees such code.
+CODEGEN_PROBE = """
+import json, os, sys
+import numpy
+
+events = []
+
+def hook(event, args):
+    if event != "exec" or os.path.isfile(args[0].co_filename):
+        return
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code.co_name != "<module>":
+        frame = frame.f_back
+    events.append(None if frame is None else frame.f_code.co_filename)
+
+sys.addaudithook(hook)
+import charp, charp.cli
+from charp.scenario import parse_scenario
+parse_scenario(json.loads(sys.argv[1]))
+engine = list(events)
+import dataclasses
+@dataclasses.dataclass
+class Probe:
+    x: int
+print(json.dumps({"engine": engine, "probe": events[len(engine):]}))
+"""
+
+
+def test_loading_the_engine_runs_no_generated_code():
+    jobs = PAIR_JOBS + PROJ_JOBS + ARRAY_JOBS
+    assert ops(jobs) == set(JOB_REGISTRY)
+    doc = {"p": 5, "vars": ["x", "y", "z"], "jobs": jobs}
+    out = json.loads(run_fresh(CODEGEN_PROBE, json.dumps(doc)))
+    # the standard library's own generated code (say a namedtuple that
+    # `fractions` loads) is attributed to the standard library
+    assert [name for name in out["engine"]
+            if name is not None and Path(name).resolve().parent == ENGINE] \
+        == []
+    assert out["probe"] and set(out["probe"]) == {"<string>"}

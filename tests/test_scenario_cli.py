@@ -14,8 +14,11 @@ from charp import scenario as scenario_module
 from charp.cli import SUITE_DIRS, main, parse_caps, suite_scenarios
 from charp.config import DEFAULT_CAPS, Caps, current_caps
 from charp.errors import ScenarioError
-from charp.scenario import (execute, load_scenario, parse_scenario,
-                            report_to_json)
+from charp.fsing import PairDivisor
+from charp.proj import ProjScheme
+from charp.ring import PolyRing
+from charp.scenario import (OP_FIELDS, OP_LAYERS, execute, load_scenario,
+                            parse_scenario, report_to_json)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,7 +97,8 @@ def test_malformed_job_fields_fail_only_their_job(tmp_path):
     # a seed c is read only by a tau chain, after the op's default which,
     # so the pair ops that run no tau chain refuse it too; pair, which and
     # c change nothing beside explicit forms or an ideal, so each such
-    # field fails its job like a malformed one
+    # field fails its job like a malformed one, and so does any field
+    # outside the op's schema
     scheme = {"n": 2}
     pair = {"f": "x", "a": 1, "e": 1}
     forms = ["x", "y", "z"]
@@ -121,31 +125,65 @@ def test_malformed_job_fields_fail_only_their_job(tmp_path):
                  "c": "x"}, "'c'"),
                ({"op": "restrict", "pair": pair, "I_Z": ["x"], "m": 3,
                  "c": "x"}, "'c'")]
+    # one field outside the schema for each op; the first two once ran
+    # OK and echoed nothing of their stray fields, and of several stray
+    # fields the first in sorted order is named
+    points = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    stray = [({"op": "sigma", "pair": {"f": "x*y", "a": 4, "e": 1},
+               "which": "tau", "m": 3}, "'m'"),
+             ({"op": "thm46", "points": points, "A": "(x*y*z)^2", "l": 4,
+               "e": 2, "c": "x"}, "'c'"),
+             ({"op": "tau", "pair": pair, "m": 1}, "'m'"),
+             ({"op": "fpure", "pair": pair, "scheme": scheme}, "'scheme'"),
+             ({"op": "sfr", "pair": pair, "which": "tau"}, "'which'"),
+             ({"op": "compatible", "pair": pair, "I_Z": ["x"],
+               "point": [0, None, None]}, "'point'"),
+             ({"op": "mult", "pair": pair, "point": [0, None, None],
+               "I_Z": ["x"]}, "'I_Z'"),
+             ({"op": "s0", "m": 1, "forms": forms}, "'forms'"),
+             ({"op": "bpf", "m": 1, "ext_degree": 2}, "'ext_degree'"),
+             ({"op": "separates", "m": 1, "ideal": ["x"]}, "'ideal'"),
+             ({"op": "gg", "m": 1, "forms": forms}, "'forms'"),
+             ({"op": "restrict", "pair": pair, "I_Z": ["x"], "m": 3,
+               "which": "sigma"}, "'which'")]
+    assert {job["op"] for job, _ in stray} == set(OP_FIELDS) == set(OP_LAYERS)
     read = [{"op": "s0", "m": 1, "pair": pair, "which": "tau", "c": "x^2"},
             {"op": "gg", "m": 1, "pair": pair, "c": "x^2"},
             {"op": "bpf", "m": 1, "forms": forms},
             {"op": "gg", "m": 1, "ideal": ["x", "y"]},
             {"op": "tau", "pair": pair, "c": "x"},
             {"op": "sfr", "pair": pair, "c": "x"}]
+
+    def placed(job):
+        """The job on the plane when its op reads a scheme."""
+        return dict(job, scheme=scheme) if OP_LAYERS[job["op"]] else job
+
+    refused_jobs = ignored + stray
     payload = {"p": 5, "vars": ["x", "y", "z"],
                "jobs": [{"op": "s0", "scheme": scheme},
                         {"op": "sigma", "pair": {"f": "x", "a": "z", "e": 1}},
                         {"op": "bpf", "m": 1, "forms": "xy"},
                         {"op": "s0", "scheme": scheme, "m": 1}]
-               + [dict(job, scheme=scheme) for job, _ in ignored]
-               + [dict(job, scheme=scheme) for job in read]}
+               + [placed(job) for job, _ in refused_jobs]
+               + [placed(job) for job in read]}
     report, _ = execute(load_scenario(write_scenario(tmp_path, payload)))
     missing, malformed, not_a_list, fine = report["jobs"][:4]
     refused = [(missing, "'m'"), (malformed, "'a'"), (not_a_list, "'forms'")]
     refused += [(entry, name) for entry, (_, name)
-                in zip(report["jobs"][4:], ignored)]
+                in zip(report["jobs"][4:], refused_jobs)]
     for entry, name in refused:
         assert entry["status"] == "error", entry["inputs"]
         assert entry["error"]["type"] == "ScenarioError", entry["inputs"]
         assert name in entry["error"]["message"], entry["inputs"]
+    first_stray = report["jobs"][4 + len(ignored)]
+    assert first_stray["error"]["message"] \
+        == "job field 'm' is not read by the op 'sigma'"
+    # the refused job's inputs echo its fields, the stray ones included
+    assert first_stray["inputs"] == {key: value for key, value
+                                     in stray[0][0].items() if key != "op"}
     assert fine["status"] == "ok" and fine["result"]["dim"] == 3
     assert all(entry["status"] == "ok"
-               for entry in report["jobs"][4 + len(ignored):])
+               for entry in report["jobs"][4 + len(refused_jobs):])
 
 
 def test_empty_job_list_exits_zero(tmp_path, capsys):
@@ -396,6 +434,49 @@ def test_caps_parsing_and_validation():
             parse_caps(retired)
 
 
+def test_value_types_compare_by_fields_and_refuse_assignment():
+    ring, twin = PolyRing(("x", "y"), 5), PolyRing(("x", "y"), 5)
+    line = ring.parse("x*y")
+    cases = [(Caps(max_degree=8), Caps(8), Caps(max_degree=9)),
+             (ring, twin, PolyRing(("x", "y"), 7)),
+             (PairDivisor(line, 4, 1), PairDivisor(twin.parse("x*y"), 4, 1),
+              PairDivisor(line, 4, 2)),
+             (ProjScheme.projective_space(ring), ProjScheme(twin, ()),
+              ProjScheme.from_forms(ring, [ring.gen(0)]))]
+    for value, equal, other in cases:
+        assert value is not equal and value == equal
+        assert hash(value) == hash(equal)
+        assert value != other and len({value, equal, other}) == 2
+        assert value != ring.one() and value != ()
+        for name in type(value).FIELDS + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(other, name, 1))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == equal and not hasattr(value, "extra")
+        assert repr(value).startswith(type(value).__name__ + "(")
+    # the cached properties still fill the instance dict
+    scheme = ProjScheme.from_forms(ring, [ring.gen(0)])
+    assert scheme.hilbert_numerator is scheme.hilbert_numerator
+    assert PairDivisor(line, 1, 1).multiplier is line
+    # the caps' names, their defaults and the overrides built from them
+    assert Caps.FIELDS == ("max_degree", "max_basis", "chain_steps",
+                           "frobenius_block", "ext_degree", "max_piece")
+    assert [getattr(DEFAULT_CAPS, name) for name in Caps.FIELDS] \
+        == [64, 512, 64, 256, 3, 1_000_000]
+    lower = DEFAULT_CAPS.with_overrides(max_degree=8, max_piece=10)
+    assert lower == Caps(max_degree=8, max_piece=10) != DEFAULT_CAPS
+    assert DEFAULT_CAPS == Caps()
+    with pytest.raises(ValueError) as refused:
+        DEFAULT_CAPS.with_overrides(nope=1, max_basis=2, also=3)
+    assert str(refused.value) == "unknown cap names: ['also', 'nope']"
+    assert parse_caps(None) is DEFAULT_CAPS
+    assert parse_caps("degree=8,max_piece=10") == lower
+    with pytest.raises(ScenarioError) as refused:
+        parse_caps("nope=3")
+    assert str(refused.value) == "unknown cap names: ['nope']"
+
+
 # the thm46 job whose coefficient rounding once read the frobenius_block
 # cap in force: under frobenius_block=8 it reported a false theorem
 # violation instead of failing on the cap
@@ -416,7 +497,7 @@ def test_lower_caps_fail_loudly_or_change_nothing():
                 scenarios.append(load_scenario(str(concrete)))
     defaults = [execute(scenario)[0]["jobs"] for scenario in scenarios]
     assert all(job["status"] == "ok" for jobs in defaults for job in jobs)
-    settings = [(name, value) for name in Caps.__dataclass_fields__
+    settings = [(name, value) for name in Caps.FIELDS
                 for value in (1, 2, 4, 8, 16)
                 if value < getattr(DEFAULT_CAPS, name)]
     assert len(settings) == 27
@@ -433,7 +514,7 @@ def test_lower_caps_fail_loudly_or_change_nothing():
                     name, value, got)
                 fired.add(name)
     # each cap fires on some job at some value, so each one is exercised
-    assert fired == set(Caps.__dataclass_fields__)
+    assert fired == set(Caps.FIELDS)
 
 
 def test_caps_flow_into_jobs(tmp_path, capsys):
