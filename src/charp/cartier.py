@@ -40,10 +40,17 @@ if TYPE_CHECKING:
 
 
 def _check_level(ring: PolyRing, e: int) -> int:
+    """q = p^e, for a level e >= 1 whose q is within the frobenius_block
+    cap.  Since p^e >= 2^e, a level past the cap's bit length by more
+    than 64 is refused without forming p^e (at e = 10^9 over F_5 it
+    would take about 290 MB) and named as the power; any other p^e is
+    small enough to form and print."""
     if e <= 0:
         raise DomainError(f"Frobenius level must be >= 1, got {e}")
-    q = ring.p ** e
     limit = current_caps().frobenius_block
+    if e > limit.bit_length() + 64:
+        raise ResourceError("frobenius_block", limit, f"p^e = {ring.p}^{e}")
+    q = ring.p ** e
     if q > limit:
         raise ResourceError("frobenius_block", limit, f"p^e = {q}")
     return q

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cartier import apply_cartier
+from .cartier import _check_level, apply_cartier
 from .config import Frozen, check_degree, current_caps
 from .errors import (DomainError, InternalInvariantError, PreconditionError,
                      ResourceError, TestElementError, UnsupportedInputError)
@@ -51,7 +51,8 @@ class PairDivisor(Frozen):
 
     @property
     def q(self) -> int:
-        return self.ring.p ** self.e
+        """p^e, refused above the frobenius_block cap before it is formed."""
+        return _check_level(self.ring, self.e)
 
     @property
     def coefficient(self) -> Fraction:

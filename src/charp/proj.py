@@ -306,7 +306,12 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
     starts from c, by default the pair's test element; a seed that is not
     homogeneous is refused, and so is a unit seed on a cone singular at
     its vertex."""
-    cone = scheme.cone_pair(pair)
+    return _fixed_ideal(scheme, pair, scheme.cone_pair(pair), which, c)
+
+
+def _fixed_ideal(scheme: ProjScheme, pair: PairDivisor, cone: PairDivisor,
+                 which: str, c: Optional[MultiPoly]) -> ChainResult:
+    """`graded_fixed_ideal` with the pair's cone pair already formed."""
     if which == "sigma":
         return descending_fixed_ideal(cone, scheme.ideal)
     if which == "tau":
@@ -336,9 +341,16 @@ def stable_sections(scheme: ProjScheme, pair: PairDivisor, m: int,
     level >= 2 whose image provably equals the one before (2 for tau).
     The result does not depend on the level used to present the pair.
     """
+    return _stable_sections(scheme, pair, scheme.cone_pair(pair), m, which, c)
+
+
+def _stable_sections(scheme: ProjScheme, pair: PairDivisor,
+                     cone: PairDivisor, m: int, which: str,
+                     c: Optional[MultiPoly]) -> StableImageResult:
+    """`stable_sections` with the pair's cone pair already formed."""
     if m < 0:
         raise DomainError(f"target degree must be >= 0, got {m}")
-    chain = graded_fixed_ideal(scheme, pair, which, c)
+    chain = _fixed_ideal(scheme, pair, cone, which, c)
     level = _stable_level(chain) if which == "sigma" else 2
     space = _stable_piece(scheme, pair, m, level, chain.ideal, scheme.ideal)
     return StableImageResult(space=space, level=level, fixed=chain.ideal)
@@ -732,12 +744,13 @@ def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,
     stable subsystem on X, not a surjectivity that could fail.
     """
     modulus = center + scheme.ideal
-    if not is_compatible(modulus, scheme.cone_pair(pair)):
+    cone = scheme.cone_pair(pair)
+    if not is_compatible(modulus, cone):
         raise PreconditionError("the center is not compatible with the pair")
     if m - scheme.pair_degree(pair) <= 0:
         raise PreconditionError(
             f"twist degree {m} does not dominate the pair degree "
             f"{scheme.pair_degree(pair)}")
-    on_x = stable_sections(scheme, pair, m, "sigma")
+    on_x = _stable_sections(scheme, pair, cone, m, "sigma", None)
     restricted = _ideal_piece(on_x.fixed + center, modulus, m)
     return space_from_polys(modulus, m, on_x.space.basis) == restricted

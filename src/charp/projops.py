@@ -2,25 +2,24 @@
 and restrict.
 
 This module is the scenario runner's one door to the projective layer:
-it imports `proj`, and on import it adds its runners to
-`scenario.JOB_REGISTRY`.  `scenario.parse_scenario` imports it, by way
-of `scenario.OP_LAYERS`, only for a scenario that holds one of these
-ops, so a scenario of pair ops never loads `proj`.
+it imports `proj`, and it registers nothing when it loads.
+`scenario.OPS` names it as the first module each of these ops needs, so
+`scenario.parse_scenario` imports it only for a scenario that holds one
+of them, and a scenario of pair ops never loads `proj`; a job finds its
+runner `_run_<op>` here by name.
 """
 
 from __future__ import annotations
 
 from .errors import ScenarioError
-from .fsing import PairDivisor
 from .ideal import Ideal
 from .proj import (ProjScheme, degree_bound_pipeline, is_base_point_free,
                    is_globally_generated, restriction_is_surjective,
                    separates, space_from_polys, stable_sections,
                    stable_sections_generate, trivial_pair)
 from .ring import PolyRing
-from .scenario import (JOB_REGISTRY, _echo_pair, _field, _ideal_json,
-                       _integer, _parse_pair, _polys, _require,
-                       _which_and_seed)
+from .scenario import (_echo_pair, _field, _ideal_json, _integer,
+                       _parse_pair, _polys, _require)
 
 
 # -- job helpers -----------------------------------------------------------
@@ -42,14 +41,18 @@ def _job_scheme(ring: PolyRing, job: dict) -> ProjScheme:
                                       default={"n": ring.nvars - 1}))
 
 
-def _pair_or_trivial(ring: PolyRing, job: dict) -> PairDivisor:
-    if "pair" in job:
-        return _parse_pair(ring, job)
-    return trivial_pair(ring)
-
-
-def _space_json(space) -> dict:
-    return {"dim": space.dim, "basis": [str(f) for f in space.basis]}
+def _stable_image(ring: PolyRing, job: dict, scheme: ProjScheme, m: int,
+                  which: str, run) -> tuple:
+    """The job's pair (by default the trivial pair), its `which` after
+    the given default, and `run` (`stable_sections`, or for gg
+    `stable_sections_generate`) on the scheme with them and the seed
+    `c`, which only tau reads."""
+    pair = _parse_pair(ring, job) if "pair" in job else trivial_pair(ring)
+    which = job.get("which", which)
+    _require(which == "tau" or "c" not in job,
+             f"job field 'c' is read only with which 'tau', not {which!r}")
+    c = _field(job, "c", ring.parse, None)
+    return pair, which, run(scheme, pair, m, which, c)
 
 
 def _refuse_beside(job: dict, source: str):
@@ -72,9 +75,8 @@ def _subsystem_space(ring: PolyRing, job: dict):
         info = {"scheme": echo_scheme, "m": m, "source": "forms",
                 "forms": [str(f) for f in polys]}
     else:
-        pair = _pair_or_trivial(ring, job)
-        which, c = _which_and_seed(ring, job, "sigma")
-        result = stable_sections(scheme, pair, m, which, c)
+        pair, which, result = _stable_image(ring, job, scheme, m, "sigma",
+                                            stable_sections)
         space = result.space
         info = {"scheme": echo_scheme, "pair": _echo_pair(pair),
                 "m": m, "which": which, "level": result.level,
@@ -87,14 +89,14 @@ def _subsystem_space(ring: PolyRing, job: dict):
 
 def _run_s0(ring, job):
     scheme = _parse_scheme(ring, _field(job, "scheme"))
-    pair = _pair_or_trivial(ring, job)
-    which, c = _which_and_seed(ring, job, "sigma")
     m = _field(job, "m", _integer)
-    result = stable_sections(scheme, pair, m, which, c)
+    pair, which, result = _stable_image(ring, job, scheme, m, "sigma",
+                                        stable_sections)
+    space = result.space
     full_dim = scheme.hilbert_function(m)
-    out = _space_json(result.space)
-    out.update({"level": result.level, "full_dim": full_dim,
-                "complete": result.space.dim == full_dim})
+    out = {"dim": space.dim, "basis": [str(f) for f in space.basis],
+           "level": result.level, "full_dim": full_dim,
+           "complete": space.dim == full_dim}
     return ({"pair": _echo_pair(pair), "m": m, "which": which}, out,
             result.level, None)
 
@@ -115,9 +117,7 @@ def _run_separates(ring, job):
            "failures": [{"kind": f.kind, "points": list(f.points),
                          "detail": f.detail} for f in report.failures],
            "coverage": report.coverage()}
-    inputs = dict(info)
-    inputs["ext_degree"] = k
-    return (inputs, out, info.get("level"), None)
+    return (dict(info, ext_degree=k), out, info.get("level"), None)
 
 
 def _run_gg(ring, job):
@@ -128,10 +128,8 @@ def _run_gg(ring, job):
         verdict = is_globally_generated(ideal, m)
         return ({"ideal": [str(g) for g in ideal.generators], "m": m},
                 {"verdict": verdict}, None, None)
-    scheme = _job_scheme(ring, job)
-    pair = _pair_or_trivial(ring, job)
-    which, c = _which_and_seed(ring, job, "tau")
-    verdict = stable_sections_generate(scheme, pair, m, which, c)
+    pair, which, verdict = _stable_image(ring, job, _job_scheme(ring, job), m,
+                                         "tau", stable_sections_generate)
     return ({"pair": _echo_pair(pair), "m": m, "which": which},
             {"verdict": verdict}, None, None)
 
@@ -171,12 +169,3 @@ def _run_restrict(ring, job):
     return ({"pair": _echo_pair(pair), "I_Z": [str(g) for g in center.generators],
              "m": m}, {"verdict": verdict}, None, verdict)
 
-
-JOB_REGISTRY.update({
-    "s0": _run_s0,
-    "bpf": _run_bpf,
-    "separates": _run_separates,
-    "gg": _run_gg,
-    "thm46": _run_thm46,
-    "restrict": _run_restrict,
-})

@@ -22,32 +22,36 @@ Job schema by op ([optional], (one | other)):
 Any job may carry "expect": a JSON fragment that must match the result
 (recursive subset for objects, equality for leaves).  Ops that verify a
 theorem (mult, thm46, restrict) pass exactly when the theorem holds.
-OP_FIELDS lists each op's fields from this schema.  A field outside it
+OPS lists each op's fields from this schema.  A field outside it
 (other than "op" and "expect"; the first in sorted order when there are
 several), a missing or malformed field, or one the job would ignore in
 its context (c unless which, after its default, is tau; pair, which or
 c beside forms or ideal) fails its job with a ScenarioError naming the
-field; the other jobs still run.  Integer fields (p, a, e, n, m, l,
-d, ext_degree and point coordinates) take JSON integers only: a bool,
-float or string is refused, never truncated.  thm46 works on P^n only,
-so its scheme, when given, must have no hypersurfaces.  Top-level keys
-other than the ring header and the job list are ignored.
+field; the other jobs still run, and so do those of a job whose op is
+unknown.  Integer fields (p, a, e, n, m, l, d, ext_degree and point
+coordinates) take JSON integers only: a bool, float or string is
+refused, never truncated.  thm46 works on P^n only, so its scheme, when
+given, must have no hypersurfaces.  Top-level keys other than the ring
+header and the job list are ignored.
 
 Importing this module loads the pair layer (ring, ideal, cartier,
-fsing) and the runners of the pair ops, and nothing more.  The runners
-of the projective ops live in `projops`, which imports `proj` and
-registers them when it loads.  OP_LAYERS lists the modules each op
-needs beyond the pair layer: `projops` for the projective ops, and
-after it the array layer (`linalg`, `extfield`, which load numpy) for
-separates and thm46.  Parsing a scenario loads the modules its jobs
-need, `projops` first, so every import is paid before any job is
-timed; a scenario of pair ops loads neither `proj` nor numpy.
+fsing) and the runners of the pair ops, and nothing more.  OPS also
+lists the modules each op needs beyond the pair layer: `projops`, which
+imports `proj` and holds the runners of the projective ops, and after
+it the array layer (`linalg`, and for separates `extfield`; both load
+numpy) for separates and thm46.  Each op's runner is `_run_<op>`, in
+the first module it needs, or here for a pair op.  Parsing a scenario
+loads the modules its jobs need, `projops` first, so every import is
+paid before any job is timed; a scenario of pair ops loads neither
+`proj` nor numpy.  A job looks its runner up as it starts and imports
+the module only when nothing has, as for a Scenario built by hand.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
+import sys
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -90,6 +94,9 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except ValueError as exc:
+        # an integer with more digits than the interpreter converts
+        raise ScenarioError(f"{path}: {str(exc).partition(';')[0]}") from None
     return parse_scenario(data, source=path)
 
 
@@ -113,12 +120,12 @@ def parse_scenario(data: dict, source: str = "<scenario>") -> Scenario:
     for i, job in enumerate(jobs):
         _require(isinstance(job, dict) and "op" in job,
                  f"{source}: job {i} must be an object with an 'op'")
-        _require(isinstance(job["op"], str) and job["op"] in OP_LAYERS,
+        _require(isinstance(job["op"], str) and job["op"] in OPS,
                  f"{source}: job {i} has unknown op {job['op']!r}")
     # load the layers the jobs need now, so that no job's wall time
     # includes an import
     for layer in dict.fromkeys(layer for job in jobs
-                               for layer in OP_LAYERS[job["op"]]):
+                               for layer in OPS[job["op"]][1]):
         importlib.import_module(f".{layer}", __package__)
     header = {"p": ring.p, "vars": list(ring.variables), "order": "grevlex"}
     return Scenario(ring=ring, jobs=jobs, header=header)
@@ -188,14 +195,6 @@ def _point_tuple(raw: list) -> tuple:
     return tuple(None if v is None else _integer(v) for v in raw)
 
 
-def _which_and_seed(ring: PolyRing, job: dict, default: str) -> tuple:
-    """`which`, after its default, and the seed `c`, read only by tau."""
-    which = job.get("which", default)
-    _require(which == "tau" or "c" not in job,
-             f"job field 'c' is read only with which 'tau', not {which!r}")
-    return which, _field(job, "c", ring.parse, None)
-
-
 # -- job runners ------------------------------------------------------------
 
 
@@ -249,43 +248,27 @@ def _run_mult(ring, job):
             result, None, report.holds)
 
 
-# the runners of the pair ops; `projops` adds those of the projective
-# ops when it loads
-JOB_REGISTRY = {
-    "sigma": _run_sigma,
-    "tau": _run_tau,
-    "fpure": _run_fpure,
-    "sfr": _run_sfr,
-    "compatible": _run_compatible,
-    "mult": _run_mult,
-}
-
-# every op, with the modules it needs beyond the pair layer (ring,
-# ideal, cartier, fsing) in the order `parse_scenario` loads them:
-# `projops`, which loads `proj`, for the projective ops, and after it
-# for separates and thm46 the array layer, which loads numpy
+# every op: its job fields, from the schema in the module docstring
+# (any job may also carry "op" and "expect", and no other field), and
+# the modules it needs beyond the pair layer (ring, ideal, cartier,
+# fsing) in the order `parse_scenario` loads them; the first holds the
+# runner `_run_<op>`, which for a pair op lives here
 _PROJ = ("projops",)
-_ARRAY = ("projops", "linalg", "extfield")
-OP_LAYERS = {
-    "sigma": (), "tau": (), "fpure": (), "sfr": (), "compatible": (),
-    "mult": (),
-    "s0": _PROJ, "bpf": _PROJ, "gg": _PROJ, "restrict": _PROJ,
-    "separates": _ARRAY, "thm46": _ARRAY,
-}
-
-# every op's job fields, from the schema in the module docstring; any
-# job may also carry "op" and "expect", and no other field
-OP_FIELDS = {
-    "sigma": ("pair",), "fpure": ("pair",),
-    "tau": ("pair", "c"), "sfr": ("pair", "c"),
-    "compatible": ("pair", "I_Z"),
-    "mult": ("pair", "point", "l"),
-    "s0": ("scheme", "m", "pair", "which", "c"),
-    "bpf": ("scheme", "m", "forms", "pair", "which", "c"),
-    "separates": ("scheme", "m", "forms", "pair", "which", "c", "ext_degree"),
-    "gg": ("scheme", "m", "ideal", "pair", "which", "c"),
-    "thm46": ("scheme", "points", "A", "l", "e", "d"),
-    "restrict": ("scheme", "pair", "I_Z", "m"),
+OPS = {
+    "sigma": (("pair",), ()),
+    "fpure": (("pair",), ()),
+    "tau": (("pair", "c"), ()),
+    "sfr": (("pair", "c"), ()),
+    "compatible": (("pair", "I_Z"), ()),
+    "mult": (("pair", "point", "l"), ()),
+    "s0": (("scheme", "m", "pair", "which", "c"), _PROJ),
+    "bpf": (("scheme", "m", "forms", "pair", "which", "c"), _PROJ),
+    "separates": (("scheme", "m", "forms", "pair", "which", "c",
+                   "ext_degree"), ("projops", "linalg", "extfield")),
+    "gg": (("scheme", "m", "ideal", "pair", "which", "c"), _PROJ),
+    "thm46": (("scheme", "points", "A", "l", "e", "d"),
+              ("projops", "linalg")),
+    "restrict": (("scheme", "pair", "I_Z", "m"), _PROJ),
 }
 
 
@@ -301,17 +284,24 @@ def _expect_matches(expect, actual) -> bool:
     return expect == actual
 
 
-def _run_job(ring: PolyRing, index: int, job: dict) -> tuple:
+def _execute_job(ring: PolyRing, index: int, job: dict) -> tuple:
     """Returns (report_entry, elapsed_seconds)."""
     start = time.monotonic()
-    entry: Dict[str, Any] = {"index": index, "op": job["op"]}
+    op = job["op"]
+    entry: Dict[str, Any] = {"index": index, "op": op}
     try:
-        stray = sorted(set(job) - {"op", "expect", *OP_FIELDS[job["op"]]})
+        spec = OPS.get(op) if isinstance(op, str) else None
+        if spec is None:
+            raise ScenarioError(f"unknown op {op!r}")
+        fields, layers = spec
+        stray = sorted(set(job) - {"op", "expect", *fields})
         if stray:
             raise ScenarioError(f"job field {stray[0]!r} is not read by the "
-                                f"op {job['op']!r}")
-        inputs, result, iterations, theorem_pass = JOB_REGISTRY[job["op"]](
-            ring, job)
+                                f"op {op!r}")
+        home = f"{__package__}.{layers[0]}" if layers else __name__
+        module = sys.modules.get(home) or importlib.import_module(home)
+        inputs, result, iterations, theorem_pass = getattr(
+            module, f"_run_{op}")(ring, job)
         entry["inputs"] = inputs
         entry["status"] = "ok"
         entry["result"] = result
@@ -344,7 +334,7 @@ def execute(scenario: Scenario, caps: Caps = DEFAULT_CAPS) -> tuple:
     rendering.
     """
     with caps_scope(caps):
-        outcomes = [_run_job(scenario.ring, i, job)
+        outcomes = [_execute_job(scenario.ring, i, job)
                     for i, job in enumerate(scenario.jobs)]
     entries = [entry for entry, _ in outcomes]
     timings = [elapsed for _, elapsed in outcomes]

@@ -2,11 +2,13 @@
 else; only `linalg` row-reduces, so every graded-subspace basis comes
 from the Gröbner kernel; and each layer beyond the pair layer loads only
 for the ops that need it: `proj`, through the runners in `projops`, for
-the projective ops, and numpy with the array layer (`linalg`,
-`extfield`), which only separates and thm46 need; and loading the
-engine runs no generated code: its classes are written out by hand."""
+the projective ops, and numpy with the array layer, `linalg` for
+separates and thm46 and `extfield` for separates alone; a scenario built
+by hand runs every op all the same; and loading the engine runs no
+generated code: its classes are written out by hand."""
 
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -14,8 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from charp import projops  # noqa: F401 (registers the projective runners)
-from charp.scenario import JOB_REGISTRY, OP_LAYERS
+from charp.scenario import OPS
 
 ENGINE = Path(__file__).resolve().parent.parent / "src" / "charp"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "charp"}
@@ -229,31 +230,41 @@ PROJ_JOBS = [
     {"op": "restrict", "scheme": PLANE, "pair": {"f": "z", "a": 4, "e": 1},
      "I_Z": ["z"], "m": 3},
 ]
-ARRAY_JOBS = [
-    {"op": "separates", "scheme": CUBIC, "m": 1, "ext_degree": 2},
-    {"op": "thm46", "scheme": PLANE,
-     "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "A": "(x*y*z)^2",
-     "l": 4, "e": 2},
-]
+SEPARATES = {"op": "separates", "scheme": CUBIC, "m": 1, "ext_degree": 2}
+THM46 = {"op": "thm46", "scheme": PLANE,
+         "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "A": "(x*y*z)^2",
+         "l": 4, "e": 2}
+ARRAY_JOBS = [SEPARATES, THM46]
 
 
 def ops(jobs: list) -> set:
     return {job["op"] for job in jobs}
 
 
+def runners(module: str) -> set:
+    """The ops whose runner `_run_<op>` the engine module defines."""
+    found = vars(importlib.import_module(f"charp.{module}"))
+    return {name[len("_run_"):] for name, value in found.items()
+            if name.startswith("_run_") and callable(value)
+            and value.__module__ == f"charp.{module}"}
+
+
 def test_each_op_lists_its_layers_projops_first():
-    assert set(OP_LAYERS) == set(JOB_REGISTRY)
-    assert {op for op, layers in OP_LAYERS.items() if not layers} \
+    layers = {op: modules for op, (_, modules) in OPS.items()}
+    assert {op for op, modules in layers.items() if not modules} \
         == ops(PAIR_JOBS)
-    assert {op for op, layers in OP_LAYERS.items()
-            if layers == ("projops",)} == ops(PROJ_JOBS)
-    assert {op for op, layers in OP_LAYERS.items()
-            if layers == ("projops", "linalg", "extfield")} \
-        == ops(ARRAY_JOBS)
-    # the runners of the projective ops are those `projops` defines
-    assert {op for op, run in JOB_REGISTRY.items()
-            if run.__module__ == "charp.projops"} \
-        == ops(PROJ_JOBS + ARRAY_JOBS)
+    assert {op for op, modules in layers.items()
+            if modules == ("projops",)} == ops(PROJ_JOBS)
+    assert layers["separates"] == ("projops", "linalg", "extfield")
+    assert layers["thm46"] == ("projops", "linalg")
+    assert set(layers) == ops(PAIR_JOBS + PROJ_JOBS + ARRAY_JOBS)
+    # every runner lives in the first module its op needs, the pair
+    # ops' in `scenario` and the projective ops' in `projops`, and
+    # neither module defines a runner of an op outside the table
+    assert runners("scenario") == ops(PAIR_JOBS)
+    assert runners("projops") == ops(PROJ_JOBS + ARRAY_JOBS)
+    for op, (_, modules) in OPS.items():
+        assert op in runners(modules[0] if modules else "scenario"), op
 
 
 def test_pair_ops_load_neither_proj_nor_numpy():
@@ -270,20 +281,54 @@ def test_projective_ops_load_proj_while_parsing_and_no_numpy():
 
 
 def test_scenarios_without_array_ops_never_load_numpy():
-    assert ops(PAIR_JOBS + PROJ_JOBS) == set(JOB_REGISTRY) - ops(ARRAY_JOBS)
+    assert ops(PAIR_JOBS + PROJ_JOBS) == set(OPS) - ops(ARRAY_JOBS)
     assert probe(PAIR_JOBS + PROJ_JOBS) == {
         "parsed": PROJ_LAYER, "ran": PROJ_LAYER, "errors": []}
 
 
 def test_array_ops_load_numpy_while_parsing():
     # sys.modules lists a module once its import finishes, so numpy,
-    # which `linalg` imports, comes before `linalg`
-    layers = PROJ_LAYER + ["numpy", "charp.linalg", "charp.extfield"]
-    for job in ARRAY_JOBS:
+    # which `linalg` imports, comes before `linalg`; only separates
+    # samples points, so thm46 loads no `extfield`
+    linalg = PROJ_LAYER + ["numpy", "charp.linalg"]
+    extfield = linalg + ["charp.extfield"]
+    for job, layers in ((SEPARATES, extfield), (THM46, linalg)):
         assert probe([job]) == {"parsed": layers, "ran": layers,
                                 "errors": []}, job
     # proj loads first even when an array op comes first
-    assert probe(ARRAY_JOBS + PROJ_JOBS + PAIR_JOBS)["parsed"] == layers
+    assert probe(ARRAY_JOBS + PROJ_JOBS + PAIR_JOBS)["parsed"] == extfield
+    assert probe([THM46] + PROJ_JOBS + PAIR_JOBS)["parsed"] == linalg
+
+
+HAND_BUILT = """
+import json, sys
+from charp.ring import PolyRing
+from charp.scenario import Scenario, execute, parse_scenario
+doc = json.loads(sys.argv[1])
+ring = PolyRing(tuple(doc["vars"]), doc["p"])
+# nothing has loaded `projops` yet: each job loads what it needs
+built, _ = execute(Scenario(ring, [{"op": "bogus"}] + doc["jobs"]))
+parsed, _ = execute(parse_scenario(doc))
+print(json.dumps({"built": built["jobs"], "parsed": parsed["jobs"]}))
+"""
+
+
+def test_a_scenario_built_by_hand_runs_every_op():
+    # one job of each op, after a job of an unknown op
+    jobs = list({job["op"]: job for job in reversed(
+        PAIR_JOBS + PROJ_JOBS + ARRAY_JOBS)}.values())
+    assert len(jobs) == len(OPS) == 12 and ops(jobs) == set(OPS)
+    doc = {"p": 5, "vars": ["x", "y", "z"], "jobs": jobs}
+    out = json.loads(run_fresh(HAND_BUILT, json.dumps(doc)))
+    bogus, *built = out["built"]
+    assert bogus == {"index": 0, "op": "bogus", "inputs": {},
+                     "status": "error", "result": None, "iterations": None,
+                     "pass": False,
+                     "error": {"type": "ScenarioError",
+                               "message": "unknown op 'bogus'"}}
+    assert [dict(entry, index=entry["index"] - 1) for entry in built] \
+        == out["parsed"]
+    assert [entry["status"] for entry in out["parsed"]] == ["ok"] * 12
 
 
 def test_import_charp_loads_the_projective_layer_on_first_use():
@@ -396,7 +441,7 @@ print(json.dumps({"engine": engine, "probe": events[len(engine):]}))
 
 def test_loading_the_engine_runs_no_generated_code():
     jobs = PAIR_JOBS + PROJ_JOBS + ARRAY_JOBS
-    assert ops(jobs) == set(JOB_REGISTRY)
+    assert ops(jobs) == set(OPS)
     doc = {"p": 5, "vars": ["x", "y", "z"], "jobs": jobs}
     out = json.loads(run_fresh(CODEGEN_PROBE, json.dumps(doc)))
     # the standard library's own generated code (say a namedtuple that

@@ -1663,6 +1663,26 @@ def test_restriction_preconditions(P2):
         restriction_is_surjective(P2, pair, I(ring, "z"), -3)  # not ample
 
 
+def test_restriction_forms_the_cone_pair_once(fermat7, monkeypatch):
+    # the compatibility check and the stable subsystem share one cone
+    # pair
+    ring = fermat7.ring
+    pair = PairDivisor(ring.gen(2), 6, 1)
+    center = I(ring, "x+y", "z")
+    formed = []
+    cone_pair = ProjScheme.cone_pair
+
+    def counted(self, pair):
+        formed.append(pair)
+        return cone_pair(self, pair)
+
+    monkeypatch.setattr(ProjScheme, "cone_pair", counted)
+    assert restriction_is_surjective(fermat7, pair, center, 2)
+    assert formed == [pair]
+    stable_sections(fermat7, pair, 2, "sigma")
+    assert formed == [pair, pair]
+
+
 def test_restriction_onto_points_of_a_curve(fermat7):
     # the hyperplane section x = 0 of the Fermat cubic over F_7 consists
     # of three rational points; each is a compatible center of the pair

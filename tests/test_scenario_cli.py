@@ -17,8 +17,8 @@ from charp.errors import ScenarioError
 from charp.fsing import PairDivisor
 from charp.proj import ProjScheme
 from charp.ring import PolyRing
-from charp.scenario import (OP_FIELDS, OP_LAYERS, execute, load_scenario,
-                            parse_scenario, report_to_json)
+from charp.scenario import (OPS, execute, load_scenario, parse_scenario,
+                            report_to_json)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,7 +87,7 @@ def test_execute_restores_the_caps(tmp_path, monkeypatch):
         assert current_caps() == Caps(chain_steps=1)
         raise RuntimeError("job crashed")
 
-    monkeypatch.setitem(scenario_module.JOB_REGISTRY, "sigma", crash)
+    monkeypatch.setattr(scenario_module, "_run_sigma", crash)
     with pytest.raises(RuntimeError):
         execute(scenario, Caps(chain_steps=1))
     assert current_caps() is DEFAULT_CAPS
@@ -146,7 +146,7 @@ def test_malformed_job_fields_fail_only_their_job(tmp_path):
              ({"op": "gg", "m": 1, "forms": forms}, "'forms'"),
              ({"op": "restrict", "pair": pair, "I_Z": ["x"], "m": 3,
                "which": "sigma"}, "'which'")]
-    assert {job["op"] for job, _ in stray} == set(OP_FIELDS) == set(OP_LAYERS)
+    assert {job["op"] for job, _ in stray} == set(OPS)
     read = [{"op": "s0", "m": 1, "pair": pair, "which": "tau", "c": "x^2"},
             {"op": "gg", "m": 1, "pair": pair, "c": "x^2"},
             {"op": "bpf", "m": 1, "forms": forms},
@@ -156,7 +156,7 @@ def test_malformed_job_fields_fail_only_their_job(tmp_path):
 
     def placed(job):
         """The job on the plane when its op reads a scheme."""
-        return dict(job, scheme=scheme) if OP_LAYERS[job["op"]] else job
+        return dict(job, scheme=scheme) if OPS[job["op"]][1] else job
 
     refused_jobs = ignored + stray
     payload = {"p": 5, "vars": ["x", "y", "z"],
@@ -625,6 +625,63 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["run", path, "--report", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("charp: ") and "Traceback" not in err
+
+
+def test_a_level_too_large_to_print_fails_only_its_job(tmp_path, capsys):
+    # over F_5, p^e at e = 7000 has 4893 digits, more than Python turns
+    # into a string; the job is refused with the level named as a power,
+    # and the report keeps every job's entry
+    payload = {"p": 5, "vars": ["x", "y"],
+               "jobs": [{"op": "sigma", "pair": {"f": "x", "a": 1, "e": 7000}},
+                        {"op": "sigma", "pair": {"f": "x", "a": 1, "e": 4}},
+                        {"op": "sigma", "pair": {"f": "x", "a": 5, "e": 1}}]}
+    report_path = tmp_path / "out.json"
+    assert main(["run", write_scenario(tmp_path, payload),
+                 "--report", str(report_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    huge, small, fine = json.loads(report_path.read_text())["jobs"]
+    cap = "resource cap frobenius_block=256 exceeded: p^e = "
+    assert huge["error"] == {"type": "ResourceError",
+                             "message": cap + "5^7000"}
+    assert small["error"] == {"type": "ResourceError", "message": cap + "625"}
+    assert fine["status"] == "ok" and fine["result"]["generators"] == ["x"]
+
+
+def test_a_huge_level_is_refused_before_p_to_the_e_is_formed(tmp_path):
+    # 5^(10^9) would take about 290 MB and minutes to form
+    payload = {"p": 5, "vars": ["x", "y"],
+               "jobs": [{"op": op, "pair": {"f": "x", "a": 1, "e": 10 ** 9},
+                         **extra}
+                        for op, extra in (("sigma", {}), ("tau", {}),
+                                          ("mult", {"point": [0, None]}))]}
+    report_path = tmp_path / "out.json"
+    start = time.monotonic()
+    assert main(["run", write_scenario(tmp_path, payload),
+                 "--report", str(report_path)]) == 1
+    assert time.monotonic() - start < 1
+    for entry in json.loads(report_path.read_text())["jobs"]:
+        assert entry["error"]["message"].endswith("p^e = 5^1000000000")
+
+
+def test_an_integer_too_long_to_read_exits_two(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"p": 5, "vars": ["x"], "jobs": [{"op": "sigma", '
+                    '"pair": {"f": "x", "a": ' + "1" * 5000 + ', "e": 1}}]}')
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"charp: {path}: ") and "5000 digits" in err
+    assert "Traceback" not in err
+    with pytest.raises(ScenarioError):
+        load_scenario(str(path))
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines() == ["(x, y)", "3"]
 
 
 def test_smoke_suite_passes(capsys):
