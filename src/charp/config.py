@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from math import comb
-from typing import Iterator
+from fractions import Fraction
+from math import comb, log10
+from typing import Iterator, Union
 
 from .errors import ResourceError
 
@@ -110,12 +111,31 @@ def caps_scope(caps: Caps) -> Iterator[Caps]:
         _CAPS.reset(token)
 
 
+SHOWN_BITS = 14_000  # integers below 2^14000 < 10^4215 print in decimal
+
+
+def shown(x: Union[int, Fraction]) -> str:
+    """An integer or fraction as a message prints it: in decimal up to
+    SHOWN_BITS bits, well inside the 4300 digits the interpreter turns
+    into text, and past that as its order of magnitude `~10^k`, so that
+    building the message of an error never fails.  The integers that
+    messages print can grow past what the job's fields hold (a product
+    or a power of them); `cartier._check_level` names a level too large
+    to form as the power `p^e` instead."""
+    if x.denominator != 1:
+        return f"{shown(x.numerator)}/{shown(x.denominator)}"
+    n = int(x)
+    if n.bit_length() <= SHOWN_BITS:
+        return str(n)
+    return f"{'-' if n < 0 else ''}~10^{int(log10(abs(n)))}"
+
+
 def check_degree(degree: int, what: str, where: str = ""):
     """Refuse `what` of this total degree above the degree cap in force."""
     limit = current_caps().max_degree
     if degree > limit:
         raise ResourceError("max_degree", limit,
-                            f"{what} of degree {degree}{where}")
+                            f"{what} of degree {shown(degree)}{where}")
 
 
 def check_piece(nvars: int, degree: int):
@@ -126,5 +146,5 @@ def check_piece(nvars: int, degree: int):
     limit = current_caps().max_piece
     if count > limit:
         raise ResourceError("max_piece", limit,
-                            f"graded piece of degree {degree} in {nvars} "
-                            f"variables has {count} monomials")
+                            f"graded piece of degree {shown(degree)} in "
+                            f"{nvars} variables has {shown(count)} monomials")

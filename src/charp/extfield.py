@@ -6,27 +6,29 @@ the first one in a fixed search order.  An element is the integer code
 c_0 + c_1*p + ... + c_(k-1)*p^(k-1) of its canonical residue
 c_0 + c_1*t + ... + c_(k-1)*t^(k-1), so the prime field is the codes
 0..p-1 and the codes enumerate the field in a fixed order.  Each field
-builds its tables once: the base-p digits of every code (addition is
-digit-wise mod p) and the log/antilog tables of a primitive element
-(multiplication adds logs mod p^k - 1).  The arithmetic works on numpy
-arrays of codes, so a form is evaluated at every point in one pass.
-The tables are capped at p^k <= MAX_ORDER, and the points one check
-enumerates at MAX_POINTS.
+builds its tables once, as lists: the log/antilog tables of a primitive
+element (multiplication adds logs mod p^k - 1) and, for k >= 2, the
+digits of every code packed into one integer, WIDTH bits a digit, so
+that adding packed codes adds digits with no carry between them.  A
+form is evaluated one point at a time (`ExtField.evaluator`): over F_p
+with modular arithmetic, over F_{p^k} in the log domain with packed
+sums.  The tables are capped at p^k <= MAX_ORDER, and the points one
+check enumerates at MAX_POINTS.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, List
-
-import numpy as np
+from operator import mul
+from typing import Callable, Iterator, List, Sequence
 
 from .errors import DomainError
 from .ring import MultiPoly
 
 MAX_ORDER = 1 << 16   # largest p^k given tables; every prime field fits
-BLOCK_ROWS = 1 << 16  # points enumerated per array, to bound memory
 MAX_POINTS = 1 << 24  # most projective points one check enumerates
+WIDTH = 40            # bits of a packed digit: 2^32 digits below 2^8 sum
+                      # below 2^40, and k >= 2 gives p < 2^8
 
 
 def _digits(code: int, p: int, k: int) -> List[int]:
@@ -61,36 +63,39 @@ def _find_irreducible(p: int, k: int) -> List[int]:
     raise DomainError(f"no irreducible polynomial of degree {k} found")  # unreachable
 
 
-def _log_tables(p: int, k: int, modulus: List[int],
-                digits: np.ndarray, place: np.ndarray) -> tuple:
+def _log_tables(p: int, k: int, modulus: List[int]) -> tuple:
     """(antilog, log) of the first primitive element in code order.
 
-    `digits` holds the base-p digits of every code.  Shifting them up and
-    folding the top one back with the modulus gives the code of t * c for
-    every code c, and composing that map the codes of t^i * c.  A
-    candidate g = sum g_i t^i then multiplies every code at once as
-    sum g_i * (t^i * c), and the powers of g are the orbit of 1."""
+    A candidate g multiplies a residue a = sum a_j t^j as
+    sum a_j * (g t^j), so the digits of g t^j (g shifted up j times,
+    the top digit folded back with the modulus) are all a step needs;
+    the powers of g are the orbit of 1, and g is primitive when that
+    orbit holds every nonzero code.  For k >= 2 the codes below p are
+    F_p, whose units have order dividing p - 1 < p^k - 1, so the search
+    starts at p."""
     order = p ** k
-    shifted = np.concatenate(
-        [np.zeros((order, 1), dtype=np.int64), digits[:, :-1]], axis=1)
-    times_t = ((shifted - digits[:, -1:] * modulus) % p) @ place
-    tower = [np.arange(order)]
-    for _ in range(k - 1):
-        tower.append(times_t[tower[-1]])
-    for g in range(1, order):
-        times_g = (sum(int(gi) * digits[t] for gi, t in zip(digits[g], tower))
-                   % p) @ place
-        step = times_g.tolist()
+    place = [p ** i for i in range(k)]
+    for g in range(1 if k == 1 else p, order):
+        columns = [_digits(g, p, k)]
+        for _ in range(k - 1):
+            top = columns[-1][-1]
+            shifted = [0] + columns[-1][:-1]
+            columns.append([(d - top * c) % p
+                            for d, c in zip(shifted, modulus)])
+        rows = list(zip(*columns))  # digit i of g t^j, by i then j
         antilog = [1]
-        power = step[1]
-        while power != 1 and len(antilog) < order:
-            antilog.append(power)
-            power = step[power]
+        power = columns[0]
+        while True:
+            code = sum(map(mul, power, place))
+            if code == 1:
+                break
+            antilog.append(code)
+            power = [sum(map(mul, power, row)) % p for row in rows]
         if len(antilog) == order - 1:
-            exp = np.array(antilog, dtype=np.int64)
-            log = np.zeros(order, dtype=np.int64)
-            log[exp] = np.arange(order - 1, dtype=np.int64)
-            return exp, log
+            log = [0] * order
+            for i, code in enumerate(antilog):
+                log[code] = i
+            return antilog, log
     raise DomainError(f"F_{order} has no primitive element")  # unreachable
 
 
@@ -106,51 +111,78 @@ class ExtField:
                 f"got {p}^{k}")
         self.p = p
         self.k = k
-        self._place = np.array([p ** i for i in range(k)], dtype=np.int64)
-        codes = np.arange(self.order, dtype=np.int64)
-        self._digits = (codes[:, None] // self._place) % p
-        self._exp, self._log = _log_tables(p, k, _find_irreducible(p, k),
-                                           self._digits, self._place)
+        self._exp, self._log = _log_tables(p, k, _find_irreducible(p, k))
+        if k > 1:
+            self._packed = [sum(d << (WIDTH * i)
+                                for i, d in enumerate(_digits(c, p, k)))
+                            for c in self._exp]
 
     @property
     def order(self) -> int:
         return self.p ** self.k
 
-    # -- arithmetic on arrays of codes -------------------------------------
+    # -- arithmetic on codes ------------------------------------------------
 
-    def mul(self, a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        logs = (self._log[a] + self._log[b]) % (self.order - 1)
-        return np.where((a == 0) | (b == 0), 0, self._exp[logs])
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
-    def inv(self, a):
-        """Inverses of nonzero codes."""
-        a = np.asarray(a)
-        if (a == 0).any():
+    def inv(self, a: int) -> int:
+        """The inverse of a nonzero code."""
+        if not a:
             raise DomainError("zero has no inverse")
-        return self._exp[(-self._log[a]) % (self.order - 1)]
+        return self._exp[-self._log[a] % (self.order - 1)]
 
-    def evaluate(self, f: MultiPoly, points: np.ndarray) -> np.ndarray:
-        """Values of f at every row of a (points x nvars) code array."""
-        points = np.asarray(points, dtype=np.int64)
-        if points.ndim != 2 or points.shape[1] != f.ring.nvars:
-            raise DomainError("wrong number of coordinates")
-        logs = self._log[points]
-        vanishing = points == 0
-        total = np.zeros((points.shape[0], self.k), dtype=np.int64)
-        for exps, c in f._terms.items():
-            used = [i for i, e in enumerate(exps) if e]
-            weights = np.array([exps[i] for i in used], dtype=np.int64)
-            term = (logs[:, used] @ weights + self._log[c]) % (self.order - 1)
-            value = np.where(vanishing[:, used].any(axis=1), 0, self._exp[term])
-            total += self._digits[value]
-        return (total % self.p) @ self._place
+    def evaluator(self, f: MultiPoly) -> Callable[[Sequence[int]], int]:
+        """The map from a point's codes (one per variable) to the code of
+        f's value there.  Over F_p each term is c * prod x_i^e_i mod p.
+        Over F_{p^k} a term is zero when a variable it uses is, else the
+        antilog of log c + sum e_i log x_i; the terms' packed digits are
+        summed and each digit is reduced mod p once."""
+        p, k = self.p, self.k
+        terms = [(c, [(i, e) for i, e in enumerate(exps) if e])
+                 for exps, c in f._terms.items()]
+        nvars = f.ring.nvars
+        if k == 1:
+            def value(point: Sequence[int]) -> int:
+                if len(point) != nvars:
+                    raise DomainError("wrong number of coordinates")
+                total = 0
+                for c, used in terms:
+                    for i, e in used:
+                        c = c * pow(point[i], e, p) % p
+                    total += c
+                return total % p
+            return value
+
+        n = self.order - 1
+        packed = self._packed
+        # zero's log is below minus every sum of the other logs in a term,
+        # so a term is nonzero exactly when its sum of logs is >= 0
+        log = self._log[:]
+        log[0] = -n * (1 + max((sum(e for _, e in used) for _, used in terms),
+                               default=0))
+        logs = [(log[c], used) for c, used in terms]
+        mask = (1 << WIDTH) - 1
+        shifts = [(WIDTH * i, p ** i) for i in range(k)]
+
+        def value(point: Sequence[int]) -> int:
+            if len(point) != nvars:
+                raise DomainError("wrong number of coordinates")
+            total = 0
+            for s, used in logs:
+                for i, e in used:
+                    s += e * log[point[i]]
+                if s >= 0:
+                    total += packed[s % n]
+            return sum((total >> shift & mask) % p * w for shift, w in shifts)
+        return value
 
     def label(self, code: int) -> str:
         """The residue of a code written as a polynomial in t, highest
         degree first, as MultiPoly prints it."""
-        digits = _digits(int(code), self.p, self.k)
+        digits = _digits(code, self.p, self.k)
         chunks = []
         for i in reversed(range(self.k)):
             c = digits[i]
@@ -161,25 +193,13 @@ class ExtField:
         return " + ".join(chunks) or "0"
 
 
-def projective_point_blocks(field: ExtField,
-                            nvars: int) -> Iterator[np.ndarray]:
-    """Canonical representatives of the projective points, as
-    (points x nvars) code arrays of at most BLOCK_ROWS rows: first
-    nonzero coordinate equal to 1, grouped by that coordinate, later
-    coordinates in code order with the leftmost varying slowest."""
-    q = field.order
+def projective_points(field: ExtField, nvars: int) -> Iterator[tuple]:
+    """Canonical representatives of the projective points, as tuples of
+    codes: first nonzero coordinate equal to 1, grouped by that
+    coordinate, later coordinates in code order with the leftmost
+    varying slowest."""
+    codes = range(field.order)
     for pivot in range(nvars):
-        slots = nvars - pivot - 1
-        free = 0  # trailing coordinates enumerated inside one block
-        while free < slots and q ** (free + 1) <= BLOCK_ROWS:
-            free += 1
-        if free:
-            tails = np.indices((q,) * free, dtype=np.int64).reshape(free, -1).T
-        else:
-            tails = np.zeros((1, 0), dtype=np.int64)
-        for head in product(range(q), repeat=slots - free):
-            block = np.zeros((len(tails), nvars), dtype=np.int64)
-            block[:, pivot] = 1
-            block[:, pivot + 1:nvars - free] = head
-            block[:, nvars - free:] = tails
-            yield block
+        head = (0,) * pivot + (1,)
+        for tail in product(codes, repeat=nvars - pivot - 1):
+            yield head + tail

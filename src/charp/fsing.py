@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .cartier import _check_level, apply_cartier
-from .config import Frozen, check_degree, current_caps
+from .config import Frozen, check_degree, current_caps, shown
 from .errors import (DomainError, InternalInvariantError, PreconditionError,
                      ResourceError, TestElementError, UnsupportedInputError)
 from .ideal import Ideal
@@ -253,8 +253,8 @@ def multiplicity_containment(pair: PairDivisor, point: Sequence,
     mult = Fraction(pair.a, pair.q - 1) * multiplicity(pair.f, coords)
     if mult < threshold:
         raise PreconditionError(
-            f"divisor multiplicity {mult} at {coords} is below the "
-            f"threshold {threshold}")
+            f"divisor multiplicity {shown(mult)} at {coords} is below the "
+            f"threshold {shown(threshold)}")
     t = tau(pair)
     inside = all(multiplicity(g, coords) >= 1 for g in t.groebner_basis)
     return ContainmentReport(codim=codim, threshold=threshold,

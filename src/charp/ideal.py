@@ -487,19 +487,6 @@ class Ideal:
         return Ideal(self.ring, [_move_variable(g, self.ring, len(names) - 1, i)
                                  for g in _reduce(divided)])
 
-    def bracket_power(self, e: int) -> "Ideal":
-        """Ideal generated by g^(p^e) over the generators.
-
-        Independent of the generating set because Frobenius is flat over
-        the (regular) ambient polynomial ring.
-        """
-        if e < 0:
-            raise DomainError(f"bracket power needs e >= 0, got {e}")
-        if e == 0:
-            return self
-        q = self.ring.p ** e
-        return Ideal(self.ring, [g.frobenius_power(q) for g in self.generators])
-
     def standard_monomials(self, m: int) -> tuple:
         """Degree-m monomials outside the leading-term ideal,
         grevlex-descending; a piece above the piece cap is refused

@@ -1,59 +1,69 @@
-"""Exact row reduction over a prime field (numpy int64 matrices).
+"""Exact row reduction over a prime field, on lists of residue rows.
 
-Matrices hold canonical residues in [0, p).  The engine solves only for
-kernels and ranks here (chart meets, separation checks); graded-subspace
-bases come from the Gröbner kernel.  Matrices returned here are treated
-as immutable by the callers.
+A matrix is a list of rows, each a list of canonical residues in
+[0, p) of one common length.  The engine solves only for kernels and
+ranks here (chart meets, separation checks); graded-subspace bases
+come from the Gröbner kernel.  Matrices returned here are treated as
+immutable by the callers.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import List, Sequence
 
 
-def rref(matrix: np.ndarray, p: int) -> tuple:
+def rref(matrix: Sequence[Sequence[int]], p: int) -> tuple:
     """Reduced row echelon form over F_p.
 
-    Returns (reduced matrix without zero rows, pivot column indices).
+    Returns (reduced rows without zero rows, pivot column indices).
+    Row r is the pivot row of the r-th pivot column c; every row at or
+    below it is zero left of c, so each step works on columns c.. only.
     """
-    m = np.array(matrix, dtype=np.int64) % p
-    if m.ndim != 2:
-        raise ValueError("rref expects a 2-d array")
-    rows, cols = m.shape
+    m = [[x % p for x in row] for row in matrix]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        lead = next((i for i in range(r, rows) if m[i][c]), None)
+        if lead is None:
             continue
-        lead = r + int(nz[0])
-        if lead != r:
-            m[[r, lead]] = m[[lead, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+        m[r], m[lead] = m[lead], m[r]
+        pivot = m[r]
+        inv = pow(pivot[c], -1, p)
+        if inv != 1:
+            pivot[c:] = [x * inv % p for x in pivot[c:]]
+        tail = pivot[c:]
+        for i in range(rows):
+            f = m[i][c]
+            if f and i != r:
+                row = m[i]
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-    return m[:r].copy(), tuple(pivots)
+    return m[:r], tuple(pivots)
 
 
-def rank(matrix: np.ndarray, p: int) -> int:
-    return rref(matrix, p)[0].shape[0]
+def rank(matrix: Sequence[Sequence[int]], p: int) -> int:
+    return len(rref(matrix, p)[0])
 
 
-def null_space(matrix: np.ndarray, p: int) -> np.ndarray:
-    """Basis of {v : matrix @ v = 0} over F_p, one vector per row: the
-    vector of each free column of the RREF."""
+def null_space(matrix: Sequence[Sequence[int]], p: int,
+               cols: int) -> List[List[int]]:
+    """Basis of {v : matrix . v = 0} over F_p for a matrix of `cols`
+    columns (any number of rows, none included), one vector per free
+    column of the RREF, in column order."""
     reduced, pivots = rref(matrix, p)
-    cols = reduced.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        basis[i, list(pivots)] = (-reduced[:, c]) % p
+    taken = set(pivots)
+    basis = []
+    for c in range(cols):
+        if c in taken:
+            continue
+        v = [0] * cols
+        v[c] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[c] % p
+        basis.append(v)
     return basis

@@ -18,10 +18,10 @@ the test-ideal variant, of tau, which the operator fixes).
 
 Every graded-subspace basis comes from the Gröbner kernel: a piece of a
 homogeneous ideal is read off its reduced basis (`_ideal_piece`), a span
-of forms is reduced by normal forms (`space_from_polys`).  Numpy only
-solves for kernels and ranks: chart meets and `separates`, which load it
-with `linalg` (and `separates` also `extfield`) on their first call, so
-importing this module loads no numpy.
+of forms is reduced by normal forms (`space_from_polys`).  `linalg`
+only solves for kernels and ranks, on lists of residue rows: chart meets
+and `separates`, which load it (and `separates` also `extfield`) on
+their first call, so importing this module loads neither.
 
 Each question about X is answered on the cone, by one route.  Forms
 define a complete intersection when their Hilbert series is that of a
@@ -49,9 +49,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, zip_longest
+from itertools import accumulate, filterfalse, zip_longest
 from math import comb
-from operator import le
+from operator import le, mul
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from .config import (DEFAULT_CAPS, Frozen, check_degree, check_piece,
@@ -189,10 +189,10 @@ class GradedSubspace(Frozen):
 
 
 def _rows_to_basis(ring: PolyRing, columns: tuple,
-                   matrix: np.ndarray) -> tuple:
+                   matrix: List[List[int]]) -> tuple:
     """The forms of the rows of a matrix over monomial columns."""
-    return tuple(MultiPoly(ring, {columns[j]: int(row[j])
-                                  for j in row.nonzero()[0]})
+    return tuple(MultiPoly(ring, {columns[j]: c
+                                  for j, c in enumerate(row) if c})
                  for row in matrix)
 
 
@@ -424,19 +424,6 @@ class SeparationReport:
                 f"{self.tangents_checked} tangent checks")
 
 
-def _derivatives_at(field: "ExtField", polys: Sequence[MultiPoly],
-                    points: np.ndarray) -> np.ndarray:
-    """(points x polys x variables) array of the partial derivatives'
-    values."""
-    import numpy as np
-
-    out = np.zeros((len(points), len(polys), points.shape[1]), dtype=np.int64)
-    for a, f in enumerate(polys):
-        for x in range(points.shape[1]):
-            out[:, a, x] = field.evaluate(f.derivative(x), points)
-    return out
-
-
 def separates(scheme: ProjScheme, space: GradedSubspace,
               ext_degree: int = 1) -> SeparationReport:
     """Point and tangent separation of the linear system on a curve.
@@ -453,12 +440,9 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
     partial, rational-point verification and the report says so.  More
     than `extfield.MAX_POINTS` points are refused before any is formed.
     """
-    # the array layer loads on first use, so importing charp loads no
-    # numpy for callers that never sample points
-    import numpy as np
-
-    from .extfield import (MAX_POINTS, ExtField,
-                           projective_point_blocks)
+    # the array layer loads on first use, so importing charp loads it
+    # only for callers that sample points
+    from .extfield import MAX_POINTS, ExtField, projective_points
     from .linalg import null_space, rank
 
     if not scheme.is_curve:
@@ -472,9 +456,9 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
         raise DomainError("separation check on the zero subspace")
 
     ring = scheme.ring
-    p = ring.p
+    p, nvars = ring.p, ring.nvars
     q = p ** ext_degree
-    count = (q ** ring.nvars - 1) // (q - 1)
+    count = (q ** nvars - 1) // (q - 1)
     if count > MAX_POINTS:
         raise DomainError(
             f"point sampling supports at most {MAX_POINTS} projective points, "
@@ -482,15 +466,12 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
     field = ExtField(p, ext_degree)
     basis = space.basis
 
-    def on_scheme(block):
-        keep = np.ones(len(block), dtype=bool)
-        for h in scheme.forms:
-            keep &= field.evaluate(h, block) == 0
-        return block[keep]
-
-    points = np.concatenate([on_scheme(block) for block in
-                             projective_point_blocks(field, ring.nvars)])
-    values = np.stack([field.evaluate(s, points) for s in basis], axis=1)
+    points = projective_points(field, nvars)
+    for h in scheme.forms:  # keep the points where h vanishes
+        points = filterfalse(field.evaluator(h), points)
+    points = list(points)
+    sections = [field.evaluator(s) for s in basis]
+    values = [tuple([s(point) for s in sections]) for point in points]
     npts = len(points)
 
     failures: List[SeparationFailure] = []
@@ -498,42 +479,45 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
     def point_repr(i):
         return tuple(field.label(c) for c in points[i])
 
-    nonzero = values.any(axis=1)
-    for i in np.flatnonzero(~nonzero):
+    zero_rows = [i for i, u in enumerate(values) if not any(u)]
+    for i in zero_rows:
         failures.append(SeparationFailure(
             "base-point", (point_repr(i),), "all sections vanish"))
 
     # points i < j fail when u_i != 0 and u_j is zero or proportional to
     # u_i: group the nonzero value vectors by their scaling with first
     # nonzero entry 1
-    lead = values[np.arange(npts), (values != 0).argmax(axis=1)]
-    scaled = field.mul(values, field.inv(np.where(nonzero, lead, 1))[:, None])
-    keys = [row.tobytes() for row in scaled]
-    zero_rows = np.flatnonzero(~nonzero).tolist()
+    keys: dict = {}
     members: dict = {}
-    for i in np.flatnonzero(nonzero).tolist():
-        members.setdefault(keys[i], []).append(i)
-    for i in range(npts):
-        if not nonzero[i]:
-            continue
-        later = sorted([j for j in members[keys[i]] if j > i]
+    for i, u in enumerate(values):
+        if any(u):
+            scale = field.inv(next(c for c in u if c))
+            keys[i] = key = tuple([field.mul(c, scale) for c in u])
+            members.setdefault(key, []).append(i)
+    for i, key in keys.items():
+        later = sorted([j for j in members[key] if j > i]
                        + [j for j in zero_rows if j > i])
         for j in later:
             failures.append(SeparationFailure(
                 "pair", (point_repr(i), point_repr(j))))
 
-    rational = np.flatnonzero((points < p).all(axis=1))
-    jacobian = _derivatives_at(field, scheme.forms, points[rational])
-    gradients = _derivatives_at(field, basis, points[rational])
-    for r, i in enumerate(rational):
-        kernel = null_space(jacobian[r], p)
+    # at a rational point every code is a residue
+    rational = [i for i, point in enumerate(points) if max(point) < p]
+    jacobian = [[h.derivative(x) for x in range(nvars)] for h in scheme.forms]
+    gradients = [[s.derivative(x) for x in range(nvars)] for s in basis]
+    for i in rational:
+        point = points[i]
+        kernel = null_space([[d.evaluate(point) for d in row]
+                             for row in jacobian], p, nvars)
         target_dim = 1 if space.degree == 0 else len(kernel)
         if target_dim != 2:
             failures.append(SeparationFailure(
                 "tangent", (point_repr(i),),
                 f"double-point piece has dimension {target_dim}"))
             continue
-        rows = np.vstack([values[i], (gradients[r] @ kernel.T).T % p])
+        grads = [[d.evaluate(point) for d in row] for row in gradients]
+        rows = [values[i]] + [[sum(map(mul, grad, v)) for grad in grads]
+                              for v in kernel]
         if rank(rows, p) != 2:
             failures.append(SeparationFailure(
                 "tangent", (point_repr(i),),
@@ -620,10 +604,8 @@ def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
     combinations x·A for which x·A + y·B = 0 (`linalg.null_space`), and
     the meet is made canonical once per degree (`space_from_polys`).  A
     chart's piece below its lowest degree is 0, and so is the
-    saturation's.  The charts are computed, and numpy and `linalg`
-    loaded, on the first piece asked for."""
-    import numpy as np
-
+    saturation's.  The charts are computed, and `linalg` loaded, on the
+    first piece asked for."""
     from .linalg import null_space
 
     ring, p = ideal.ring, ideal.ring.p
@@ -637,14 +619,17 @@ def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
             piece = tuple(g.mul_monomial(b) for g in chart for b in
                           monomials_of_degree(ring.nvars, d - g.degree()))
             if i:
-                columns = tuple({exps: 0 for g in meet + piece
-                                 for exps in g._terms})
-                rows = np.array([[g._terms.get(exps, 0) for exps in columns]
-                                 for g in meet + piece], dtype=np.int64)
-                kernel = null_space(rows.T, p)
-                combos = kernel[:, :len(meet)] @ rows[:len(meet)] % p
+                forms = meet + piece
+                columns = tuple({exps: 0 for g in forms for exps in g._terms})
+                # one row per monomial, one column per form
+                rows = [[g._terms.get(exps, 0) for g in forms]
+                        for exps in columns]
+                kernel = null_space(rows, p, len(forms))
+                top_rows = [row[:len(meet)] for row in rows]
+                combos = [[sum(map(mul, v, row)) % p for row in top_rows]
+                          for v in kernel]
                 piece = _rows_to_basis(ring, columns,
-                                       combos[combos.any(axis=1)])
+                                       [c for c in combos if any(c)])
             meet = piece
             if not meet:
                 break

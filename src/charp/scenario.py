@@ -38,12 +38,12 @@ Importing this module loads the pair layer (ring, ideal, cartier,
 fsing) and the runners of the pair ops, and nothing more.  OPS also
 lists the modules each op needs beyond the pair layer: `projops`, which
 imports `proj` and holds the runners of the projective ops, and after
-it the array layer (`linalg`, and for separates `extfield`; both load
-numpy) for separates and thm46.  Each op's runner is `_run_<op>`, in
-the first module it needs, or here for a pair op.  Parsing a scenario
-loads the modules its jobs need, `projops` first, so every import is
-paid before any job is timed; a scenario of pair ops loads neither
-`proj` nor numpy.  A job looks its runner up as it starts and imports
+it the array layer (`linalg`, and for separates `extfield`) for
+separates and thm46.  Each op's runner is `_run_<op>`, in the first
+module it needs, or here for a pair op.  Parsing a scenario loads the
+modules its jobs need, `projops` first, so every import is paid before
+any job is timed; a scenario of pair ops loads neither `proj` nor the
+array layer.  A job looks its runner up as it starts and imports
 the module only when nothing has, as for a Scenario built by hand.
 """
 

@@ -13,7 +13,7 @@ from charp.fsing import PairDivisor
 from charp.ideal import Ideal
 from charp.ring import PolyRing, grevlex_key
 
-from conftest import random_homogeneous, random_poly, trace
+from conftest import bracket_power, random_homogeneous, random_poly, trace
 
 
 @st.composite
@@ -162,11 +162,11 @@ def test_root_power_adjunction():
                                  for _ in range(2)])
             for e in (1, 2):
                 root = bracket_root(ideal, e)
-                assert ideal.issubset(root.bracket_power(e))
+                assert ideal.issubset(bracket_power(root, e))
             mono = Ideal(ring, [ring.monomial((rng.randint(0, 6),
                                                rng.randint(0, 6)))
                                 for _ in range(2)])
-            assert bracket_root(mono.bracket_power(1), 1) == mono
+            assert bracket_root(bracket_power(mono, 1), 1) == mono
 
 
 def test_root_monotone(R2):
@@ -185,7 +185,7 @@ def test_root_smallest_ideal_property():
     root = bracket_root(J, 1)
     assert root == I(ring, "x^2")
     too_small = I(ring, "x^3")
-    assert not J.issubset(too_small.bracket_power(1))
+    assert not J.issubset(bracket_power(too_small, 1))
 
 
 # -- the operator --------------------------------------------------------------

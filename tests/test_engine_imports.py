@@ -1,11 +1,12 @@
-"""The engine imports the standard library, numpy and itself, nothing
-else; only `linalg` row-reduces, so every graded-subspace basis comes
-from the Gröbner kernel; and each layer beyond the pair layer loads only
-for the ops that need it: `proj`, through the runners in `projops`, for
-the projective ops, and numpy with the array layer, `linalg` for
-separates and thm46 and `extfield` for separates alone; a scenario built
-by hand runs every op all the same; and loading the engine runs no
-generated code: its classes are written out by hand."""
+"""The engine imports the standard library and itself, nothing else, so
+no engine module imports numpy; only `linalg` row-reduces, so every
+graded-subspace basis comes from the Gröbner kernel; and each layer
+beyond the pair layer loads only for the ops that need it: `proj`,
+through the runners in `projops`, for the projective ops, and the array
+layer, `linalg` for separates and thm46 and `extfield` for separates
+alone; a scenario built by hand runs every op all the same; and loading
+the engine runs no generated code: its classes are written out by
+hand."""
 
 import ast
 import importlib
@@ -19,14 +20,14 @@ from pathlib import Path
 from charp.scenario import OPS
 
 ENGINE = Path(__file__).resolve().parent.parent / "src" / "charp"
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "charp"}
+ALLOWED = set(sys.stdlib_module_names) | {"charp"}
 ARRAY_LAYER = ("linalg.py", "extfield.py")
 
 
 def foreign_imports(source: str) -> list:
     """Top-level names of the absolute imports in the source that are
-    neither standard library, numpy nor charp; relative imports stay
-    inside charp."""
+    neither standard library nor charp; relative imports stay inside
+    charp."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -40,7 +41,7 @@ def foreign_imports(source: str) -> list:
     return found
 
 
-def test_engine_imports_numpy_and_nothing_else():
+def test_engine_imports_the_standard_library_and_itself():
     modules = sorted(ENGINE.glob("*.py"))
     assert len(modules) > 10
     for module in modules:
@@ -52,6 +53,9 @@ def test_foreign_imports_are_seen_anywhere():
     assert foreign_imports("def f():\n    from sympy.core import S\n") \
         == ["sympy.core"]
     assert foreign_imports("import numpy as np, os.path\n"
+                           "from .ring import PolyRing\n"
+                           "from charp.ideal import Ideal\n") == ["numpy"]
+    assert foreign_imports("import os.path\n"
                            "from .ring import PolyRing\n"
                            "from charp.ideal import Ideal\n") == []
 
@@ -132,13 +136,15 @@ def loads(names: set, module: str) -> bool:
                for name in names)
 
 
-def test_only_the_array_layer_loads_numpy():
-    for name in ARRAY_LAYER:
-        assert loads(eager_imports((ENGINE / name).read_text()), "numpy")
-    for module in sorted(ENGINE.glob("*.py")):
-        names = eager_imports(module.read_text())
-        if module.name not in ARRAY_LAYER:
-            assert not loads(names, "numpy"), module.name
+def test_no_engine_module_imports_numpy():
+    # nor names it at all, so not even a function body imports it; and no
+    # module loads the array layer when it loads
+    modules = sorted(ENGINE.glob("*.py"))
+    assert {module.name for module in modules} >= set(ARRAY_LAYER)
+    for module in modules:
+        source = module.read_text()
+        assert "numpy" not in source, module.name
+        names = eager_imports(source)
         assert not loads(names, "charp.linalg"), module.name
         assert not loads(names, "charp.extfield"), module.name
 
@@ -286,11 +292,11 @@ def test_scenarios_without_array_ops_never_load_numpy():
         "parsed": PROJ_LAYER, "ran": PROJ_LAYER, "errors": []}
 
 
-def test_array_ops_load_numpy_while_parsing():
-    # sys.modules lists a module once its import finishes, so numpy,
-    # which `linalg` imports, comes before `linalg`; only separates
-    # samples points, so thm46 loads no `extfield`
-    linalg = PROJ_LAYER + ["numpy", "charp.linalg"]
+def test_array_ops_load_the_array_layer_while_parsing():
+    # sys.modules lists a module once its import finishes; numpy, which
+    # LAZY lists, never loads; only separates samples points, so thm46
+    # loads no `extfield`
+    linalg = PROJ_LAYER + ["charp.linalg"]
     extfield = linalg + ["charp.extfield"]
     for job, layers in ((SEPARATES, extfield), (THM46, linalg)):
         assert probe([job]) == {"parsed": layers, "ran": layers,
@@ -409,12 +415,12 @@ def test_codegen_uses_are_seen_anywhere():
 
 # Every `exec` audit event whose code has no source file, by the file of
 # the nearest module-level frame above it: the module whose loading ran
-# generated code.  numpy is imported before the hook is added.  The
-# probe's own dataclass, defined at its top level after the engine has
-# loaded, shows that the hook sees such code.
+# generated code.  `dataclasses` is imported before the hook is added, so
+# the namedtuples of the modules it loads (`inspect`, `dis`, `tokenize`)
+# are not recorded.  The probe's own dataclass, defined at its top level
+# after the engine has loaded, shows that the hook sees such code.
 CODEGEN_PROBE = """
-import json, os, sys
-import numpy
+import dataclasses, json, os, sys
 
 events = []
 
@@ -431,7 +437,6 @@ import charp, charp.cli
 from charp.scenario import parse_scenario
 parse_scenario(json.loads(sys.argv[1]))
 engine = list(events)
-import dataclasses
 @dataclasses.dataclass
 class Probe:
     x: int

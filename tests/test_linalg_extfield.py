@@ -3,12 +3,11 @@
 import random
 from itertools import product
 
-import numpy as np
 import pytest
 
 from charp import extfield
 from charp.errors import DomainError
-from charp.extfield import ExtField, projective_point_blocks
+from charp.extfield import ExtField, projective_points
 from charp.linalg import null_space, rank, rref
 from charp.ring import PolyRing
 
@@ -19,26 +18,28 @@ def test_rref_canonical_and_idempotent():
         for _ in range(20):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
-            m = np.array([[rng.randrange(p) for _ in range(cols)]
-                          for _ in range(rows)])
+            m = [[rng.randrange(p) for _ in range(cols)]
+                 for _ in range(rows)]
             reduced, pivots = rref(m, p)
             again, pivots2 = rref(reduced, p)
-            assert (reduced == again).all() and pivots == pivots2
-            # pivot columns are unit vectors
+            assert reduced == again and pivots == pivots2
+            # pivot columns are unit vectors, and no row is zero
             for r, c in enumerate(pivots):
-                col = reduced[:, c]
-                assert col[r] == 1 and (np.delete(col, r) == 0).all()
+                col = [row[c] for row in reduced]
+                assert col[r] == 1 and not any(col[:r] + col[r + 1:])
+            assert all(any(row) for row in reduced)
+            assert len(reduced) == len(pivots)
 
 
 def test_row_space_membership():
     p = 5
-    basis, _ = rref(np.array([[1, 2, 0], [0, 0, 1]]), p)
+    basis, _ = rref([[1, 2, 0], [0, 0, 1]], p)
     # a vector lies in the row space when adding it keeps the RREF
-    inside, _ = rref(np.vstack([basis, [2, 4, 3]]), p)
-    outside, _ = rref(np.vstack([basis, [0, 1, 0]]), p)
-    assert (inside == basis).all()
-    assert outside.shape == (3, 3)
-    assert rank(np.array([[1, 2], [2, 4]]), p) == 1
+    inside, _ = rref(basis + [[2, 4, 3]], p)
+    outside, _ = rref(basis + [[0, 1, 0]], p)
+    assert inside == basis
+    assert len(outside) == 3 and all(len(row) == 3 for row in outside)
+    assert rank([[1, 2], [2, 4]], p) == 1
 
 
 def _residue(poly, modulus):
@@ -88,13 +89,15 @@ FIELDS = ((5, 2), (7, 2), (2, 3), (3, 3), (2, 4), (3, 4))
 
 
 def test_extension_field_arithmetic():
-    # inverses through the array API; zero has none
+    # inverses of every nonzero code; zero has none, and kills products
     for p, k in FIELDS:
         field = ExtField(p, k)
-        nonzero = np.arange(1, field.order)
-        assert (field.mul(nonzero, field.inv(nonzero)) == 1).all()
+        nonzero = range(1, field.order)
+        assert all(field.mul(a, field.inv(a)) == 1 for a in nonzero)
+        assert all(field.mul(a, 0) == field.mul(0, a) == 0
+                   for a in range(field.order))
         with pytest.raises(DomainError):
-            field.inv(np.array([1, 0]))
+            field.inv(0)
 
 
 def test_extension_degree_bounds():
@@ -175,13 +178,13 @@ def test_log_tables_match_the_digit_walk():
     for p, k in fields:
         field = ExtField(p, k)
         antilog, log = _digit_walk_tables(p, k)
-        assert field._exp.tolist() == antilog, (p, k)
-        assert field._log.tolist() == log, (p, k)
+        assert field._exp == antilog, (p, k)
+        assert field._log == log, (p, k)
 
 
 def test_projective_point_counts():
     def count(field, nvars):
-        return sum(len(b) for b in projective_point_blocks(field, nvars))
+        return sum(1 for _ in projective_points(field, nvars))
     assert count(ExtField(5, 1), 2) == 6           # P^1(F_5)
     assert count(ExtField(5, 1), 3) == 31          # P^2(F_5)
     assert count(ExtField(5, 2), 2) == 26          # P^1(F_25)
@@ -194,9 +197,9 @@ def test_evaluate_forms_over_extension():
     f = ring.parse("x^2 + 2*y^3")
     field = ExtField(5, 2)
     residues, code_of, mu = _residue_field(5, 2)
-    points = np.concatenate(list(projective_point_blocks(field, 2)))
-    values = field.evaluate(f, points)
-    for (x, y), value in zip(points.tolist(), values.tolist()):
+    value_at = field.evaluator(f)
+    for x, y in projective_points(field, 2):
+        value = value_at((x, y))
         rx, ry = residues[x], residues[y]
         assert value == code_of[_residue(rx * rx + (ry * ry * ry).scale(2), mu)]
 
@@ -204,18 +207,19 @@ def test_evaluate_forms_over_extension():
 def test_table_arithmetic_matches_polynomial_residues():
     # the log/antilog and digit tables against arithmetic of residues in
     # F_p[t]/(mu), through evaluation on every pair of codes, and the
-    # printed element against the printed residue
-    for p, k in FIELDS:
+    # printed element against the printed residue; prime fields take the
+    # modular route
+    for p, k in FIELDS + ((5, 1), (7, 1)):
         field = ExtField(p, k)
         residues, code_of, mu = _residue_field(p, k)
         ring = PolyRing(("x", "y"), p)
-        codes = np.arange(field.order)
-        pairs = np.stack(np.meshgrid(codes, codes, indexing="ij"), -1).reshape(-1, 2)
-        sums = field.evaluate(ring.parse("x + y"), pairs)
-        products = field.evaluate(ring.parse("x*y"), pairs)
-        negatives = field.evaluate(ring.parse("-x"), pairs)
-        for (a, b), s, m, n in zip(pairs.tolist(), sums.tolist(),
-                                   products.tolist(), negatives.tolist()):
+        codes = range(field.order)
+        pairs = list(product(codes, repeat=2))
+        sums = map(field.evaluator(ring.parse("x + y")), pairs)
+        products = map(field.evaluator(ring.parse("x*y")), pairs)
+        negatives = map(field.evaluator(ring.parse("-x")), pairs)
+        for (a, b), s, m, n in zip(pairs, sums, products, negatives):
+            assert m == field.mul(a, b)
             assert s == code_of[residues[a] + residues[b]]
             assert m == code_of[_residue(residues[a] * residues[b], mu)]
             assert n == code_of[-residues[a]]
@@ -231,18 +235,36 @@ def test_element_rendering():
     assert ExtField(2, 4).label(1 + 2 + 8) == "t^3 + t + 1"
 
 
-def test_point_blocks_keep_the_enumeration_order(monkeypatch):
+def test_points_keep_the_enumeration_order():
     # first nonzero coordinate 1, grouped by it, later coordinates in code
-    # order with the leftmost varying slowest, however the blocks are cut
+    # order with the leftmost varying slowest
     field = ExtField(3, 2)
     want = [(0,) * pivot + (1,) + tail for pivot in range(4)
             for tail in product(range(9), repeat=3 - pivot)]
-    whole = np.concatenate(list(projective_point_blocks(field, 4)))
-    assert [tuple(row) for row in whole.tolist()] == want
-    monkeypatch.setattr(extfield, "BLOCK_ROWS", 10)
-    blocks = list(projective_point_blocks(field, 4))
-    assert max(len(b) for b in blocks) <= 10
-    assert (np.concatenate(blocks) == whole).all()
+    assert list(projective_points(field, 4)) == want
+
+
+def test_points_are_a_brute_force_canonical_enumeration():
+    # every nonzero vector scaled by the inverse of its first nonzero
+    # coordinate, once each, sorted by the position of that coordinate
+    # and then by codes: the points yielded, in order, for P^1..P^3 over
+    # F_2, F_4, F_5 and F_9
+    for p, k in ((2, 1), (2, 2), (5, 1), (3, 2)):
+        field = ExtField(p, k)
+        for nvars in (2, 3, 4):
+            seen = {}
+            for vector in product(range(field.order), repeat=nvars):
+                if not any(vector):
+                    continue
+                pivot = next(i for i, c in enumerate(vector) if c)
+                scale = field.inv(vector[pivot])
+                point = tuple(field.mul(c, scale) for c in vector)
+                seen.setdefault(point, (pivot, point))
+            want = sorted(seen, key=seen.get)
+            got = list(projective_points(field, nvars))
+            assert got == want, (p, k, nvars)
+            q = field.order
+            assert len(got) == (q ** nvars - 1) // (q - 1)
 
 
 def test_field_order_cap():
@@ -257,9 +279,11 @@ def test_null_space():
         for _ in range(20):
             rows = rng.randint(0, 4)
             cols = rng.randint(1, 5)
-            m = np.array([[rng.randrange(p) for _ in range(cols)]
-                          for _ in range(rows)], dtype=np.int64).reshape(rows, cols)
-            kernel = null_space(m, p)
-            assert kernel.shape == (cols - rank(m, p), cols)
-            assert not ((m @ kernel.T) % p).any()
+            m = [[rng.randrange(p) for _ in range(cols)]
+                 for _ in range(rows)]
+            kernel = null_space(m, p, cols)
+            assert len(kernel) == cols - rank(m, p)
+            assert all(len(v) == cols for v in kernel)
+            assert not any(sum(a * b for a, b in zip(row, v)) % p
+                           for row in m for v in kernel)
             assert rank(kernel, p) == len(kernel)

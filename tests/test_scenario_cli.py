@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +13,8 @@ import pytest
 from charp import extfield
 from charp import scenario as scenario_module
 from charp.cli import SUITE_DIRS, main, parse_caps, suite_scenarios
-from charp.config import DEFAULT_CAPS, Caps, current_caps
+from charp.config import (DEFAULT_CAPS, SHOWN_BITS, Caps, current_caps,
+                          shown)
 from charp.errors import ScenarioError
 from charp.fsing import PairDivisor
 from charp.proj import ProjScheme
@@ -645,6 +647,61 @@ def test_a_level_too_large_to_print_fails_only_its_job(tmp_path, capsys):
                              "message": cap + "5^7000"}
     assert small["error"] == {"type": "ResourceError", "message": cap + "625"}
     assert fine["status"] == "ok" and fine["result"]["generators"] == ["x"]
+
+
+HUGE = int("9" * 4300)  # the longest integer a scenario file can hold
+
+
+def test_a_degree_too_large_to_print_fails_only_its_job():
+    # over F_5 the generator degree bound of f^a for f = x^20 and a of
+    # 4300 nines is about 4 * 10^4300, more digits than Python turns into
+    # a string: the job fails with its degree shown as a power of ten,
+    # and the next job still runs
+    jobs = [{"op": "sigma", "pair": {"f": "x^20", "a": HUGE, "e": 1}},
+            {"op": "sigma", "pair": {"f": "x*y", "a": 1, "e": 1}}]
+    report, _ = execute(scenario_module.Scenario(PolyRing(("x", "y"), 5),
+                                                 jobs))
+    huge, plain = report["jobs"]
+    assert huge["error"] == {
+        "type": "ResourceError",
+        "message": "resource cap max_degree=64 exceeded: generator of "
+                   "degree ~10^4300"}
+    assert plain["status"] == "ok"
+
+
+def test_a_multiplicity_too_large_to_print_fails_only_its_job(tmp_path,
+                                                              capsys):
+    # over F_41 the divisor multiplicity of (x^7, a, 1) at the line x = 0
+    # is 7a/40, whose numerator has 4301 digits for a of 4300 nines;
+    # through the CLI the report keeps every entry and the run exits 1
+    payload = {"p": 41, "vars": ["x", "y"],
+               "jobs": [{"op": "mult", "pair": {"f": "x^7", "a": HUGE, "e": 1},
+                         "point": [0, None], "l": HUGE},
+                        {"op": "sigma", "pair": {"f": "x^20", "a": HUGE,
+                                                 "e": 1}},
+                        {"op": "sigma", "pair": {"f": "x*y", "a": 1, "e": 1}}]}
+    report_path = tmp_path / "out.json"
+    assert main(["run", write_scenario(tmp_path, payload),
+                 "--report", str(report_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    mult, sigma, plain = json.loads(report_path.read_text())["jobs"]
+    assert mult["error"] == {
+        "type": "PreconditionError",
+        "message": "divisor multiplicity ~10^4300/40 at (0, None) is below "
+                   "the threshold ~10^4300"}
+    assert sigma["error"]["type"] == "ResourceError"
+    assert sigma["error"]["message"].endswith("generator of degree ~10^4299")
+    assert plain["status"] == "ok"
+
+
+def test_shown_prints_decimal_up_to_its_bound():
+    assert shown(-625) == "-625" and shown(Fraction(3, 4)) == "3/4"
+    assert shown(Fraction(8, 1)) == "8"
+    edge = (1 << SHOWN_BITS) - 1
+    assert shown(edge) == str(edge) and shown(-edge) == str(-edge)
+    assert shown(10 ** 5000) == "~10^5000"
+    assert shown(-3 * 10 ** 5000) == "-~10^5000"
+    assert shown(Fraction(7 * 10 ** 5000 + 1, 40)) == "~10^5000/40"
 
 
 def test_a_huge_level_is_refused_before_p_to_the_e_is_formed(tmp_path):
