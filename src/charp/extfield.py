@@ -13,11 +13,13 @@ that adding packed codes adds digits with no carry between them.  A
 form is evaluated one point at a time (`ExtField.evaluator`): over F_p
 with modular arithmetic, over F_{p^k} in the log domain with packed
 sums.  The tables are capped at p^k <= MAX_ORDER, and the points one
-check enumerates at MAX_POINTS.
+check enumerates at MAX_POINTS.  A field is never changed once built,
+so `_cached_field` keeps the last few for reuse.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from operator import mul
 from typing import Callable, Iterator, List, Sequence
@@ -191,6 +193,12 @@ class ExtField:
                 chunks.append(str(c) if i == 0 else
                               power if c == 1 else f"{c}*{power}")
         return " + ".join(chunks) or "0"
+
+
+@lru_cache(maxsize=4)
+def _cached_field(p: int, k: int) -> ExtField:
+    """ExtField(p, k), built once per (p, k) among the last few asked for."""
+    return ExtField(p, k)
 
 
 def projective_points(field: ExtField, nvars: int) -> Iterator[tuple]:

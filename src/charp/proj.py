@@ -270,15 +270,15 @@ class StableImageResult:
 
 
 def _stable_piece(scheme: ProjScheme, pair: PairDivisor, m: int,
-                  level: int, fixed: Ideal, modulus: Ideal) -> GradedSubspace:
-    """The degree-m piece modulo `modulus` of a fixed ideal whose trace
-    images are stable at `level`, once every source twist up to that
-    level is checked to be nonnegative."""
+                  level: int, fixed: Ideal) -> GradedSubspace:
+    """The degree-m piece modulo the scheme ideal of a fixed ideal whose
+    trace images are stable at `level`, once every source twist up to
+    that level is checked to be nonnegative."""
     for n, degree in enumerate(_source_twists(scheme, pair, m, level), 1):
         if degree < 0:
             raise DomainError(
                 f"source twist degree {degree} is negative at level {n}")
-    return _ideal_piece(fixed, modulus, m)
+    return _ideal_piece(fixed, scheme.ideal, m)
 
 
 def _source_twists(scheme: ProjScheme, pair: PairDivisor, m: int,
@@ -292,13 +292,6 @@ def _source_twists(scheme: ProjScheme, pair: PairDivisor, m: int,
             for n in range(1, level + 1)]
 
 
-def _stable_level(chain: ChainResult) -> int:
-    """First image level >= 2 whose image provably equals the one before:
-    a descending chain with J_s = J_(s-1) has equal level-s and
-    level-(s-1) images in every degree."""
-    return max(chain.steps, 2)
-
-
 def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
                        c: Optional[MultiPoly] = None) -> ChainResult:
     """Largest ('sigma') or smallest ('tau') operator-fixed homogeneous
@@ -306,12 +299,7 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
     starts from c, by default the pair's test element; a seed that is not
     homogeneous is refused, and so is a unit seed on a cone singular at
     its vertex."""
-    return _fixed_ideal(scheme, pair, scheme.cone_pair(pair), which, c)
-
-
-def _fixed_ideal(scheme: ProjScheme, pair: PairDivisor, cone: PairDivisor,
-                 which: str, c: Optional[MultiPoly]) -> ChainResult:
-    """`graded_fixed_ideal` with the pair's cone pair already formed."""
+    cone = scheme.cone_pair(pair)
     if which == "sigma":
         return descending_fixed_ideal(cone, scheme.ideal)
     if which == "tau":
@@ -338,21 +326,17 @@ def stable_sections(scheme: ProjScheme, pair: PairDivisor, m: int,
     degree-m piece of the fixed ideal: sigma for which='sigma', and for
     which='tau' the test ideal, whose level-n images are all the same
     because it is operator-fixed.  The reported level is the first
-    level >= 2 whose image provably equals the one before (2 for tau).
-    The result does not depend on the level used to present the pair.
+    level >= 2 whose image provably equals the one before: a sigma
+    chain with J_s = J_(s-1) has equal level-s and level-(s-1) images
+    in every degree, and tau gives 2.  The result does not depend on
+    the level used to present the pair.  A negative m is refused before
+    any chain runs.
     """
-    return _stable_sections(scheme, pair, scheme.cone_pair(pair), m, which, c)
-
-
-def _stable_sections(scheme: ProjScheme, pair: PairDivisor,
-                     cone: PairDivisor, m: int, which: str,
-                     c: Optional[MultiPoly]) -> StableImageResult:
-    """`stable_sections` with the pair's cone pair already formed."""
     if m < 0:
         raise DomainError(f"target degree must be >= 0, got {m}")
-    chain = _fixed_ideal(scheme, pair, cone, which, c)
-    level = _stable_level(chain) if which == "sigma" else 2
-    space = _stable_piece(scheme, pair, m, level, chain.ideal, scheme.ideal)
+    chain = graded_fixed_ideal(scheme, pair, which, c)
+    level = max(chain.steps, 2) if which == "sigma" else 2
+    space = _stable_piece(scheme, pair, m, level, chain.ideal)
     return StableImageResult(space=space, level=level, fixed=chain.ideal)
 
 
@@ -442,7 +426,7 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
     """
     # the array layer loads on first use, so importing charp loads it
     # only for callers that sample points
-    from .extfield import MAX_POINTS, ExtField, projective_points
+    from .extfield import MAX_POINTS, _cached_field, projective_points
     from .linalg import null_space, rank
 
     if not scheme.is_curve:
@@ -463,7 +447,7 @@ def separates(scheme: ProjScheme, space: GradedSubspace,
         raise DomainError(
             f"point sampling supports at most {MAX_POINTS} projective points, "
             f"got {count} in P^{scheme.n} over F_({p}^{ext_degree})")
-    field = ExtField(p, ext_degree)
+    field = _cached_field(p, ext_degree)
     basis = space.basis
 
     points = projective_points(field, nvars)
@@ -636,8 +620,8 @@ def _saturated_pieces(ideal: Ideal, top: int) -> Iterator[GradedSubspace]:
         yield space_from_polys(zero, d, meet)
 
 
-def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
-                          form: MultiPoly, mult_threshold: int,
+def degree_bound_pipeline(points: Sequence[Sequence[int]], form: MultiPoly,
+                          mult_threshold: int,
                           codim_bound: int) -> DegreeBoundReport:
     """Produce a low-degree hypersurface through a finite point set.
 
@@ -646,7 +630,7 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
     lands inside I_S and its twist by floor(d*e/l) is globally generated,
     so a form of degree at most delta = floor(d*e/l) through S exists.
     The containment and existence checks are theorems; their failure
-    raises TheoremViolationError.
+    raises TheoremViolationError.  The pair lives in the form's ring.
     """
     if form.is_zero or not form.is_homogeneous():
         raise DomainError("the pipeline needs a nonzero homogeneous form")
@@ -655,7 +639,7 @@ def degree_bound_pipeline(ring: PolyRing, points: Sequence[Sequence[int]],
     if not points:
         raise DomainError("the point set must be non-empty")
     d = form.degree()
-    p = ring.p
+    p = form.ring.p
 
     mults = []
     offenders = []
@@ -729,13 +713,12 @@ def restriction_is_surjective(scheme: ProjScheme, pair: PairDivisor,
     stable subsystem on X, not a surjectivity that could fail.
     """
     modulus = center + scheme.ideal
-    cone = scheme.cone_pair(pair)
-    if not is_compatible(modulus, cone):
+    if not is_compatible(modulus, scheme.cone_pair(pair)):
         raise PreconditionError("the center is not compatible with the pair")
     if m - scheme.pair_degree(pair) <= 0:
         raise PreconditionError(
             f"twist degree {m} does not dominate the pair degree "
             f"{scheme.pair_degree(pair)}")
-    on_x = _stable_sections(scheme, pair, cone, m, "sigma", None)
+    on_x = stable_sections(scheme, pair, m)
     restricted = _ideal_piece(on_x.fixed + center, modulus, m)
     return space_from_polys(modulus, m, on_x.space.basis) == restricted

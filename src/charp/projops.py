@@ -149,7 +149,7 @@ def _run_thm46(ring, job):
             f"declared degree {job['d']} but A has degree {form.degree()}")
     l = _field(job, "l", _integer)
     e = _field(job, "e", _integer)
-    report = degree_bound_pipeline(ring, points, form, l, e)
+    report = degree_bound_pipeline(points, form, l, e)
     result = {"delta": report.delta, "witness": str(report.witness),
               "witness_degree": report.witness_degree,
               "tau": _ideal_json(report.test_ideal),

@@ -27,12 +27,13 @@ OPS lists each op's fields from this schema.  A field outside it
 several), a missing or malformed field, or one the job would ignore in
 its context (c unless which, after its default, is tau; pair, which or
 c beside forms or ideal) fails its job with a ScenarioError naming the
-field; the other jobs still run, and so do those of a job whose op is
-unknown.  Integer fields (p, a, e, n, m, l, d, ext_degree and point
-coordinates) take JSON integers only: a bool, float or string is
-refused, never truncated.  thm46 works on P^n only, so its scheme, when
-given, must have no hypersurfaces.  Top-level keys other than the ring
-header and the job list are ignored.
+field; the other jobs still run.  An unknown op is refused sooner:
+`parse_scenario` rejects the whole file, and only a Scenario built by
+hand runs its other jobs beside it.  Integer fields (p, a, e, n, m, l,
+d, ext_degree and point coordinates) take JSON integers only: a bool,
+float or string is refused, never truncated.  thm46 works on P^n only,
+so its scheme, when given, must have no hypersurfaces.  Top-level keys
+other than the ring header and the job list are ignored.
 
 Importing this module loads the pair layer (ring, ideal, cartier,
 fsing) and the runners of the pair ops, and nothing more.  OPS also

@@ -244,7 +244,7 @@ def test_c09_degree_bound_number():
     started = time.monotonic()
     ring = PolyRing(("x", "y", "z"), 7)
     report = degree_bound_pipeline(
-        ring, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ring.parse("(x*y*z)^2"),
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ring.parse("(x*y*z)^2"),
         4, 2)
     elapsed = time.monotonic() - started
     ok = (report.delta == 3                      # floor(6*2/4)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from charp import extfield
 from charp import ideal as ideal_module
 from charp import proj as proj_module
 from charp.config import DEFAULT_CAPS, Caps, caps_scope, current_caps
@@ -189,7 +190,7 @@ def test_integer_source_twist_matches_the_fraction_formula(monkeypatch):
                                 if want is None and exact < 0:
                                     want = (f"source twist degree {exact} is "
                                             f"negative at level {level}")
-                                args = (scheme, pair, m, level, None, None)
+                                args = (scheme, pair, m, level, None)
                                 if want is None:
                                     assert proj_module._stable_piece(*args) \
                                         == "piece"
@@ -492,6 +493,23 @@ def test_stable_sections_errors(P1):
         stable_sections(P1, inhomogeneous, 1)
 
 
+def test_stable_sections_refuse_negative_m_before_any_chain(P1, monkeypatch):
+    # m is checked first: no chain runs, and a pair the cone refuses
+    # reports the negative m rather than itself
+    def no_chain(*args):
+        raise AssertionError("a fixed-ideal chain ran")
+
+    monkeypatch.setattr(proj_module, "descending_fixed_ideal", no_chain)
+    monkeypatch.setattr(proj_module, "ascending_fixed_ideal", no_chain)
+    inhomogeneous = PairDivisor(P1.ring.parse("x^2 + y"), 1, 1)
+    for pair, which in ((trivial_pair(P1.ring), "sigma"),
+                        (trivial_pair(P1.ring), "tau"),
+                        (inhomogeneous, "sigma")):
+        with pytest.raises(DomainError) as err:
+            stable_sections(P1, pair, -1, which)
+        assert str(err.value) == "target degree must be >= 0, got -1"
+
+
 def test_negative_twist_rejected(P1):
     # heavy pair makes the source twist degree negative at level one
     pair = PairDivisor(P1.ring.parse("x^8*y^8"), 4, 1)
@@ -581,6 +599,30 @@ def test_separates_failure_report_over_f25():
         "0, 1, t + 3 | 0, 1, 4*t + 3",
         "1, 4, 0",
     ]
+
+
+def test_separates_builds_each_field_once(monkeypatch):
+    # a second check over F_25 reuses the field's tables and gives the
+    # same report
+    built = []
+    log_tables = extfield._log_tables
+
+    def counted(p, k, modulus):
+        built.append((p, k))
+        return log_tables(p, k, modulus)
+
+    monkeypatch.setattr(extfield, "_log_tables", counted)
+    extfield._cached_field.cache_clear()
+    ring = PolyRing(("x", "y", "z"), 5)
+    curve = ProjScheme.from_forms(ring, [ring.parse("x^3+y^3+z^3")])
+    pencil = space_from_polys(curve.ideal, 1, [ring.gen(0), ring.gen(1)])
+    reports = [separates(curve, pencil, 2) for _ in range(2)]
+    assert built == [(5, 2)]
+    first, second = [(r.points_on_scheme, r.pairs_checked,
+                      r.tangents_checked,
+                      [(f.kind, f.points, f.detail) for f in r.failures])
+                     for r in reports]
+    assert first == second and first[:3] == (36, 630, 6)
 
 
 def test_separates_requires_curve(P2):
@@ -965,7 +1007,7 @@ def test_saturated_pieces_complete_each_chart_once(monkeypatch):
 def test_degree_bound_three_points():
     ring = PolyRing(("x", "y", "z"), 7)
     report = degree_bound_pipeline(
-        ring, [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
         ring.parse("(x*y*z)^2"), 4, 2)
     assert report.delta == 3
     assert report.witness == ring.parse("x*y*z")
@@ -977,7 +1019,7 @@ def test_degree_bound_three_points():
 def test_degree_bound_single_point_line():
     # one point on the line, multiplicity 1, codimension 1
     ring = PolyRing(("x", "y"), 5)
-    report = degree_bound_pipeline(ring, [(0, 1)], ring.gen(0), 1, 1)
+    report = degree_bound_pipeline([(0, 1)], ring.gen(0), 1, 1)
     assert report.delta == 1 and report.witness_degree <= 1
 
 
@@ -985,7 +1027,7 @@ def test_degree_bound_two_points_conic():
     # doubled line through two points: d=2, l=2, codim 2, delta = 2
     ring = PolyRing(("x", "y", "z"), 5)
     A = ring.parse("z^2")
-    report = degree_bound_pipeline(ring, [(0, 1, 0), (1, 0, 0)], A, 2, 2)
+    report = degree_bound_pipeline([(0, 1, 0), (1, 0, 0)], A, 2, 2)
     assert report.delta == 2
     assert report.witness_degree <= 2
     for P in ((0, 1, 0), (1, 0, 0)):
@@ -995,9 +1037,23 @@ def test_degree_bound_two_points_conic():
 def test_degree_bound_precondition():
     ring = PolyRing(("x", "y", "z"), 7)
     with pytest.raises(PreconditionError) as err:
-        degree_bound_pipeline(ring, [(1, 1, 1)], ring.parse("(x*y*z)^2"),
-                              4, 2)
+        degree_bound_pipeline([(1, 1, 1)], ring.parse("(x*y*z)^2"), 4, 2)
     assert "(1, 1, 1)" in str(err.value)
+
+
+def test_degree_bound_pair_lives_in_the_form_ring():
+    # the coefficient e/l = 1 is (p-1)/(p-1) at level 1 for the form's
+    # own p, and the pair, the test ideal and the witness are all in the
+    # form's ring
+    points = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for p in (5, 7):
+        ring = PolyRing(("x", "y", "z"), p)
+        form = ring.parse("(x*y*z)^2")
+        report = degree_bound_pipeline(points, form, 2, 2)
+        assert report.pair == PairDivisor(form, p - 1, 1)
+        assert report.pair.ring == report.test_ideal.ring == ring
+        assert report.delta == 6
+        assert report.witness == ring.parse("x^2*y^2*z^2")
 
 
 def _two_loop_pair(t, p, max_level):
@@ -1028,7 +1084,7 @@ def test_degree_bound_pair_matches_two_loop_selection():
                         if p ** E <= DEFAULT_CAPS.frobenius_block)
         for l in range(1, 9):
             for e in range(1, 7):
-                report = degree_bound_pipeline(ring, [(0, 1)], ring.gen(0) ** l, l, e)
+                report = degree_bound_pipeline([(0, 1)], ring.gen(0) ** l, l, e)
                 assert ((report.pair.a, report.pair.e)
                         == _two_loop_pair(Fraction(e, l), p, max_level)), (p, e, l)
 
@@ -1038,7 +1094,7 @@ def test_degree_bound_rounding_ignores_the_cap_in_force():
     # frobenius_block cap below 9 must fail the job loudly, not round 1/4
     # up to 1/2 at level 1 and report a false theorem violation
     ring = PolyRing(("x", "y", "z"), 3)
-    args = (ring, [(0, 0, 1)], ring.parse("x^4*y^4"), 4, 1)
+    args = ([(0, 0, 1)], ring.parse("x^4*y^4"), 4, 1)
     report = degree_bound_pipeline(*args)
     assert (report.pair.a, report.pair.e) == (2, 2)
     assert report.delta == 2 and report.witness == ring.parse("x*y")
@@ -1088,7 +1144,7 @@ def test_degree_bound_random_admissible_instances():
         counts = [k * sum(1 for l in lines if l.evaluate(P) == 0)
                   for P in pts]
         threshold = min(counts)
-        report = degree_bound_pipeline(ring, pts, A, threshold, 2)
+        report = degree_bound_pipeline(pts, A, threshold, 2)
         assert report.delta == (A.degree() * 2) // threshold
         assert report.witness_degree <= report.delta
         assert all(report.witness.evaluate(P) == 0 for P in pts)
@@ -1215,7 +1271,7 @@ def test_degree_bound_containment_matches_the_point_ideal_route(monkeypatch):
             inside = all(ideal.issubset(rational_point_ideal(ring, point))
                          for point in points)
             try:
-                degree_bound_pipeline(ring, points, form, 1, 1)
+                degree_bound_pipeline(points, form, 1, 1)
                 refused = False
             except TheoremViolationError as exc:
                 refused = "escapes the point ideal" in str(exc)
@@ -1661,26 +1717,6 @@ def test_restriction_preconditions(P2):
         restriction_is_surjective(P2, pair, I(ring, "x"), 3)  # incompatible
     with pytest.raises(PreconditionError):
         restriction_is_surjective(P2, pair, I(ring, "z"), -3)  # not ample
-
-
-def test_restriction_forms_the_cone_pair_once(fermat7, monkeypatch):
-    # the compatibility check and the stable subsystem share one cone
-    # pair
-    ring = fermat7.ring
-    pair = PairDivisor(ring.gen(2), 6, 1)
-    center = I(ring, "x+y", "z")
-    formed = []
-    cone_pair = ProjScheme.cone_pair
-
-    def counted(self, pair):
-        formed.append(pair)
-        return cone_pair(self, pair)
-
-    monkeypatch.setattr(ProjScheme, "cone_pair", counted)
-    assert restriction_is_surjective(fermat7, pair, center, 2)
-    assert formed == [pair]
-    stable_sections(fermat7, pair, 2, "sigma")
-    assert formed == [pair, pair]
 
 
 def test_restriction_onto_points_of_a_curve(fermat7):
