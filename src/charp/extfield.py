@@ -11,7 +11,7 @@ element (multiplication adds logs mod p^k - 1) and, for k >= 2, the
 digits of every code packed into one integer, WIDTH bits a digit, so
 that adding packed codes adds digits with no carry between them.  A
 form is evaluated one point at a time (`ExtField.evaluator`): over F_p
-with modular arithmetic, over F_{p^k} in the log domain with packed
+by `MultiPoly.evaluate`, over F_{p^k} in the log domain with packed
 sums.  The tables are capped at p^k <= MAX_ORDER, and the points one
 check enumerates at MAX_POINTS.  A field is never changed once built,
 so `_cached_field` keeps the last few for reuse.
@@ -102,7 +102,8 @@ def _log_tables(p: int, k: int, modulus: List[int]) -> tuple:
 
 
 class ExtField:
-    """F_{p^k} with its elements coded as integers in [0, p^k)."""
+    """F_{p^k} with its elements coded as integers in [0, p^k); for
+    k = 1 the codes are the residues mod p, as MultiPoly stores them."""
 
     def __init__(self, p: int, k: int):
         if k < 1:
@@ -138,26 +139,17 @@ class ExtField:
 
     def evaluator(self, f: MultiPoly) -> Callable[[Sequence[int]], int]:
         """The map from a point's codes (one per variable) to the code of
-        f's value there.  Over F_p each term is c * prod x_i^e_i mod p.
-        Over F_{p^k} a term is zero when a variable it uses is, else the
-        antilog of log c + sum e_i log x_i; the terms' packed digits are
-        summed and each digit is reduced mod p once."""
+        f's value there.  Over F_p the codes are residues, and this is
+        `MultiPoly.evaluate`.  Over F_{p^k} a term is zero when a
+        variable it uses is, else the antilog of
+        log c + sum e_i log x_i; the terms' packed digits are summed and
+        each digit is reduced mod p once."""
         p, k = self.p, self.k
+        if k == 1:
+            return f.evaluate
         terms = [(c, [(i, e) for i, e in enumerate(exps) if e])
                  for exps, c in f._terms.items()]
         nvars = f.ring.nvars
-        if k == 1:
-            def value(point: Sequence[int]) -> int:
-                if len(point) != nvars:
-                    raise DomainError("wrong number of coordinates")
-                total = 0
-                for c, used in terms:
-                    for i, e in used:
-                        c = c * pow(point[i], e, p) % p
-                    total += c
-                return total % p
-            return value
-
         n = self.order - 1
         packed = self._packed
         # zero's log is below minus every sum of the other logs in a term,

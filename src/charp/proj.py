@@ -23,9 +23,11 @@ only solves for kernels and ranks, on lists of residue rows: chart meets
 and `separates`, which load it (and `separates` also `extfield`) on
 their first call, so importing this module loads neither.
 
-Each question about X is answered on the cone, by one route.  Forms
-define a complete intersection when their Hilbert series is that of a
-regular sequence of the same degrees.  Away from the vertex the cone is
+Each question about X is answered on the cone, by one route.  The
+Hilbert series of X is read off the degrees of its forms, as that of a
+regular sequence: one form in the domain S always is one, and two or
+more are checked against their computed series.  Away from the vertex
+the cone is
 locally X × A^1, so a rational point P of P^n is read at any
 representative: a form's multiplicity at P is its multiplicity there,
 and a homogeneous ideal lies in the ideal of P when its homogeneous
@@ -73,15 +75,15 @@ class ProjScheme(Frozen):
     """X in P^n cut out by homogeneous forms (empty for P^n itself),
     with the degree of the dualizing twist tracked by adjunction.
 
-    Every construction checks that the forms are a complete intersection:
-    r forms of positive degrees d_1, ..., d_r with r <= n are a
-    regular sequence exactly when their ideal has the Hilbert series
-    prod (1 - t^d_i) / (1-t)^(n+1) (Stanley), that of the model
-    complete intersection (x_0^d_1, ..., x_(r-1)^d_r); the cone they
-    cut out is then Cohen-Macaulay of dimension >= 1, so the ideal is
+    The forms must be a complete intersection: r <= n forms of positive
+    degrees d_1, ..., d_r forming a regular sequence, so that the cone
+    they cut out is Cohen-Macaulay of dimension >= 1, the ideal is
     saturated and the adjunction bookkeeping (dimension, canonical
-    twist) holds.  Constant forms are refused first: their unit ideal
-    would pass the series test.
+    twist, `hilbert_numerator`) holds.  S is a domain, so r <= 1 forms
+    always are one; r >= 2 forms are one exactly when their ideal has
+    the Hilbert series prod (1 - t^d_i) / (1-t)^(n+1) (Stanley), which
+    the constructor checks.  Constant forms are refused first: their
+    unit ideal would pass the series test.
     """
 
     FIELDS = ("ring", "forms")
@@ -96,11 +98,11 @@ class ProjScheme(Frozen):
             raise DomainError("defining forms must have positive degree")
         vars(self).update(ring=ring, forms=forms)
         r = len(forms)
-        model = [(0,) * i + (h.degree(),) + (0,) * (ring.nvars - i - 1)
-                 for i, h in enumerate(forms)]
-        # the empty sequence is regular: P^n needs no series
-        if r > self.n or (r and self.hilbert_numerator
-                          != monomial_hilbert_numerator(model, ring.nvars)):
+        if r <= self.n:
+            check_degree(max(map(MultiPoly.degree, forms), default=0),
+                         "generator")
+        if r > self.n or (r > 1 and self.ideal.hilbert_numerator()
+                          != self.hilbert_numerator):
             raise DomainError(
                 f"the {r} defining forms are not a regular sequence of "
                 f"length <= {self.n}; pass a complete intersection")
@@ -124,9 +126,13 @@ class ProjScheme(Frozen):
 
     @cached_property
     def hilbert_numerator(self) -> list:
-        """N(t) of the scheme ideal (`Ideal.hilbert_numerator`), read by
-        the construction check and by `hilbert_function`."""
-        return self.ideal.hilbert_numerator()
+        """N(t) = prod (1 - t^d_i) with HS(S/I_X) = N(t)/(1-t)^(n+1),
+        read off the degrees: the series of the model complete
+        intersection (x_0^d_1, ..., x_(r-1)^d_r), which the regular
+        sequence of forms shares."""
+        model = [(0,) * i + (h.degree(),) + (0,) * (self.n - i)
+                 for i, h in enumerate(self.forms)]
+        return monomial_hilbert_numerator(model, self.ring.nvars)
 
     @property
     def canonical_twist(self) -> int:

@@ -1304,6 +1304,9 @@ def test_from_forms_matches_the_subset_search_codimension():
             assert (scheme is not None) == regular, forms
             if scheme is not None:
                 assert scheme.dimension == n - r
+                # the series read off the degrees is the computed one
+                assert scheme.hilbert_numerator \
+                    == Ideal(ring, forms).hilbert_numerator(), forms
             cases += 1
             irregular += not regular
     assert cases == 480 and 100 <= irregular <= 380, (cases, irregular)
@@ -1318,6 +1321,31 @@ def test_from_forms_refuses_constant_forms():
     for forms in (["1"], ["3"], ["x", "1"], ["x^2+y*z", "2"]):
         with pytest.raises(DomainError, match="positive degree"):
             ProjScheme.from_forms(ring, [ring.parse(t) for t in forms])
+
+
+def test_one_form_or_none_needs_no_groebner_basis(monkeypatch):
+    # S is a domain, so P^n and a hypersurface are complete
+    # intersections with no test; their series is read off the degrees
+    def refuse(generators):
+        raise AssertionError("a Groebner basis was completed")
+
+    monkeypatch.setattr(ideal_module, "buchberger", refuse)
+    ring = PolyRing(("x", "y", "z"), 5)
+    cubic = ProjScheme.from_forms(ring, [ring.parse("x^3+y^3+z^3+x*y*z")])
+    plane = ProjScheme.from_forms(ring, [])
+    assert cubic.hilbert_numerator == [1, 0, 0, -1]
+    assert plane.hilbert_numerator == [1]
+    assert [cubic.hilbert_function(m) for m in range(5)] == [1, 3, 6, 9, 12]
+    assert [plane.hilbert_function(m) for m in range(5)] == [1, 3, 6, 10, 15]
+
+
+def test_from_forms_refuses_a_form_above_the_degree_cap():
+    # one form needs no series, yet its degree is still capped
+    ring = PolyRing(("x", "y", "z"), 5)
+    with pytest.raises(ResourceError) as err:
+        ProjScheme.from_forms(ring, [ring.parse("x^40*y^30")])
+    assert err.value.cap_name == "max_degree"
+    assert str(err.value).endswith("generator of degree 70")
 
 
 # -- the level-enumeration oracle ----------------------------------------------

@@ -291,6 +291,7 @@ def execute_with_bounded_memory(payload, limit=1536 << 20):
         "from charp.scenario import execute, parse_scenario\n"
         "print(json.dumps(execute(parse_scenario(json.load(sys.stdin)))))\n")
     env = {"PATH": "", "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     run = subprocess.run([sys.executable, "-c", code], input=json.dumps(payload),
                          capture_output=True, text=True, env=env, timeout=300)
