@@ -28,7 +28,7 @@ redundant.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable
 
 from .config import current_caps
 from .errors import DomainError, ResourceError
@@ -78,23 +78,22 @@ def frob_expand(g: MultiPoly, e: int) -> Dict[tuple, MultiPoly]:
     return {b: MultiPoly(g.ring, buckets[b]) for b in sorted(buckets)}
 
 
-def _root(ring: PolyRing, u: Optional[dict], generators: Iterable[MultiPoly],
+def _root(ring: PolyRing, u: dict, generators: Iterable[MultiPoly],
           e: int) -> Ideal:
-    """Bracket root of u * J for the term dict u (None for u = 1): the
-    monic components of each u * g, generator by generator and in
-    ascending order of b.  A polynomial component is made monic on its
-    dict, kept once and comes with its leading exponent cached.  The
-    one-term components, most of them, are collected as exponents, and
-    only their minimal elements follow, grevlex-descending: a monomial
-    that another divides adds nothing to the ideal (Dickson)."""
+    """Bracket root of u * J for the term dict u: the monic components of
+    each u * g, generator by generator and in ascending order of b.  A
+    polynomial component is made monic on its dict, kept once and comes
+    with its leading exponent cached.  The one-term components, most of
+    them, are collected as exponents, and only their minimal elements
+    follow, grevlex-descending: a monomial that another divides adds
+    nothing to the ideal (Dickson)."""
     q = _check_level(ring, e)
     p = ring.p
     gens = []
     seen = set()
     monomials = set()
     for g in generators:
-        terms = g._terms if u is None else _mul_terms(u, g._terms, p)
-        buckets = _split(terms, q)
+        buckets = _split(_mul_terms(u, g._terms, p), q)
         for b in sorted(buckets):
             component = buckets[b]
             if len(component) == 1:
@@ -123,7 +122,7 @@ def bracket_root(ideal: Ideal, e: int) -> Ideal:
     """Smallest ideal K with J ⊆ K^[q]: generated by the basis components
     of the generators, the polynomial ones and the minimal monomial
     ones.  Monotone in J."""
-    return _root(ideal.ring, None, ideal.generators, e)
+    return _root(ideal.ring, ideal.ring.one()._terms, ideal.generators, e)
 
 
 def apply_cartier(pair: PairDivisor, ideal: Ideal) -> Ideal:

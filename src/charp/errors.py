@@ -50,15 +50,10 @@ class ResourceError(CharpError):
 class ParseError(CharpError):
     """Malformed polynomial or scenario text; carries a position."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        self.line = line
+    def __init__(self, message: str, column: int | None = None):
         self.column = column
-        loc = ""
-        if line is not None:
-            loc = f" at line {line}, column {column}"
-        elif column is not None:
-            loc = f" at column {column}"
-        super().__init__(message + loc)
+        super().__init__(message if column is None
+                         else f"{message} at column {column}")
 
 
 class ScenarioError(CharpError):

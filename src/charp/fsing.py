@@ -171,7 +171,11 @@ def tau(pair: PairDivisor, c: Optional[MultiPoly] = None) -> Ideal:
 
 
 def is_sharply_f_pure(pair: PairDivisor) -> bool:
-    return sigma(pair).is_unit
+    """Whether the operator is surjective, from its image of the unit
+    ideal alone: sigma is fixed, so sigma = image(sigma) ⊆ image(S), and
+    sigma is the unit ideal exactly when image(S) is (then the chain
+    stops at its first step)."""
+    return apply_cartier(pair, Ideal.unit(pair.ring)).is_unit
 
 
 def is_strongly_f_regular(pair: PairDivisor,
@@ -250,7 +254,7 @@ def multiplicity_containment(pair: PairDivisor, point: Sequence,
     threshold = codim if l is None else l
     if threshold < 1:
         raise DomainError(f"multiplicity threshold must be >= 1, got {l}")
-    mult = Fraction(pair.a, pair.q - 1) * multiplicity(pair.f, coords)
+    mult = pair.coefficient * multiplicity(pair.f, coords)
     if mult < threshold:
         raise PreconditionError(
             f"divisor multiplicity {shown(mult)} at {coords} is below the "

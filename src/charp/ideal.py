@@ -196,7 +196,13 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
         return tuple(g.monic() for g in raw)
     caps = current_caps()
     if all(g.num_terms() == 1 for g in raw):
-        return _monomial_basis(raw, caps.max_basis)
+        # every S-polynomial of two monomials is zero: the basis is the
+        # minimal generators, and the completion would keep exactly these
+        basis = _reduce(raw)
+        if len(basis) > caps.max_basis:
+            raise ResourceError("max_basis", caps.max_basis,
+                                "too many pairwise-irreducible generators")
+        return basis
     raw.sort(key=_lead_key)
 
     pairs: list = []
@@ -246,23 +252,6 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
         push_pairs(len(basis) - 1)
 
     return _reduce(basis)
-
-
-def _monomial_basis(monomials: Sequence[MultiPoly], max_basis: int) -> tuple:
-    """The reduced basis of a monomial ideal: its minimal generators,
-    monic and largest first (Dickson; Cox–Little–O'Shea, §2.4).  Every
-    S-polynomial of two monomials is zero, so the completion would keep
-    exactly these, fed in ascending order, and its cap fires at the same
-    count."""
-    by_lead: dict = {}
-    for g in monomials:
-        by_lead.setdefault(g.leading_exponent(), g)
-    minimal = _minimal_monomials(by_lead)
-    if len(minimal) > max_basis:
-        raise ResourceError("max_basis", max_basis,
-                            "too many pairwise-irreducible generators")
-    minimal.sort(key=grevlex_key, reverse=True)
-    return tuple(by_lead[a].monic() for a in minimal)
 
 
 def _check_input_degree(generators: Sequence[MultiPoly]):

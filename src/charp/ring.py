@@ -175,7 +175,8 @@ class PolyRing(Frozen):
         exps = tuple(int(e) for e in exps)
         if len(exps) != self.nvars or any(e < 0 for e in exps):
             raise DomainError(f"bad exponent vector {exps} for {self}")
-        return MultiPoly(self, {exps: coeff % self.p})
+        coeff %= self.p
+        return MultiPoly(self, {exps: coeff} if coeff else {})
 
     def gen(self, which: Union[int, str]) -> "MultiPoly":
         if isinstance(which, str):
@@ -417,15 +418,9 @@ class MultiPoly:
         scaled._lead = self._lead  # same terms, same leading exponent
         return scaled
 
-    def mul_monomial(self, exps: Exponents, coeff: int = 1) -> "MultiPoly":
-        p = self.ring.p
-        coeff %= p
-        if coeff == 0:
-            return self.ring.zero()
-        out = {}
-        for e, c in self._terms.items():
-            out[tuple(map(add, e, exps))] = (c * coeff) % p
-        return MultiPoly(self.ring, out)
+    def mul_monomial(self, exps: Exponents) -> "MultiPoly":
+        return MultiPoly(self.ring, _mul_terms({exps: 1}, self._terms,
+                                               self.ring.p))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -442,23 +437,6 @@ class MultiPoly:
         ring = self.ring
         return MultiPoly(ring, _pow_terms(self._terms, n, ring.p,
                                           (0,) * ring.nvars))
-
-    def frobenius_power(self, q: int) -> "MultiPoly":
-        """self**q for q a power of the characteristic (exponent scaling).
-
-        Valid because Frobenius is additive in characteristic p and fixes
-        F_p coefficients.
-        """
-        p = self.ring.p
-        m, e = q, 0
-        while m > 1 and m % p == 0:
-            m //= p
-            e += 1
-        if m != 1:
-            raise DomainError(f"{q} is not a power of the characteristic {p}")
-        if q == 1:
-            return self
-        return MultiPoly(self.ring, _frobenius_terms(self._terms, q))
 
     # -- substitution --------------------------------------------------
 

@@ -106,7 +106,7 @@ def bracket_power(ideal: Ideal, e: int) -> Ideal:
     if e == 0:
         return ideal
     q = ideal.ring.p ** e
-    return Ideal(ideal.ring, [g.frobenius_power(q) for g in ideal.generators])
+    return Ideal(ideal.ring, [g ** q for g in ideal.generators])
 
 
 def fedder_f_pure(ideal: Ideal, maximal: Ideal) -> bool:

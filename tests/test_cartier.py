@@ -37,7 +37,7 @@ def I(ring, *texts):
 
 def reassemble(components, q):
     """sum_b g_b^q * x^b over an expansion's components."""
-    return sum((g_b.frobenius_power(q).mul_monomial(b)
+    return sum(((g_b ** q).mul_monomial(b)
                 for b, g_b in components.items()),
                next(iter(components.values())).ring.zero())
 
@@ -131,7 +131,7 @@ def test_p_e_linearity():
             for _ in range(20):
                 h = random_poly(rng, ring, max_degree=3)
                 g = random_poly(rng, ring, max_degree=5, max_terms=5)
-                assert trace(h.frobenius_power(q) * g, e) == h * trace(g, e)
+                assert trace(h ** q * g, e) == h * trace(g, e)
 
 
 def test_trace_additive(R2):

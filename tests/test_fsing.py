@@ -17,6 +17,7 @@ from charp.fsing import (PairDivisor, ascending_fixed_ideal, is_compatible,
                          multiplicity, multiplicity_containment, sigma, tau)
 from charp.ideal import Ideal
 from charp.ring import PolyRing
+from charp.scenario import execute, parse_scenario
 
 from conftest import (bracket_power, fedder_f_pure, point_ideal, random_poly,
                       twist_identity)
@@ -88,14 +89,34 @@ def test_sigma_is_fixed_point(R7xy):
         assert apply_cartier(pair, fixed) == fixed
 
 
-def test_sigma_unit_iff_surjective_on_unit(R7xy):
-    # apply(phi, (1)) = (1) exactly when the pair is sharply F-pure
-    rng = random.Random(223)
-    for _ in range(20):
-        f = random_poly(rng, R7xy, max_degree=3, nonzero=True)
-        pair = PairDivisor(f, rng.randint(0, 7), 1)
-        first = apply_cartier(pair, Ideal.unit(R7xy))
-        assert first.is_unit == is_sharply_f_pure(pair)
+def test_sigma_unit_iff_surjective_on_unit():
+    # sigma is fixed, so sigma ⊆ image((1)): the first image decides
+    # whether the whole chain ends at the unit ideal
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(("x", "y"), p)
+        for _ in range(15):
+            e = rng.choice([1, 2]) if p < 5 else 1
+            q = p ** e
+            f = random_poly(rng, ring, max_degree=3, nonzero=True)
+            pair = PairDivisor(f, rng.randint(0, q), e)
+            assert is_sharply_f_pure(pair) == sigma(pair).is_unit
+
+
+def test_sharp_f_purity_runs_no_chain(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fpure ran the sigma chain")
+
+    monkeypatch.setattr(fsing_module, "descending_fixed_ideal", refuse)
+    ring = PolyRing(("x", "y", "z"), 7)
+    cubic = ring.parse("x^3+y^3+z^3")
+    assert is_sharply_f_pure(PairDivisor(cubic, 4, 1))
+    assert not is_sharply_f_pure(PairDivisor(cubic, 7, 1))
+    report, _ = execute(parse_scenario({
+        "p": 7, "vars": ["x", "y", "z"],
+        "jobs": [{"op": "fpure", "pair": {"f": "x^3+y^3+z^3", "a": 6, "e": 1},
+                  "expect": {"verdict": True}}]}))
+    assert report["summary"]["ok"]
 
 
 def test_sigma_step_cap():

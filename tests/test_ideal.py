@@ -748,7 +748,7 @@ def test_monomial_bases_keep_the_completions_basis_cap():
     ring = PolyRing(("x", "y", "z"), 5)
     for degree in (1, 2, 3):
         minimal = list(monomials_of_degree(3, degree))
-        redundant = [ring.monomial(e).mul_monomial((1, 0, 2), 3)
+        redundant = [ring.monomial(e).mul_monomial((1, 0, 2)).scale(3)
                      for e in minimal]
         gens = [ring.monomial(e, 2) for e in minimal] + redundant + redundant[:1]
         with caps_scope(Caps(max_basis=len(minimal))):
@@ -761,6 +761,22 @@ def test_monomial_bases_keep_the_completions_basis_cap():
         assert str(err.value) == (
             f"resource cap max_basis={len(minimal) - 1} exceeded: "
             "too many pairwise-irreducible generators")
+
+
+def test_monomial_bases_are_the_minimal_generators():
+    # brute force: a lead stays when no other lead divides it; repeated
+    # leads, scalar multiples and non-unit coefficients collapse to one
+    # monic monomial
+    for rng, ring in _monomial_cases(83):
+        gens = _monomial_inputs(rng, ring)
+        leads = {g.leading_exponent() for g in gens if not g.is_zero}
+        minimal = [a for a in leads
+                   if not any(b != a and all(map(operator.le, b, a))
+                              for b in leads)]
+        want = tuple(ring.monomial(a) for a in
+                     sorted(minimal, key=grevlex_key, reverse=True))
+        got = buchberger(gens)
+        assert len(got) == len(want) and all(map(_same, got, want)), gens
 
 
 def test_kernel_widens_past_any_digit_width():
@@ -785,7 +801,7 @@ def test_kernel_widens_past_any_digit_width():
     # a Frobenius power of a degree-40 form over F_2 (degree 10240)
     R2 = PolyRing(("x", "y", "z"), 2)
     form = R2.parse("x^40 + x^13*y^20*z^7 + x^2*y*z^37 + y^40")
-    big = form.frobenius_power(256)
+    big = form ** 256
     divisors = [R2.monomial((256, 0, 0)) - R2.monomial((0, 1, 255))]
     assert _same(normal_form(big, divisors), oracle_normal_form(big, divisors))
 

@@ -48,7 +48,7 @@ def _residue(poly, modulus):
     while not poly.is_zero and poly.degree() >= k:
         lead = poly.leading_exponent()
         shift = (lead[0] - k,)
-        poly = poly - modulus.mul_monomial(shift, poly.coefficient(lead))
+        poly = poly - modulus.mul_monomial(shift).scale(poly.coefficient(lead))
     return poly
 
 

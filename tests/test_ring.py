@@ -374,16 +374,34 @@ def test_monomial_enumeration_descending():
         assert list(monomials_of_degree(nvars, -1)) == []
 
 
-def test_frobenius_power_matches_binary_power():
+def test_prime_power_powers_scale_exponents():
+    # Frobenius is additive and fixes F_p: f^(p^e) multiplies every
+    # exponent by p^e and keeps every coefficient
     rng = random.Random(11)
-    for p in (2, 3, 5):
-        ring = PolyRing(("x", "y"), p)
-        for _ in range(20):
-            f = random_poly(rng, ring)
-            assert f.frobenius_power(p) == f ** p
-            assert f.frobenius_power(p * p) == f ** (p * p)
-    with pytest.raises(DomainError):
-        PolyRing(("x",), 5).gen(0).frobenius_power(10)
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(("x", "y", "z"), p)
+        for e in range(4):
+            q = p ** e
+            for _ in range(10):
+                f = random_poly(rng, ring)
+                scaled = ring.poly({tuple(a * q for a in exps): c
+                                    for exps, c in f.iter_terms()})
+                assert f ** q == scaled
+                if q <= 9:  # and the product of q copies agrees
+                    product = ring.one()
+                    for _ in range(q):
+                        product = product * f
+                    assert product == scaled
+
+
+def test_monomial_with_a_coefficient_divisible_by_p_is_zero():
+    ring = PolyRing(("x", "y"), 5)
+    for coeff in (0, 5, -10):
+        zero = ring.monomial((1, 0), coeff)
+        assert zero.is_zero and zero == ring.zero() and str(zero) == "0"
+        assert Ideal(ring, [zero]).groebner_basis == ()
+        assert Ideal(ring, [zero, ring.gen(1)]).groebner_basis == (ring.gen(1),)
+    assert ring.monomial((1, 0), 7) == ring.gen(0).scale(2)
 
 
 def test_shift_and_evaluate():
@@ -513,7 +531,7 @@ def test_packed_keys_follow_the_reference_order(top):
 def test_packed_keys_order_a_frobenius_power():
     # a Frobenius power of a degree-40 form: degree 10240 fits 16 bits
     R2 = PolyRing(("x", "y", "z"), 2)
-    g = R2.parse("x^40 + x^13*y^20*z^7 + y*z^39").frobenius_power(256)
+    g = R2.parse("x^40 + x^13*y^20*z^7 + y*z^39") ** 256
     packing = grevlex_packing(3, 16)
     assert g.degree() < packing.limit
     assert sorted(g._terms, key=packing.pack, reverse=True) == \
