@@ -16,10 +16,14 @@ clock speed wanders between runs slows both sides alike.  Each job is
 timed alone after an untimed `gc.collect()`.
 
 Prints each side's median round time and the median and quartiles of
-the per-round ratio change/parent.  Then one line per job op, in
-alphabetical order: the median over rounds of the ratio change/parent
-of the time that op's jobs took in the round, which shows where a
-change in the round time sits.
+the per-round ratio change/parent.  Then each side's end-to-end metrics
+`solve_s`, `job_p50_s` and `job_tail_s`, computed by that tree's
+`perfbench.run.summarise` from the median over rounds of each job's
+time, as `perfbench/run.py` computes them; the times here are seconds
+as measured, not normalised by the reference kernel.  Then one line per
+job op, in alphabetical order: the median over rounds of the ratio
+change/parent of the time that op's jobs took in the round, which shows
+where a change in the round time sits.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ class Side:
             raise SystemExit(f"charp was imported from {origin}, not from {tree}")
         self.modules = _own_modules()
         self.execute = scenario.execute
+        self.summarise = run.summarise
         self.scenarios = [scenario.parse_scenario(run.scenario_doc(inst))
                           for inst in insts]
 
@@ -126,6 +131,13 @@ def main(argv=None) -> int:
     print(f"change {args.change}: median round {statistics.median(times[change]):.4f} s")
     print(f"change/parent per round: median {statistics.median(ratios):.3f}, "
           f"quartiles {low:.3f}-{high:.3f}, change faster in {wins}/{len(ratios)}")
+    for name, side in (("parent", parent), ("change", change)):
+        rounds = jobs[side]
+        figures = side.summarise([statistics.median(r[i] for r in rounds)
+                                  for i in range(len(want))])
+        print(f"{name} per-job medians: solve_s {figures['solve_s']:.4f}, "
+              f"job_p50_s {figures['job_p50_s']:.6f}, "
+              f"job_tail_s {figures['job_tail_s']:.6f}")
     by_op: dict = {}
     for index, entry in enumerate(want):
         by_op.setdefault(entry["op"], []).append(index)

@@ -2,9 +2,9 @@
 
 For q = p^e the monomials x^b with 0 <= b_i < q form a free basis of
 S = F_p[x] over its subring of q-th powers, so every g has a unique
-expansion g = sum_b g_b^q * x^b.  `_split` is the one place that
-splits exponents by q, on a term dict with `divmod`: `frob_expand`
-wraps its components in polynomials, and bracket roots take every
+expansion g = sum_b g_b^q * x^b.  Exponents are split by q with
+`divmod`: `_split` splits a term dict for `frob_expand`, and bracket
+roots split each product term as they form it and take every
 component.  The trace Tr^e is the top slot b = (q-1, ..., q-1); this
 normalization is fixed once and for all, which is harmless because
 images of ideals are insensitive to unit factors.  No engine route
@@ -14,26 +14,27 @@ Every p^{-e}-linear map of S is g -> Tr^e(u * g) for one u, and the
 map is the divisor pair (u, 1, e) (`fsing.PairDivisor`); a pair
 (f, a, e) is the map with u = f^a.  `apply_cartier` takes the pair, and
 composites are `PairDivisor.rescale`.  Its image ideal is the bracket
-root of u * J, formed in one pass over term dicts: each product u * g
-is a term dict that is split at once.  Its generators are the
-polynomial components, each made monic on its dict with its lead found
-once and kept once, followed by the minimal one-term components: a
-monomial component divisible by another generates nothing new
-(Dickson; Cox–Little–O'Shea, *Ideals, Varieties, and Algorithms*,
-§2.4).  The terms of a cone multiplier mostly lie in distinct residue
-classes mod q, so most components are monomials, and most of those are
-redundant.
+root of u * J, formed in one pass over term dicts: each term of u * g
+is split as it is formed and summed into its component.  Its generators
+are the polynomial components, each made monic on its dict with its
+lead found once and kept once, followed by the minimal one-term
+components: a monomial component divisible by another generates
+nothing new (Dickson; Cox–Little–O'Shea, *Ideals, Varieties, and
+Algorithms*, §2.4).  The terms of a cone multiplier mostly lie in
+distinct residue classes mod q, so most components are monomials, and
+most of those are redundant.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from operator import add
 from typing import TYPE_CHECKING, Dict, Iterable
 
 from .config import current_caps
 from .errors import DomainError, ResourceError
 from .ideal import Ideal, _minimal_monomials
-from .ring import MultiPoly, PolyRing, _mul_terms, grevlex_key
+from .ring import MultiPoly, PolyRing, grevlex_key
 
 if TYPE_CHECKING:
     from .fsing import PairDivisor
@@ -81,19 +82,40 @@ def frob_expand(g: MultiPoly, e: int) -> Dict[tuple, MultiPoly]:
 def _root(ring: PolyRing, u: dict, generators: Iterable[MultiPoly],
           e: int) -> Ideal:
     """Bracket root of u * J for the term dict u: the monic components of
-    each u * g, generator by generator and in ascending order of b.  A
-    polynomial component is made monic on its dict, kept once and comes
-    with its leading exponent cached.  The one-term components, most of
-    them, are collected as exponents, and only their minimal elements
-    follow, grevlex-descending: a monomial that another divides adds
-    nothing to the ideal (Dickson)."""
+    each u * g, generator by generator and in ascending order of b.  Each
+    product term is split by q as it is formed; the split is a bijection,
+    so the components are those of the whole product.  A polynomial
+    component is made monic on its dict, kept once and comes with its
+    leading exponent cached.  The one-term components, most of them, are
+    collected as exponents, and only their minimal elements follow,
+    grevlex-descending: a monomial that another divides adds nothing to
+    the ideal (Dickson)."""
     q = _check_level(ring, e)
+    qs = repeat(q)
     p = ring.p
     gens = []
     seen = set()
     monomials = set()
     for g in generators:
-        buckets = _split(_mul_terms(u, g._terms, p), q)
+        outer, inner = u, g._terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        buckets: Dict[tuple, dict] = {}
+        for ea, ca in outer.items():
+            for eb, cb in inner.items():
+                v, b = zip(*map(divmod, map(add, ea, eb), qs))
+                component = buckets.get(b)
+                if component is None:
+                    buckets[b] = {v: ca * cb % p}
+                    continue
+                c = (component.get(v, 0) + ca * cb) % p
+                if c:
+                    component[v] = c
+                else:
+                    # p is prime, so only a term already there can cancel
+                    del component[v]
+                    if not component:
+                        del buckets[b]
         for b in sorted(buckets):
             component = buckets[b]
             if len(component) == 1:

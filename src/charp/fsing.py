@@ -121,28 +121,50 @@ def descending_fixed_ideal(pair: PairDivisor, modulus: Ideal) -> ChainResult:
 
 def ascending_fixed_ideal(pair: PairDivisor, seed: MultiPoly,
                           modulus: Ideal) -> ChainResult:
-    """Smallest operator-fixed ideal containing the seed and the modulus:
-    iterate N -> N + image(N) + modulus until stable, then insist the
-    result is genuinely fixed (image == result); failure means the seed
-    was not a test element and raises TestElementError.
+    """Smallest operator-fixed ideal containing the seed and the modulus
+    M: iterate N -> N + image(N) + M until stable, then insist the result
+    is genuinely fixed (image(N) + M == N); failure means the seed was
+    not a test element and raises TestElementError.
+
+    Precondition: image(M) ⊆ M, as for M = 0 and for I_X under a cone
+    pair (Schwede, "F-adjunction", 2009).  The chain is semi-naive: the
+    image is additive over ideal sums, so a step maps only the basis
+    elements new since the step before (the first step, the seed alone)
+    and still reaches N + image(N) + M.  At the stop, image(N) + M is
+    generated by M and the images since the last step that mapped a
+    whole basis, the seed counting as one.
     """
     ring = pair.ring
     if seed.is_zero:
         raise DomainError("test element must be nonzero")
     if modulus.contains(seed):
         raise DomainError("test element vanishes on the ambient quotient")
-    current = Ideal(ring, (seed,)) + modulus
+    fresh = Ideal(ring, (seed,))  # the generators the next step maps
+    current = fresh + modulus
+    whole = True  # whether they generate all of current
     limit = current_caps().chain_steps
     for step in range(1, limit + 1):
-        image = apply_cartier(pair, current) + modulus
+        image = apply_cartier(pair, fresh)
+        # with the modulus, these generate image(current)
+        images = (image.generators if whole
+                  else images + image.generators)
+        image += modulus
         nxt = current + image
         if nxt == current:
-            if image != current:
+            fixed = image if whole else Ideal(ring, images) + modulus
+            if fixed != current:
                 raise TestElementError(
                     f"chain from {seed} stabilized on a non-fixed ideal; "
                     "the seed is not a test element for this pair")
             return ChainResult(current, step)
-        current = Ideal._from_groebner(ring, nxt.groebner_basis)
+        # a reduced basis has one element per lead
+        old = {g.leading_exponent(): g._terms for g in current.groebner_basis}
+        basis = nxt.groebner_basis
+        current = Ideal._from_groebner(ring, basis)
+        added = [g for g in basis
+                 if old.get(g.leading_exponent()) != g._terms]
+        whole = len(added) == len(basis)
+        fresh = current if whole else Ideal(ring, added)
     raise ResourceError("chain_steps", limit,
                         "ascending fixed-ideal chain did not stabilize")
 

@@ -271,10 +271,12 @@ def _reduce(basis: list) -> tuple:
     # minimalize: drop elements whose leading monomial is divisible by another's
     basis = sorted(basis, key=_lead_key)
     minimal: list = []
+    leads: list = []
     for g in basis:
         lm = g.leading_exponent()
-        if not any(_divides(h.leading_exponent(), lm) for h in minimal):
+        if not any(_divides(h, lm) for h in leads):
             minimal.append(g)
+            leads.append(lm)
     # inter-reduce tails; leading monomials are stable under this pass,
     # and a monomial is its lead, which no other minimal lead divides
     for k, g in enumerate(minimal):

@@ -304,7 +304,8 @@ def graded_fixed_ideal(scheme: ProjScheme, pair: PairDivisor, which: str,
     ideal of the cone pair, adjunction factors included.  The tau chain
     starts from c, by default the pair's test element; a seed that is not
     homogeneous is refused, and so is a unit seed on a cone singular at
-    its vertex."""
+    its vertex.  The cone pair maps I_X into itself (F-adjunction), as
+    the semi-naive tau chain requires."""
     cone = scheme.cone_pair(pair)
     if which == "sigma":
         return descending_fixed_ideal(cone, scheme.ideal)
@@ -579,6 +580,9 @@ class DegreeBoundReport:
 
     @property
     def ok(self) -> bool:
+        """Never False: the pipeline raises TheoremViolationError when
+        no witness has degree <= delta, so its two raises decide a
+        `thm46` verdict."""
         return self.witness_degree <= self.delta
 
 
@@ -636,7 +640,9 @@ def degree_bound_pipeline(points: Sequence[Sequence[int]], form: MultiPoly,
     lands inside I_S and its twist by floor(d*e/l) is globally generated,
     so a form of degree at most delta = floor(d*e/l) through S exists.
     The containment and existence checks are theorems; their failure
-    raises TheoremViolationError.  The pair lives in the form's ring.
+    raises TheoremViolationError, and these two raises decide a `thm46`
+    verdict: a returned report has `ok` True.  The pair lives in the
+    form's ring.
     """
     if form.is_zero or not form.is_homogeneous():
         raise DomainError("the pipeline needs a nonzero homogeneous form")

@@ -6,9 +6,11 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import HealthCheck, settings
 
-from charp.cartier import frob_expand
-from charp.errors import DomainError, UnsupportedInputError
-from charp.fsing import PairDivisor, tau
+from charp.cartier import apply_cartier, frob_expand
+from charp.config import current_caps
+from charp.errors import (DomainError, ResourceError, TestElementError,
+                          UnsupportedInputError)
+from charp.fsing import ChainResult, PairDivisor, tau
 from charp.ideal import Ideal, normal_form
 from charp.linalg import rref
 from charp.proj import GradedSubspace
@@ -126,6 +128,33 @@ def fedder_f_pure(ideal: Ideal, maximal: Ideal) -> bool:
             f"{len(basis)} elements")
     h = basis[0]
     return not bracket_power(maximal, 1).contains(h ** (ideal.ring.p - 1))
+
+
+def naive_ascending_chain(pair: PairDivisor, seed: MultiPoly,
+                          modulus: Ideal) -> ChainResult:
+    """The route that `fsing.ascending_fixed_ideal` replaced by
+    semi-naive evaluation: every step maps every generator of N, the
+    modulus's among them at the first step, and the fixedness check
+    compares the last full image with N."""
+    ring = pair.ring
+    if seed.is_zero:
+        raise DomainError("test element must be nonzero")
+    if modulus.contains(seed):
+        raise DomainError("test element vanishes on the ambient quotient")
+    current = Ideal(ring, (seed,)) + modulus
+    limit = current_caps().chain_steps
+    for step in range(1, limit + 1):
+        image = apply_cartier(pair, current) + modulus
+        nxt = current + image
+        if nxt == current:
+            if image != current:
+                raise TestElementError(
+                    f"chain from {seed} stabilized on a non-fixed ideal; "
+                    "the seed is not a test element for this pair")
+            return ChainResult(current, step)
+        current = Ideal._from_groebner(ring, nxt.groebner_basis)
+    raise ResourceError("chain_steps", limit,
+                        "ascending fixed-ideal chain did not stabilize")
 
 
 def point_ideal(ring: PolyRing, point) -> Ideal:

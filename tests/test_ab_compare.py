@@ -53,7 +53,7 @@ def test_one_tree_on_both_sides_reports_and_writes_nothing(tmp_path):
     proc = _run(tree, tree)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) > 4, proc.stdout
+    assert len(lines) > 6, proc.stdout
     head = re.fullmatch(r"geometry seed 1: (\d+) jobs x 1 rounds per side",
                         lines[0])
     assert head
@@ -63,10 +63,19 @@ def test_one_tree_on_both_sides_reports_and_writes_nothing(tmp_path):
     assert re.fullmatch(r"change/parent per round: median \d+\.\d{3}, "
                         r"quartiles \d+\.\d{3}-\d+\.\d{3}, "
                         r"change faster in [01]/1", lines[3])
+    # each side's end-to-end metrics from its per-job medians
+    for line, side in zip(lines[4:6], ("parent", "change")):
+        found = re.fullmatch(rf"{side} per-job medians: "
+                             r"solve_s (\d+\.\d{4}), "
+                             r"job_p50_s (\d+\.\d{6}), "
+                             r"job_tail_s (\d+\.\d{6})", line)
+        assert found, line
+        solve, p50, tail = map(float, found.groups())
+        assert 0 < p50 <= tail <= solve
     # then one line per op, alphabetical, covering every job once
     per_op = [re.fullmatch(r"op (\w+): (\d+) jobs, change/parent per round: "
-                           r"median \d+\.\d{3}", line) for line in lines[4:]]
-    assert all(per_op), lines[4:]
+                           r"median \d+\.\d{3}", line) for line in lines[6:]]
+    assert all(per_op), lines[6:]
     ops, jobs = [found[1] for found in per_op], _ops(tree)
     assert ops == sorted(set(jobs))
     assert [int(found[2]) for found in per_op] == list(map(jobs.count, ops))

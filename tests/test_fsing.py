@@ -1,6 +1,7 @@
 """Fixed-ideal theory of divisor pairs: chains, purity, Fedder,
 multiplicity containment."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,10 +17,13 @@ from charp.fsing import (PairDivisor, ascending_fixed_ideal, is_compatible,
                          is_sharply_f_pure, is_strongly_f_regular,
                          multiplicity, multiplicity_containment, sigma, tau)
 from charp.ideal import Ideal
+from charp.proj import ProjScheme
 from charp.ring import PolyRing
 from charp.scenario import execute, parse_scenario
 
-from conftest import (bracket_power, fedder_f_pure, point_ideal, random_poly,
+import conftest
+from conftest import (bracket_power, fedder_f_pure, naive_ascending_chain,
+                      point_ideal, random_homogeneous, random_poly,
                       twist_identity)
 from test_ideal import oracle_quotient
 
@@ -236,6 +240,121 @@ def test_tau_is_least_fixed_ideal_containing_seed(R7xy):
         assert ideal.issubset(current)
         assert ideal.issubset(bigger) and bigger.issubset(ideal)
         built += 1
+
+
+# -- the semi-naive chain against the naive one -------------------------------
+
+
+def _affine_chain_cases(rng):
+    """(pair, seed, zero modulus) over F_2 ... F_7: the default test
+    element or a random seed, which need not be a test element."""
+    for p in (2, 3, 5, 7):
+        ring = PolyRing(("x", "y"), p)
+        for _ in range(25):
+            f = random_poly(rng, ring, max_degree=3, nonzero=True)
+            e = rng.choice((1, 2)) if p < 5 else 1
+            pair = PairDivisor(f, rng.randint(0, 3 * (p ** e - 1)), e)
+            seed = (pair.default_test_element() if rng.random() < 0.4
+                    else random_poly(rng, ring, max_degree=2, nonzero=True))
+            yield pair, seed, Ideal.zero(ring)
+
+
+def _cone_chain_cases(rng):
+    """(cone pair, homogeneous seed, I_X) on plane cubics and quartics."""
+    for p in (2, 3, 5, 7):
+        plane = PolyRing(("x", "y", "z"), p)
+        for degree in (3, 4):
+            scheme = ProjScheme.from_forms(
+                plane, [random_homogeneous(rng, plane, degree, max_terms=6)])
+            for _ in range(5):
+                f = random_homogeneous(rng, plane, rng.randint(1, 2))
+                pair = PairDivisor(f, rng.randint(0, p - 1), 1)
+                seed = random_homogeneous(rng, plane, rng.randint(1, 3))
+                if not scheme.ideal.contains(seed):
+                    yield scheme.cone_pair(pair), seed, scheme.ideal
+
+
+def _chain_outcome(chain, pair, seed, modulus):
+    """(reduced basis, steps), or TestElementError."""
+    try:
+        result = chain(pair, seed, modulus)
+    except TestElementError:
+        return TestElementError
+    return result.ideal.groebner_basis, result.steps
+
+
+def test_chain_matches_the_naive_chain(R5x):
+    # the same ideal in the same number of steps, and a refused seed
+    # exactly where mapping every generator at every step refuses it,
+    # as x is for (x, 10, 1) in test_tau_flags_bad_test_element
+    rng = random.Random(241)
+    x = R5x.gen(0)
+    cases = refused = 0
+    for pair, seed, modulus in itertools.chain(
+            [(PairDivisor(x, 10, 1), x, Ideal.zero(R5x))],
+            _affine_chain_cases(rng), _cone_chain_cases(rng)):
+        want = _chain_outcome(naive_ascending_chain, pair, seed, modulus)
+        got = _chain_outcome(ascending_fixed_ideal, pair, seed, modulus)
+        assert got == want, (pair.f, pair.a, pair.e, seed, modulus)
+        cases += 1
+        refused += want is TestElementError
+    assert cases >= 130 and 10 <= refused <= cases - 60, (cases, refused)
+
+
+def test_cone_pair_maps_the_scheme_into_itself():
+    # the chain's precondition: the cone pair's operator maps I_X into
+    # itself (F-adjunction), on random plane curves and space curves
+    rng = random.Random(251)
+    for p in (2, 3, 5, 7):
+        plane = PolyRing(("x", "y", "z"), p)
+        space = PolyRing(("x", "y", "z", "w"), p)
+        for ring, degrees in ((plane, (3,)), (plane, (4,)), (space, (2, 2))):
+            while True:
+                try:
+                    scheme = ProjScheme.from_forms(ring, [
+                        random_homogeneous(rng, ring, d, max_terms=5)
+                        for d in degrees])
+                    break
+                except DomainError:
+                    continue
+            f = random_homogeneous(rng, ring, rng.randint(1, 2))
+            pair = PairDivisor(f, rng.randint(0, 2 * (p - 1)), 1)
+            assert is_compatible(scheme.ideal, scheme.cone_pair(pair))
+
+
+def test_chain_maps_each_generator_once(monkeypatch):
+    # the first step maps the seed alone; later steps map only basis
+    # elements new since the step before, never a modulus generator
+    mapped = []
+
+    def recording(pair, ideal):
+        mapped.append(ideal.generators)
+        return apply_cartier(pair, ideal)
+
+    monkeypatch.setattr(fsing_module, "apply_cartier", recording)
+    monkeypatch.setattr(conftest, "apply_cartier", recording)
+    rng = random.Random(257)
+    naive = semi_naive = 0
+    for pair, seed, modulus in itertools.chain(_affine_chain_cases(rng),
+                                               _cone_chain_cases(rng)):
+        del mapped[:]
+        try:
+            ascending_fixed_ideal(pair, seed, modulus)
+        except TestElementError:
+            pass
+        assert mapped[0] == (seed,)
+        seen = {g.monic() for g in modulus.generators}
+        for g in itertools.chain.from_iterable(mapped):
+            assert g.monic() not in seen, (g, pair.f, seed)
+            seen.add(g.monic())
+        semi_naive += sum(map(len, mapped))
+        del mapped[:]
+        try:
+            naive_ascending_chain(pair, seed, modulus)
+        except TestElementError:
+            pass
+        naive += sum(map(len, mapped))
+    assert semi_naive < naive, (semi_naive, naive)
 
 
 def test_tau_inside_sigma(R7xy):

@@ -1041,6 +1041,26 @@ def test_degree_bound_precondition():
     assert "(1, 1, 1)" in str(err.value)
 
 
+def test_degree_bound_refuses_a_test_ideal_outside_the_points(monkeypatch):
+    # the unit ideal vanishes at no point: the containment raise fires,
+    # so no report with ok False is ever returned
+    ring = PolyRing(("x", "y"), 5)
+    monkeypatch.setattr(proj_module, "tau", lambda pair: Ideal.unit(ring))
+    with pytest.raises(TheoremViolationError, match="escapes the point ideal"):
+        degree_bound_pipeline([(0, 1)], ring.gen(0), 1, 1)
+
+
+def test_degree_bound_refuses_a_test_ideal_without_low_sections(monkeypatch):
+    # (x^5) vanishes at (0 : 1) but has no section in degree <= delta = 1:
+    # the existence raise fires instead of a report with ok False
+    ring = PolyRing(("x", "y"), 5)
+    monkeypatch.setattr(proj_module, "tau",
+                        lambda pair: Ideal(ring, (ring.gen(0) ** 5,)))
+    with pytest.raises(TheoremViolationError,
+                       match=r"no section of the test ideal in degree <= 1"):
+        degree_bound_pipeline([(0, 1)], ring.gen(0), 1, 1)
+
+
 def test_degree_bound_pair_lives_in_the_form_ring():
     # the coefficient e/l = 1 is (p-1)/(p-1) at level 1 for the form's
     # own p, and the pair, the test ideal and the witness are all in the
