@@ -148,7 +148,7 @@ class ExtField:
         if k == 1:
             return f.evaluate
         terms = [(c, [(i, e) for i, e in enumerate(exps) if e])
-                 for exps, c in f._terms.items()]
+                 for exps, c in f.iter_terms()]
         nvars = f.ring.nvars
         n = self.order - 1
         packed = self._packed

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .cartier import _check_level, apply_cartier
+from .cartier import _check_level, _words, apply_cartier
 from .config import Frozen, check_degree, current_caps, shown
 from .errors import (DomainError, InternalInvariantError, PreconditionError,
                      ResourceError, TestElementError, UnsupportedInputError)
@@ -68,6 +68,12 @@ class PairDivisor(Frozen):
         check_degree(-(-(self.a * self.f.degree() - n * (q - 1)) // q),
                      "generator")
         return self.f if self.a == 1 else self.f ** self.a
+
+    @cached_property
+    def _split_multiplier(self) -> list:
+        """The multiplier's terms split by q, as `cartier._root` reads
+        them: once per pair, not once per image."""
+        return _words(self.multiplier, self.q)
 
     def rescale(self, n: int) -> "PairDivisor":
         """Same divisor presented at level n*e, for n >= 1: the operator
@@ -158,11 +164,11 @@ def ascending_fixed_ideal(pair: PairDivisor, seed: MultiPoly,
                     "the seed is not a test element for this pair")
             return ChainResult(current, step)
         # a reduced basis has one element per lead
-        old = {g.leading_exponent(): g._terms for g in current.groebner_basis}
+        old = {g._lead_key(): g._terms for g in current.groebner_basis}
         basis = nxt.groebner_basis
         current = Ideal._from_groebner(ring, basis)
         added = [g for g in basis
-                 if old.get(g.leading_exponent()) != g._terms]
+                 if old.get(g._lead_key()) != g._terms]
         whole = len(added) == len(basis)
         fresh = current if whole else Ideal(ring, added)
     raise ResourceError("chain_steps", limit,
@@ -246,7 +252,7 @@ def multiplicity(f: MultiPoly, point: Sequence) -> int:
     coords = _validate_point(f.ring, point)
     shifted = f.shift(coords)
     constrained = [i for i, c in enumerate(coords) if c is not None]
-    return min(sum(exps[i] for i in constrained) for exps in shifted._terms)
+    return min(sum(exps[i] for i in constrained) for exps in shifted._tuples())
 
 
 class ContainmentReport:

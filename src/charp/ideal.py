@@ -21,19 +21,21 @@ A one-term polynomial needs no division to decide most of the time:
 scanning the divisors' cached leads in order, it is its own normal form
 when none divides it, and zero when the first that does is a monomial.
 
-Reduction (`normal_form`) is heap division on packed monomial keys
-(Monagan–Pearce): the polynomial being reduced is one mutable
-accumulator from key to coefficient, its leading term is popped from a
-heap of keys, and subtracting a multiple of a divisor adds one integer
-to each of the divisor's cached keys.  Divisibility by a leading
-monomial is one subtraction and one mask.  The digit width is the
-narrowest of 16, 32, 64, ... bits whose degree limit exceeds the degree
-of the input and of every divisor, picked before anything is packed;
-grevlex is graded, so no term formed later exceeds the degree of the
-term it cancels, and no exponent can overflow a digit.  Leading
-exponents are cached on the polynomials, and a normal form by heap
-division comes with its own, so the completion scans a polynomial's
-terms for its lead at most once.
+Everything here runs on packed monomial keys (`ring.Packing`).
+Reduction (`normal_form`) is heap division (Monagan–Pearce): the
+polynomial being reduced is one mutable accumulator from key to
+coefficient, its leading term is popped from a heap of keys, and
+subtracting a multiple of a divisor adds one integer to each of the
+divisor's keys; no key it forms passes the degree of the term it
+cancels, since grevlex is graded.  Divisibility is one subtraction and
+one mask on the field words of the leads, and so is the gcd of an
+S-pair's leads; its lcm, the sum of the leads less the gcd, is checked
+against the packing's limit.  Leads are integer maxima cached on the
+polynomials, and a normal form by heap division comes with its own;
+every sort is an integer sort; the Hilbert numerator's pivots, the
+standard monomials and the variable move of `Ideal.chart` run on field
+words too.  Exponent tuples appear only in what `standard_monomials`
+returns.
 
 Ideals are immutable; the Gröbner basis is computed lazily and cached.
 The degree and basis caps are the ones in force in the current context
@@ -43,80 +45,46 @@ The degree and basis caps are the ones in force in the current context
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import add, le, sub
 from typing import Iterable, Optional, Sequence
 
 from .config import check_degree, check_piece, current_caps
 from .errors import DomainError, ResourceError, RingMismatchError
-from .ring import (MultiPoly, PolyRing, grevlex_key, grevlex_packing,
-                   monomials_of_degree)
+from .ring import MultiPoly, PolyRing, _monomial_words
 
 
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
-def _exp_sub(a, b):
-    return tuple(map(sub, a, b))
-
-
-def _exp_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def _divisor(g: MultiPoly, packing):
-    """g as a divisor under the packing, memoised on g: (keys descending,
-    coefficients, lead fields, inverse of the leading coefficient).  The
-    lead fields are `packing.direct` of the leading key.  The packing's
-    limit must exceed g's degree (`normal_form` picks it so)."""
-    memo = g._packed
-    if memo is None:
-        memo = g._packed = {}
-    entry = memo.get(packing)
-    if entry is None:
-        pack = packing.pack
-        items = sorted(((pack(e), c) for e, c in g._terms.items()),
-                       reverse=True)
-        keys = tuple(k for k, _ in items)
-        coeffs = tuple(c for _, c in items)
-        entry = memo[packing] = (keys, coeffs, packing.direct(keys[0])[0],
-                                 pow(coeffs[0], -1, g.ring.p))
-    return entry
-
-
-def _divide(f: MultiPoly, divisors: Sequence[MultiPoly], packing):
-    """Heap division of f by the divisors (Monagan–Pearce): one mutable
-    accumulator from packed key to coefficient, and a heap of its keys
-    from which the leading term is popped.  Subtracting c·x^m·g adds the
-    key of x^m to each of g's cached keys.  A key cancelled and formed
-    again is pushed twice; the copy popped second finds no coefficient.
-
-    Returns the remainder's keys and coefficients, largest first.  The
-    packing's limit must exceed the degrees of f and the divisors; then
-    no term formed later reaches it: every term of x^m·g has degree at
-    most that of its lead, the popped term, since grevlex is graded."""
-    p = f.ring.p
+def _divide(f: MultiPoly, divisors: Sequence[MultiPoly]) -> MultiPoly:
+    """Heap division of f by the divisors (Monagan–Pearce), as the module
+    docstring says: subtracting c·x^m·g adds the key of x^m to each of
+    g's keys.  A key cancelled and formed again is pushed twice; the
+    copy popped second finds no coefficient.  The remainder's keys move
+    out largest first, so it comes with its leading key cached."""
+    ring = f.ring
+    p = ring.p
+    packing = ring._packing
     guard, direct = packing.guard, packing.direct
-    reducers = [_divisor(g, packing) for g in divisors]
-    pack = packing.pack
-    acc = {pack(e): c for e, c in f._terms.items()}
+    reducers = []
+    for g in divisors:
+        terms, lead = g._terms, g._lead_key()
+        reducers.append((terms, lead, g._lead_fields(),
+                         pow(terms[lead], -1, p)))
+    acc = dict(f._terms)
     heap = [-k for k in acc]
     heapify(heap)
-    out_keys, out_coeffs = [], []
+    out = {}
     while heap:
         key = -heappop(heap)
         c = acc.get(key)
         if c is None:
             continue
-        fields = direct(key)[0]
-        for g_keys, g_coeffs, lead_fields, lc_inv in reducers:
+        fields = direct(key)
+        for terms, lead, lead_fields, lc_inv in reducers:
             # the lead divides when no field borrows into its guard bit
             if (fields - lead_fields) & guard:
                 continue
-            shift = key - g_keys[0]
+            shift = key - lead
             factor = p - c * lc_inv % p
             # the lead cancels the popped term, which is still in acc
-            for g_key, g_c in zip(g_keys, g_coeffs):
+            for g_key, g_c in terms.items():
                 k = g_key + shift
                 old = acc.get(k)
                 if old is None:
@@ -131,9 +99,11 @@ def _divide(f: MultiPoly, divisors: Sequence[MultiPoly], packing):
             break
         else:
             del acc[key]
-            out_keys.append(key)
-            out_coeffs.append(c)
-    return out_keys, out_coeffs
+            out[key] = c
+    rest = MultiPoly(ring, out)
+    if out:
+        rest._lead = next(iter(out))
+    return rest
 
 
 def normal_form(f: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
@@ -141,45 +111,35 @@ def normal_form(f: MultiPoly, basis: Sequence[MultiPoly]) -> MultiPoly:
     divisible by any basis leading monomial.  When every divisor is a
     monomial, that is f without its terms some divisor divides (f itself
     when none is).  A one-term f is f when no lead divides it and zero
-    when the first lead that does is a monomial's, as in `_divide`.
-    Otherwise `_divide` runs at the narrowest width from 16 bits up,
-    doubling, that holds the degrees of f and the divisors, and the
-    result comes with its leading exponent cached."""
-    divisors = [g for g in basis if not g.is_zero]
-    if not divisors or f.is_zero:
+    when the first lead that does is a monomial's, as in `_divide`,
+    which reduces any other f."""
+    divisors = [g for g in basis if g._terms]
+    terms = f._terms
+    if not divisors or not terms:
         return f
-    if len(f._terms) == 1:
-        exps, = f._terms
+    packing = f.ring._packing
+    guard, direct = packing.guard, packing.direct
+    if len(terms) == 1:
+        fields = direct(next(iter(terms)))
         first = next((g for g in divisors
-                      if _divides(g.leading_exponent(), exps)), None)
+                      if not (fields - g._lead_fields()) & guard), None)
         if first is None:
             return f
-        if first.num_terms() == 1:
+        if len(first._terms) == 1:
             return MultiPoly(f.ring, {})
-    elif all(g.num_terms() == 1 for g in divisors):
-        leads = [g.leading_exponent() for g in divisors]
-        kept = {e: c for e, c in f._terms.items()
-                if not any(_divides(a, e) for a in leads)}
-        return f if len(kept) == len(f._terms) else MultiPoly(f.ring, kept)
-    # grevlex is graded: a degree is the sum of the leading exponent
-    top = max(f.degree(), max(sum(g.leading_exponent()) for g in divisors))
-    width = 16
-    while top >= 1 << (width - 1):
-        width *= 2
-    packing = grevlex_packing(f.ring.nvars, width)
-    return MultiPoly.from_packed(f.ring, packing,
-                                 *_divide(f, divisors, packing))
+    elif all(len(g._terms) == 1 for g in divisors):
+        leads = [g._lead_fields() for g in divisors]
+        kept = {k: c for k, c in terms.items()
+                if all((direct(k) - a) & guard for a in leads)}
+        return f if len(kept) == len(terms) else MultiPoly(f.ring, kept)
+    return _divide(f, divisors)
 
 
-def _lead_key(g: MultiPoly):
-    return grevlex_key(g.leading_exponent())
-
-
-def _s_poly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """S-polynomial of two monic polynomials."""
-    lf, lg = f.leading_exponent(), g.leading_exponent()
-    lcm = _exp_lcm(lf, lg)
-    return f.mul_monomial(_exp_sub(lcm, lf)) - g.mul_monomial(_exp_sub(lcm, lg))
+def _s_poly(f: MultiPoly, g: MultiPoly, lcm: int) -> MultiPoly:
+    """S-polynomial of two monic polynomials whose leads have this lcm:
+    f and g shifted up to it, one minus the other."""
+    return (f._times_key(lcm - f._lead_key())
+            - g._times_key(lcm - g._lead_key()))
 
 
 def buchberger(generators: Iterable[MultiPoly]) -> tuple:
@@ -189,13 +149,13 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
     monomial first; the tuple is canonical, so equal ideals yield equal
     tuples.
     """
-    raw = [g for g in generators if not g.is_zero]
+    raw = [g for g in generators if g._terms]
     _check_input_degree(raw)
     if len(raw) <= 1:
         # one monic polynomial is already a reduced basis
         return tuple(g.monic() for g in raw)
     caps = current_caps()
-    if all(g.num_terms() == 1 for g in raw):
+    if all(len(g._terms) == 1 for g in raw):
         # every S-polynomial of two monomials is zero: the basis is the
         # minimal generators, and the completion would keep exactly these
         basis = _reduce(raw)
@@ -203,7 +163,10 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
             raise ResourceError("max_basis", caps.max_basis,
                                 "too many pairwise-irreducible generators")
         return basis
-    raw.sort(key=_lead_key)
+    raw.sort(key=MultiPoly._lead_key)
+    packing = raw[0].ring._packing
+    guard, key = packing.guard, packing.key
+    spread, shift = packing.mask, packing.width - 1
 
     pairs: list = []
     counter = 0
@@ -211,16 +174,23 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
 
     def push_pairs(new_index: int):
         nonlocal counter
-        lm_new = basis[new_index].leading_exponent()
-        monomial = basis[new_index].num_terms() == 1
+        lm_new = basis[new_index]._lead_key()
+        fields_new = basis[new_index]._lead_fields()
+        monomial = len(basis[new_index]._terms) == 1
         for i in range(new_index):
-            if monomial and basis[i].num_terms() == 1:
+            if monomial and len(basis[i]._terms) == 1:
                 continue  # two monic monomials: the S-polynomial is zero
-            lm_i = basis[i].leading_exponent()
-            lcm = _exp_lcm(lm_i, lm_new)
-            if lcm == tuple(map(add, lm_i, lm_new)):
+            lm_i = basis[i]._lead_key()
+            fields_i = basis[i]._lead_fields()
+            # all ones in the fields where lm_i's exponent is the larger
+            larger = (((fields_i | guard) - fields_new) & guard) >> shift
+            larger *= spread
+            gcd = (fields_new & larger) | (fields_i & ~larger)
+            if not gcd:
                 continue  # coprime leading monomials: S-poly reduces to zero
-            heappush(pairs, (grevlex_key(lcm), counter, i, new_index))
+            lcm = lm_i + lm_new - key(gcd)
+            packing.check(lcm >> packing.shift, "S-polynomial")
+            heappush(pairs, (lcm, counter, i, new_index))
             counter += 1
 
     # feed the input through the reducer so redundant generators
@@ -236,8 +206,8 @@ def buchberger(generators: Iterable[MultiPoly]) -> tuple:
         push_pairs(len(basis) - 1)
 
     while pairs:
-        _, _, i, j = heappop(pairs)
-        s = _s_poly(basis[i], basis[j])
+        lcm, _, i, j = heappop(pairs)
+        s = _s_poly(basis[i], basis[j], lcm)
         if s.is_zero:
             continue
         check_degree(s.degree(), "S-polynomial")
@@ -261,45 +231,49 @@ def _check_input_degree(generators: Sequence[MultiPoly]):
     first, and a Hilbert series runs it on its generators because their
     basis may be a cached one.  Grevlex is graded, so a degree is that of
     the leading monomial, which the completion caches and needs anyway."""
-    check_degree(max((sum(g.leading_exponent()) for g in generators),
-                     default=-1), "generator")
+    check_degree(max((g.degree() for g in generators), default=-1),
+                 "generator")
 
 
 def _reduce(basis: list) -> tuple:
     """The reduced basis of an ideal from any Gröbner basis of it,
     sorted as `buchberger` returns it; no S-pairs are needed."""
-    # minimalize: drop elements whose leading monomial is divisible by another's
-    basis = sorted(basis, key=_lead_key)
-    minimal: list = []
-    leads: list = []
+    if not basis:
+        return ()
+    # minimalize: drop elements whose leading monomial is divisible by
+    # another's, and keep the first of equal leads
+    first: dict = {}
     for g in basis:
-        lm = g.leading_exponent()
-        if not any(_divides(h, lm) for h in leads):
-            minimal.append(g)
-            leads.append(lm)
+        first.setdefault(g._lead_fields(), g)
+    minimal = [first[a] for a in _minimal_monomials(
+        first, basis[0].ring._packing.guard)]
+    minimal.sort(key=MultiPoly._lead_key)
     # inter-reduce tails; leading monomials are stable under this pass,
     # and a monomial is its lead, which no other minimal lead divides
     for k, g in enumerate(minimal):
-        if g.num_terms() > 1:
+        if len(g._terms) > 1:
             g = normal_form(g, minimal[:k] + minimal[k + 1:])
         minimal[k] = g.monic()
     # the leads are distinct and ascending
     return tuple(reversed(minimal))
 
 
-def _minimal_monomials(monomials) -> list:
-    """The minimal generators among exponent vectors."""
+def _minimal_monomials(words: Iterable[int], guard: int) -> list:
+    """The minimal monomials among these field words (`Packing.direct`),
+    ascending.  A divisor is at most its multiples field by field, so as
+    an integer it comes first."""
     minimal: list = []
-    for a in sorted(set(monomials), key=sum):
-        if not any(_divides(b, a) for b in minimal):
+    for a in sorted(words):
+        if all((a - b) & guard for b in minimal):
             minimal.append(a)
     return minimal
 
 
-def monomial_hilbert_numerator(monomials, nvars: int) -> list:
+def monomial_hilbert_numerator(words: Iterable[int], packing) -> list:
     """Coefficients, constant term first and trailing zeros dropped, of
-    N(t) with HS(S/M) = N(t)/(1-t)^nvars for the monomial ideal M the
-    exponent vectors generate: [1] for none, [] for the unit ideal.
+    N(t) with HS(S/M) = N(t)/(1-t)^n, n variables, for the monomial
+    ideal M the field words (`Packing.direct`) generate: [1] for none,
+    [] for the unit ideal.
 
     Pivot recursion (Bayer–Stillman; Bigatti): the exact sequence
     0 -> S/(M : x_j^k)(-k) -> S/M -> S/(M + (x_j^k)) -> 0 gives
@@ -309,16 +283,17 @@ def monomial_hilbert_numerator(monomials, nvars: int) -> list:
     k is the lower median of its exponents there: at least two
     generators fold into x_j^k on one side, at least half of them lose
     x_j on the other, so both sides shrink by about half in x_j."""
+    mask, guard, offsets = packing.mask, packing.guard, packing._offsets
     out: list = []
-    stack = [(_minimal_monomials(monomials), 0)]
+    stack = [(_minimal_monomials(words, guard), 0)]
     while stack:
         gens, shift = stack.pop()
-        counts = [sum(1 for a in gens if a[j]) for j in range(nvars)]
-        j = max(range(nvars), key=counts.__getitem__)
+        counts = [sum(1 for a in gens if (a >> at) & mask) for at in offsets]
+        j = max(range(len(offsets)), key=counts.__getitem__)
         if counts[j] < 2:
             factor = [1]
             for a in gens:
-                d = sum(a)
+                d = packing.key(a) >> packing.shift
                 factor = factor + [0] * d  # times (1 - t^d)
                 for i in range(len(factor) - d - 1, -1, -1):
                     factor[i + d] -= factor[i]
@@ -326,16 +301,17 @@ def monomial_hilbert_numerator(monomials, nvars: int) -> list:
             for i, c in enumerate(factor):
                 out[shift + i] += c
             continue
-        k = sorted(a[j] for a in gens if a[j])[(counts[j] - 1) // 2]
-        stack.append(([a for a in gens if a[j] < k]
-                      + [(0,) * j + (k,) + (0,) * (nvars - j - 1)], shift))
+        at = offsets[j]
+        exps = [(a >> at) & mask for a in gens]
+        k = sorted(e for e in exps if e)[(counts[j] - 1) // 2]
+        stack.append(([a for a, e in zip(gens, exps) if e < k] + [k << at],
+                      shift))
         # generators that keep x_j lose the same x_j^k, so they stay
         # minimal among themselves; only those that lose x_j need a pass
-        low = _minimal_monomials(a[:j] + (0,) + a[j + 1:]
-                                 for a in gens if a[j] <= k)
-        high = [b for b in (a[:j] + (a[j] - k,) + a[j + 1:]
-                            for a in gens if a[j] > k)
-                if not any(_divides(c, b) for c in low)]
+        low = _minimal_monomials([a - (e << at) for a, e in zip(gens, exps)
+                                  if e <= k], guard)
+        high = [b for b in (a - (k << at) for a, e in zip(gens, exps) if e > k)
+                if all((b - c) & guard for c in low)]
         stack.append((low + high, shift + k))
     while out and not out[-1]:
         out.pop()
@@ -482,10 +458,18 @@ class Ideal:
         """Degree-m monomials outside the leading-term ideal,
         grevlex-descending; a piece above the piece cap is refused
         before it is enumerated."""
+        exponents = self.ring._packing.exponents
+        return tuple(map(exponents, self._standard_words(m)))
+
+    def _standard_words(self, m: int) -> list:
+        """The field words of `standard_monomials`."""
         check_piece(self.ring.nvars, m)
-        lts = [g.leading_exponent() for g in self.groebner_basis]
-        return tuple(exps for exps in monomials_of_degree(self.ring.nvars, m)
-                     if not any(_divides(lt, exps) for lt in lts))
+        packing = self.ring._packing
+        packing.check(m, "graded piece")
+        guard = packing.guard
+        leads = [g._lead_fields() for g in self.groebner_basis]
+        return [w for w in _monomial_words(packing, m)
+                if all((w - a) & guard for a in leads)]
 
     def hilbert_numerator(self) -> list:
         """N(t) with HS(S/I) = N(t)/(1-t)^nvars for a homogeneous ideal,
@@ -497,9 +481,8 @@ class Ideal:
         if forms is None:
             raise DomainError("Hilbert series of a non-homogeneous ideal")
         _check_input_degree(forms)
-        return monomial_hilbert_numerator(
-            (g.leading_exponent() for g in self.groebner_basis),
-            self.ring.nvars)
+        words = [g._lead_fields() for g in self.groebner_basis]
+        return monomial_hilbert_numerator(words, self.ring._packing)
 
     def __str__(self):
         if not self.generators:
@@ -513,19 +496,30 @@ class Ideal:
 def _move_variable(f: MultiPoly, ring: PolyRing, source: int,
                    target: int) -> MultiPoly:
     """f in the ring whose variables are f's with the one at `source`
-    moved to `target`."""
+    moved to `target`: each field word moves that variable's field."""
+    if source == target:
+        return MultiPoly(ring, f._terms)
+    packing = ring._packing
+    w, mask = packing.width, packing.mask
+    direct, key = packing.direct, packing.key
+    at, to = w * source, w * target
     out = {}
-    for e, c in f._terms.items():
-        rest = e[:source] + e[source + 1:]
-        out[rest[:target] + e[source:source + 1] + rest[target:]] = c
+    for k, c in f._terms.items():
+        fields = direct(k)
+        rest = (fields & ((1 << at) - 1)) | (fields >> (at + w) << at)
+        out[key((rest & ((1 << to) - 1)) | (((fields >> at) & mask) << to)
+                | (rest >> to << (to + w)))] = c
     return MultiPoly(ring, out)
 
 
 def _divide_out_last(f: MultiPoly) -> MultiPoly:
-    """f divided by the largest power of the last variable dividing it."""
-    k = min(e[-1] for e in f._terms)
+    """f divided by the largest power of the last variable dividing it:
+    the last variable's exponent is the top field of a key's field word,
+    and its power's key is the exponent in the degree digit."""
+    packing = f.ring._packing
+    shift, direct = packing.shift, packing.direct
+    k = min(direct(key) >> shift for key in f._terms)
     if not k:
         return f
-    return MultiPoly(f.ring, {e[:-1] + (e[-1] - k,): c
-                              for e, c in f._terms.items()})
-
+    k <<= shift
+    return MultiPoly(f.ring, {key - k: c for key, c in f._terms.items()})

@@ -1,54 +1,74 @@
 """Sparse multivariate polynomials over a prime field F_p.
 
-Coefficients are canonical integer residues in [0, p); exponent vectors
-are tuples of non-negative ints, one slot per declared variable.  The
-ring descriptor fixes the variable names and the characteristic.  The
-one monomial order is graded reverse lexicographic (grevlex); a
-computation that needs another variable last permutes the variables.
+Coefficients are canonical integer residues in [0, p).  The ring
+descriptor fixes the variable names and the characteristic.  The one
+monomial order is graded reverse lexicographic (grevlex); a computation
+that needs another variable last permutes the variables.
 
-A `Packing` turns a monomial into an integer key whose integer order is
-grevlex and which adds under multiplication (Monagan–Pearce, packed
-exponent vectors), one per number of variables and digit width.  A key
-is exact only while the total degree stays below the packing's limit,
-so nothing packs a monomial without checking that first; the Gröbner
-kernel in `ideal.py` picks the width from the degrees before it packs.
+The one exponent representation is the packed key of `Packing`
+(Monagan–Pearce): a polynomial is one dict {key: residue} under its
+ring's packing, and the kernels here, in `ideal.py` and in `cartier.py`
+run on the keys.  Integer order is grevlex and keys add under
+multiplication, so a product adds keys, a Frobenius twist multiplies
+them by q, a lead is the largest key, every sort is an integer sort and
+the constant monomial is key 0.  Exponent tuples appear only where a
+value enters or leaves: `PolyRing.monomial`/`poly`, `coefficient`,
+`mul_monomial` and the parser pack them, `iter_terms` and
+`leading_exponent` unpack keys, and `evaluate`, `shift` and
+`fsing.multiplicity` read the tuple view `_tuples`, derived from the
+keys once per polynomial.
 
-Products, powers and the parser work on term dicts {exponents: residue}
-and wrap a `MultiPoly` around the result once.  A power raises a
-one-term polynomial by scaling its exponent; any other polynomial is
-raised digit by digit in base p, f^n = prod_i (f^(n_i))^[p^i] for
-n = sum_i n_i p^i, since the Frobenius f -> f^p only scales exponents
-over F_p.  The parser tokenizes in one `findall` pass and evaluates
-its recursive descent on term dicts.  A product folds its runs of
-variables and numbers, each with at most one numeric exponent, into one
-exponent vector and one coefficient; parentheses, unary signs and
-stacked powers take the general factor rule.  It bounds the nesting of
-parentheses and unary signs by MAX_NESTING, and refuses a power whose
-degree would pass the `max_degree` cap before forming it.  A token's
-column is computed only when an error message names it.
+The width proof.  Every ring packs at _KEY_WIDTH = 64 bits per digit:
+Python integers have no fixed size, and a product of two 15-term
+polynomials takes the same time at 16-, 32- and 64-bit digits, so one
+width serves every ring and no key is ever repacked.  A key is exact
+while its degree is below the limit 2^63: there no digit carries, so
+the sum of two exact keys is the exact key of the product.  No cap
+bounds the degrees a computation reaches (`max_degree` does not bound a
+cone multiplier f^a * prod h^(q-1), and caps can be raised), so every
+operation that forms a key first checks the degree of its result, read
+off the cached leads, and refuses it at the limit with an
+UnsupportedInputError: products, powers with their twists, packed
+tuples and the parser's folded runs, and in `ideal.py`, `proj.py` and
+`cartier.py` S-pairs, graded pieces and traces.  Division forms no key above the
+degree of the term it cancels.
+
+A power raises a one-term polynomial by scaling its key; any other
+polynomial is raised digit by digit in base p,
+f^n = prod_i (f^(n_i))^[p^i] for n = sum_i n_i p^i, since the Frobenius
+f -> f^p only scales exponents over F_p.  The parser tokenizes in one
+`findall` pass and evaluates its recursive descent on term dicts.  A
+product folds its runs of variables and numbers, each with at most one
+numeric exponent, into one key and one coefficient; parentheses, unary
+signs and stacked powers take the general factor rule.  It bounds the
+nesting of parentheses and unary signs by MAX_NESTING, and refuses a
+power whose degree would pass the `max_degree` cap before forming it.
+A token's column is computed only when an error message names it.
 
 Values are immutable after construction and safe to share across
-threads.  A polynomial memoises its leading exponent, and the division
-kernel its packed terms per packing, on first use.  Both are functions
-of the terms alone and never enter equality or hashing; two threads
-that fill the same slot at once store equal values.
+threads.  A polynomial memoises its leading key, that key's field word
+and its tuple view on first use.  They are functions of the terms
+alone and never enter equality or hashing; two threads that fill the
+same slot at once store equal values.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cache
-from operator import add, neg
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .config import Frozen, check_degree, current_caps
-from .errors import DomainError, ParseError, RingMismatchError
+from .config import Frozen, check_degree, current_caps, shown
+from .errors import (DomainError, ParseError, RingMismatchError,
+                     UnsupportedInputError)
 
 Exponents = tuple  # tuple[int, ...]
 
 MAX_CHARACTERISTIC = 1 << 16
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+_KEY_WIDTH = 64  # of every ring's packing, see the width proof
 
 
 def is_prime(n: int) -> bool:
@@ -62,11 +82,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def grevlex_key(exps: Exponents):
-    """Sort key: larger key means larger monomial in grevlex."""
-    return (sum(exps), tuple(map(neg, reversed(exps))))
-
-
 class Packing:
     """Packed integer keys of grevlex monomials at one digit width.
 
@@ -74,49 +89,63 @@ class Packing:
     most significant first, where s_j = e_0 + ... + e_j: s_(n-1) is the
     degree, and a larger s_(j-1) at equal s_j means a smaller e_j, which
     is how grevlex breaks ties.  The key is these digits in base
-    B = 2^width, so comparing keys as integers compares monomials in
-    grevlex.  Every digit is linear in the exponents and at most the
-    degree, so while the degree stays below `limit` = B/2:
-
-      * pack(a) + pack(b) = pack(a + b): multiplying by a monomial adds
-        its key;
-      * the key is exact, and `direct` recovers the exponents field by
-        field, each field with a spare top bit, so a monomial a divides
-        b exactly when (direct(b) - direct(a)) & guard == 0 (no field
-        borrows).
-
-    Keys are only ever formed below the limit: the kernel in `ideal.py`
-    picks the narrowest width above every degree before it packs.
+    B = 2^width, so integer order is grevlex.  Every digit is linear in
+    the exponents and at most the degree, so while the degree stays
+    below `limit` = B/2, pack(a) + pack(b) = pack(a + b), and the degree
+    is the key shifted down by `shift`.  `direct` turns a key into its
+    field word, variable i's exponent in field i, each field with a
+    spare top bit: a monomial a divides b exactly when
+    (direct(b) - direct(a)) & guard == 0 (no field borrows).  `key`
+    turns a field word back by one multiplication, which forms the
+    prefix sums s_j.
     """
 
     def __init__(self, nvars: int, width: int):
         self.width = width
         self.limit = 1 << (width - 1)
         self.mask = (1 << width) - 1
-        self.guard = sum(self.limit << (width * i) for i in range(nvars))
-        self._top = width * nvars           # just above the degree digit
-        self._degree_shift = self._top - width
-        self._nvars = nvars
+        self.ones = sum(1 << (width * i) for i in range(nvars))
+        self.guard = self.ones << (width - 1)
+        self.shift = width * (nvars - 1)  # the degree digit
+        # each variable's key: digits s_j = 1 for j >= i
+        self.units = tuple(self.ones >> (width * i) << (width * i)
+                           for i in range(nvars))
+        self._top = width * nvars
+        self._keys = (1 << self._top) - 1
+        self._offsets = range(0, self._top, width)
+
+    def check(self, degree: int, what: str):
+        """Refuse `what` of this degree when its key would not be exact."""
+        if degree >= self.limit:
+            raise UnsupportedInputError(
+                f"{what} of degree {shown(degree)} reaches the monomial key "
+                f"limit {shown(self.limit)}")
 
     def pack(self, exps: Exponents) -> int:
         w, key, s = self.width, 0, sum(exps)
+        self.check(s, "monomial")
         for e in reversed(exps):
             key = (key << w) | s
             s -= e
         return key
 
-    def direct(self, key: int):
-        """(exponents packed one field per variable, degree).
+    def direct(self, key: int) -> int:
+        """The key's field word: (B - 1) * (the digits) is the degree
+        times B^n less the fields."""
+        return ((key >> self.shift) << self._top) - (key << self.width) + key
 
-        (B - 1) * (the digits) = d * B^n - (the fields) for the degree d,
-        so the fields are a few integer operations away from the key."""
-        degree = key >> self._degree_shift
-        return (degree << self._top) - (key << self.width) + key, degree
+    def key(self, fields: int) -> int:
+        """The key of a field word below the limit: times 1 + B + ...
+        + B^(n-1), digit j of the product is s_j."""
+        return fields * self.ones & self._keys
+
+    def exponents(self, fields: int) -> Exponents:
+        """The exponent tuple of a field word."""
+        mask = self.mask
+        return tuple([(fields >> at) & mask for at in self._offsets])
 
     def unpack(self, key: int) -> Exponents:
-        fields, _ = self.direct(key)
-        w, mask = self.width, self.mask
-        return tuple((fields >> (w * v)) & mask for v in range(self._nvars))
+        return self.exponents(self.direct(key))
 
 
 @cache
@@ -127,7 +156,9 @@ def grevlex_packing(nvars: int, width: int) -> Packing:
 
 
 class PolyRing(Frozen):
-    """Descriptor for F_p[variables] with the fixed grevlex order."""
+    """Descriptor for F_p[variables] with the fixed grevlex order.  Its
+    `_packing` keys the monomials; being a function of the number of
+    variables, it never enters equality or hashing."""
 
     FIELDS = ("variables", "p")
 
@@ -143,7 +174,8 @@ class PolyRing(Frozen):
             if name in seen:
                 raise DomainError(f"duplicate variable name {name!r}")
             seen.add(name)
-        vars(self).update(variables=variables, p=p)
+        vars(self).update(variables=variables, p=p,
+                          _packing=grevlex_packing(len(variables), _KEY_WIDTH))
 
     def __eq__(self, other):
         # rings are shared far more often than rebuilt: identity first
@@ -168,15 +200,17 @@ class PolyRing(Frozen):
 
     def constant(self, c: int) -> "MultiPoly":
         c %= self.p
-        zero_exp = (0,) * self.nvars
-        return MultiPoly(self, {zero_exp: c} if c else {})
+        return MultiPoly(self, {0: c} if c else {})
+
+    def _key(self, exps: Sequence[int]) -> int:
+        if len(exps) != self.nvars or min(exps) < 0:
+            raise DomainError(f"bad exponent vector {tuple(exps)} for {self}")
+        return self._packing.pack(exps)
 
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> "MultiPoly":
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != self.nvars or any(e < 0 for e in exps):
-            raise DomainError(f"bad exponent vector {exps} for {self}")
+        key = self._key(exps)
         coeff %= self.p
-        return MultiPoly(self, {exps: coeff} if coeff else {})
+        return MultiPoly(self, {key: coeff} if coeff else {})
 
     def gen(self, which: Union[int, str]) -> "MultiPoly":
         if isinstance(which, str):
@@ -184,23 +218,23 @@ class PolyRing(Frozen):
                 which = self.variables.index(which)
             except ValueError:
                 raise DomainError(f"no variable {which!r} in {self}") from None
-        exps = tuple(1 if i == which else 0 for i in range(self.nvars))
-        return MultiPoly(self, {exps: 1})
+        return MultiPoly(self, {self._packing.units[which]: 1})
 
     def gens(self) -> tuple:
         return tuple(self.gen(i) for i in range(self.nvars))
 
     def poly(self, terms: Mapping[Exponents, int]) -> "MultiPoly":
         out = {}
+        p = self.p
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars or any(e < 0 for e in exps):
-                raise DomainError(f"bad exponent vector {exps} for {self}")
-            c = int(c) % self.p
+            key = self._key(exps)
+            c = int(c) % p
             if c:
-                out[exps] = (out.get(exps, 0) + c) % self.p
-                if not out[exps]:
-                    del out[exps]
+                c = (out.get(key, 0) + c) % p
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
         return MultiPoly(self, out)
 
     def parse(self, text: str) -> "MultiPoly":
@@ -210,49 +244,46 @@ class PolyRing(Frozen):
         return f"F_{self.p}[{', '.join(self.variables)}]"
 
 
-# -- term dicts {exponents: residue} ------------------------------------
+# -- term dicts {key: residue} --------------------------------------------
+#
+# The callers check the degree of a result against the packing's limit
+# before forming it.
 
 
 def _mul_terms(a: dict, b: dict, p: int) -> dict:
     """The product of two term dicts; a one-term factor shifts the other's
-    exponents.  Never returns an input."""
+    keys.  Never returns an input."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 1:
-        (ea, ca), = a.items()
+        (ka, ca), = a.items()
         # p is prime, so no product of nonzero residues vanishes
-        return {tuple(map(add, ea, eb)): ca * cb % p for eb, cb in b.items()}
+        return {ka + kb: ca * cb % p for kb, cb in b.items()}
     out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            ne = tuple(map(add, ea, eb))
-            s = (out.get(ne, 0) + ca * cb) % p
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            s = (out.get(k, 0) + ca * cb) % p
             if s:
-                out[ne] = s
+                out[k] = s
             else:
-                out.pop(ne, None)
+                del out[k]
     return out
 
 
-def _frobenius_terms(terms: dict, q: int) -> dict:
-    """The terms raised to a power q of the characteristic: exponents
-    times q, coefficients fixed (Frobenius fixes F_p)."""
-    return {tuple(a * q for a in exps): c for exps, c in terms.items()}
+def _pow_terms(terms: dict, n: int, p: int) -> dict:
+    """terms^n for n >= 0.
 
-
-def _pow_terms(terms: dict, n: int, p: int, one: Exponents) -> dict:
-    """terms^n for n >= 0, `one` the zero exponent vector.
-
-    A one-term dict (or none) raises its exponent and coefficient
-    directly.  Otherwise f^n = prod_i (f^(n_i))^[p^i] over the base-p
-    digits n_i of n: each distinct digit is one power by squaring below
-    p, and the rest is exponent scaling.  Never returns an input."""
+    A one-term dict (or none) raises its key and coefficient directly.
+    Otherwise f^n = prod_i (f^(n_i))^[p^i] over the base-p digits n_i
+    of n: each distinct digit is one power by squaring below p, and its
+    Frobenius twist multiplies the keys by p^i, coefficients fixed
+    (Frobenius fixes F_p).  Never returns an input."""
     if len(terms) <= 1:
         if not n:
-            return {one: 1}
-        return {tuple(a * n for a in exps): pow(c, n, p)
-                for exps, c in terms.items()}
-    result: dict = {one: 1}
+            return {0: 1}
+        return {k * n: pow(c, n, p) for k, c in terms.items()}
+    result: dict = {0: 1}
     digit_powers: dict = {}
     q = 1
     while n:
@@ -261,8 +292,9 @@ def _pow_terms(terms: dict, n: int, p: int, one: Exponents) -> dict:
             power = digit_powers.get(digit)
             if power is None:
                 power = digit_powers[digit] = _square_and_multiply(terms, digit, p)
-            result = _mul_terms(result, _frobenius_terms(power, q) if q > 1
-                                else power, p)
+            if q > 1:
+                power = {k * q: c for k, c in power.items()}
+            result = _mul_terms(result, power, p)
         q *= p
     return result
 
@@ -280,21 +312,23 @@ def _square_and_multiply(terms: dict, n: int, p: int) -> dict:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial: dict from exponent tuples to residues.
+    """Immutable sparse polynomial: dict from packed monomial keys to
+    residues.
 
     No zero coefficients are stored; arithmetic is exact.  The leading
-    exponent, and the division kernel in `ideal.py` its packed terms per
-    `Packing`, are memoised on first use; they depend only on the terms,
-    so they never enter equality or hashing.
+    key, its field word and the tuple view are memoised on first use;
+    they depend only on the terms, so they never enter equality or
+    hashing.
     """
 
-    __slots__ = ("ring", "_terms", "_lead", "_packed")
+    __slots__ = ("ring", "_terms", "_lead", "_fields", "_view")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self._terms = terms
-        self._lead = None     # leading exponent
-        self._packed = None   # Packing -> divisor record, see ideal._divisor
+        self._lead = None    # leading key
+        self._fields = None  # its field word, see _lead_fields
+        self._view = None    # see _tuples
 
     # -- basic queries -------------------------------------------------
 
@@ -304,53 +338,64 @@ class MultiPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self._terms)
+        return not any(self._terms)
 
     def constant_value(self) -> int:
         """The coefficient of the constant term."""
-        return self._terms.get((0,) * self.ring.nvars, 0)
+        return self._terms.get(0, 0)
 
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
+        """Total degree; -1 for the zero polynomial.  Grevlex is graded,
+        so it is the lead's."""
         if not self._terms:
             return -1
-        return max(map(sum, self._terms))
+        return self._lead_key() >> self.ring._packing.shift
 
     def is_homogeneous(self) -> bool:
-        return len(set(map(sum, self._terms))) <= 1
+        shift = self.ring._packing.shift
+        return len({k >> shift for k in self._terms}) <= 1
 
     def num_terms(self) -> int:
         return len(self._terms)
 
+    def _tuples(self) -> dict:
+        """The terms as {exponents: residue}: the view the edges read,
+        derived from the keys once."""
+        view = self._view
+        if view is None:
+            unpack = self.ring._packing.unpack
+            view = self._view = {unpack(k): c for k, c in self._terms.items()}
+        return view
+
     def iter_terms(self) -> Iterator:
         """(exponents, coefficient) pairs in descending grevlex order."""
-        for exps in sorted(self._terms, key=grevlex_key, reverse=True):
-            yield exps, self._terms[exps]
+        terms, unpack = self._terms, self.ring._packing.unpack
+        return ((unpack(k), terms[k]) for k in sorted(terms, reverse=True))
 
     def coefficient(self, exps: Exponents) -> int:
-        return self._terms.get(tuple(exps), 0)
+        return self._terms.get(self.ring._key(exps), 0)
 
-    def leading_exponent(self) -> Exponents:
+    def _lead_key(self) -> int:
         lead = self._lead
         if lead is None:
             if not self._terms:
                 raise DomainError("zero polynomial has no leading term")
-            lead = self._lead = max(self._terms, key=grevlex_key)
+            lead = self._lead = max(self._terms)
         return lead
 
-    def leading_coefficient(self) -> int:
-        return self._terms[self.leading_exponent()]
+    def _lead_fields(self) -> int:
+        """The leading key's field word (`Packing.direct`), which the
+        divisibility tests of `ideal.py` read."""
+        fields = self._fields
+        if fields is None:
+            fields = self._fields = self.ring._packing.direct(self._lead_key())
+        return fields
 
-    @classmethod
-    def from_packed(cls, ring: PolyRing, packing: Packing,
-                    keys: Sequence[int], coeffs: Sequence[int]) -> "MultiPoly":
-        """The polynomial with these packed terms, keys descending; its
-        leading exponent comes cached."""
-        exps = [packing.unpack(k) for k in keys]
-        poly = cls(ring, dict(zip(exps, coeffs)))
-        if exps:
-            poly._lead = exps[0]
-        return poly
+    def leading_exponent(self) -> Exponents:
+        return self.ring._packing.unpack(self._lead_key())
+
+    def leading_coefficient(self) -> int:
+        return self._terms[self._lead_key()]
 
     def monic(self) -> "MultiPoly":
         if not self._terms:
@@ -381,19 +426,19 @@ class MultiPoly:
             return NotImplemented
         p = self.ring.p
         out = dict(self._terms)
-        for exps, c in other._terms.items():
-            s = (out.get(exps, 0) + c) % p
+        for k, c in other._terms.items():
+            s = (out.get(k, 0) + c) % p
             if s:
-                out[exps] = s
+                out[k] = s
             else:
-                out.pop(exps, None)
+                out.pop(k, None)
         return MultiPoly(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.ring.p
-        return MultiPoly(self.ring, {e: (-c) % p for e, c in self._terms.items()})
+        return MultiPoly(self.ring, {k: p - c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -414,20 +459,34 @@ class MultiPoly:
         if c == 1:
             return self
         p = self.ring.p
-        scaled = MultiPoly(self.ring, {e: (k * c) % p for e, k in self._terms.items()})
-        scaled._lead = self._lead  # same terms, same leading exponent
+        scaled = MultiPoly(self.ring,
+                           {k: t * c % p for k, t in self._terms.items()})
+        # same terms, same leading key
+        scaled._lead, scaled._fields = self._lead, self._fields
         return scaled
 
     def mul_monomial(self, exps: Exponents) -> "MultiPoly":
-        return MultiPoly(self.ring, _mul_terms({exps: 1}, self._terms,
-                                               self.ring.p))
+        return self._times_key(self.ring._key(exps))
+
+    def _times_key(self, shift: int) -> "MultiPoly":
+        """The product by the monomial of this key: it shifts every key
+        and the lead."""
+        if not self._terms:
+            return self
+        ring = self.ring
+        lead = self._lead_key() + shift
+        ring._packing.check(lead >> ring._packing.shift, "product")
+        out = MultiPoly(ring, {k + shift: c for k, c in self._terms.items()})
+        out._lead = lead
+        return out
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MultiPoly(self.ring, _mul_terms(self._terms, other._terms,
-                                               self.ring.p))
+        ring = self.ring
+        ring._packing.check(self.degree() + other.degree(), "product")
+        return MultiPoly(ring, _mul_terms(self._terms, other._terms, ring.p))
 
     __rmul__ = __mul__
 
@@ -435,8 +494,9 @@ class MultiPoly:
         if n < 0:
             raise DomainError("negative polynomial powers are not defined")
         ring = self.ring
-        return MultiPoly(ring, _pow_terms(self._terms, n, ring.p,
-                                          (0,) * ring.nvars))
+        # every intermediate power and twist has degree at most n * deg
+        ring._packing.check(n * self.degree(), "power")
+        return MultiPoly(ring, _pow_terms(self._terms, n, ring.p))
 
     # -- substitution --------------------------------------------------
 
@@ -446,7 +506,7 @@ class MultiPoly:
             raise DomainError("wrong number of coordinates")
         p = self.ring.p
         total = 0
-        for exps, c in self._terms.items():
+        for exps, c in self._tuples().items():
             term = c
             for v, e in zip(values, exps):
                 if e:
@@ -459,25 +519,24 @@ class MultiPoly:
 
         Coordinates given as None are left untouched.  Each shifted term
         is folded into one term dict, and each power (x_i + c_i)^e is
-        formed once."""
+        formed once.  No term passes the degree of the polynomial."""
         if len(point) != self.ring.nvars:
             raise DomainError("wrong number of coordinates")
         ring = self.ring
         p = ring.p
-        one = (0,) * ring.nvars
-        shifts = [None if c is None or c % p == 0
-                  else {one[:i] + (1,) + one[i + 1:]: 1, one: c % p}
+        units = ring._packing.units
+        shifts = [None if c is None or c % p == 0 else {units[i]: 1, 0: c % p}
                   for i, c in enumerate(point)]
         powers: dict = {}
         out: dict = {}
-        for exps, coeff in self._terms.items():
-            plain = tuple(0 if shifts[i] else e for i, e in enumerate(exps))
-            term = {plain: coeff}
+        for exps, coeff in self._tuples().items():
+            term = {sum(e * unit for e, unit, s in zip(exps, units, shifts)
+                        if not s): coeff}
             for i, e in enumerate(exps):
                 if e and shifts[i]:
                     power = powers.get((i, e))
                     if power is None:
-                        power = powers[i, e] = _pow_terms(shifts[i], e, p, one)
+                        power = powers[i, e] = _pow_terms(shifts[i], e, p)
                     term = _mul_terms(term, power, p)
             for k, c in term.items():
                 s = (out.get(k, 0) + c) % p
@@ -488,22 +547,23 @@ class MultiPoly:
         return MultiPoly(ring, out)
 
     def derivative(self, index: int) -> "MultiPoly":
-        """Formal partial derivative in the given variable."""
+        """Formal partial derivative in the given variable: the exponent
+        is read off the key's field word, and the key loses the
+        variable's."""
+        packing = self.ring._packing
         p = self.ring.p
+        unit, direct = packing.units[index], packing.direct
+        at, mask = packing.width * index, packing.mask
         out = {}
-        for exps, c in self._terms.items():
-            coeff = (c * exps[index]) % p
+        for k, c in self._terms.items():
+            coeff = c * ((direct(k) >> at) & mask) % p
             if coeff:
-                ne = list(exps)
-                ne[index] -= 1
-                out[tuple(ne)] = coeff
+                out[k - unit] = coeff
         return MultiPoly(self.ring, out)
 
     # -- comparison / hashing / display --------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self.ring.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.ring == other.ring and self._terms == other._terms
@@ -515,13 +575,18 @@ class MultiPoly:
         return bool(self._terms)
 
     def __str__(self):
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
-        names = self.ring.variables
+        packing = self.ring._packing
+        fields_of, mask = packing.direct, packing.mask
+        names = tuple(zip(self.ring.variables, packing._offsets))
         chunks = []
-        for exps, c in self.iter_terms():
+        for k in sorted(terms, reverse=True):
+            c, fields = terms[k], fields_of(k)
             factors = []
-            for name, e in zip(names, exps):
+            for name, at in names:
+                e = (fields >> at) & mask
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -573,19 +638,22 @@ def _shown(token: str) -> str:
 class _Parser:
     """Recursive-descent parser for '+', '-', '*', '^' and parentheses.
 
-    Every rule returns a term dict {exponents: residue} that the parser
-    owns, so sums and signs update it in place; `parse` wraps the final
-    one in a MultiPoly.  A product folds its runs of variables and
-    numbers, each with at most one numeric exponent, into one exponent
-    vector and one coefficient; parentheses, unary signs and stacked
-    powers go through `factor`.  Tokens are plain strings, and a
-    token's column is computed only for a message that names it."""
+    Every rule returns a term dict {key: residue} that the parser owns,
+    so sums and signs update it in place; `parse` wraps the final one in
+    a MultiPoly.  A product folds its runs of variables and numbers,
+    each with at most one numeric exponent, into one key, the sum of
+    its variables' keys, and one coefficient; parentheses, unary signs and
+    stacked powers go through `factor`.  Every product and power is
+    checked against the packing's limit before it is formed.  Tokens
+    are plain strings, and a token's column is computed only for a
+    message that names it."""
 
     def __init__(self, ring: PolyRing, text: str):
         self.ring = ring
         self.p = ring.p
-        self.one = (0,) * ring.nvars
-        self.index = {name: i for i, name in enumerate(ring.variables)}
+        self.packing = ring._packing
+        # each variable's key
+        self.units = dict(zip(ring.variables, ring._packing.units))
         self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
@@ -605,9 +673,17 @@ class _Parser:
                              column=self.column(index))
 
     def check_power(self, degree: int, index: int):
-        """The degree cap on a power whose '^' is the token at this index."""
+        """The degree cap on a power whose '^' is the token at this index,
+        then the packing's limit."""
         if degree > current_caps().max_degree:
             check_degree(degree, "power", f" at column {self.column(index)}")
+        self.packing.check(degree, "power")
+
+    def product(self, a: dict, b: dict) -> dict:
+        shift = self.packing.shift
+        self.packing.check((max(a, default=0) >> shift)
+                           + (max(b, default=0) >> shift), "product")
+        return _mul_terms(a, b, self.p)
 
     def parse(self) -> MultiPoly:
         terms = self.expr()
@@ -627,48 +703,51 @@ class _Parser:
             self.idx += 1
             rhs = self.term()
             sign = 1 if token == "+" else -1
-            for exps, c in rhs.items():
-                s = (result.get(exps, 0) + sign * c) % p
+            for k, c in rhs.items():
+                s = (result.get(k, 0) + sign * c) % p
                 if s:
-                    result[exps] = s
+                    result[k] = s
                 else:
-                    result.pop(exps, None)
+                    result.pop(k, None)
 
     def term(self) -> dict:
-        tokens, p, index = self.tokens, self.p, self.index
-        exps = list(self.one)
+        tokens, p, units = self.tokens, self.p, self.units
+        key = degree = 0  # of the folded monomial
         coeff = 1
         product = None  # the factors that do not fold
         while True:
             i = self.idx
             token = tokens[i]
-            var = index.get(token)
+            unit = units.get(token)
             end = None
-            if var is not None or token.isdecimal():
+            if unit is not None or token.isdecimal():
                 if tokens[i + 1] not in _POWER:
                     n, end = 1, i + 1
                 elif tokens[i + 2].isdecimal() and tokens[i + 3] not in _POWER:
                     n, end = int(tokens[i + 2]), i + 3
-                    self.check_power(0 if var is None else n, i + 1)
+                    self.check_power(0 if unit is None else n, i + 1)
             if end is None:
                 factor = self.factor()
                 product = (factor if product is None
-                           else _mul_terms(product, factor, p))
+                           else self.product(product, factor))
             else:
-                if var is None:
+                if unit is None:
                     coeff = coeff * pow(int(token), n, p) % p
                 else:
-                    exps[var] += n
+                    key += n * unit
+                    degree += n
                 self.idx = end
             if tokens[self.idx] != "*":
                 break
             self.idx += 1
         if not coeff:
             return {}
-        monomial = {tuple(exps): coeff}
+        # keys add exactly while the degree is below the limit
+        self.packing.check(degree, "monomial")
+        monomial = {key: coeff}
         if product is None:
             return monomial
-        return _mul_terms(monomial, product, p)
+        return self.product(monomial, product)
 
     def factor(self) -> dict:
         # unary signs bind looser than '^': -x^2 is -(x^2)
@@ -689,13 +768,14 @@ class _Parser:
                 raise ParseError("exponent must be a non-negative integer",
                                  column=self.column(at + 1))
             n = int(exponent)
-            self.check_power(n * max(map(sum, base), default=0), at)
-            base = _pow_terms(base, n, self.p, self.one)
+            self.check_power(
+                n * (max(base, default=0) >> self.packing.shift), at)
+            base = _pow_terms(base, n, self.p)
         self.depth = outer
         if negate:
             p = self.p
-            for exps, c in base.items():
-                base[exps] = p - c
+            for k, c in base.items():
+                base[k] = p - c
         return base
 
     def atom(self) -> dict:
@@ -704,10 +784,10 @@ class _Parser:
         self.idx += 1
         if token.isdecimal():
             c = int(token) % self.p
-            return {self.one: c} if c else {}
-        var = self.index.get(token)
-        if var is not None:
-            return {self.one[:var] + (1,) + self.one[var + 1:]: 1}
+            return {0: c} if c else {}
+        unit = self.units.get(token)
+        if unit is not None:
+            return {unit: 1}
         if token == "(":
             self.nest(i)
             inner = self.expr()
@@ -730,20 +810,18 @@ def _parse_poly(ring: PolyRing, text: str) -> MultiPoly:
     return _Parser(ring, text).parse()
 
 
-def monomials_of_degree(nvars: int, degree: int) -> Iterator[Exponents]:
-    """All exponent tuples of the given total degree, grevlex-descending,
-    with no sort: grevlex puts a smaller last exponent first and breaks
-    ties by the same order on the other variables, so the monomials are
-    the last exponent ascending, each followed by the monomials of the
-    remaining degree in one variable fewer.  Those are built once per
-    degree, variable by variable."""
-    if degree < 0:
-        return
+def _monomial_words(packing: Packing, degree: int) -> list:
+    """The field words of all monomials of the given total degree,
+    grevlex-descending, with no sort: grevlex puts a smaller last
+    exponent first and breaks ties by the same order on the other
+    variables, so the monomials are the last exponent ascending, each
+    followed by the monomials of the remaining degree in one variable
+    fewer.  Those are built once per degree, variable by variable."""
+    offsets = packing._offsets
     # pieces[d]: the monomials of degree d in the variables so far
-    pieces = [[()]] + [[] for _ in range(degree)]
-    for _ in range(nvars - 1):
-        pieces = [[head + (last,) for last in range(d + 1)
+    pieces = [[0]] + [[] for _ in range(degree)]
+    for at in offsets[:-1]:
+        pieces = [[head | (last << at) for last in range(d + 1)
                    for head in pieces[d - last]] for d in range(degree + 1)]
-    for last in range(degree + 1):
-        for head in pieces[degree - last]:
-            yield head + (last,)
+    return [head | (last << offsets[-1]) for last in range(degree + 1)
+            for head in pieces[degree - last]]

@@ -2,6 +2,9 @@
 
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count, repeat
+from operator import add, le, neg
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -14,7 +17,7 @@ from charp.fsing import ChainResult, PairDivisor, tau
 from charp.ideal import Ideal, normal_form
 from charp.linalg import rref
 from charp.proj import GradedSubspace
-from charp.ring import MultiPoly, PolyRing
+from charp.ring import MultiPoly, PolyRing, _monomial_words, grevlex_packing
 
 settings.register_profile(
     "charp",
@@ -196,15 +199,14 @@ def rref_span(modulus: Ideal, m: int, polys) -> GradedSubspace:
         if f.degree() != m or not f.is_homogeneous():
             raise DomainError(f"{f} is not homogeneous of degree {m}")
         row = [0] * len(columns)
-        for exps, c in normal_form(f, modulus.groebner_basis)._terms.items():
+        for exps, c in normal_form(f, modulus.groebner_basis).iter_terms():
             if exps not in index:
                 raise DomainError(f"{f} does not reduce into degree {m}")
             row[index[exps]] = c
         if any(row):
             rows.append(row)
     matrix, _ = rref(rows, ring.p)
-    basis = tuple(MultiPoly(ring, {columns[j]: c
-                                   for j, c in enumerate(row) if c})
+    basis = tuple(ring.poly({columns[j]: c for j, c in enumerate(row) if c})
                   for row in matrix)
     return GradedSubspace(modulus=modulus, degree=m, basis=basis)
 
@@ -235,6 +237,227 @@ def graded_generators_in_degree(ideal: Ideal, m: int, modulus: Ideal) -> list:
             multipliers[d] = modulus.standard_monomials(m - d)
         out.extend(g.mul_monomial(exps) for exps in multipliers[d])
     return out
+
+
+# -- the tuple-keyed kernel, the reference of the packed keys -----------------
+#
+# The engine's routines as they ran on exponent tuples before every
+# monomial became one packed integer key: products, powers by base-p
+# digits with Frobenius twists, the Frobenius split, the one-pass bracket
+# root, and the dict-copy normal form and completion.  The first four
+# take and return term dicts {exponents: residue}; `terms` is a
+# polynomial's, read off its tuple view.
+
+
+def grevlex_key(exps):
+    """Sort key: larger key means larger monomial in grevlex."""
+    return (sum(exps), tuple(map(neg, reversed(exps))))
+
+
+def terms(f: MultiPoly) -> dict:
+    """f's terms by exponent tuple."""
+    return dict(f.iter_terms())
+
+
+def monomials_of_degree(nvars: int, degree: int) -> list:
+    """The exponent tuples of `ring._monomial_words`, in its order."""
+    packing = grevlex_packing(nvars, 64)
+    return [packing.exponents(w) for w in _monomial_words(packing, degree)]
+
+
+def oracle_mul(a: dict, b: dict, p: int) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        (ea, ca), = a.items()
+        return {tuple(map(add, ea, eb)): ca * cb % p for eb, cb in b.items()}
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            ne = tuple(map(add, ea, eb))
+            s = (out.get(ne, 0) + ca * cb) % p
+            if s:
+                out[ne] = s
+            else:
+                out.pop(ne, None)
+    return out
+
+
+def oracle_frobenius(terms: dict, q: int) -> dict:
+    """The terms raised to a power q of the characteristic: exponents
+    times q, coefficients fixed."""
+    return {tuple(a * q for a in exps): c for exps, c in terms.items()}
+
+
+def _oracle_square_and_multiply(terms: dict, n: int, p: int) -> dict:
+    result = None
+    while True:
+        if n & 1:
+            result = terms if result is None else oracle_mul(result, terms, p)
+        n >>= 1
+        if not n:
+            return result
+        terms = oracle_mul(terms, terms, p)
+
+
+def oracle_pow(terms: dict, n: int, p: int, nvars: int) -> dict:
+    """terms^n: one term directly, otherwise prod_i (f^(n_i))^[p^i] over
+    the base-p digits n_i of n."""
+    one = (0,) * nvars
+    if len(terms) <= 1:
+        if not n:
+            return {one: 1}
+        return {tuple(a * n for a in exps): pow(c, n, p)
+                for exps, c in terms.items()}
+    result: dict = {one: 1}
+    digit_powers: dict = {}
+    q = 1
+    while n:
+        n, digit = divmod(n, p)
+        if digit:
+            power = digit_powers.get(digit)
+            if power is None:
+                power = digit_powers[digit] = _oracle_square_and_multiply(
+                    terms, digit, p)
+            result = oracle_mul(result, oracle_frobenius(power, q) if q > 1
+                                else power, p)
+        q *= p
+    return result
+
+
+def oracle_frob_expand(terms: dict, q: int) -> dict:
+    """{b: {u: c}} with every exponent a = q*u + b, ascending in b."""
+    buckets: dict = {}
+    for exps, c in terms.items():
+        u, b = zip(*map(divmod, exps, repeat(q)))
+        buckets.setdefault(b, {})[u] = c
+    return {b: buckets[b] for b in sorted(buckets)}
+
+
+def oracle_root(u: dict, generators, q: int, p: int) -> list:
+    """The generators of the bracket root of u * J, as term dicts and in
+    the engine's order: each product u * g split by q term by term, its
+    polynomial components made monic and kept once in ascending order
+    of b, then the minimal one-term components, grevlex-descending."""
+    gens, seen, monomials = [], set(), set()
+    for g in generators:
+        outer, inner = u, g
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        buckets: dict = {}
+        for ea, ca in outer.items():
+            for eb, cb in inner.items():
+                v, b = zip(*map(divmod, map(add, ea, eb), repeat(q)))
+                component = buckets.setdefault(b, {})
+                c = (component.get(v, 0) + ca * cb) % p
+                if c:
+                    component[v] = c
+                else:
+                    del component[v]
+                    if not component:
+                        del buckets[b]
+        for b in sorted(buckets):
+            component = buckets[b]
+            if len(component) == 1:
+                monomials.update(component)
+                continue
+            inv = pow(component[max(component, key=grevlex_key)], -1, p)
+            component = {k: c * inv % p for k, c in component.items()}
+            key = frozenset(component.items())
+            if key not in seen:
+                seen.add(key)
+                gens.append(component)
+    minimal: list = []
+    for a in sorted(monomials, key=sum):
+        if not any(all(map(le, b, a)) for b in minimal):
+            minimal.append(a)
+    return gens + [{a: 1} for a in sorted(minimal, key=grevlex_key,
+                                          reverse=True)]
+
+
+# The dict-copy Gröbner kernel: every step rescans the terms for the
+# leading one under a tuple sort key (grevlex, or the elimination oracle's
+# block key) and copies the whole dict, and no cache is read.
+
+
+def _oracle_lead(f, key):
+    return max(terms(f), key=key)
+
+
+def oracle_normal_form(f, basis, key=grevlex_key):
+    ring = f.ring
+    reducers = []
+    for g in basis:
+        if not g.is_zero:
+            lead = _oracle_lead(g, key)
+            reducers.append((lead, pow(terms(g)[lead], -1, ring.p), g))
+    remainder = ring.zero()
+    work = f
+    while not work.is_zero:
+        lead = _oracle_lead(work, key)
+        coeff = work.coefficient(lead)
+        for lm, lc_inv, g in reducers:
+            if all(x <= y for x, y in zip(lm, lead)):
+                shift = tuple(y - x for x, y in zip(lm, lead))
+                work = work - ring.poly({tuple(a + b for a, b in zip(e, shift)):
+                                         c * coeff * lc_inv
+                                         for e, c in terms(g).items()})
+                break
+        else:
+            remainder = remainder + ring.monomial(lead, coeff)
+            work = work - ring.monomial(lead, coeff)
+    return remainder
+
+
+def _oracle_monic(f, key):
+    return f.scale(pow(terms(f)[_oracle_lead(f, key)], -1, f.ring.p))
+
+
+def oracle_buchberger(generators, key=grevlex_key, nf=oracle_normal_form):
+    """The former `buchberger` and `_reduce`: normal pair selection on
+    tuple keys, the coprimality criterion, then minimalize and
+    inter-reduce, all through the dict-copy normal form (or `nf(f,
+    basis, key)`)."""
+    raw = sorted((g for g in generators if not g.is_zero),
+                 key=lambda g: key(_oracle_lead(g, key)))
+    basis, pairs, counter = [], [], count()
+
+    def push_pairs(new):
+        lm_new = _oracle_lead(basis[new], key)
+        for i in range(new):
+            lm_i = _oracle_lead(basis[i], key)
+            lcm = tuple(map(max, lm_i, lm_new))
+            if lcm != tuple(a + b for a, b in zip(lm_i, lm_new)):
+                heappush(pairs, (key(lcm), next(counter), i, new))
+
+    for g in raw:
+        g = nf(g, basis, key)
+        if not g.is_zero:
+            basis.append(_oracle_monic(g, key))
+            push_pairs(len(basis) - 1)
+    while pairs:
+        _, _, i, j = heappop(pairs)
+        f, g = basis[i], basis[j]
+        lf, lg = _oracle_lead(f, key), _oracle_lead(g, key)
+        lcm = tuple(map(max, lf, lg))
+        s = (f.mul_monomial(tuple(a - b for a, b in zip(lcm, lf)))
+             - g.mul_monomial(tuple(a - b for a, b in zip(lcm, lg))))
+        s = nf(s, basis, key)
+        if not s.is_zero:
+            basis.append(_oracle_monic(s, key))
+            push_pairs(len(basis) - 1)
+    basis.sort(key=lambda g: key(_oracle_lead(g, key)))
+    minimal = []
+    for g in basis:
+        lm = _oracle_lead(g, key)
+        if not any(all(x <= y for x, y in zip(_oracle_lead(h, key), lm))
+                   for h in minimal):
+            minimal.append(g)
+    for k, g in enumerate(minimal):
+        minimal[k] = _oracle_monic(
+            nf(g, minimal[:k] + minimal[k + 1:], key), key)
+    return tuple(sorted(minimal, key=lambda g: key(_oracle_lead(g, key)),
+                        reverse=True))
 
 
 # -- acceptance criterion recording ----------------------------------------

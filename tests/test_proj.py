@@ -149,7 +149,7 @@ def test_cone_pair_refusals(P2, fermat7):
         fermat7.cone_pair(PairDivisor(fermat7.ring.parse("x^2+y"), 1, 1))
 
 
-def test_cone_pair_is_formed_once_per_scheme(fermat7):
+def test_equal_pairs_give_equal_cone_pairs(fermat7):
     # equal pairs, on this scheme or on an equal one, give equal cone pairs
     pair = PairDivisor(fermat7.ring.parse("x+y"), 3, 1)
     cone = fermat7.cone_pair(pair)
@@ -215,8 +215,8 @@ def test_piece_cap_refuses_pieces_before_enumerating_them(P2, monkeypatch):
         def refused(*args):
             raise AssertionError("a monomial piece was enumerated")
 
-        monkeypatch.setattr(ideal_module, "monomials_of_degree", refused)
-        monkeypatch.setattr(proj_module, "monomials_of_degree", refused)
+        monkeypatch.setattr(ideal_module, "_monomial_words", refused)
+        monkeypatch.setattr(proj_module, "_monomial_words", refused)
         for attempt in (lambda: Ideal.unit(ring).standard_monomials(3),
                         lambda: graded_piece(P2, 3),
                         lambda: _ideal_piece(Ideal.unit(ring), P2.ideal, 3),

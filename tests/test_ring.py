@@ -11,12 +11,11 @@ from hypothesis import given, strategies as st
 from charp.config import DEFAULT_CAPS, caps_scope
 from charp.errors import DomainError, ParseError, ResourceError, RingMismatchError
 from charp.ideal import Ideal
-from charp.ring import (MAX_NESTING, PolyRing, grevlex_key, grevlex_packing,
-                        monomials_of_degree)
+from charp.ring import MAX_NESTING, MultiPoly, PolyRing, grevlex_packing
 
 from charp.ideal import normal_form
 
-from conftest import random_poly
+from conftest import grevlex_key, monomials_of_degree, random_poly, terms
 
 
 @pytest.fixture
@@ -363,15 +362,16 @@ def sorted_monomials(nvars, degree):
 
 
 def test_monomial_enumeration_descending():
-    mons = list(monomials_of_degree(3, 2))
+    # `_monomial_words`, read as exponent tuples
+    mons = monomials_of_degree(3, 2)
     keys = [grevlex_key(m) for m in mons]
     assert keys == sorted(keys, reverse=True)
     assert len(mons) == 6  # C(4, 2)
     for nvars in range(1, 6):
         for degree in range(9):
-            assert list(monomials_of_degree(nvars, degree)) == \
+            assert monomials_of_degree(nvars, degree) == \
                 sorted_monomials(nvars, degree)
-        assert list(monomials_of_degree(nvars, -1)) == []
+        assert monomials_of_degree(nvars, -1) == []
 
 
 def test_prime_power_powers_scale_exponents():
@@ -515,14 +515,14 @@ def test_packed_keys_follow_the_reference_order(top):
         by_key = sorted(exps, key=grevlex_key)
         assert sorted(exps, key=packing.pack) == by_key, nvars
         for a in exps:
-            assert packing.unpack(packing.pack(a)) == a
-            fields, degree = packing.direct(packing.pack(a))
-            assert degree == sum(a)
+            key = packing.pack(a)
+            assert packing.unpack(key) == a and key >> packing.shift == sum(a)
+            assert packing.key(packing.direct(key)) == key
         for a, b in zip(by_key, by_key[1:] + by_key[:1]):
             ka, kb = packing.pack(a), packing.pack(b)
             divides = all(x <= y for x, y in zip(a, b))
-            assert (not (packing.direct(kb)[0]
-                         - packing.direct(ka)[0]) & packing.guard) == divides
+            assert (not (packing.direct(kb)
+                         - packing.direct(ka)) & packing.guard) == divides
             total = tuple(x + y for x, y in zip(a, b))
             if sum(total) < packing.limit:
                 assert ka + kb == packing.pack(total)
@@ -534,7 +534,7 @@ def test_packed_keys_order_a_frobenius_power():
     g = R2.parse("x^40 + x^13*y^20*z^7 + y*z^39") ** 256
     packing = grevlex_packing(3, 16)
     assert g.degree() < packing.limit
-    assert sorted(g._terms, key=packing.pack, reverse=True) == \
+    assert sorted(terms(g), key=packing.pack, reverse=True) == \
         [e for e, _ in g.iter_terms()]
 
 
@@ -544,13 +544,15 @@ def test_leading_term_cache_answers_grevlex():
     for _ in range(3):
         assert f.leading_exponent() == (2, 0, 0)
         assert f.leading_coefficient() == 3
-    assert f._lead == (2, 0, 0)
+    unpack = ring._packing.unpack
+    assert unpack(f._lead) == (2, 0, 0)
     # a scaled copy shares the support, so it shares the answer
     g = f.scale(2).monic()
-    assert g._lead == (2, 0, 0) and g.leading_coefficient() == 1
-    # a normal form comes with its leading exponent cached
+    assert unpack(g._lead) == (2, 0, 0) and g.leading_coefficient() == 1
+    # a normal form comes with its leading key cached
     h = normal_form(ring.parse("x^3 + y^2*z + z^3"), [ring.parse("x^2 - y*z")])
-    assert h._lead == max(h._terms, key=grevlex_key) == (1, 1, 1)
+    assert unpack(h._lead) == max(terms(h), key=grevlex_key) == (1, 1, 1)
+    assert h._lead == max(h._terms)
     with pytest.raises(DomainError):
         ring.zero().leading_exponent()
 
@@ -560,13 +562,13 @@ def test_caches_never_enter_equality_or_hashing():
     ring = PolyRing(("x", "y", "z"), 5)
     for _ in range(30):
         f = random_poly(rng, ring, nonzero=True)
-        while f.num_terms() < 2:  # a normal form by monomials packs nothing
-            f = random_poly(rng, ring, nonzero=True)
-        fresh = ring.poly(dict(f._terms))
+        fresh = MultiPoly(ring, dict(f._terms))
         before = hash(f)
         f.leading_exponent()
+        f.evaluate((1, 2, 3))  # the tuple view
         normal_form(ring.gen(0) * f, [f])  # f as a divisor
-        assert f._lead and f._packed
+        assert f._lead is not None and f._view is not None
+        assert fresh._lead is None and fresh._view is None
         assert f == fresh and hash(f) == hash(fresh) == before
         assert str(f) == str(fresh)
         assert {f: 1}[fresh] == 1
@@ -590,8 +592,8 @@ def test_shift_is_substitution_at_every_point():
                 g = f.shift(point)
                 top = f.degree()
                 assert g.degree() == top
-                assert ({e: c for e, c in g._terms.items() if sum(e) == top}
-                        == {e: c for e, c in f._terms.items() if sum(e) == top})
+                assert ({e: c for e, c in terms(g).items() if sum(e) == top}
+                        == {e: c for e, c in terms(f).items() if sum(e) == top})
                 for x in points:
                     moved = tuple(v + (c or 0) for v, c in zip(x, point))
                     assert g.evaluate(x) == f.evaluate(moved)
