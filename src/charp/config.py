@@ -40,6 +40,8 @@ class Frozen:
         return tuple([getattr(self, name) for name in self.FIELDS])
 
     def __eq__(self, other):
+        if self is other:  # values are shared far more than rebuilt
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()

@@ -7,14 +7,13 @@ c_0 + c_1*p + ... + c_(k-1)*p^(k-1) of its canonical residue
 c_0 + c_1*t + ... + c_(k-1)*t^(k-1), so the prime field is the codes
 0..p-1 and the codes enumerate the field in a fixed order.  Each field
 builds its tables once, as lists: the log/antilog tables of a primitive
-element (multiplication adds logs mod p^k - 1) and, for k >= 2, the
-digits of every code packed into one integer, WIDTH bits a digit, so
-that adding packed codes adds digits with no carry between them.  A
-form is evaluated one point at a time (`ExtField.evaluator`): over F_p
-by `MultiPoly.evaluate`, over F_{p^k} in the log domain with packed
-sums.  The tables are capped at p^k <= MAX_ORDER, and the points one
-check enumerates at MAX_POINTS.  A field is never changed once built,
-so `_cached_field` keeps the last few for reuse.
+element (multiplication adds logs mod p^k - 1) and the digits of every
+code packed into one integer, WIDTH bits a digit, so that adding packed
+codes adds digits with no carry between them.  A form is evaluated one
+point at a time by one route for every k (`ExtField.evaluator`): in the
+log domain with packed sums.  The tables are capped at p^k <= MAX_ORDER,
+and the points one check enumerates at MAX_POINTS.  A field is never
+changed once built, so `_cached_field` keeps the last few for reuse.
 """
 
 from __future__ import annotations
@@ -115,10 +114,9 @@ class ExtField:
         self.p = p
         self.k = k
         self._exp, self._log = _log_tables(p, k, _find_irreducible(p, k))
-        if k > 1:
-            self._packed = [sum(d << (WIDTH * i)
-                                for i, d in enumerate(_digits(c, p, k)))
-                            for c in self._exp]
+        self._packed = [sum(d << (WIDTH * i)
+                            for i, d in enumerate(_digits(c, p, k)))
+                        for c in self._exp]
 
     @property
     def order(self) -> int:
@@ -139,14 +137,12 @@ class ExtField:
 
     def evaluator(self, f: MultiPoly) -> Callable[[Sequence[int]], int]:
         """The map from a point's codes (one per variable) to the code of
-        f's value there.  Over F_p the codes are residues, and this is
-        `MultiPoly.evaluate`.  Over F_{p^k} a term is zero when a
-        variable it uses is, else the antilog of
-        log c + sum e_i log x_i; the terms' packed digits are summed and
-        each digit is reduced mod p once."""
+        f's value there.  A term is zero when a variable it uses is, else
+        the antilog of log c + sum e_i log x_i; the terms' packed digits
+        are summed and each digit is reduced mod p once.  The top digit
+        is read unmasked, so its sum is exact for any number of terms;
+        over F_p it is the only digit."""
         p, k = self.p, self.k
-        if k == 1:
-            return f.evaluate
         terms = [(c, [(i, e) for i, e in enumerate(exps) if e])
                  for exps, c in f.iter_terms()]
         nvars = f.ring.nvars
@@ -158,8 +154,9 @@ class ExtField:
         log[0] = -n * (1 + max((sum(e for _, e in used) for _, used in terms),
                                default=0))
         logs = [(log[c], used) for c, used in terms]
-        mask = (1 << WIDTH) - 1
-        shifts = [(WIDTH * i, p ** i) for i in range(k)]
+        # the top digit's mask is -1, no mask: nothing lies above it
+        masks = [(1 << WIDTH) - 1] * (k - 1) + [-1]
+        digits = [(WIDTH * i, p ** i, m) for i, m in enumerate(masks)]
 
         def value(point: Sequence[int]) -> int:
             if len(point) != nvars:
@@ -170,7 +167,7 @@ class ExtField:
                     s += e * log[point[i]]
                 if s >= 0:
                     total += packed[s % n]
-            return sum((total >> shift & mask) % p * w for shift, w in shifts)
+            return sum((total >> at & m) % p * w for at, w, m in digits)
         return value
 
     def label(self, code: int) -> str:

@@ -27,7 +27,7 @@ from .config import Frozen, check_degree, current_caps, shown
 from .errors import (DomainError, InternalInvariantError, PreconditionError,
                      ResourceError, TestElementError, UnsupportedInputError)
 from .ideal import Ideal
-from .ring import MultiPoly, PolyRing
+from .ring import MultiPoly, PolyRing, _integer
 
 
 class PairDivisor(Frozen):
@@ -39,6 +39,7 @@ class PairDivisor(Frozen):
     def __init__(self, f: MultiPoly, a: int, e: int):
         if f.is_zero:
             raise DomainError("pair divisor needs a nonzero polynomial")
+        a, e = _integer(a, "pair coefficient"), _integer(e, "pair level")
         if a < 0:
             raise DomainError(f"pair coefficient must be >= 0, got {a}")
         if e < 1:
@@ -252,7 +253,8 @@ def multiplicity(f: MultiPoly, point: Sequence) -> int:
     coords = _validate_point(f.ring, point)
     shifted = f.shift(coords)
     constrained = [i for i, c in enumerate(coords) if c is not None]
-    return min(sum(exps[i] for i in constrained) for exps in shifted._tuples())
+    return min(sum(exps[i] for i in constrained)
+               for exps in map(f.ring._packing.unpack, shifted._terms))
 
 
 class ContainmentReport:

@@ -13,10 +13,9 @@ multiplication, so a product adds keys, a Frobenius twist multiplies
 them by q, a lead is the largest key, every sort is an integer sort and
 the constant monomial is key 0.  Exponent tuples appear only where a
 value enters or leaves: `PolyRing.monomial`/`poly`, `coefficient`,
-`mul_monomial` and the parser pack them, `iter_terms` and
-`leading_exponent` unpack keys, and `evaluate`, `shift` and
-`fsing.multiplicity` read the tuple view `_tuples`, derived from the
-keys once per polynomial.
+`mul_monomial` and the parser pack them, and `iter_terms`,
+`leading_exponent`, `evaluate`, `shift` and `fsing.multiplicity` read
+each key's exponents as they walk the terms.
 
 The width proof.  Every ring packs at _KEY_WIDTH = 64 bits per digit:
 Python integers have no fixed size, and a product of two 15-term
@@ -46,14 +45,15 @@ power whose degree would pass the `max_degree` cap before forming it.
 A token's column is computed only when an error message names it.
 
 Values are immutable after construction and safe to share across
-threads.  A polynomial memoises its leading key, that key's field word
-and its tuple view on first use.  They are functions of the terms
-alone and never enter equality or hashing; two threads that fill the
-same slot at once store equal values.
+threads.  A polynomial memoises its leading key and that key's field
+word on first use.  They are functions of the terms alone and never
+enter equality or hashing; two threads that fill the same slot at once
+store equal values.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import cache
 from typing import Iterator, Mapping, Optional, Sequence, Union
@@ -69,6 +69,15 @@ MAX_CHARACTERISTIC = 1 << 16
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 _KEY_WIDTH = 64  # of every ring's packing, see the width proof
+
+
+def _integer(value, what: str) -> int:
+    """A coefficient, coordinate or index as an int: every integer type
+    passes `operator.index`, and anything else is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def is_prime(n: int) -> bool:
@@ -177,17 +186,6 @@ class PolyRing(Frozen):
         vars(self).update(variables=variables, p=p,
                           _packing=grevlex_packing(len(variables), _KEY_WIDTH))
 
-    def __eq__(self, other):
-        # rings are shared far more often than rebuilt: identity first
-        if self is other:
-            return True
-        if not isinstance(other, PolyRing):
-            return NotImplemented
-        return self.p == other.p and self.variables == other.variables
-
-    def __hash__(self):
-        return hash((self.variables, self.p))
-
     @property
     def nvars(self) -> int:
         return len(self.variables)
@@ -199,7 +197,7 @@ class PolyRing(Frozen):
         return self.constant(1)
 
     def constant(self, c: int) -> "MultiPoly":
-        c %= self.p
+        c = _integer(c, "coefficient") % self.p
         return MultiPoly(self, {0: c} if c else {})
 
     def _key(self, exps: Sequence[int]) -> int:
@@ -209,7 +207,7 @@ class PolyRing(Frozen):
 
     def monomial(self, exps: Sequence[int], coeff: int = 1) -> "MultiPoly":
         key = self._key(exps)
-        coeff %= self.p
+        coeff = _integer(coeff, "coefficient") % self.p
         return MultiPoly(self, {key: coeff} if coeff else {})
 
     def gen(self, which: Union[int, str]) -> "MultiPoly":
@@ -218,7 +216,14 @@ class PolyRing(Frozen):
                 which = self.variables.index(which)
             except ValueError:
                 raise DomainError(f"no variable {which!r} in {self}") from None
-        return MultiPoly(self, {self._packing.units[which]: 1})
+        return MultiPoly(self, {self._packing.units[self._index(which)]: 1})
+
+    def _index(self, i: int) -> int:
+        """A variable's index, refused outside 0 ... nvars - 1."""
+        i = _integer(i, "variable index")
+        if not 0 <= i < self.nvars:
+            raise DomainError(f"no variable {i} in {self}")
+        return i
 
     def gens(self) -> tuple:
         return tuple(self.gen(i) for i in range(self.nvars))
@@ -226,15 +231,11 @@ class PolyRing(Frozen):
     def poly(self, terms: Mapping[Exponents, int]) -> "MultiPoly":
         out = {}
         p = self.p
-        for exps, c in terms.items():
+        for exps, c in terms.items():  # distinct tuples, distinct keys
             key = self._key(exps)
-            c = int(c) % p
+            c = _integer(c, "coefficient") % p
             if c:
-                c = (out.get(key, 0) + c) % p
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
+                out[key] = c
         return MultiPoly(self, out)
 
     def parse(self, text: str) -> "MultiPoly":
@@ -248,6 +249,17 @@ class PolyRing(Frozen):
 #
 # The callers check the degree of a result against the packing's limit
 # before forming it.
+
+
+def _add_terms(out: dict, terms: dict, p: int, sign: int = 1):
+    """Add sign * terms into `out` in place: the one term sum, apart from
+    the fused loops of `_mul_terms`, `ideal._divide` and `cartier._root`."""
+    for k, c in terms.items():
+        s = (out.get(k, 0) + sign * c) % p
+        if s:
+            out[k] = s
+        else:  # only a stored term cancels
+            del out[k]
 
 
 def _mul_terms(a: dict, b: dict, p: int) -> dict:
@@ -316,19 +328,17 @@ class MultiPoly:
     residues.
 
     No zero coefficients are stored; arithmetic is exact.  The leading
-    key, its field word and the tuple view are memoised on first use;
-    they depend only on the terms, so they never enter equality or
-    hashing.
+    key and its field word are memoised on first use; they depend only
+    on the terms, so they never enter equality or hashing.
     """
 
-    __slots__ = ("ring", "_terms", "_lead", "_fields", "_view")
+    __slots__ = ("ring", "_terms", "_lead", "_fields")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self._terms = terms
         self._lead = None    # leading key
         self._fields = None  # its field word, see _lead_fields
-        self._view = None    # see _tuples
 
     # -- basic queries -------------------------------------------------
 
@@ -357,15 +367,6 @@ class MultiPoly:
 
     def num_terms(self) -> int:
         return len(self._terms)
-
-    def _tuples(self) -> dict:
-        """The terms as {exponents: residue}: the view the edges read,
-        derived from the keys once."""
-        view = self._view
-        if view is None:
-            unpack = self.ring._packing.unpack
-            view = self._view = {unpack(k): c for k, c in self._terms.items()}
-        return view
 
     def iter_terms(self) -> Iterator:
         """(exponents, coefficient) pairs in descending grevlex order."""
@@ -424,14 +425,8 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.ring.p
         out = dict(self._terms)
-        for k, c in other._terms.items():
-            s = (out.get(k, 0) + c) % p
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        _add_terms(out, other._terms, self.ring.p)
         return MultiPoly(self.ring, out)
 
     __radd__ = __add__
@@ -444,16 +439,18 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        _add_terms(out, other._terms, self.ring.p, -1)
+        return MultiPoly(self.ring, out)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def scale(self, c: int) -> "MultiPoly":
-        c %= self.ring.p
+        c = _integer(c, "scalar") % self.ring.p
         if c == 0:
             return self.ring.zero()
         if c == 1:
@@ -501,18 +498,23 @@ class MultiPoly:
     # -- substitution --------------------------------------------------
 
     def evaluate(self, values: Sequence[int]) -> int:
-        """Evaluate at a rational point (tuple of residues)."""
+        """Evaluate at a rational point, one integer per variable."""
         if len(values) != self.ring.nvars:
             raise DomainError("wrong number of coordinates")
         p = self.ring.p
+        values = [_integer(v, "coordinate") % p for v in values]
+        packing = self.ring._packing
+        direct, mask, width = packing.direct, packing.mask, packing.width
         total = 0
-        for exps, c in self._tuples().items():
-            term = c
-            for v, e in zip(values, exps):
+        for k, c in self._terms.items():
+            fields = direct(k)  # the next variable's exponent is lowest
+            for v in values:
+                e = fields & mask
                 if e:
-                    term = (term * pow(v % p, e, p)) % p
-            total = (total + term) % p
-        return total
+                    c = c * pow(v, e, p) % p
+                fields >>= width
+            total += c
+        return total % p
 
     def shift(self, point: Sequence[Optional[int]]) -> "MultiPoly":
         """Substitute x_i -> x_i + c_i for every constrained coordinate.
@@ -524,12 +526,14 @@ class MultiPoly:
             raise DomainError("wrong number of coordinates")
         ring = self.ring
         p = ring.p
-        units = ring._packing.units
-        shifts = [None if c is None or c % p == 0 else {units[i]: 1, 0: c % p}
-                  for i, c in enumerate(point)]
+        units, unpack = ring._packing.units, ring._packing.unpack
+        point = [None if c is None else _integer(c, "coordinate") % p
+                 for c in point]
+        shifts = [{unit: 1, 0: c} if c else None for unit, c in zip(units, point)]
         powers: dict = {}
         out: dict = {}
-        for exps, coeff in self._tuples().items():
+        for key, coeff in self._terms.items():
+            exps = unpack(key)
             term = {sum(e * unit for e, unit, s in zip(exps, units, shifts)
                         if not s): coeff}
             for i, e in enumerate(exps):
@@ -538,12 +542,7 @@ class MultiPoly:
                     if power is None:
                         power = powers[i, e] = _pow_terms(shifts[i], e, p)
                     term = _mul_terms(term, power, p)
-            for k, c in term.items():
-                s = (out.get(k, 0) + c) % p
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+            _add_terms(out, term, p)
         return MultiPoly(ring, out)
 
     def derivative(self, index: int) -> "MultiPoly":
@@ -552,6 +551,7 @@ class MultiPoly:
         variable's."""
         packing = self.ring._packing
         p = self.ring.p
+        index = self.ring._index(index)
         unit, direct = packing.units[index], packing.direct
         at, mask = packing.width * index, packing.mask
         out = {}
@@ -695,20 +695,13 @@ class _Parser:
 
     def expr(self) -> dict:
         result = self.term()
-        tokens, p = self.tokens, self.p
+        tokens = self.tokens
         while True:
             token = tokens[self.idx]
             if token != "+" and token != "-":
                 return result
             self.idx += 1
-            rhs = self.term()
-            sign = 1 if token == "+" else -1
-            for k, c in rhs.items():
-                s = (result.get(k, 0) + sign * c) % p
-                if s:
-                    result[k] = s
-                else:
-                    result.pop(k, None)
+            _add_terms(result, self.term(), self.p, 1 if token == "+" else -1)
 
     def term(self) -> dict:
         tokens, p, units = self.tokens, self.p, self.units

@@ -265,6 +265,12 @@ def monomials_of_degree(nvars: int, degree: int) -> list:
     return [packing.exponents(w) for w in _monomial_words(packing, degree)]
 
 
+def oracle_add(a: dict, b: dict, p: int, sign: int = 1) -> dict:
+    """a + sign * b, term by term."""
+    return {e: s for e in a.keys() | b.keys()
+            if (s := (a.get(e, 0) + sign * b.get(e, 0)) % p)}
+
+
 def oracle_mul(a: dict, b: dict, p: int) -> dict:
     if len(a) > len(b):
         a, b = b, a

@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from charp import fsing as fsing_module
@@ -55,6 +56,16 @@ def test_pair_validation(R5x):
     pair = PairDivisor(R5x.gen(0), 3, 1)
     assert pair.q == 5 and pair.coefficient == Fraction(3, 4)
     assert pair.multiplier == R5x.parse("x^3")
+
+
+def test_pair_data_are_integers(R5x):
+    # refused when the pair is built, not when sigma first reads a or e
+    x = R5x.gen(0)
+    for a, e in ((2.5, 1), (2, 1.0), ("2", 1), (Fraction(1, 2), 1)):
+        with pytest.raises(DomainError):
+            PairDivisor(x, a, e)
+    pair = PairDivisor(x, np.int64(3), np.uint8(1))
+    assert pair == PairDivisor(x, 3, 1) and type(pair.a) is type(pair.e) is int
 
 
 def test_multiplier_is_formed_once(R5x):

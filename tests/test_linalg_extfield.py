@@ -11,6 +11,8 @@ from charp.extfield import ExtField, projective_points
 from charp.linalg import null_space, rank, rref
 from charp.ring import PolyRing
 
+from conftest import random_poly
+
 
 def test_rref_canonical_and_idempotent():
     rng = random.Random(401)
@@ -204,11 +206,49 @@ def test_evaluate_forms_over_extension():
         assert value == code_of[_residue(rx * rx + (ry * ry * ry).scale(2), mu)]
 
 
+def test_prime_field_evaluator_is_evaluate():
+    # the one table route agrees with MultiPoly.evaluate over F_p on zero,
+    # constant, one-term, dense and random forms, at points with zeros
+    rng = random.Random(33)
+    for p in (2, 3, 5, 7, 65521):
+        field = ExtField(p, 1)
+        ring = PolyRing(("x", "y", "z"), p)
+        unit = lambda: rng.randrange(1, p)
+        dense = ring.poly({e: unit() for e in product(range(5), repeat=3)
+                           if sum(e) <= 4})
+        forms = [ring.zero(), ring.constant(unit()),
+                 ring.monomial((2, 0, 1), unit()), dense,
+                 random_poly(rng, ring, max_degree=p + 2, max_terms=8)]
+        if p < 8:
+            points = list(product(range(p), repeat=3))
+        else:
+            points = [tuple(rng.choice((0, 1, rng.randrange(p)))
+                            for _ in range(3)) for _ in range(300)]
+        for f in forms:
+            value_at = field.evaluator(f)
+            assert [value_at(x) for x in points] == [f.evaluate(x) for x in points]
+
+
+def test_prime_field_top_digit_is_read_whole(monkeypatch):
+    # at 8-bit digits the term values sum past 2^8: the top digit, over
+    # F_p the only one, is read unmasked, so the sum stays exact
+    monkeypatch.setattr(extfield, "WIDTH", 8)
+    p = 251
+    field = ExtField(p, 1)
+    ring = PolyRing(("x", "y"), p)
+    f = ring.poly({(i, 0): p - 1 for i in range(12)})
+    assert 12 * (p - 1) > 1 << 8
+    value_at = field.evaluator(f)
+    for point in ((1, 0), (1, 7), (2, 3), (0, 5), (250, 1)):
+        assert value_at(point) == f.evaluate(point)
+    assert value_at((1, 0)) == 12 * (p - 1) % p
+
+
 def test_table_arithmetic_matches_polynomial_residues():
     # the log/antilog and digit tables against arithmetic of residues in
     # F_p[t]/(mu), through evaluation on every pair of codes, and the
     # printed element against the printed residue; prime fields take the
-    # modular route
+    # same table route
     for p, k in FIELDS + ((5, 1), (7, 1)):
         field = ExtField(p, k)
         residues, code_of, mu = _residue_field(p, k)

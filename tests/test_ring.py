@@ -5,6 +5,7 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +16,8 @@ from charp.ring import MAX_NESTING, MultiPoly, PolyRing, grevlex_packing
 
 from charp.ideal import normal_form
 
-from conftest import grevlex_key, monomials_of_degree, random_poly, terms
+from conftest import (grevlex_key, monomials_of_degree, oracle_add,
+                      random_poly, terms)
 
 
 @pytest.fixture
@@ -428,6 +430,65 @@ def test_derivative():
     assert euler == h.scale(3)
 
 
+def test_differences_match_the_term_oracle():
+    # f - g subtracts g's terms in place, and n - f is the constant n
+    # minus f; a sum less one of its parts cancels back to the other
+    rng = random.Random(41)
+    for p in (2, 5, 7):
+        ring = PolyRing(("x", "y"), p)
+        for _ in range(30):
+            f, g = random_poly(rng, ring), random_poly(rng, ring)
+            n = rng.randrange(-2 * p, 2 * p)
+            tf, tg, tn = terms(f), terms(g), terms(ring.constant(n))
+            assert terms(f - g) == oracle_add(tf, tg, p, -1)
+            assert terms(g.__rsub__(f)) == oracle_add(tf, tg, p, -1)
+            assert terms(f - n) == oracle_add(tf, tn, p, -1)
+            assert terms(n - f) == oracle_add(tn, tf, p, -1)
+            assert terms(f + g - g) == tf and terms(f - (g + f)) == terms(-g)
+            assert (f - f).is_zero and (n - ring.constant(n)).is_zero
+
+
+def test_scalars_enter_as_integers():
+    # coefficients and coordinates pass operator.index: Python and numpy
+    # integers give int residues, anything else is a DomainError
+    ring = PolyRing(("x", "y"), 5)
+    f = ring.parse("x^2*y + 3*x + 1")
+    for seven in (7, np.int64(7), np.uint8(7)):
+        same = [(ring.constant(seven), ring.constant(2)),
+                (ring.monomial((1, 0), seven), ring.parse("2*x")),
+                (ring.poly({(1, 0): seven, (0, 0): 3}), ring.parse("2*x + 3")),
+                (f.scale(seven), f.scale(2)),
+                (f.shift((seven, None)), f.shift((2, None)))]
+        for g, h in same:
+            assert g == h and all(type(c) is int for c in g._terms.values())
+        value = f.evaluate((seven, np.int8(-1)))
+        assert value == f.evaluate((2, 4)) and type(value) is int
+    for bad in (2.5, 2.0, "2"):
+        for build in (lambda: ring.constant(bad),
+                      lambda: ring.monomial((1, 0), bad),
+                      lambda: ring.poly({(1, 0): bad}),
+                      lambda: f.scale(bad),
+                      lambda: f.shift((bad, 1)),
+                      lambda: f.evaluate((bad, 2))):
+            with pytest.raises(DomainError):
+                build()
+    with pytest.raises(DomainError):
+        f.evaluate((None, 2))  # only a shift leaves a coordinate free
+
+
+def test_variable_indices_are_checked():
+    ring = PolyRing(("x", "y"), 5)
+    f = ring.parse("x^2*y + 3*x + 1")
+    for i in (2, 7, -1, 1.0, "z"):
+        with pytest.raises(DomainError):
+            ring.gen(i)
+    for i in (2, 5, -1, 1.0):
+        with pytest.raises(DomainError):
+            f.derivative(i)
+    assert ring.gen(np.int64(1)) == ring.gen("y") == ring.gens()[1]
+    assert f.derivative(np.int64(0)) == f.derivative(0) == ring.parse("2*x*y + 3")
+
+
 def test_ring_mismatch_raises():
     a = PolyRing(("x",), 5).gen(0)
     b = PolyRing(("x",), 7).gen(0)
@@ -565,10 +626,9 @@ def test_caches_never_enter_equality_or_hashing():
         fresh = MultiPoly(ring, dict(f._terms))
         before = hash(f)
         f.leading_exponent()
-        f.evaluate((1, 2, 3))  # the tuple view
         normal_form(ring.gen(0) * f, [f])  # f as a divisor
-        assert f._lead is not None and f._view is not None
-        assert fresh._lead is None and fresh._view is None
+        assert f._lead is not None
+        assert fresh._lead is None
         assert f == fresh and hash(f) == hash(fresh) == before
         assert str(f) == str(fresh)
         assert {f: 1}[fresh] == 1
